@@ -5,18 +5,27 @@ Four rings are supported, each as a module-level singleton tag:
 * ``ZZ``    -- arbitrary-precision integers (plain ``int``)
 * ``QQ``    -- rationals (``fractions.Fraction``, ints allowed as a fast path)
 * ``QQI``   -- Gaussian rationals a + b*i
-* ``ZPOLY`` -- Laurent polynomials in z with rational coefficients
+* ``ZPOLY`` -- Laurent polynomials in z with rational coefficients, each a
+  dense window: its lowest z-exponent plus a tuple of coefficients
+  trimmed to nonzero ends (see ``ZPoly``)
 
 Everything is exact; no floats appear anywhere.  Elements are ordinary
 Python objects supporting ``+ - *`` so series code and the compiled
-kernels stay ring-agnostic.
+kernels stay ring-agnostic.  ``specialise`` evaluates many Laurent
+polynomials at one rational or Gaussian-rational z0 with integer
+arithmetic only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add, mul, sub
+from types import MappingProxyType
 
 from .errors import NonUnitError
+
+_new = object.__new__
 
 
 class GaussianRational:
@@ -111,93 +120,121 @@ I = GaussianRational(0, 1)
 
 
 class ZPoly:
-    """Laurent polynomial in z: finitely supported map z-exponent -> rational.
+    """Laurent polynomial in z with rational coefficients, as a dense window.
 
-    Zero coefficients are never stored.  Values may be ints or Fractions
-    (exact either way).
+    ``lo`` is the lowest z-exponent and ``coeffs`` an immutable tuple of
+    ints or Fractions, the coefficients of z^lo, z^(lo+1), ...  Both ends
+    of the window are nonzero (interior zeros are stored); the zero
+    polynomial is ``lo = 0, coeffs = ()``.  A sum is one aligned map over
+    two windows, and a product with a monomial only moves ``lo`` (sharing
+    the tuple when the coefficient is 1).  ``ZPoly({k: v})`` builds from a
+    dict and drops zero values; ``.c`` is a read-only dict view of the
+    nonzero terms.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("lo", "coeffs")
 
     def __init__(self, coeffs=None):
-        # Caller must not pass zero values; use from_dict to normalize.
-        self.c = coeffs or {}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls({k: v for k, v in d.items() if v != 0})
+        lo, window = 0, ()
+        if coeffs:
+            lo = min(coeffs)
+            dense = [0] * (max(coeffs) - lo + 1)
+            for k, v in coeffs.items():
+                dense[k - lo] = v
+            window = tuple(dense)
+        p = _window(lo, window)
+        self.lo, self.coeffs = p.lo, p.coeffs
 
     @classmethod
     def const(cls, v):
-        return cls({0: v} if v != 0 else {})
+        return _window(0, (v,))
 
     @classmethod
     def monomial(cls, v, k):
-        return cls({k: v} if v != 0 else {})
+        return _window(k, (v,))
+
+    @property
+    def c(self):
+        """Read-only {z-exponent: coefficient} view of the nonzero terms."""
+        lo = self.lo
+        return MappingProxyType({lo + i: v for i, v in enumerate(self.coeffs) if v})
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, ZPoly):
-            return self.c == other.c
+        if type(other) is ZPoly:
+            return self.lo == other.lo and self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return not self.c
-            return self.c == {0: other}
+                return not self.coeffs
+            return self.lo == 0 and self.coeffs == (other,)
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset((k, Fraction(v)) for k, v in self.c.items()))
+        # constants hash like the number they equal
+        if self.lo == 0 and len(self.coeffs) < 2:
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash((self.lo, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ZPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = ZPoly.const(other)
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out = dict(self.c)
-        for k, v in other.c.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return ZPoly(out)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
+        return _aligned(self, other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZPoly({k: -v for k, v in self.c.items()})
+        return _raw(self.lo, tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not ZPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = ZPoly.const(other)
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        return self + (-other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        return _aligned(self, other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return ZPoly({})
-            return ZPoly({k: v * other for k, v in self.c.items()})
-        if not isinstance(other, ZPoly):
-            return NotImplemented
-        out = {}
-        for k1, v1 in self.c.items():
-            for k2, v2 in other.c.items():
-                k = k1 + k2
-                s = out.get(k, 0) + v1 * v2
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return ZPoly(out)
+        if type(other) is not ZPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._times_monomial(other, 0)
+        if len(other.coeffs) == 1:
+            return self._times_monomial(other.coeffs[0], other.lo)
+        if len(self.coeffs) == 1:
+            return other._times_monomial(self.coeffs[0], self.lo)
+        if not self.coeffs or not other.coeffs:
+            return ZPOLY.zero
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _window(self.lo + other.lo, tuple(out))
 
     __rmul__ = __mul__
+
+    def _times_monomial(self, v, k):
+        """v * z^k * self for a scalar v."""
+        if not v or not self.coeffs:
+            return ZPOLY.zero
+        if v == 1:
+            return _raw(self.lo + k, self.coeffs)
+        return _raw(self.lo + k, tuple([v * x for x in self.coeffs]))
 
     def __pow__(self, k):
         out = ZPoly.const(1)
@@ -214,39 +251,29 @@ class ZPoly:
 
     def eval(self, z0):
         """Evaluate at an exact nonzero point (rational or Gaussian rational)."""
-        if z0 == 0:
-            raise ZeroDivisionError("cannot evaluate Laurent polynomial at z=0")
-        if isinstance(z0, GaussianRational):
-            out = GaussianRational(0, 0)
-            for k, v in self.c.items():
-                out = out + (z0 ** k) * v
-            return out
-        z0 = Fraction(z0)
-        out = Fraction(0)
-        for k, v in self.c.items():
-            out += (z0 ** k) * v
-        return out
+        return specialise([self], z0)[0]
 
     def at_one(self):
         """Substitution z -> 1 (sum of coefficients)."""
-        return sum(self.c.values())
+        return sum(self.coeffs)
 
     def unit_part(self):
         """Return (coef, zdeg) if this is a single nonzero monomial, else None."""
-        if len(self.c) == 1:
-            (k, v), = self.c.items()
-            return v, k
+        if len(self.coeffs) == 1:
+            return self.coeffs[0], self.lo
         return None
 
     def __repr__(self):
-        return f"ZPoly({self.c!r})"
+        return f"ZPoly({dict(self.c)!r})"
 
     def __str__(self):
-        if not self.c:
+        if not self.coeffs:
             return "0"
         parts = []
-        for k in sorted(self.c):
-            v = self.c[k]
+        for i, v in enumerate(self.coeffs):
+            if not v:
+                continue
+            k = self.lo + i
             vs = str(v)
             if k == 0:
                 parts.append(vs)
@@ -254,6 +281,88 @@ class ZPoly:
                 zs = "z" if k == 1 else f"z^{k}"
                 parts.append(zs if v == 1 else f"-{zs}" if v == -1 else f"{vs}*{zs}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _raw(lo, coeffs):
+    """A ZPoly over a window already trimmed to nonzero ends."""
+    p = _new(ZPoly)
+    p.lo = lo
+    p.coeffs = coeffs
+    return p
+
+
+def _window(lo, coeffs):
+    """The ZPoly z^lo * (coeffs[0] + coeffs[1]*z + ...), zero ends trimmed."""
+    if coeffs and coeffs[0] and coeffs[-1]:
+        return _raw(lo, coeffs)
+    a, b = 0, len(coeffs)
+    while a < b and not coeffs[a]:
+        a += 1
+    while b > a and not coeffs[b - 1]:
+        b -= 1
+    return _raw(lo + a, coeffs[a:b]) if a < b else _raw(0, ())
+
+
+def _aligned(p, q, op):
+    """op over the coefficients of z^k in two nonzero ZPolys, for every k."""
+    a, b = p.coeffs, q.coeffs
+    lo = min(p.lo, q.lo)
+    hi = max(p.lo + len(a), q.lo + len(b))
+    if p.lo != lo or len(a) != hi - lo:
+        a = (0,) * (p.lo - lo) + a + (0,) * (hi - p.lo - len(a))
+    if q.lo != lo or len(b) != hi - lo:
+        b = (0,) * (q.lo - lo) + b + (0,) * (hi - q.lo - len(b))
+    return _window(lo, tuple(map(op, a, b)))
+
+
+def specialise(polys, z0):
+    """Values of the Laurent polynomials ``polys`` at an exact nonzero z0.
+
+    With z0 = (a + b*i)/d and L the widest window, t[j] = (a + b*i)^j *
+    d^(L-1-j) is tabulated once.  z^lo * sum_j v_j z^j, its coefficients
+    cleared to integers over a common denominator c, is then
+    z0^lo * (sum_j v_j t[j]) / (c * d^(L-1)): an integer dot product per
+    part and one Fraction per part, with z0^lo cached per lo.  Rational
+    z0 gives Fractions, Gaussian z0 GaussianRationals; entries that are
+    not ZPolys are rational constants.
+    """
+    if z0 == 0:
+        raise ZeroDivisionError("cannot evaluate Laurent polynomial at z=0")
+    gauss = isinstance(z0, GaussianRational)
+    re, im = (Fraction(z0.re), Fraction(z0.im)) if gauss else (Fraction(z0), Fraction(0))
+    d = lcm(re.denominator, im.denominator)
+    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    polys = [p if type(p) is ZPoly else ZPoly.const(p) for p in polys]
+    span = max([len(p.coeffs) for p in polys] + [1])
+    tx, ty = [d ** (span - 1)], [0]
+    for _ in range(span - 1):  # exact: t[j] still holds the factor d^(L-1-j)
+        x, y = tx[-1], ty[-1]
+        tx.append((x * a - y * b) // d)
+        ty.append((x * b + y * a) // d)
+    lo_pows = {}
+    out = []
+    for p in polys:
+        v = p.coeffs
+        c = lcm(*[t.denominator for t in v])
+        if c != 1:
+            v = [t.numerator * (c // t.denominator) for t in v]
+        zlo = lo_pows.get(p.lo)
+        # z0^lo = (a + b*i)^lo / d^lo = (d*(a - b*i))^-lo / (a^2 + b^2)^-lo
+        if zlo is None:
+            u, e = ((GaussianRational(a, b), d) if p.lo >= 0
+                    else (GaussianRational(d * a, -d * b), a * a + b * b))
+            g = u ** abs(p.lo)
+            zlo = lo_pows[p.lo] = (g.re, g.im, e ** abs(p.lo) * tx[0])
+        gx, gy, den = zlo
+        den *= c
+        sx = sum(map(mul, v, tx))
+        if gauss:
+            sy = sum(map(mul, v, ty))
+            out.append(GaussianRational(Fraction(sx * gx - sy * gy, den),
+                                        Fraction(sx * gy + sy * gx, den)))
+        else:
+            out.append(Fraction(sx * gx, den))
+    return out
 
 
 class CoeffRing:
@@ -309,6 +418,8 @@ class _RatRing(CoeffRing):
         return n
 
     def invert(self, x):
+        if x == 1 or x == -1:
+            return int(x)
         if x == 0:
             raise NonUnitError("0 is not a unit in QQ")
         return Fraction(1) / x
@@ -356,7 +467,7 @@ class _ZPolyRing(CoeffRing):
         if unit is None:
             raise NonUnitError(f"{x} is not a unit monomial in Q[z, 1/z]")
         v, k = unit
-        return ZPoly.monomial(Fraction(1) / v, -k)
+        return ZPoly.monomial(QQ.invert(v), -k)
 
     def is_zero(self, x):
         return not x if isinstance(x, ZPoly) else x == 0
@@ -369,7 +480,7 @@ class _ZPolyRing(CoeffRing):
         raise RingCoercionError(src, self)
 
     def to_json(self, x):
-        return {str(k): str(v) for k, v in sorted(x.c.items())}
+        return {str(x.lo + i): str(v) for i, v in enumerate(x.coeffs) if v}
 
 
 class RingCoercionError(NonUnitError):
@@ -380,6 +491,6 @@ class RingCoercionError(NonUnitError):
 ZZ = _IntRing("ZZ", 0, 1)
 QQ = _RatRing("QQ", 0, 1)
 QQI = _GaussRing("QQi", GaussianRational(0, 0), GaussianRational(1, 0))
-ZPOLY = _ZPolyRing("Zpoly", ZPoly({}), ZPoly({0: 1}))
+ZPOLY = _ZPolyRing("Zpoly", ZPoly(), ZPoly.const(1))
 
 RINGS = {r.name: r for r in (ZZ, QQ, QQI, ZPOLY)}

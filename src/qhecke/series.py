@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import NonUnitError, RingMismatchError
-from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
+from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly, specialise
 
 INF = float("inf")
 
@@ -325,13 +325,8 @@ class QSeries:
         """Specialize a Zpoly-coefficient series at an exact nonzero z0."""
         if self.ring is not ZPOLY:
             raise RingMismatchError("eval_z requires Zpoly coefficients")
-        if isinstance(z0, GaussianRational):
-            ring = QQI
-            coeffs = [c.eval(z0) for c in self.coeffs]
-        else:
-            ring = QQ
-            coeffs = [c.eval(z0) for c in self.coeffs]
-        return QSeries(ring, self.min_exp, coeffs, self.order)
+        ring = QQI if isinstance(z0, GaussianRational) else QQ
+        return QSeries(ring, self.min_exp, specialise(self.coeffs, z0), self.order)
 
     def subs_z_one(self):
         if self.ring is not ZPOLY:
@@ -343,14 +338,14 @@ class QSeries:
         """The q-series multiplying z^k (Zpoly coefficients only)."""
         if self.ring is not ZPOLY:
             raise RingMismatchError("zcoeff_series requires Zpoly coefficients")
-        return QSeries(QQ, self.min_exp, [c.c.get(k, 0) for c in self.coeffs],
-                       self.order)
+        coeffs = [c.coeffs[k - c.lo] if 0 <= k - c.lo < len(c.coeffs) else 0
+                  for c in self.coeffs]
+        return QSeries(QQ, self.min_exp, coeffs, self.order)
 
     def zrange(self):
         lo, hi = 0, 0
         for _, c in self.nonzero_terms():
-            for k in c.c:
-                lo, hi = min(lo, k), max(hi, k)
+            lo, hi = min(lo, c.lo), max(hi, c.lo + len(c.coeffs) - 1)
         return lo, hi
 
     # -- comparison ---------------------------------------------------------

@@ -110,7 +110,15 @@ def _run_by_id(args):
 
 
 def verify(ids=None, order=None, jobs=1):
-    """Run the selected cases (all by default); reports in registry order."""
+    """Run the selected cases (all by default); reports in registry order.
+
+    Raises ValueError for an order or job count below 1: a certificate
+    through q^0 or below checks nothing.
+    """
+    if order is not None and order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = registry()
     if ids is not None:
         known = {c.id for c in cases}
@@ -119,7 +127,7 @@ def verify(ids=None, order=None, jobs=1):
             raise KeyError(f"unknown identity id(s): {', '.join(unknown)}")
         wanted = set(ids)
         cases = [c for c in cases if c.id in wanted]
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_by_id, [(c.id, order) for c in cases]))
     else:

@@ -81,6 +81,19 @@ def test_verify_unknown_id(capsys):
     assert code == 2 and "unknown identity" in err
 
 
+def test_verify_rejects_vacuous_order_and_jobs(capsys, tmp_path):
+    for flag, value in (("--order", "-3"), ("--order", "0"), ("--jobs", "0"),
+                        ("--jobs", "-2")):
+        code, out, err = run(capsys, "verify", "--id", "hecke-hf4", flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag[2:]} must be at least 1, got {value}" in err
+    for line in ("default_order = 0", "jobs = 0"):
+        conf = tmp_path / "qhecke.conf"
+        conf.write_text(line + "\n")
+        code, out, err = run(capsys, "verify", "--id", "hecke-hf4", "--config", str(conf))
+        assert code == 2 and out == "" and "must be at least 1" in err
+
+
 def test_verify_allow_fail_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--id", "mrel-f151-theta14")
     assert code == 0

@@ -39,9 +39,31 @@ def test_zpoly_ops():
 
 
 def test_zpoly_never_stores_zeros():
-    p = ZPoly.from_dict({0: 1, 3: 0})
+    p = ZPoly({0: 1, 3: 0})
     assert p.c == {0: 1}
     assert (ZPoly({1: 2}) + ZPoly({1: -2})).c == {}
+
+
+def test_zpoly_zero_values_normalise():
+    for zero in (ZPoly({0: 0}), ZPoly({-2: 0, 5: Fraction(0)}), ZPoly.monomial(0, 4)):
+        assert not zero
+        assert zero == 0 and zero == ZPoly()
+        assert hash(zero) == hash(0)
+    assert ZPoly({-1: 0, 0: 2, 3: 0}) == ZPoly.const(2)
+
+
+def test_zpoly_hash_agrees_with_eq():
+    assert hash(ZPoly.const(3)) == hash(3)
+    assert {ZPoly.const(3): "x"}.get(3) == "x"
+    assert hash(ZPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert hash(ZPoly({-1: 2, 1: Fraction(4, 2)})) == hash(ZPoly({-1: Fraction(2), 1: 2}))
+
+
+def test_zpoly_c_is_read_only():
+    p = ZPoly({-1: 1, 2: 3})
+    with pytest.raises(TypeError):
+        p.c[0] = 5
+    assert p == ZPoly({-1: 1, 2: 3})
 
 
 def test_ring_invert_rules():
@@ -49,10 +71,15 @@ def test_ring_invert_rules():
     with pytest.raises(NonUnitError):
         ZZ.invert(2)
     assert QQ.invert(2) == Fraction(1, 2)
+    for unit in (1, -1, Fraction(1), Fraction(-1)):
+        assert type(QQ.invert(unit)) is int and QQ.invert(unit) == unit
     with pytest.raises(NonUnitError):
         QQ.invert(0)
     assert QQI.invert(GaussianRational(0, 2)) == GaussianRational(0, Fraction(-1, 2))
     assert ZPOLY.invert(ZPoly({3: -2})) == ZPoly({-3: Fraction(-1, 2)})
+    for sign in (1, -1):
+        inv = ZPOLY.invert(ZPoly({3: sign}))
+        assert inv == ZPoly({-3: sign}) and type(inv.unit_part()[0]) is int
     with pytest.raises(NonUnitError):
         ZPOLY.invert(ZPoly({0: 1, 1: -1}))
 

@@ -28,6 +28,12 @@ def test_get_case_unknown():
         verify(["no-such-id"])
 
 
+def test_verify_rejects_order_and_jobs_below_one():
+    for kwargs in ({"order": 0}, {"order": -3}, {"jobs": 0}, {"jobs": -1}):
+        with pytest.raises(ValueError, match="must be at least 1"):
+            verify(["hecke-hf4"], **kwargs)
+
+
 def test_sample_cases_pass_and_certify_requested_order():
     for cid in SAMPLE:
         case = get_case(cid)
