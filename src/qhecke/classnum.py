@@ -64,18 +64,19 @@ def hurwitz12_table(limit):
     table = [0] * (limit + 1)
     if limit >= 0:
         table[0] = -1
-    # triple loop over reduced forms; bounds: |b| <= a <= c, 3a^2 <= n
+    # reduced forms: |b| <= a <= c, 3a^2 <= n; c = a first, then c > a,
+    # where b > -a excludes nothing and every form has weight 12
     a = 1
     while 3 * a * a <= limit:
+        step = 4 * a
         for b in range(-a + 1, a + 1):
-            c = a
-            while True:
-                n = 4 * a * c - b * b
-                if n > limit:
-                    break
-                if n >= 1 and not (b < 0 and (-b == a or a == c)):
-                    table[n] += _form_weight12(a, b, c)
-                c += 1
+            n = a * step - b * b
+            if n > limit:
+                continue
+            if b >= 0:
+                table[n] += 6 if b == 0 else 4 if b == a else 12
+            for n in range(n + step, limit + 1, step):
+                table[n] += 12
         a += 1
     return table
 

@@ -13,6 +13,7 @@ exponents and monomial shifts never silently lose validity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from . import kernels
 from .errors import NonUnitError, RingMismatchError
@@ -169,11 +170,11 @@ class QSeries:
             return QSeries.zero(self.ring, order)
         out = [self.ring.zero] * (hi - lo + 1)
         for f in (self, other):
-            for i, c in enumerate(f.coeffs):
-                e = f.min_exp + i
-                if e > hi:
-                    break
-                out[e - lo] = out[e - lo] + c
+            # clip at hi; a bare negative bound would keep terms when
+            # f.min_exp lies above hi
+            cs = f.coeffs[:max(hi - f.min_exp + 1, 0)]
+            s = f.min_exp - lo
+            out[s:s + len(cs)] = map(add, out[s:s + len(cs)], cs)
         return QSeries(self.ring, lo, out, order)
 
     def __neg__(self):

@@ -72,6 +72,8 @@ def run_case(case: IdentityCase, order=None):
     try:
         mismatch = None
         if case.mode == "numeric_z":
+            if not case.witnesses:
+                raise ValueError("numeric_z case has no witnesses: nothing to certify")
             for z0 in case.witnesses:
                 lhs = case.build_lhs(n + case.pad, z0)
                 rhs = case.build_rhs(n + case.pad, z0)
@@ -82,6 +84,9 @@ def run_case(case: IdentityCase, order=None):
             lhs = case.build_lhs(n + case.pad)
             rhs = case.build_rhs(n + case.pad)
             if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+                widths = [len(x) if isinstance(x, tuple) else None for x in (lhs, rhs)]
+                if widths[0] != widths[1]:
+                    raise ValueError(f"lhs has {widths[0]} components, rhs {widths[1]}")
                 for i, (a, b) in enumerate(zip(lhs, rhs)):
                     mismatch = _compare(a, b, n, case.modulus, slot=f"component {i}")
                     if mismatch:

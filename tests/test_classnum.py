@@ -69,6 +69,16 @@ def test_table_matches_per_value():
     assert all(table[n] == hurwitz12(n) for n in range(601))
 
 
+@pytest.mark.parametrize("limit", [0, 1, 3, 4, 100, 1024, 5000, 19200, 51716])
+def test_table_at_edge_limits(limit):
+    # every value up to 1024; above, the top 64 values, where the sieve's
+    # bounds on a, b and c bite
+    table = hurwitz12_table(limit)
+    assert len(table) == limit + 1
+    check = range(limit + 1) if limit <= 1024 else range(limit - 63, limit + 1)
+    assert all(table[n] == hurwitz12(n) for n in check)
+
+
 def test_residue_vanishing_to_ten_thousand():
     table = hurwitz12_table(10_000)
     assert all(table[n] == 0 for n in range(1, 10_001) if n % 4 in (1, 2))

@@ -1,5 +1,7 @@
 """Registry and verification driver behavior."""
 
+from dataclasses import replace
+
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
@@ -32,6 +34,22 @@ def test_verify_rejects_order_and_jobs_below_one():
     for kwargs in ({"order": 0}, {"order": -3}, {"jobs": 0}, {"jobs": -1}):
         with pytest.raises(ValueError, match="must be at least 1"):
             verify(["hecke-hf4"], **kwargs)
+
+
+def test_tuple_case_with_missing_component_is_an_error():
+    # zip would drop the third component and pass vacuously
+    case = get_case("dissect-j1j2-3")
+    short = replace(case, build_rhs=lambda n: case.build_rhs(n)[:2])
+    report = run_case(short, 30)
+    assert report.status == "error" and report.certified_order == 0
+    assert "3 components" in report.first_mismatch["lhs"]
+    assert "rhs 2" in report.first_mismatch["lhs"]
+
+
+def test_numeric_z_case_without_witnesses_is_an_error():
+    report = run_case(replace(get_case("numz-f4-appell"), witnesses=()), 30)
+    assert report.status == "error" and report.certified_order == 0
+    assert "no witnesses" in report.first_mismatch["lhs"]
 
 
 def test_sample_cases_pass_and_certify_requested_order():
