@@ -13,18 +13,14 @@ from .series import (
     INF,
     QSeries,
     SignedMonomial,
-    dissect,
     eta_quotient,
     etaq,
-    eval_z,
     geom_ratio,
+    lattice_range,
     monomial,
     pochhammer,
-    series_arith,
-    series_invert,
-    u_p,
 )
-from .jets import Jet1, jet_arith, jet_of_termsum
+from .jets import Jet1, jet_of_termsum
 from .theta import ThetaArg, appell_m, f_abc, g_abc, jtheta, theta_1_4
 from .classnum import genfun_F, genfun_H, hurwitz, hurwitz12, kronecker_F
 from .mock import (F4_series, F8_series, appell_rhs, eulerian, hecke_rogers,
@@ -35,10 +31,9 @@ from .verify import appell_relation_check, verify
 
 __all__ = [
     "QQ", "QQI", "ZPOLY", "ZZ", "GaussianRational", "ZPoly", "I",
-    "INF", "QSeries", "SignedMonomial", "dissect", "eta_quotient", "etaq",
-    "eval_z", "geom_ratio", "monomial", "pochhammer", "series_arith",
-    "series_invert", "u_p",
-    "Jet1", "jet_arith", "jet_of_termsum",
+    "INF", "QSeries", "SignedMonomial", "eta_quotient", "etaq", "geom_ratio",
+    "lattice_range", "monomial", "pochhammer",
+    "Jet1", "jet_of_termsum",
     "ThetaArg", "appell_m", "f_abc", "g_abc", "jtheta", "theta_1_4",
     "genfun_F", "genfun_H", "hurwitz", "hurwitz12", "kronecker_F",
     "F4_series", "F8_series", "appell_rhs", "eulerian", "hecke_rogers",

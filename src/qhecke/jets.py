@@ -4,7 +4,9 @@ A Jet1 carries (f(1,q), d/dz f(z,q)|_{z=1}) as a pair of rational
 q-series and propagates both through ring operations: products use the
 product rule, quotients (u'v - uv')/v^2.  This is the carrier for every
 derivative-of-theta identity in the registry: theta functions and
-Appell-Lerch sums enter as term sums differentiated termwise.
+Appell-Lerch sums enter as term sums differentiated termwise, over the
+same exact index ranges (theta_terms, appell_range) as the scalar
+evaluators in theta.py.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 from .errors import PoleError
 from .rings import QQ
 from .series import INF, QSeries
+from .theta import appell_range, theta_terms
 
 
 @dataclass(frozen=True)
@@ -74,19 +77,6 @@ class Jet1:
         return min(self.f0.order, self.f1.order)
 
 
-def jet_arith(u, v, op):
-    """Spec-shaped dispatcher over jet operations."""
-    if op == "add":
-        return u + v
-    if op == "mul":
-        return u * v
-    if op == "div":
-        return u / v
-    if op == "neg":
-        return -u
-    raise ValueError(f"unknown op {op!r}")
-
-
 def jet_of_termsum(terms, n):
     """Jet of sum c * z^zdeg * q^qdeg over the given (c, zdeg, qdeg) terms.
 
@@ -102,38 +92,6 @@ def jet_of_termsum(terms, n):
             t1[qdeg] = t1.get(qdeg, 0) + c * zdeg
     return Jet1(QSeries.from_terms(QQ, t0.items(), n),
                 QSeries.from_terms(QQ, t1.items(), n))
-
-
-def theta_terms(sign, a, b, base, n, zshift=0, scalar=1):
-    """Terms of scalar * z^zshift * j(sign * z^a * q^b; q^base) below order n.
-
-    j(x; q^k) = sum (-1)^m q^{k m(m-1)/2} x^m, so term m carries
-    coefficient (-1)^m sign^m, z-degree a*m + zshift and q-degree
-    k*m(m-1)/2 + b*m.
-    """
-    neg = -sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
-
-    def qdeg(m):
-        return base * m * (m - 1) // 2 + b * m
-
-    def emit(m):
-        c = scalar if (neg == 1 or m % 2 == 0) else -scalar
-        return (c, a * m + zshift, qdeg(m))
-
-    m = 0
-    while True:
-        if qdeg(m) <= n:
-            yield emit(m)
-        elif 2 * base * m > base - 2 * b:  # past the vertex, exponents only grow
-            break
-        m += 1
-    m = -1
-    while True:
-        if qdeg(m) <= n:
-            yield emit(m)
-        elif 2 * base * m < base - 2 * b:
-            break
-        m -= 1
 
 
 def jet_theta(sign, a, b, base, n, zshift=0, scalar=1):
@@ -176,24 +134,9 @@ def jet_appell(x, base, w, n):
         denom = Jet1.of_monomial(1, 0, 0, n) - uinv
         return numer.scale(-1) * uinv * denom.invert()
 
-    def min_exp(r):
-        delta = base * (r - 1) + bx + bw
-        return base * r * (r - 1) // 2 + bw * r + max(0, -delta)
-
-    def scan(start, step):
-        nonlocal total
-        r, misses = start, 0
-        while misses < 3:
-            if min_exp(r) <= n:
-                misses = 0
-                t = term(r)
-                total = t if total is None else total + t
-            else:
-                misses += 1
-            r += step
-
-    scan(0, 1)
-    scan(-1, -1)
+    for r in appell_range(base, bw, bx + bw, n):
+        t = term(r)
+        total = t if total is None else total + t
     if total is None:
         total = Jet1(QSeries.zero(QQ, n), QSeries.zero(QQ, n))
     return pref * total

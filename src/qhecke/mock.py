@@ -9,19 +9,23 @@ The four Eulerian series
     phi-(q) = sum_{n>=1} q^n (-q;q)_{2n-1} / (q;q^2)_n
 
 are built by exact term recurrences (each term is the previous one
-times a few linear factors).  Indefinite theta sums are shell scans
-over n with the j-range cut by the region; Appell-type sums expand
+times a few linear factors).  Indefinite theta sums run over exactly
+the shells n that hold a term through the order: the exponent is
+lowest at an end of the shell's j-range, so those shells are the
+series.lattice_range of the two ends.  Appell-type sums run over
+exactly the k whose lowest exponent is at most the order, and expand
 each 1/(1 +- q^(dk+e)) geometrically after rewriting negative degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional
 
-from .errors import NonConvergentError, PoleError
+from .errors import PoleError
 from .rings import ZPOLY, ZZ, ZPoly
-from .series import QSeries, geom_ratio
+from .series import QSeries, geom_ratio, lattice_range
 
 
 def kronecker_minus4(n):
@@ -98,10 +102,7 @@ def _f_bivariate(which, n):
             .div_one_minus(ZPoly.monomial(1, 1), 1)
             .div_one_minus(ZPoly.monomial(1, -1), 1))
     k = 0
-    while True:
-        lead = (k + 1) ** 2 if which == "F8" else k + 1
-        if lead > n or not term.coeffs:
-            break
+    while term.coeffs and ((k + 1) ** 2 if which == "F8" else k + 1) <= n:
         out = out + term
         k += 1
         if which == "F8":
@@ -137,6 +138,10 @@ def F4_series(n):
 # Generic Hecke-Rogers evaluator
 
 
+# region -> the two ends (j0, j1) of the j-range j0 + j1*|n| of shell n
+_JENDS = {"jabs": ((1, 0), (0, 1)), "sym": ((1, -1), (0, 1)), "pos": ((1, 0), (0, 1))}
+
+
 @dataclass(frozen=True)
 class HeckeRogersSpec:
     """An indefinite theta sum over a lattice region.
@@ -160,20 +165,24 @@ class HeckeRogersSpec:
     extra: Optional[Callable] = None
     zpart: Optional[str] = None  # None | "geom_j" | "geom_n"
 
+    def __post_init__(self):
+        if self.region not in _JENDS:
+            raise ValueError(f"unknown region {self.region!r}")
+        a, b, c, d, e, f = self.quad2
+        if b % 2 or f % 2 or (a + d) % 2 or (c + e) % 2:
+            raise ValueError(f"quad2 {self.quad2} does not give an integer exponent")
+        if c > 0:
+            raise ValueError("Hecke-Rogers sums need a j^2 coefficient <= 0")
+
     def exponent(self, n, j):
         a, b, c, d, e, f = self.quad2
-        v = a * n * n + b * n * j + c * j * j + d * n + e * j + f
-        assert v % 2 == 0
-        return v // 2
+        return (a * n * n + b * n * j + c * j * j + d * n + e * j + f) // 2
 
     def jrange(self, n):
-        if self.region == "jabs":
-            return range(1, abs(n) + 1)
-        if self.region == "sym":
-            return range(1 - abs(n), abs(n) + 1)
-        if self.region == "pos":
-            return range(1, n + 1)
-        raise ValueError(f"unknown region {self.region!r}")
+        if self.region == "pos" and n < 1:
+            return range(0)
+        (lo0, lo1), (hi0, hi1) = _JENDS[self.region]
+        return range(lo0 + lo1 * abs(n), hi0 + hi1 * abs(n) + 1)
 
     def term_coeff(self, n, j):
         w = self.weight[0] * n + self.weight[1] * j + self.weight[2]
@@ -201,40 +210,29 @@ class HeckeRogersSpec:
 
 
 def hecke_rogers(spec: HeckeRogersSpec, n):
-    """Evaluate the indefinite theta sum to order n (shell scan over n)."""
+    """Evaluate the indefinite theta sum to order n over the exact shells.
+
+    Shell n = sgn*t (t >= 1) runs j between two ends linear in t.  With a
+    j^2 coefficient <= 0 the exponent is lowest at one of those ends, so
+    the shells holding a term are the union of the two ends' t-ranges.
+    """
     ring = ZZ if spec.zpart is None else ZPOLY
+    a, b, c, d, e, f = spec.quad2
     terms = []
-    cap = 8 * (int(n) + 16)
-
-    def shell(m):
-        js = spec.jrange(m)
-        if not js:
-            return False
-        landed = False
-        for j in js:
-            e = spec.exponent(m, j)
-            if e <= n:
-                landed = True
-                c = spec.term_coeff(m, j)
-                if c == 0:
-                    continue
-                if spec.zpart is None:
-                    terms.append((e, c))
-                else:
-                    terms.append((e, spec.zfactor(m, j) * c))
-        return landed
-
-    sides = ((1,),) if spec.region == "pos" else ((1,), (-1,))
-    for (sgn,) in sides:
-        m, misses = sgn, 0
-        while misses < 3:
-            if shell(m):
-                misses = 0
-            else:
-                misses += 1
-            if abs(m) > cap:
-                raise NonConvergentError("Hecke-Rogers exponent not bounded below")
-            m += sgn
+    for sgn in ((1,) if spec.region == "pos" else (1, -1)):
+        # doubled exponent at n = sgn*t, j = j0 + j1*t, as a quadratic in t
+        t_lo, t_hi = (lattice_range(a + sgn * b * j1 + c * j1 * j1,
+                                    sgn * (b * j0 + d) + 2 * c * j0 * j1 + e * j1,
+                                    c * j0 * j0 + e * j0 + f - 2 * n, lo=1)
+                      for j0, j1 in _JENDS[spec.region])
+        for t in chain(t_lo, (t for t in t_hi if t not in t_lo)):
+            m = sgn * t
+            for j in spec.jrange(m):
+                ex = spec.exponent(m, j)
+                coef = spec.term_coeff(m, j) if ex <= n else 0
+                if coef:
+                    terms.append((ex, coef if spec.zpart is None
+                                  else spec.zfactor(m, j) * coef))
     return QSeries.from_terms(ring, terms, n)
 
 
@@ -262,10 +260,6 @@ class AppellRhsSpec:
         a, b, c = self.quad
         return a * k * k + b * k + c
 
-    def min_exponent(self, k):
-        d, e = self.denom
-        return self.exponent(k) + max(0, -(d * k + e))
-
     def term_coeff(self, k):
         w = self.weight[0] * k + self.weight[1]
         if self.alternating and k % 2 == 0:
@@ -279,12 +273,14 @@ def appell_rhs(spec: AppellRhsSpec, n):
     d, e = spec.denom
     s = spec.denom_sign
     out = QSeries.zero(ring, n)
-
-    def add_term(k):
-        nonlocal out
+    # term k has lowest exponent Q(k) + max(0, -(dk+e)) with
+    # Q(k) = ak^2 + bk + c: both Q(k) <= n and Q(k) - (dk+e) <= n
+    qa, qb, qc = spec.quad
+    ks = lattice_range(qa, qb, qc - n, 1 if spec.krange == "positive" else None)
+    for k in lattice_range(qa, qb - d, qc - e - n, ks.start, ks.stop - 1):
         c = spec.term_coeff(k)
         if c == 0:
-            return
+            continue
         coef = spec.zgeom(k) * c if spec.zgeom is not None else ring.from_int(c)
         t = QSeries.monomial(ring, coef, spec.exponent(k), n)
         dk = d * k + e
@@ -296,22 +292,6 @@ def appell_rhs(spec: AppellRhsSpec, n):
             # 1/(1+s q^dk) = s q^{-dk} / (s q^{-dk} + 1)
             t = t.shift(s, -dk).div_one_minus(-s, -dk)
         out = out + t
-
-    if spec.krange == "positive":
-        k = 1
-        while spec.min_exponent(k) <= n:
-            add_term(k)
-            k += 1
-        return out
-    for start, step in ((0, 1), (-1, -1)):
-        k, misses = start, 0
-        while misses < 3:
-            if spec.min_exponent(k) <= n:
-                misses = 0
-                add_term(k)
-            else:
-                misses += 1
-            k += step
     return out
 
 
@@ -383,23 +363,7 @@ def humbert_series(n):
 
 def c_sum(n_shift, n):
     """C_m = sum_k q^{(2k - m)(2k + 1 - m)/2} (constant in m)."""
-    terms = []
-    k, misses = 0, 0
-    while misses < 3:
-        e = (2 * k - n_shift) * (2 * k + 1 - n_shift) // 2
-        if e <= n:
-            misses = 0
-            terms.append((e, 1))
-        else:
-            misses += 1
-        k += 1
-    k, misses = -1, 0
-    while misses < 3:
-        e = (2 * k - n_shift) * (2 * k + 1 - n_shift) // 2
-        if e <= n:
-            misses = 0
-            terms.append((e, 1))
-        else:
-            misses += 1
-        k -= 1
-    return QSeries.from_terms(ZZ, terms, n)
+    m = n_shift
+    return QSeries.from_terms(
+        ZZ, (((2 * k - m) * (2 * k + 1 - m) // 2, 1)
+             for k in lattice_range(4, 2 - 4 * m, m * (m - 1) - 2 * n)), n)

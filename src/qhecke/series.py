@@ -13,10 +13,11 @@ exponents and monomial shifts never silently lose validity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import add
 
 from . import kernels
-from .errors import NonUnitError, RingMismatchError
+from .errors import NonConvergentError, NonUnitError, RingMismatchError
 from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly, specialise
 
 INF = float("inf")
@@ -53,7 +54,11 @@ class QSeries:
                 lo += 1
             while hi > lo and ring.is_zero(coeffs[hi - 1]):
                 hi -= 1
-            coeffs = list(coeffs[lo:hi])
+            # a list slice is already a fresh list, so the pop() below
+            # never touches the caller's
+            coeffs = coeffs[lo:hi]
+            if type(coeffs) is not list:
+                coeffs = list(coeffs)
             min_exp += lo
             if order is not INF and min_exp + len(coeffs) - 1 > order:
                 keep = order - min_exp + 1
@@ -85,7 +90,7 @@ class QSeries:
 
     @classmethod
     def from_coeffs(cls, ring, min_exp, coeffs, order):
-        return cls(ring, min_exp, list(coeffs), order)
+        return cls(ring, min_exp, coeffs, order)
 
     @classmethod
     def from_terms(cls, ring, terms, order):
@@ -405,35 +410,32 @@ class QSeries:
         return f"<QSeries {self.ring} {self}>"
 
 
-def series_arith(a, b, op, scalar=None):
-    """Spec-shaped dispatcher over the basic series operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "scale":
-        return a.scale(scalar)
-    raise ValueError(f"unknown op {op!r}")
+def lattice_range(a, b, c, lo=None, hi=None):
+    """The integers k with a*k*k + b*k + c <= 0, clipped to [lo, hi].
 
-
-def series_invert(f):
-    return f.invert()
-
-
-def u_p(f, p):
-    return f.sift(p)
-
-
-def dissect(f, p):
-    return f.dissect(p)
-
-
-def eval_z(f, z0):
-    return f.eval_z(z0)
+    Every truncated theta, Appell-Lerch and Hecke-Rogers sum iterates
+    such ranges.  The ends are exact in closed form: k lies between the
+    roots iff u = 2ak + b has |u| <= sqrt(D), D = b^2 - 4ac, and for an
+    integer u that holds iff |u| <= isqrt(D).  A linear form (a = 0)
+    needs the side it falls towards clipped.  Any other form does not
+    grow on [lo, hi], so the sum it indexes cannot be truncated, and
+    NonConvergentError is raised.
+    """
+    if a == 0 and b and (lo if b > 0 else hi) is not None:
+        kmin, kmax = (lo, (-c) // b) if b > 0 else (-(c // b), hi)
+    elif a <= 0:
+        raise NonConvergentError(f"{a}k^2 + {b}k + {c} does not grow on [{lo}, {hi}]")
+    else:
+        disc = b * b - 4 * a * c
+        if disc < 0:
+            return range(0)
+        s = isqrt(disc)
+        kmin, kmax = -((b + s) // (2 * a)), (s - b) // (2 * a)
+    if lo is not None:
+        kmin = max(kmin, lo)
+    if hi is not None:
+        kmax = min(kmax, hi)
+    return range(kmin, kmax + 1)
 
 
 def geom_ratio(a, b):

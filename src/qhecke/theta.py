@@ -7,6 +7,10 @@ indefinite-theta blocks they decompose into.  Exact arguments are
 scaled q-monomials c*q^d (c a nonzero rational), which covers every
 witness instance in the registry; z-free scalars are the degenerate
 case d = 0.
+
+Every bilateral sum is truncated by an exact index range from
+series.lattice_range: the indices whose lowest q-exponent is at most
+the order, and no others.
 """
 
 from __future__ import annotations
@@ -14,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonConvergentError, PoleError
+from .errors import PoleError
 from .rings import QQ, ZPOLY, ZZ, ZPoly
-from .series import INF, QSeries, SignedMonomial, etaq, pochhammer
+from .series import INF, QSeries, SignedMonomial, etaq, lattice_range, pochhammer
 
 
 @dataclass(frozen=True)
@@ -71,32 +75,25 @@ class ThetaArg:
             raise ValueError("theta base must be >= 1")
 
 
+def theta_terms(sign, a, b, base, n, zshift=0, scalar=1):
+    """Terms of scalar * z^zshift * j(sign * z^a * q^b; q^base) below order n.
+
+    j(x; q^k) = sum (-1)^m q^{k m(m-1)/2} x^m, so term m carries
+    coefficient (-1)^m sign^m, z-degree a*m + zshift and q-degree
+    k*m(m-1)/2 + b*m.
+    """
+    neg = -sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
+    for m in lattice_range(base, 2 * b - base, -2 * n):
+        c = scalar if (neg == 1 or m % 2 == 0) else -scalar
+        yield c, a * m + zshift, base * m * (m - 1) // 2 + b * m
+
+
 def theta_sum_scaled(x: QMono, base, n):
     """j(c*q^d; q^base) by the bilateral sum, rational coefficients."""
     c = Fraction(x.coef)
-    b = x.qdeg
-    terms = []
-
-    def qdeg(m):
-        return base * m * (m - 1) // 2 + b * m
-
-    m = 0
-    while True:
-        e = qdeg(m)
-        if e <= n:
-            terms.append((e, (c ** m) if m % 2 == 0 else -(c ** m)))
-        elif 2 * base * m > base - 2 * b:
-            break
-        m += 1
-    m = -1
-    while True:
-        e = qdeg(m)
-        if e <= n:
-            terms.append((e, (c ** m) if m % 2 == 0 else -(c ** m)))
-        elif 2 * base * m < base - 2 * b:
-            break
-        m -= 1
-    return QSeries.from_terms(QQ, terms, n)
+    return QSeries.from_terms(
+        QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, c ** m if m % 2 == 0 else -(c ** m))
+             for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
 
 
 def jtheta(arg: ThetaArg, n, method="sum"):
@@ -113,32 +110,23 @@ def jtheta(arg: ThetaArg, n, method="sum"):
         return out * etaq(base, n).over(out.ring)
     if method != "sum":
         raise ValueError(f"unknown method {method!r}")
-    ring = ZZ if x.zdeg == 0 else ZPOLY
-    b = x.qdeg
-    terms = []
+    terms = theta_terms(x.sign, x.zdeg, x.qdeg, base, n)
+    if x.zdeg == 0:
+        return QSeries.from_terms(ZZ, ((e, c) for c, _, e in terms), n)
+    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(c, zd)) for c, zd, e in terms), n)
 
-    def emit(m):
-        c = 1 if (-x.sign == 1 or m % 2 == 0) else -1
-        e = base * m * (m - 1) // 2 + b * m
-        terms.append((e, ZPoly.monomial(c, x.zdeg * m) if ring is ZPOLY else c))
 
-    m = 0
-    while True:
-        e = base * m * (m - 1) // 2 + b * m
-        if e <= n:
-            emit(m)
-        elif 2 * base * m > base - 2 * b:
-            break
-        m += 1
-    m = -1
-    while True:
-        e = base * m * (m - 1) // 2 + b * m
-        if e <= n:
-            emit(m)
-        elif 2 * base * m < base - 2 * b:
-            break
-        m -= 1
-    return QSeries.from_terms(ring, terms, n)
+def appell_range(base, zq, xzq, n):
+    """The r whose term of m(x, q^base, z) has lowest exponent <= n.
+
+    Term r is (-1)^r q^{Q(r)} z^r / (1 - x z q^{d(r)}) with
+    Q(r) = base*r(r-1)/2 + zq*r and d(r) = base*(r-1) + xzq, so its
+    lowest exponent is Q(r) + max(0, -d(r)); that is <= n exactly when
+    both Q(r) <= n and Q(r) - d(r) <= n.
+    """
+    rs = lattice_range(base, 2 * zq - base, -2 * n)
+    return lattice_range(base, 2 * zq - 3 * base, 2 * (base - xzq - n),
+                         rs.start, rs.stop - 1)
 
 
 def _denominator_pass(series, coef, qdeg):
@@ -166,35 +154,11 @@ def appell_m(x, base, z, n):
     xz = x * z
     cz = Fraction(z.coef)
 
-    def min_exp(r):
-        d = base * (r - 1) + xz.qdeg
-        return base * r * (r - 1) // 2 + z.qdeg * r + max(0, -d)
-
     total = QSeries.zero(QQ, n)
-
-    def add_term(r):
-        nonlocal total
+    for r in appell_range(base, z.qdeg, xz.qdeg, n):
         c = (cz ** r) if r % 2 == 0 else -(cz ** r)
         t = QSeries.monomial(QQ, c, base * r * (r - 1) // 2 + z.qdeg * r, n)
-        t = _denominator_pass(t, xz.coef, base * (r - 1) + xz.qdeg)
-        total = total + t
-
-    r, misses = 0, 0
-    while misses < 3:
-        if min_exp(r) <= n:
-            misses = 0
-            add_term(r)
-        else:
-            misses += 1
-        r += 1
-    r, misses = -1, 0
-    while misses < 3:
-        if min_exp(r) <= n:
-            misses = 0
-            add_term(r)
-        else:
-            misses += 1
-        r -= 1
+        total = total + _denominator_pass(t, xz.coef, base * (r - 1) + xz.qdeg)
     return total * jz.invert()
 
 
@@ -204,11 +168,9 @@ def f_abc_terms(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
     f_{a,b,c}(x,y,q) = sum_{sg(r)=sg(s)} sg(r) (-1)^{r+s} x^r y^s
                        q^{a r(r-1)/2 + b rs + c s(s-1)/2}.
     """
-    cap = 8 * (int(n) + a + b + c + abs(x.qdeg) + abs(y.qdeg) + 10)
-
-    def expo(r, s):
-        return (a * r * (r - 1) // 2 + b * r * s + c * s * (s - 1) // 2
-                + x.qdeg * r + y.qdeg * s)
+    if a <= 0 or c <= 0 or b < 0:
+        raise ValueError("f_{a,b,c} needs a > 0, c > 0 and b >= 0")
+    xq, yq = x.qdeg, y.qdeg
 
     def coef(r, s):
         sg = 1 if r >= 0 else -1
@@ -218,33 +180,17 @@ def f_abc_terms(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
         v = sg * sgn_x * sgn_y
         return -v if neg else v
 
+    # b*r*s >= 0 on both quadrants, so row r holds a term only if
+    # a*r(r-1)/2 + xq*r + min_s(c*s(s-1)/2 + yq*s) <= n (doubled below)
+    s0 = (c - 2 * yq) // (2 * c)
+    min_s2 = min(c * s * (s - 1) + 2 * yq * s for s in (s0, s0 + 1))
     out = []
-    for quadrant in (1, -1):
-        row_misses = 0
-        i = 0
-        while row_misses < 3:
-            if i > cap:
-                raise NonConvergentError("f_{a,b,c} exponent not bounded below")
-            r = i if quadrant == 1 else -1 - i
-            landed = False
-            j = 0
-            while True:
-                s = j if quadrant == 1 else -1 - j
-                e = expo(r, s)
-                if e <= n:
-                    landed = True
-                    out.append((coef(r, s), x.zdeg * r + y.zdeg * s, e))
-                else:
-                    # upward parabola in s: past the vertex we may stop
-                    if quadrant == 1 and 2 * c * s > c - 2 * b * r - 2 * y.qdeg:
-                        break
-                    if quadrant == -1 and 2 * c * s < c - 2 * b * r - 2 * y.qdeg:
-                        break
-                if j > cap:
-                    raise NonConvergentError("f_{a,b,c} exponent not bounded below")
-                j += 1
-            row_misses = 0 if landed else row_misses + 1
-            i += 1
+    for r in lattice_range(a, 2 * xq - a, min_s2 - 2 * n):
+        row2 = a * r * (r - 1) + 2 * xq * r
+        quadrant = (0, None) if r >= 0 else (None, -1)
+        for s in lattice_range(c, 2 * (b * r + yq) - c, row2 - 2 * n, *quadrant):
+            e = (row2 + c * s * (s - 1)) // 2 + b * r * s + yq * s
+            out.append((coef(r, s), x.zdeg * r + y.zdeg * s, e))
     return out
 
 

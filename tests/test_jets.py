@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qhecke.errors import NonUnitError
-from qhecke.jets import Jet1, jet_arith, jet_of_termsum, jet_theta
+from qhecke.jets import Jet1, jet_of_termsum, jet_theta
 from qhecke.rings import QQ, ZPOLY, ZPoly
 from qhecke.series import QSeries
 
@@ -22,7 +22,7 @@ def test_constant_jet_has_zero_derivative():
 
 def test_z_squared_derivative():
     z = Jet1.z_power(1)
-    z2 = jet_arith(z, z, "mul")
+    z2 = z * z
     assert z2.f0.coeff(0) == 1
     assert z2.f1.coeff(0) == 2
 
@@ -96,3 +96,14 @@ def test_eval_z_at_one_agrees_with_jet_value():
         via_jet = jet_theta(sign, zdeg, qdeg, base, 25).f0
         _, bad = via_poly.first_mismatch(via_jet)
         assert bad is None
+
+
+def test_jet_appell_keeps_terms_past_empty_rows():
+    # the same Appell-Lerch sum as the scalar regression, at z = 1
+    from qhecke.jets import jet_appell
+    low = jet_appell((1, 0, -260), 1, (-1, 1, -20), 50)
+    high = jet_appell((1, 0, -260), 1, (-1, 1, -20), 500)
+    assert high.f0.coeff(260) == 1
+    for lo, hi in ((low.f0, high.f0), (low.f1, high.f1)):
+        order, bad = lo.first_mismatch(hi)
+        assert bad is None and order >= 50

@@ -1,5 +1,6 @@
 """Eulerian series, bivariate F4/F8, and the generic sum evaluators."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,55 @@ def test_hecke_rogers_unbounded_raises():
         hecke_rogers(bad, 10)
 
 
+def test_hecke_rogers_shells_far_from_the_origin():
+    # exponent (t-20)^2 - j(j-1)/2: shells 1..10 hold no term through
+    # q^50, shells 11..68 do
+    spec = HeckeRogersSpec("pos", (2, 0, -1, -80, 1, 800))
+    want = {}
+    # for t >= 100 the doubled exponent is >= t(t - 79) + 800 > 100
+    for t in range(1, 100):
+        for j in range(1, t + 1):
+            e = (2 * t * t - j * j - 80 * t + j + 800) // 2
+            if e <= 50:
+                want[e] = want.get(e, 0) + 1
+    got = hecke_rogers(spec, 50)
+    assert got.order == 50 and dict(got.nonzero_terms()) == want
+    assert len(want) == 200
+
+
+def test_hecke_rogers_linear_end_converges():
+    # exponent t^2 - j^2 + t + j over 1 <= j <= t is 2t at the end j = t:
+    # linear growth, which still truncates; shells t > 10 lie above q^20
+    spec = HeckeRogersSpec("pos", (2, 0, -2, 2, 2, 0))
+    want = {}
+    for t in range(1, 11):
+        for j in range(1, t + 1):
+            e = t * t - j * j + t + j
+            if e <= 20:
+                want[e] = want.get(e, 0) + 1
+    assert dict(hecke_rogers(spec, 20).nonzero_terms()) == want
+
+
+def test_hecke_rogers_spec_validation():
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("pos", (2, 1, -1, 0, 1, 0))    # odd B
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("pos", (2, 0, -1, 0, 1, 1))    # odd F
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("pos", (2, 0, -1, 1, 1, 0))    # A + D odd
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("pos", (2, 0, -1, 0, 0, 0))    # C + E odd
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("pos", (2, 0, 1, 0, 1, 0))     # C > 0
+    with pytest.raises(ValueError):
+        HeckeRogersSpec("box", (2, 0, -2, 0, 0, 0))
+    import qhecke.mock as mock
+    named = [v for k, v in vars(mock).items() if k.startswith("HR_")]
+    assert len(named) == 11
+    for spec in named:
+        replace(spec)  # re-runs the validation
+
+
 def test_appell_rhs_geometric_head():
     # single k=1 term: q/(1+q) = q - q^2 + q^3 - ...
     spec = AppellRhsSpec((1, 0, 0), (0, 1), False, 1, (2, -1), "positive")
@@ -130,7 +180,7 @@ def test_humbert_rows():
 
 def test_c_sum_constant_in_shift():
     want = eta_quotient({2: 2, 1: -1}, 40)
-    for m in range(11):
+    for m in (*range(11), 40):
         _, bad = c_sum(m, 40).first_mismatch(want)
         assert bad is None
 

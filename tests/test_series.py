@@ -11,8 +11,8 @@ import pytest
 
 from qhecke.errors import NonUnitError, RingMismatchError
 from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
-from qhecke.series import (INF, QSeries, dissect, eta_quotient, etaq, geom_ratio,
-                           monomial, pochhammer, series_arith, series_invert, u_p)
+from qhecke.series import (INF, QSeries, eta_quotient, etaq, geom_ratio, monomial,
+                           pochhammer)
 
 
 # -- naive oracle helpers (independent of the package internals) ------------
@@ -76,11 +76,21 @@ def test_monomial_shift():
 def test_series_arith_dispatch():
     f = QSeries.from_coeffs(ZZ, 0, [1, 2], 5)
     g = QSeries.from_coeffs(ZZ, 0, [0, 1], 5)
-    assert as_dict(series_arith(f, g, "add")) == {0: 1, 1: 3}
-    assert as_dict(series_arith(f, g, "sub")) == {0: 1, 1: 1}
-    assert as_dict(series_arith(f, g, "mul")) == {1: 1, 2: 2}
-    assert as_dict(series_arith(f, None, "neg")) == {0: -1, 1: -2}
-    assert as_dict(series_arith(f, None, "scale", scalar=3)) == {0: 3, 1: 6}
+    assert as_dict(f + g) == {0: 1, 1: 3}
+    assert as_dict(f - g) == {0: 1, 1: 1}
+    assert as_dict(f * g) == {1: 1, 2: 2}
+    assert as_dict(-f) == {0: -1, 1: -2}
+    assert as_dict(f.scale(3)) == {0: 3, 1: 6}
+
+
+def test_constructor_does_not_alias_the_input_list():
+    xs = [1, 2, 3]
+    f = QSeries.from_coeffs(ZZ, 0, xs, 5)
+    g = QSeries(ZZ, 0, xs, 1)      # clipped at the order
+    xs[0] = 7
+    xs.pop()
+    assert as_dict(f) == {0: 1, 1: 2, 2: 3}
+    assert as_dict(g) == {0: 1, 1: 2}
 
 
 def test_ring_mismatch_raises():
@@ -120,7 +130,7 @@ def test_invert_geometric():
 
 
 def test_invert_partition_oracle():
-    inv = series_invert(etaq(1, 5))
+    inv = etaq(1, 5).invert()
     expected = [1, 1, 2, 3, 5, 7]
     assert [inv.coeff(e) for e in range(6)] == expected
     assert expected == [naive_partitions(n) for n in range(6)]
@@ -203,13 +213,13 @@ def test_eta_quotient_is_cached_but_exact():
 
 def test_u_p_examples():
     f = QSeries.from_coeffs(ZZ, 0, [1, 2, 3, 4], 3)
-    assert as_dict(u_p(f, 2)) == {0: 1, 1: 3}
-    assert u_p(f, 1) is f
+    assert as_dict(f.sift(2)) == {0: 1, 1: 3}
+    assert f.sift(1) is f
 
 
 def test_dissect_geometric():
     f = QSeries.from_coeffs(ZZ, 0, [1] * 11, 10)
-    parts = dissect(f, 2)
+    parts = f.dissect(2)
     assert as_dict(parts[0]) == {e: 1 for e in range(6)}
     assert as_dict(parts[1]) == {e: 1 for e in range(5)}
 
@@ -220,11 +230,11 @@ def test_dissect_reassembles_randomized():
         for _ in range(10):
             f = rand_series(rng, ZZ, 24)
             back = QSeries.zero(ZZ, f.order)
-            for i, comp in enumerate(dissect(f, p)):
+            for i, comp in enumerate(f.dissect(p)):
                 back = back + comp.inflate(p).shift(1, i)
             _, bad = back.first_mismatch(f)
             assert bad is None
-            _, bad = u_p(f, p).first_mismatch(dissect(f, p)[0])
+            _, bad = f.sift(p).first_mismatch(f.dissect(p)[0])
             assert bad is None
 
 

@@ -154,3 +154,20 @@ def test_appell_x_inverse_at_base_two():
     rhs = appell_m(x.inv(), 2, z.inv(), 30).shift(x.inv().coef, x.inv().qdeg)
     _, bad = lhs.first_mismatch(rhs)
     assert bad is None
+
+
+def test_appell_m_keeps_terms_past_empty_rows():
+    # rows r = 0..20 lie above q^50 at their lowest exponent; r = 21, 22
+    # reach q^260, which the inverted theta quotient certifies
+    x, z = QMono(5, -260), QMono(3, -20)
+    low, high = appell_m(x, 1, z, 50), appell_m(x, 1, z, 500)
+    order, bad = low.first_mismatch(high)
+    assert bad is None and order == 260
+    assert high.coeff(260) == Fraction(1, 5)
+
+
+def test_f_abc_refuses_forms_outside_its_definition():
+    x = monomial(1, 0, 1)
+    for a, b, c in ((0, 1, 1), (1, 1, 0), (1, -1, 1)):
+        with pytest.raises(ValueError):
+            f_abc_terms(a, b, c, x, x, 10)
