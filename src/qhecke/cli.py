@@ -125,6 +125,8 @@ def _cmd_hurwitz(args):
 
 
 def _cmd_series(args):
+    if args.order < 0:
+        raise ValueError(f"order must be at least 0, got {args.order}")
     series = _build_family(args.family, args.order)
     if args.format == "json":
         print(json.dumps(series.to_json()))

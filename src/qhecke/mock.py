@@ -13,8 +13,9 @@ times a few linear factors).  Indefinite theta sums run over exactly
 the shells n that hold a term through the order: the exponent is
 lowest at an end of the shell's j-range, so those shells are the
 series.lattice_range of the two ends.  Appell-type sums run over
-exactly the k whose lowest exponent is at most the order, and expand
-each 1/(1 +- q^(dk+e)) geometrically after rewriting negative degrees.
+exactly the k whose lowest exponent is at most the order, and divide
+each term by 1 +- q^(dk+e) with QSeries.div_one_minus, exact for any
+degree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional
 
-from .errors import PoleError
 from .rings import ZPOLY, ZZ, ZPoly
 from .series import QSeries, geom_ratio, lattice_range
 
@@ -283,15 +283,7 @@ def appell_rhs(spec: AppellRhsSpec, n):
             continue
         coef = spec.zgeom(k) * c if spec.zgeom is not None else ring.from_int(c)
         t = QSeries.monomial(ring, coef, spec.exponent(k), n)
-        dk = d * k + e
-        if dk > 0:
-            t = t.div_one_minus(-s, dk)
-        elif dk == 0:
-            raise PoleError("denominator with zero q-degree in Appell-type sum")
-        else:
-            # 1/(1+s q^dk) = s q^{-dk} / (s q^{-dk} + 1)
-            t = t.shift(s, -dk).div_one_minus(-s, -dk)
-        out = out + t
+        out = out + t.div_one_minus(-s, d * k + e)
     return out
 
 

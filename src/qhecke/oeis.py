@@ -42,7 +42,7 @@ def oeis_compare(seq_id, bfile_path, max_n):
     """Compare an enumerator against b-file data for 1 <= n <= max_n.
 
     Returns (checked, mismatches) where mismatches is a list of
-    (n, computed, filed).
+    (n, computed, filed); raises ValueError when no row is in range.
     """
     if seq_id not in SEQUENCES:
         raise KeyError(f"unknown sequence {seq_id}; known: {sorted(SEQUENCES)}")
@@ -56,4 +56,6 @@ def oeis_compare(seq_id, bfile_path, max_n):
         checked += 1
         if computed != filed:
             mismatches.append((n, computed, filed))
+    if not checked:
+        raise ValueError(f"{bfile_path} has no row with 1 <= n <= {max_n}; nothing to compare")
     return checked, mismatches

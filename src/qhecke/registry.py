@@ -238,21 +238,21 @@ def _jet_theta_quotient_sixfold(n):
 
 
 def _jet_theta_quotient_double(n):
-    t1 = (Jet1.z_power(5) * Jet1.constant(_eq({12: 1, 4: 2}, n, QQ).shift(1, -1))
+    t1 = (Jet1.z_power(5) * Jet1.of(_eq({12: 1, 4: 2}, n, QQ).shift(1, -1))
           * jet_theta(-1, 4, 1, 12, n)
-          / (Jet1.constant(_eq({8: 1, 6: 1}, n, QQ)) * jet_theta(-1, 8, 0, 12, n)
+          / (Jet1.of(_eq({8: 1, 6: 1}, n, QQ)) * jet_theta(-1, 8, 0, 12, n)
              * jet_theta(-1, 8, 4, 12, n)))
-    t2 = (Jet1.constant(_eq({12: 2, 8: 1, 24: -2, 4: -1}, n, QQ))
+    t2 = (Jet1.of(_eq({12: 2, 8: 1, 24: -2, 4: -1}, n, QQ))
           * jet_theta(1, 8, 14, 24, n) * jet_theta(1, 8, 14, 24, n))
-    t3 = (Jet1.constant(_eq({24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}, n, QQ).shift(1, 2))
+    t3 = (Jet1.of(_eq({24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}, n, QQ).shift(1, 2))
           * jet_theta(1, 8, 8, 12, n))
-    t4 = (Jet1.z_power(1) * Jet1.constant(_eq({12: 3}, n, QQ))
+    t4 = (Jet1.z_power(1) * Jet1.of(_eq({12: 3}, n, QQ))
           * jet_theta(1, 4, 1, 2, n) * jet_theta(1, 8, 5, 12, n)
           / (jet_theta(1, 4, 1, 12, n) * jet_theta(1, 12, 6, 12, n)))
     t5 = jet_theta(-1, 4, 2, 12, n) / (jet_theta(-1, 8, 4, 12, n)
                                        * jet_theta(-1, 0, 11, 12, n))
     t6 = (Jet1.z_power(4) * jet_theta(-1, 4, 6, 12, n)
-          / (Jet1.constant(QSeries.monomial(QQ, 1, 1, n)) * jet_theta(-1, 8, 0, 12, n)
+          / (Jet1.of(QSeries.monomial(QQ, 1, 1, n)) * jet_theta(-1, 8, 0, 12, n)
              * jet_theta(-1, 0, 5, 12, n)))
     return (t1 * (t2 - t3) - t4 * (t5 + t6)).f1
 
@@ -277,7 +277,7 @@ def _jet_f121_decomp_rhs(n):
 
 
 def _jet_m_z_change_rhs(n):
-    corr = (Jet1.constant(_eq({6: 3}, n, QQ)) * jet_theta(-1, 4, 4, 6, n)
+    corr = (Jet1.of(_eq({6: 3}, n, QQ)) * jet_theta(-1, 4, 4, 6, n)
             * jet_theta(1, 2, 4, 6, n)
             / (jet_theta(-1, 2, 5, 6, n) * jet_theta(1, 6, 3, 6, n)
                * jet_theta(-1, 0, 5, 6, n) * jet_theta(1, 4, 5, 6, n)))

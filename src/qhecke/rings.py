@@ -257,6 +257,10 @@ class ZPoly:
         """Substitution z -> 1 (sum of coefficients)."""
         return sum(self.coeffs)
 
+    def dz_at_one(self):
+        """d/dz at z = 1: sum of k * c_k."""
+        return sum(k * v for k, v in enumerate(self.coeffs, self.lo))
+
     def unit_part(self):
         """Return (coef, zdeg) if this is a single nonzero monomial, else None."""
         if len(self.coeffs) == 1:

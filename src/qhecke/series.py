@@ -8,6 +8,11 @@ order are exactly zero).  order = INF marks a series known in full
 
 Every operation propagates the tightest provable order, so negative
 exponents and monomial shifts never silently lose validity.
+
+div_one_minus(c, d) is the one exact rule for dividing by 1 - c*q^d,
+used by every Appell-type sum: for d >= 1 it expands geometrically,
+for d <= -1 it rewrites 1/(1 - u) as -u^-1/(1 - u^-1), and for d = 0
+it scales by 1/(1 - c), raising PoleError when 1 - c is not a unit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from math import isqrt
 from operator import add
 
 from . import kernels
-from .errors import NonConvergentError, NonUnitError, RingMismatchError
+from .errors import NonConvergentError, NonUnitError, PoleError, RingMismatchError
 from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly, specialise
 
 INF = float("inf")
@@ -271,17 +276,30 @@ class QSeries:
         return self - self.shift(c, d)
 
     def div_one_minus(self, c, d):
-        """Divide by (1 - c*q^d), d >= 1 (geometric expansion)."""
-        if d < 1:
-            raise ValueError("div_one_minus requires positive q-degree")
-        if self.order is INF:
+        """Divide by (1 - c*q^d) for any integer d.
+
+        d >= 1 expands geometrically; d <= -1 rewrites 1/(1 - u) as
+        -u^-1/(1 - u^-1); d = 0 scales by 1/(1 - c) and raises PoleError
+        when 1 - c is not a unit of the ring.
+        """
+        if d == 0:
+            try:
+                inv = self.ring.invert(self.ring.one - c)
+            except NonUnitError:
+                raise PoleError(f"1 - ({c}) is not a unit in {self.ring}") from None
+            return self.scale(inv)
+        f = self
+        if d < 0:
+            c, d = self.ring.invert(c), -d
+            f = self.shift(-c, d)
+        if f.order is INF:
             raise NonUnitError("truncate before geometric division")
-        if not self.coeffs:
-            return self
-        pad = self.order - self.top
-        out = list(self.coeffs) + [self.ring.zero] * max(pad, 0)
+        if not f.coeffs:
+            return f
+        pad = f.order - f.top
+        out = list(f.coeffs) + [f.ring.zero] * max(pad, 0)
         kernels.div_linear(out, c, d)
-        return QSeries(self.ring, self.min_exp, out, self.order)
+        return QSeries(f.ring, f.min_exp, out, f.order)
 
     # -- restructuring -----------------------------------------------------
 
@@ -340,19 +358,12 @@ class QSeries:
         return QSeries(QQ, self.min_exp, [c.at_one() for c in self.coeffs],
                        self.order)
 
-    def zcoeff_series(self, k):
-        """The q-series multiplying z^k (Zpoly coefficients only)."""
+    def dz_at_one(self):
+        """d/dz at z = 1: each coefficient sum c_k z^k becomes sum k*c_k."""
         if self.ring is not ZPOLY:
-            raise RingMismatchError("zcoeff_series requires Zpoly coefficients")
-        coeffs = [c.coeffs[k - c.lo] if 0 <= k - c.lo < len(c.coeffs) else 0
-                  for c in self.coeffs]
-        return QSeries(QQ, self.min_exp, coeffs, self.order)
-
-    def zrange(self):
-        lo, hi = 0, 0
-        for _, c in self.nonzero_terms():
-            lo, hi = min(lo, c.lo), max(hi, c.lo + len(c.coeffs) - 1)
-        return lo, hi
+            raise RingMismatchError("dz_at_one requires Zpoly coefficients")
+        return QSeries(QQ, self.min_exp, [c.dz_at_one() for c in self.coeffs],
+                       self.order)
 
     # -- comparison ---------------------------------------------------------
 

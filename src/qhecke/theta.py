@@ -10,7 +10,9 @@ case d = 0.
 
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
-the order, and no others.
+the order, and no others.  jtheta is the one term sum of j with a
+z-bearing argument (jets.py takes its image at z = 1), and every
+Appell-Lerch denominator is divided out by QSeries.div_one_minus.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PoleError
 from .rings import QQ, ZPOLY, ZZ, ZPoly
 from .series import INF, QSeries, SignedMonomial, etaq, lattice_range, pochhammer
 
@@ -75,19 +76,6 @@ class ThetaArg:
             raise ValueError("theta base must be >= 1")
 
 
-def theta_terms(sign, a, b, base, n, zshift=0, scalar=1):
-    """Terms of scalar * z^zshift * j(sign * z^a * q^b; q^base) below order n.
-
-    j(x; q^k) = sum (-1)^m q^{k m(m-1)/2} x^m, so term m carries
-    coefficient (-1)^m sign^m, z-degree a*m + zshift and q-degree
-    k*m(m-1)/2 + b*m.
-    """
-    neg = -sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
-    for m in lattice_range(base, 2 * b - base, -2 * n):
-        c = scalar if (neg == 1 or m % 2 == 0) else -scalar
-        yield c, a * m + zshift, base * m * (m - 1) // 2 + b * m
-
-
 def theta_sum_scaled(x: QMono, base, n):
     """j(c*q^d; q^base) by the bilateral sum, rational coefficients."""
     c = Fraction(x.coef)
@@ -110,10 +98,12 @@ def jtheta(arg: ThetaArg, n, method="sum"):
         return out * etaq(base, n).over(out.ring)
     if method != "sum":
         raise ValueError(f"unknown method {method!r}")
-    terms = theta_terms(x.sign, x.zdeg, x.qdeg, base, n)
+    neg = -x.sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
+    terms = ((base * m * (m - 1) // 2 + x.qdeg * m, 1 if neg == 1 or m % 2 == 0 else -1,
+              x.zdeg * m) for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
     if x.zdeg == 0:
-        return QSeries.from_terms(ZZ, ((e, c) for c, _, e in terms), n)
-    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(c, zd)) for c, zd, e in terms), n)
+        return QSeries.from_terms(ZZ, ((e, c) for e, c, _ in terms), n)
+    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(c, k)) for e, c, k in terms), n)
 
 
 def appell_range(base, zq, xzq, n):
@@ -129,24 +119,12 @@ def appell_range(base, zq, xzq, n):
                          rs.start, rs.stop - 1)
 
 
-def _denominator_pass(series, coef, qdeg):
-    """Multiply by 1/(1 - coef*q^qdeg), exact for any sign of qdeg."""
-    if qdeg > 0:
-        return series.div_one_minus(coef, qdeg)
-    if qdeg == 0:
-        if coef == 1:
-            raise PoleError("1/(1-x*z) pole: x*z = 1 with zero q-degree")
-        return series.scale(Fraction(1) / (1 - coef))
-    cinv = Fraction(1) / coef
-    return series.shift(-cinv, -qdeg).div_one_minus(cinv, -qdeg)
-
-
 def appell_m(x, base, z, n):
     """Appell-Lerch m(x, q^base, z) to order n, rational coefficients.
 
     x and z are scaled q-monomials (rationals allowed for z, including
     plain numbers); each bilateral-sum denominator 1 - q^{base(r-1)} x z
-    is expanded geometrically after rewriting negative q-degrees.
+    is divided out by QSeries.div_one_minus, exact for any q-degree.
     """
     x = QMono.of(x)
     z = QMono.of(z)
@@ -158,7 +136,7 @@ def appell_m(x, base, z, n):
     for r in appell_range(base, z.qdeg, xz.qdeg, n):
         c = (cz ** r) if r % 2 == 0 else -(cz ** r)
         t = QSeries.monomial(QQ, c, base * r * (r - 1) // 2 + z.qdeg * r, n)
-        total = total + _denominator_pass(t, xz.coef, base * (r - 1) + xz.qdeg)
+        total = total + t.div_one_minus(xz.coef, base * (r - 1) + xz.qdeg)
     return total * jz.invert()
 
 

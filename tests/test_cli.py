@@ -139,3 +139,22 @@ def test_ids_listing(capsys):
     code, out, _ = run(capsys, "ids")
     assert code == 0
     assert "hecke-hf8" in out and "allow-fail" in out
+
+
+def test_oeis_refuses_vacuous_comparison(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no rows\n")
+    out_of_range = tmp_path / "high.txt"
+    out_of_range.write_text("500 1\n")
+    for bfile, limit in ((os.path.join(DATA, "b238872.txt"), "0"),
+                         (str(empty), "100"), (str(out_of_range), "100")):
+        code, out, err = run(capsys, "oeis", "--seq", "A238872",
+                             "--bfile", bfile, "--max", limit)
+        assert code == 2 and out == "" and "nothing to compare" in err
+
+
+def test_series_rejects_negative_order(capsys):
+    code, out, err = run(capsys, "series", "--family", "F:4,-1", "--order", "-3")
+    assert code == 2 and out == "" and "order must be at least 0, got -3" in err
+    code, out, _ = run(capsys, "series", "--family", "F:4,-1", "--order", "0")
+    assert code == 0 and out.strip().endswith("O(q^1)")

@@ -1,0 +1,107 @@
+"""Property tests for the exact denominator rule and jets as images at z = 1.
+
+QSeries.div_one_minus is checked by multiplying back with mul_one_minus;
+Jet1.of against sums read off the ZPoly ``.c`` dict; Jet1.div_one_minus
+against the inverse of the jet of the binomial 1 - c z^k q^d built by
+jet_of_termsum.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from qhecke.errors import NonUnitError, PoleError
+from qhecke.jets import Jet1, jet_of_termsum
+from qhecke.rings import QQ, ZPOLY, ZZ, ZPoly
+from qhecke.series import QSeries
+
+# no deadline: the shared test hosts' speed varies too much for one
+prop = settings(deadline=None, max_examples=150)
+
+ints = st.integers(-4, 4)
+rationals = st.one_of(ints, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def series(draw, ring, coeffs, min_order=0):
+    """A finite-order series over ring with coefficients drawn from coeffs."""
+    min_exp = draw(st.integers(-4, 4))
+    cs = draw(st.lists(coeffs, max_size=10))
+    order = max(min_exp + len(cs) + draw(st.integers(-2, 5)), min_order)
+    return QSeries.from_coeffs(ring, min_exp, cs, order)
+
+
+zpolys = st.dictionaries(st.integers(-4, 4), rationals, max_size=4).map(ZPoly)
+
+
+def restores(f, c, d):
+    back = f.div_one_minus(c, d).mul_one_minus(c, d)
+    order, bad = back.first_mismatch(f)
+    return order == f.order and bad is None
+
+
+@prop
+@given(f=series(ZZ, ints), c=ints, d=st.integers(-6, 6))
+def test_div_one_minus_over_zz(f, c, d):
+    if d == 0 and c not in (0, 2):  # 1 - c is not +-1
+        with pytest.raises(PoleError):
+            f.div_one_minus(c, d)
+    elif d < 0 and c not in (1, -1):  # c^-1 is not an integer
+        with pytest.raises(NonUnitError):
+            f.div_one_minus(c, d)
+    else:
+        assert restores(f, c, d)
+
+
+@prop
+@given(f=series(QQ, rationals), c=rationals, d=st.integers(-6, 6))
+def test_div_one_minus_over_qq(f, c, d):
+    assume(c != 0 or d >= 0)
+    if d == 0 and c == 1:
+        with pytest.raises(PoleError):
+            f.div_one_minus(c, d)
+    else:
+        assert restores(f, c, d)
+
+
+@prop
+@given(f=series(ZPOLY, zpolys))
+def test_jet_of_zpoly_series(f):
+    jet = Jet1.of(f)
+    assert jet.f0.order == jet.f1.order == f.order
+    for e in range(f.min_exp - 1, f.order + 1):
+        p = f.coeff(e)
+        assert jet.f0.coeff(e) == sum(p.c.values())
+        assert jet.f1.coeff(e) == sum(k * v for k, v in p.c.items())
+
+
+@prop
+@given(f=st.one_of(series(ZZ, ints), series(QQ, rationals)))
+def test_jet_of_z_free_series(f):
+    jet = Jet1.of(f)
+    assert jet.f0.ring is QQ and jet.f0.same(f.over(QQ)) and jet.f0.order == f.order
+    assert not jet.f1.coeffs and jet.f1.order == f.order
+
+
+@prop
+@given(f=series(ZPOLY, zpolys, min_order=6), c=rationals, k=st.integers(-3, 3),
+       d=st.sampled_from([-4, -1, 0, 0, 1, 3]))
+def test_jet_div_one_minus_matches_binomial_inverse(f, c, k, d):
+    assume(c != 0 and (d != 0 or c != 1))
+    jet = Jet1.of(f)
+    got = jet.div_one_minus(c, k, d)
+    binomial = jet_of_termsum([(1, 0, 0), (-c, k, d)], f.order)
+    want = jet * binomial.invert()
+    for g, w in ((got.f0, want.f0), (got.f1, want.f1)):
+        _, bad = g.first_mismatch(w)
+        assert bad is None and g.order >= w.order
+
+
+def test_jet_div_one_minus_pole():
+    one = Jet1.of(QSeries.one(QQ, 5))
+    with pytest.raises(PoleError):
+        one.div_one_minus(1, 3, 0)
+    # 1/(1 + z^2) at z = 1: value 1/2, derivative -2z/(1 + z^2)^2 = -1/2
+    half = one.div_one_minus(-1, 2, 0)
+    assert half.f0.coeff(0) == Fraction(1, 2) and half.f1.coeff(0) == Fraction(-1, 2)

@@ -8,11 +8,12 @@ import pytest
 from qhecke.errors import NonUnitError
 from qhecke.jets import Jet1, jet_of_termsum, jet_theta
 from qhecke.rings import QQ, ZPOLY, ZPoly
-from qhecke.series import QSeries
+from qhecke.series import QSeries, monomial
+from qhecke.theta import ThetaArg, jtheta
 
 
 def test_constant_jet_has_zero_derivative():
-    c = Jet1.constant(QSeries.from_coeffs(QQ, 0, [3, 1], 10))
+    c = Jet1.of(QSeries.from_coeffs(QQ, 0, [3, 1], 10))
     assert not c.f1.coeffs
     u = jet_of_termsum([(1, 2, 0), (1, -1, 1)], 10)
     scaled = u.scale(5)
@@ -45,9 +46,11 @@ def test_product_rule_against_expanded_termsum():
         terms = [(1, 0, 0)]
         for sign, a, b, base in factors:
             new = []
-            from qhecke.jets import theta_terms
+            theta = jtheta(ThetaArg(monomial(sign, a, b), base), 25)
+            theta_terms = [(c1, z1, q1) for q1, p in theta.nonzero_terms()
+                           for z1, c1 in p.c.items()]
             for c0, z0, q0 in terms:
-                for c1, z1, q1 in theta_terms(sign, a, b, base, 25):
+                for c1, z1, q1 in theta_terms:
                     if q0 + q1 <= 25:
                         new.append((c0 * c1, z0 + z1, q0 + q1))
             terms = new
