@@ -5,6 +5,11 @@ mode, two pure builders producing comparable exact values at a given
 order, and a default order.  IDENTITIES.md at the repository root lists
 every case with the statement it checks.
 
+Builder contract: asked for order n, a builder certifies at least q^n
+and builds only its own side.  A factor q^d or a factor of valuation
+v < 0 means the factor it multiplies is built to n - d or n - v; there is
+no padding.  Eta sums are data: (c, s, {delta: r}) tuples for eta_sum.
+
 Modes:
   univariate  -- builders return q-series with scalar coefficients
   formal_z    -- builders return series with Laurent-polynomial coefficients
@@ -23,7 +28,7 @@ from typing import Callable
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import QQ, QQI, ZPOLY, ZZ, ZPoly, I
-from .series import QSeries, eta_quotient, etaq, monomial
+from .series import QSeries, eta_quotient, eta_sum, etaq, monomial
 from .theta import QMono, appell_m, f_abc, f_abc_terms, g_abc, theta_1_4, theta_sum_scaled
 
 
@@ -37,16 +42,26 @@ class IdentityCase:
     allow_fail: bool = False
     witnesses: tuple = ()
     modulus: int = 0
-    pad: int = 8
     note: str = ""
 
 
-def _eq(powers, n, ring=ZZ):
-    return eta_quotient(powers, n, ring)
-
-
 def _sift_build(series_fn, p):
-    return lambda n: series_fn(p * n + p).sift(p)
+    return lambda n: series_fn(p * n).sift(p)
+
+
+# U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3
+U3_J1_CUBED = ((1, 0, {1: 4, 3: -1}), (9, 1, {9: 3, 1: 1, 3: -1}))
+# the target of dz-theta-quotient-q6-sixfold and dz-eta-logderiv-combo
+Q6_SIXFOLD = ((-1, 0, {6: 9, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}),
+              (-2, 1, {12: 1, 2: 4, 6: -1, 4: -1, 3: -2}))
+# shared by the targets of dz-j-z12q5-q12 and dz-j-z12q-q12
+Z12_PAIR = ((1, 0, {12: 1, 3: 1, 2: 12, 6: -3, 4: -4, 1: -4}),
+            (-9, 1, {18: 9, 12: 1, 3: 1, 2: 3, 36: -3, 9: -3, 6: -3, 4: -1, 1: -1}))
+
+
+def _scaled(c, d, terms):
+    """c * q^d times an eta sum."""
+    return tuple((c * a, s + d, powers) for a, s, powers in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +101,16 @@ def _hf12_rs_form(n):
     return QSeries.from_terms(ZZ, terms, n)
 
 
-def _u3_j1_cubed(n):
-    return (etaq(1, 3 * n + 3) ** 3).sift(3)
-
-
 def _hf12_7_hsum(n):
-    even = classnum.genfun_H(24, 7, n // 2 + 1).inflate(2)
-    odd = classnum.genfun_H(24, 19, n // 2 + 1).inflate(2).shift(3, 1)
-    return (even + odd).truncate(n)
+    # inflate(2) certifies 2k + 1 from order k, so k = n // 2 reaches q^n
+    even = classnum.genfun_H(24, 7, n // 2).inflate(2)
+    odd = classnum.genfun_H(24, 19, (n - 1) // 2).inflate(2).shift(3, 1)
+    return even + odd
 
 
 def _neg_alt_hurwitz(n):
     # sum (-1)^(n+1) H(8n-1) q^n with integer values H(8n-1)
-    table = classnum._h12_upto(8 * n + 1)
+    table = classnum._h12_upto(8 * n - 1)
     terms = []
     for k in range(1, n + 1):
         h = table[8 * k - 1]
@@ -123,41 +135,25 @@ def _humbert_triple_expansion(n):
     return QSeries.from_terms(ZZ, terms, n)
 
 
-def _f4_eval(n, z0):
-    return mock.F4_series(n).eval_z(z0)
+def _m_minus_z(n, z0):
+    return appell_m(QMono(-z0, 0), 1, QMono(-1, 0), n)
 
 
-def _f8_eval(n, z0):
-    return mock.F8_series(n).eval_z(z0)
+def _theta_correction(n, z0):
+    """j(q;q^2)^2 / (2 j(z0;q)), the theta term of the F8 and even/odd relations."""
+    return (theta_sum_scaled(QMono(1, 1), 2, n) ** 2
+            * theta_sum_scaled(QMono(z0, 0), 1, n).invert()).scale(Fraction(1, 2))
 
 
-def _jq_q2_squared(n):
-    return theta_sum_scaled(QMono(1, 1), 2, n) ** 2
+def _f8_appell_rhs(n, z0):
+    return (_m_minus_z(n, z0) - _theta_correction(n, z0)).scale(Fraction(-z0, 1) / (1 - z0))
 
 
-def _f4_appell_bridge(n, z0):
-    lhs = _f4_eval(n, z0).scale(1 - Fraction(1) / z0)
-    rhs = appell_m(QMono(-z0, 0), 2, QMono(-1, 1), n)
-    return lhs, rhs
-
-
-def _f8_appell_bridge(n, z0):
-    lhs = _f8_eval(n, z0)
-    corr = (_jq_q2_squared(n) * theta_sum_scaled(QMono(z0, 0), 1, n).invert()
-            ).scale(Fraction(1, 2))
-    rhs = (appell_m(QMono(-z0, 0), 1, QMono(-1, 0), n) - corr
-           ).scale(Fraction(-z0, 1) / (1 - z0))
-    return lhs, rhs
-
-
-def _m_evenodd(n, z0):
-    lhs = appell_m(QMono(-z0, 0), 1, QMono(-1, 0), n)
+def _m_evenodd_rhs(n, z0):
     t1 = appell_m(QMono(-z0 * z0, 1), 4, QMono(Fraction(1, z0 * z0), 2), n)
     t2 = appell_m(QMono(-Fraction(1, z0 * z0), 1), 4,
                   QMono(z0 * z0, 2), n).scale(Fraction(1, z0))
-    corr = (_jq_q2_squared(n) * theta_sum_scaled(QMono(z0, 0), 1, n).invert()
-            ).scale(Fraction(1, 2))
-    return lhs, t1 - t2 + corr
+    return t1 - t2 + _theta_correction(n, z0)
 
 
 # Appell-Lerch relation witnesses: (x, z) scaled monomials chosen to avoid poles
@@ -167,25 +163,24 @@ _W_CHANGE_Z = ((QMono(1, 3), QMono(-1, 0), QMono(2, 0)),
         (QMono(-1, 2), QMono(3, 0), QMono(Fraction(1, 2), 0)))
 _W_QUARTIC = ((QMono(-1, 1), QMono(3, 0)), (QMono(1, 3), QMono(2, 0)))
 _W_FG = ((monomial(1, 0, 3), monomial(1, 0, 4)), (monomial(-1, 0, 2), monomial(-1, 0, 4)))
+_W_F151 = (monomial(1, 0, 2), monomial(1, 0, 3))
 
 
 def _m(x, z, n, base=1):
     return appell_m(x, base, z, n)
 
 
-def _change_z_pair(n, x, z1, z0):
-    lhs = _m(x, z1, n) - _m(x, z0, n)
+def _change_z_rhs(n, x, z1, z0):
     num = (etaq(1, n).over(QQ) ** 3 * theta_sum_scaled(z1 * z0.inv(), 1, n)
            * theta_sum_scaled(x * z0 * z1, 1, n))
     den = (theta_sum_scaled(z0, 1, n) * theta_sum_scaled(z1, 1, n)
            * theta_sum_scaled(x * z0, 1, n) * theta_sum_scaled(x * z1, 1, n))
-    return lhs, (num * den.invert()).shift(z0.coef, z0.qdeg)
+    return (num * den.invert()).shift(z0.coef, z0.qdeg)
 
 
-def _quartic_pair(n, x, z):
+def _quartic_rhs(n, x, z):
     # middle z-argument reconstructed as z^4 (the printed q^4 makes
     # j(q^4;q^4) = 0); theta term exactly as displayed
-    lhs = _m(x, z, n)
     w = z ** 4
     t1 = appell_m(QMono(-x.coef * x.coef, 2 * x.qdeg + 1), 4, w, n)
     t2 = appell_m(QMono(-x.coef * x.coef, 2 * x.qdeg - 1), 4, w, n
@@ -197,20 +192,7 @@ def _quartic_pair(n, x, z):
            * theta_sum_scaled((x * x * z ** 4).neg().qshift(1), 2, n))
     xi = x.inv()
     theta_term = (num * den.invert()).shift(xi.coef, xi.qdeg)
-    return lhs, t1 - t2 - theta_term
-
-
-def _f121_pair(n, x, y):
-    z1 = QMono.of(y) * QMono.of(x).inv()
-    z0 = z1.inv()
-    return f_abc(1, 2, 1, x, y, n).over(QQ), g_abc(1, 2, 1, x, y, z1, z0, n)
-
-
-def _f151_theta_pair(n):
-    x, y = monomial(1, 0, 2), monomial(1, 0, 3)
-    lhs = f_abc(1, 5, 1, x, y, n).over(QQ)
-    rhs = g_abc(1, 5, 1, x, y, QMono(1, 1), QMono(1, -1), n) - theta_1_4(x, y, n)
-    return lhs, rhs
+    return t1 - t2 - theta_term
 
 
 # -- jet builders -----------------------------------------------------------
@@ -226,10 +208,6 @@ def _jet_m_times_theta_b(n):
             * jet_appell((-1, -6, 2), 6, (1, 6, 3), n)).f1
 
 
-def _jet_m_times_theta_b_rhs(n):
-    return -(_eq({6: 1, 1: 2, 3: -2, 2: -1}, n, QQ) * mock.appell_rhs(mock.AP_HF12, n).over(QQ))
-
-
 def _jet_theta_quotient_sixfold(n):
     num = jet_theta(1, 4, 1, 2, n) * jet_theta(-1, 4, 4, 6, n) * jet_theta(1, 2, 4, 6, n)
     den = (jet_theta(-1, 2, 5, 6, n, zshift=1) * jet_theta(1, 6, 3, 6, n)
@@ -238,22 +216,23 @@ def _jet_theta_quotient_sixfold(n):
 
 
 def _jet_theta_quotient_double(n):
-    t1 = (Jet1.z_power(5) * Jet1.of(_eq({12: 1, 4: 2}, n, QQ).shift(1, -1))
-          * jet_theta(-1, 4, 1, 12, n)
-          / (Jet1.of(_eq({8: 1, 6: 1}, n, QQ)) * jet_theta(-1, 8, 0, 12, n)
-             * jet_theta(-1, 8, 4, 12, n)))
-    t2 = (Jet1.of(_eq({12: 2, 8: 1, 24: -2, 4: -1}, n, QQ))
-          * jet_theta(1, 8, 14, 24, n) * jet_theta(1, 8, 14, 24, n))
-    t3 = (Jet1.of(_eq({24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}, n, QQ).shift(1, 2))
-          * jet_theta(1, 8, 8, 12, n))
-    t4 = (Jet1.z_power(1) * Jet1.of(_eq({12: 3}, n, QQ))
-          * jet_theta(1, 4, 1, 2, n) * jet_theta(1, 8, 5, 12, n)
-          / (jet_theta(1, 4, 1, 12, n) * jet_theta(1, 12, 6, 12, n)))
+    # t1 and t6 have valuation -1, so what they multiply is built to m = n + 1
+    m = n + 1
+    t1 = (Jet1.z_power(5) * Jet1.of(eta_sum(((1, -1, {12: 1, 4: 2}),), n, QQ))
+          * jet_theta(-1, 4, 1, 12, m)
+          / (Jet1.of(eta_quotient({8: 1, 6: 1}, m, QQ)) * jet_theta(-1, 8, 0, 12, m)
+             * jet_theta(-1, 8, 4, 12, m)))
+    t2 = (Jet1.of(eta_quotient({12: 2, 8: 1, 24: -2, 4: -1}, m, QQ))
+          * jet_theta(1, 8, 14, 24, m) * jet_theta(1, 8, 14, 24, m))
+    t3 = (Jet1.of(eta_sum(((1, 2, {24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}),), m, QQ))
+          * jet_theta(1, 8, 8, 12, m))
+    t4 = (Jet1.z_power(1) * Jet1.of(eta_quotient({12: 3}, m, QQ))
+          * jet_theta(1, 4, 1, 2, m) * jet_theta(1, 8, 5, 12, m)
+          / (jet_theta(1, 4, 1, 12, m) * jet_theta(1, 12, 6, 12, m)))
     t5 = jet_theta(-1, 4, 2, 12, n) / (jet_theta(-1, 8, 4, 12, n)
                                        * jet_theta(-1, 0, 11, 12, n))
-    t6 = (Jet1.z_power(4) * jet_theta(-1, 4, 6, 12, n)
-          / (Jet1.of(QSeries.monomial(QQ, 1, 1, n)) * jet_theta(-1, 8, 0, 12, n)
-             * jet_theta(-1, 0, 5, 12, n)))
+    t6 = (Jet1.z_power(4) * Jet1.of(QSeries.monomial(QQ, 1, -1)) * jet_theta(-1, 4, 6, 12, m)
+          / (jet_theta(-1, 8, 0, 12, m) * jet_theta(-1, 0, 5, 12, m)))
     return (t1 * (t2 - t3) - t4 * (t5 + t6)).f1
 
 
@@ -277,18 +256,11 @@ def _jet_f121_decomp_rhs(n):
 
 
 def _jet_m_z_change_rhs(n):
-    corr = (Jet1.of(_eq({6: 3}, n, QQ)) * jet_theta(-1, 4, 4, 6, n)
+    corr = (Jet1.of(eta_quotient({6: 3}, n, QQ)) * jet_theta(-1, 4, 4, 6, n)
             * jet_theta(1, 2, 4, 6, n)
             / (jet_theta(-1, 2, 5, 6, n) * jet_theta(1, 6, 3, 6, n)
                * jet_theta(-1, 0, 5, 6, n) * jet_theta(1, 4, 5, 6, n)))
     return jet_appell((-1, -6, 2), 6, (1, 6, 3), n) + corr
-
-
-def _half(n, *quotients):
-    out = QSeries.zero(QQ, n)
-    for scal, shift, powers in quotients:
-        out = out + _eq(powers, n + abs(shift), QQ).shift(scal, shift).truncate(n)
-    return out.scale(Fraction(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -305,41 +277,42 @@ def registry():
     J22_over_4 = {2: 2, 4: -1}
     J32_over_6 = {3: 2, 6: -1}
     J62_over_12 = {6: 2, 12: -1}
+    J15_over_22 = {1: 5, 2: -2}
 
     # -- univariate Hecke-Rogers identities (order 200) ---------------------
     add(IdentityCase(
         "hecke-hf4", "univariate",
-        lambda n: _eq(J14_over_2, n) * classnum.genfun_F(4, -1, n),
+        lambda n: eta_quotient(J14_over_2, n) * classnum.genfun_F(4, -1, n),
         lambda n: mock.hecke_rogers(mock.HR_HF4, n), 200,
         note="J1 J4/J2 * sum F(4n-1) q^n = signed-weight-n indefinite sum"))
     add(IdentityCase(
         "hecke-hf8", "univariate",
-        lambda n: _eq(J12_over_2, n) * classnum.genfun_F(8, -1, n),
+        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(8, -1, n),
         lambda n: mock.hecke_rogers(mock.HR_HF8, n), 200))
     add(IdentityCase(
         "hecke-hf12", "univariate",
-        lambda n: _eq(J12_over_2, n) * classnum.genfun_F(12, -1, n),
+        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(12, -1, n),
         lambda n: mock.hecke_rogers(mock.HR_HF12, n), 200))
     add(IdentityCase(
         "hecke-hf24", "univariate",
-        lambda n: _eq(J12_over_2, n) * classnum.genfun_F(24, -1, n),
+        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(24, -1, n),
         lambda n: mock.hecke_rogers(mock.HR_HF24, n), 200))
     add(IdentityCase(
         "hecke-A", "univariate",
-        lambda n: _eq(J12_over_2, n) * mock.eulerian("A", n),
+        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("A", n),
         lambda n: mock.hecke_rogers(mock.HR_A, n), 200))
     add(IdentityCase(
         "hecke-V1", "univariate",
-        lambda n: _eq(J14_over_2, n) * mock.eulerian("V1", n),
+        lambda n: eta_quotient(J14_over_2, n) * mock.eulerian("V1", n),
         lambda n: mock.hecke_rogers(mock.HR_V1, n), 200,
         note="weight is the Kronecker symbol (-4|n)"))
     add(IdentityCase(
         "hecke-sigma", "univariate",
-        lambda n: _eq(J12_over_2, n) * mock.eulerian("sigma", n),
+        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("sigma", n),
         lambda n: mock.hecke_rogers(mock.HR_SIGMA, n), 200))
     add(IdentityCase(
         "hecke-phi-minus", "univariate",
-        lambda n: _eq(J12_over_2, n) * mock.eulerian("phi_minus", n),
+        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("phi_minus", n),
         lambda n: mock.hecke_rogers(mock.HR_PHI, n), 200))
     add(IdentityCase(
         "hecke-psi-rhs", "univariate",
@@ -351,31 +324,31 @@ def registry():
     # -- Appell-Lerch corollaries (order 200) -------------------------------
     add(IdentityCase(
         "appell-hf4", "univariate",
-        lambda n: _eq(J12_over_2, n) * classnum.genfun_F(4, -1, n),
+        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(4, -1, n),
         lambda n: mock.appell_rhs(mock.AP_HF4, n), 200))
     add(IdentityCase(
         "appell-hf8", "univariate",
-        lambda n: _eq(J22_over_4, n) * classnum.genfun_F(8, -1, n),
+        lambda n: eta_quotient(J22_over_4, n) * classnum.genfun_F(8, -1, n),
         lambda n: mock.appell_rhs(mock.AP_HF8, n), 200))
     add(IdentityCase(
         "appell-A", "univariate",
-        lambda n: _eq(J22_over_4, n) * mock.eulerian("A", n),
+        lambda n: eta_quotient(J22_over_4, n) * mock.eulerian("A", n),
         lambda n: mock.appell_rhs(mock.AP_A, n), 200))
     add(IdentityCase(
         "appell-hf12", "univariate",
-        lambda n: _eq(J32_over_6, n) * classnum.genfun_F(12, -1, n),
+        lambda n: eta_quotient(J32_over_6, n) * classnum.genfun_F(12, -1, n),
         lambda n: (mock.appell_rhs(mock.AP_HF12, n)
-                   + _eq({12: 1, 6: 1, 2: 5, 4: -1, 1: -2}, n + 1).shift(2, 1).truncate(n)),
+                   + eta_sum(((2, 1, {12: 1, 6: 1, 2: 5, 4: -1, 1: -2}),), n)),
         200, note="includes the eta correction term 2q J12 J6 J2^5/(J4 J1^2)"))
     add(IdentityCase(
         "appell-sigma", "univariate",
-        lambda n: _eq(J32_over_6, n) * mock.eulerian("sigma", n),
+        lambda n: eta_quotient(J32_over_6, n) * mock.eulerian("sigma", n),
         lambda n: mock.appell_rhs(mock.AP_SIGMA, n), 200))
     add(IdentityCase(
         "appell-hf24", "univariate",
-        lambda n: _eq(J62_over_12, n) * classnum.genfun_F(24, -1, n),
+        lambda n: eta_quotient(J62_over_12, n) * classnum.genfun_F(24, -1, n),
         lambda n: (mock.appell_rhs(mock.AP_HF24_A, n) + mock.appell_rhs(mock.AP_HF24_B, n)
-                   + _eq({12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}, n + 1).shift(2, 1).truncate(n)),
+                   + eta_sum(((2, 1, {12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}),), n)),
         200, note="two bilateral sums plus 2q J12^2 J3^2 J2^6/(J6^2 J4 J1^3)"))
 
     # -- bivariate z-analogs (formal_z, order 100) ---------------------------
@@ -424,7 +397,7 @@ def registry():
     # -- specializations of F4/F8 (order 100) --------------------------------
     add(IdentityCase(
         "spec-f8-at-1", "univariate",
-        lambda n: _f8_eval(n, 1),
+        lambda n: mock.F8_series(n).eval_z(1),
         lambda n: classnum.genfun_F(8, -1, n).over(QQ), 100))
     add(IdentityCase(
         "spec-f8-at-m1", "univariate",
@@ -433,7 +406,7 @@ def registry():
         note="F8(-1,-q) = -A(q)"))
     add(IdentityCase(
         "spec-f4-at-1", "univariate",
-        lambda n: _f4_eval(n, 1),
+        lambda n: mock.F4_series(n).eval_z(1),
         lambda n: classnum.genfun_F(4, -1, n).over(QQ), 100))
     add(IdentityCase(
         "spec-f4-at-i", "univariate",
@@ -462,9 +435,8 @@ def registry():
 
     # -- eta-quotient identities (order 150) ----------------------------------
     add(IdentityCase(
-        "eta-u3-j1cubed", "univariate", _u3_j1_cubed,
-        lambda n: (_eq({1: 4, 3: -1}, n)
-                   + _eq({9: 3, 1: 1, 3: -1}, n + 1).shift(9, 1).truncate(n)), 150,
+        "eta-u3-j1cubed", "univariate", lambda n: (etaq(1, 3 * n) ** 3).sift(3),
+        lambda n: eta_sum(U3_J1_CUBED, n), 150,
         note="U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3"))
     add(IdentityCase(
         "eta-hf12-7-split", "univariate",
@@ -473,38 +445,39 @@ def registry():
     add(IdentityCase(
         "eta-hf12-7-pair", "univariate",
         lambda n: classnum.genfun_F(12, 7, n),
-        lambda n: (_eq({6: 2, 4: 5, 12: -1, 2: -3}, n)
-                   + _eq({12: 3, 4: 1, 2: -1}, n + 1).shift(3, 1).truncate(n)), 150,
+        lambda n: eta_sum(((1, 0, {6: 2, 4: 5, 12: -1, 2: -3}), (3, 1, {12: 3, 4: 1, 2: -1})),
+                          n), 150,
         note="= J6^2 J4^5/(J12 J2^3) + 3q J12^3 J4/J2"))
     add(IdentityCase(
         "eta-hf12-7-quotient", "univariate",
         lambda n: classnum.genfun_F(12, 7, n),
-        lambda n: _eq({12: 1, 3: 1, 2: 6, 6: -1, 4: -1, 1: -3}, n), 150,
+        lambda n: eta_quotient({12: 1, 3: 1, 2: 6, 6: -1, 4: -1, 1: -3}, n), 150,
         note="= J12 J3 J2^6/(J6 J4 J1^3)"))
     add(IdentityCase(
         "eta-hf24-7", "univariate",
         lambda n: classnum.genfun_F(24, 7, n),
-        lambda n: _eq({3: 2, 2: 5, 6: -1, 1: -3}, n), 150,
+        lambda n: eta_quotient({3: 2, 2: 5, 6: -1, 1: -3}, n), 150,
         note="sum H(24n+7) q^n = J3^2 J2^5/(J6 J1^3)"))
 
     # -- 3-dissections (order 150) --------------------------------------------
     def _tuple_dissect(series_fn, p):
-        return lambda n: tuple(series_fn(p * n + p).dissect(p)[i].truncate(n)
+        # component i is certified through (order - i) // p
+        return lambda n: tuple(series_fn(p * n + p - 1).dissect(p)[i].truncate(n)
                                for i in range(p))
 
     add(IdentityCase(
         "dissect-j1j2-3", "univariate",
-        _tuple_dissect(lambda m: _eq(J12_over_2, m), 3),
-        lambda n: (_eq(J32_over_6, n),
-                   -_eq({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
+        _tuple_dissect(lambda m: eta_quotient(J12_over_2, m), 3),
+        lambda n: (eta_quotient(J32_over_6, n),
+                   -eta_quotient({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
                    QSeries.zero(ZZ, n)), 150,
         note="3-dissection of J_1^2/J_2"))
     add(IdentityCase(
         "dissect-j2j4-3", "univariate",
-        _tuple_dissect(lambda m: _eq(J22_over_4, m), 3),
-        lambda n: (_eq(J62_over_12, n),
+        _tuple_dissect(lambda m: eta_quotient(J22_over_4, m), 3),
+        lambda n: (eta_quotient(J62_over_12, n),
                    QSeries.zero(ZZ, n),
-                   -_eq({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
+                   -eta_quotient({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
         note="3-dissection of J_2^2/J_4"))
     add(IdentityCase(
         "dissect-hf4-3", "univariate",
@@ -528,98 +501,60 @@ def registry():
         150, note="U_3 of the HF8 Appell sum is the two-part HF24 Appell sum"))
 
     # -- derivative lemmas via jets (order 80; two heavier targets at 150) ----
-    def _zero(n):
-        return QSeries.zero(QQ, n)
-
-    add(IdentityCase("dz-j-zq-q2", "jet",
-                     lambda n: jet_theta(1, 1, 1, 2, n).f1, _zero, 80,
-                     note="d/dz j(zq;q^2)|_1 = 0"))
-    add(IdentityCase("dz-j-mzq-q2", "jet",
-                     lambda n: jet_theta(-1, 1, 1, 2, n).f1, _zero, 80,
-                     note="d/dz j(-zq;q^2)|_1 = 0"))
-    add(IdentityCase("dz-j-mz2-q1", "jet",
-                     lambda n: jet_theta(-1, 2, 0, 1, n, zshift=-1).f1, _zero, 80,
-                     note="d/dz (1/z) j(-z^2;q)|_1 = 0"))
-    add(IdentityCase(
-        "dz-j-z6q-q3", "jet",
-        lambda n: jet_theta(1, 6, 1, 3, n, zshift=-1).f1,
-        lambda n: -(_eq({1: 4, 3: -1}, n, QQ)
-                    + _eq({9: 3, 1: 1, 3: -1}, n + 1, QQ).shift(9, 1).truncate(n)), 80))
-    add(IdentityCase(
-        "dz-j-mz6q-q3", "jet",
-        lambda n: jet_theta(-1, 6, 1, 3, n, zshift=-1).f1,
-        lambda n: -_eq({1: 5, 2: -2}, n, QQ), 80))
-    add(IdentityCase(
-        "dz-j-z4q-q4", "jet",
-        lambda n: jet_theta(1, 4, 1, 4, n, zshift=-1).f1,
-        lambda n: -_eq({2: 9, 4: -3, 1: -3}, n, QQ), 80))
-    add(IdentityCase(
-        "dz-j-mz4q-q4", "jet",
-        lambda n: jet_theta(-1, 4, 1, 4, n, zshift=-1).f1,
-        lambda n: -_eq({1: 3}, n, QQ), 80))
-    add(IdentityCase(
-        "dz-j-z3q-q6", "jet",
-        lambda n: jet_theta(1, 3, 1, 6, n, zshift=-1).f1,
-        lambda n: -_eq({2: 5, 1: -2}, n, QQ), 80))
-    add(IdentityCase(
-        "dz-j-mz3q-q6", "jet",
-        lambda n: jet_theta(-1, 3, 1, 6, n, zshift=-1).f1,
-        lambda n: -_eq({4: 2, 1: 2, 2: -1}, n, QQ), 80))
-    add(IdentityCase(
-        "dz-j-mz12q5-q12", "jet",
-        lambda n: jet_theta(-1, 12, 5, 12, n, zshift=-1).f1,
-        lambda n: _half(n, (1, 0, {1: 4, 3: -1}), (9, 1, {9: 3, 1: 1, 3: -1}),
-                        (1, 0, {1: 5, 2: -2})), 80))
-    add(IdentityCase(
-        "dz-j-mz12q-q12", "jet",
-        lambda n: jet_theta(-1, 12, 1, 12, n, zshift=-5).f1,
-        lambda n: _half(n, (1, -1, {1: 4, 3: -1}), (9, 0, {9: 3, 1: 1, 3: -1}),
-                        (-1, -1, {1: 5, 2: -2})), 80))
-    add(IdentityCase(
-        "dz-j-z12q5-q12", "jet",
-        lambda n: jet_theta(1, 12, 5, 12, n, zshift=-1).f1,
-        lambda n: _half(n, (1, 0, {12: 1, 3: 1, 2: 12, 6: -3, 4: -4, 1: -4}),
-                        (-9, 1, {18: 9, 12: 1, 3: 1, 2: 3, 36: -3, 9: -3, 6: -3, 4: -1, 1: -1}),
-                        (1, 0, {2: 13, 4: -5, 1: -5})), 80))
-    add(IdentityCase(
-        "dz-j-z12q-q12", "jet",
-        lambda n: jet_theta(1, 12, 1, 12, n, zshift=-5).f1,
-        lambda n: -_half(n, (1, -1, {12: 1, 3: 1, 2: 12, 6: -3, 4: -4, 1: -4}),
-                         (-9, 0, {18: 9, 12: 1, 3: 1, 2: 3, 36: -3, 9: -3, 6: -3, 4: -1, 1: -1}),
-                         (-1, -1, {2: 13, 4: -5, 1: -5})), 80))
+    # d/dz z^zshift j(sign z^a q^b; q^base)|_1 against an eta sum
+    half = Fraction(1, 2)
+    for cid, (sign, a, b, base, zshift), rhs, note in (
+            ("dz-j-zq-q2", (1, 1, 1, 2, 0), (), "d/dz j(zq;q^2)|_1 = 0"),
+            ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), (), "d/dz j(-zq;q^2)|_1 = 0"),
+            ("dz-j-mz2-q1", (-1, 2, 0, 1, -1), (), "d/dz (1/z) j(-z^2;q)|_1 = 0"),
+            ("dz-j-z6q-q3", (1, 6, 1, 3, -1), _scaled(-1, 0, U3_J1_CUBED), ""),
+            ("dz-j-mz6q-q3", (-1, 6, 1, 3, -1), ((-1, 0, J15_over_22),), ""),
+            ("dz-j-z4q-q4", (1, 4, 1, 4, -1), ((-1, 0, {2: 9, 4: -3, 1: -3}),), ""),
+            ("dz-j-mz4q-q4", (-1, 4, 1, 4, -1), ((-1, 0, {1: 3}),), ""),
+            ("dz-j-z3q-q6", (1, 3, 1, 6, -1), ((-1, 0, {2: 5, 1: -2}),), ""),
+            ("dz-j-mz3q-q6", (-1, 3, 1, 6, -1), ((-1, 0, {4: 2, 1: 2, 2: -1}),), ""),
+            ("dz-j-mz12q5-q12", (-1, 12, 5, 12, -1),
+             _scaled(-half, 0, U3_J1_CUBED + ((1, 0, J15_over_22),)), ""),
+            ("dz-j-mz12q-q12", (-1, 12, 1, 12, -5),
+             _scaled(-half, -1, U3_J1_CUBED + ((-1, 0, J15_over_22),)), ""),
+            ("dz-j-z12q5-q12", (1, 12, 5, 12, -1),
+             _scaled(-half, 0, Z12_PAIR + ((1, 0, {2: 13, 4: -5, 1: -5}),)), ""),
+            ("dz-j-z12q-q12", (1, 12, 1, 12, -5),
+             _scaled(half, -1, Z12_PAIR + ((-1, 0, {2: 13, 4: -5, 1: -5}),)), "")):
+        add(IdentityCase(
+            cid, "jet",
+            lambda n, j=(sign, a, b, base), zshift=zshift: jet_theta(*j, n, zshift=zshift).f1,
+            lambda n, rhs=rhs: eta_sum(rhs, n, QQ), 80, note=note))
     add(IdentityCase(
         "dz-theta-quotient-q6-pair", "jet", _jet_theta_quotient_pair,
-        lambda n: _eq({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n, QQ), 80,
+        lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n, QQ), 80,
         note="theta-quotient derivative inside the first q^6 lemma"))
     add(IdentityCase(
         "dz-m-appell-q6", "jet",
         lambda n: jet_appell((1, 0, 1), 6, (-1, 2, -1), n).f1,
-        lambda n: _eq({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n, QQ).scale(Fraction(-1, 2)),
+        lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n, QQ).scale(-half),
         80, note="d/dz m(q, q^6, -z^2/q)|_1"))
     add(IdentityCase(
         "dz-m-times-theta-q6-a", "jet", _jet_m_times_theta_a,
-        lambda n: -_eq({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n, QQ), 80))
+        lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n, QQ), 80))
     add(IdentityCase(
-        "dz-m-times-theta-q6-b", "jet", _jet_m_times_theta_b, _jet_m_times_theta_b_rhs, 80))
+        "dz-m-times-theta-q6-b", "jet", _jet_m_times_theta_b,
+        lambda n: -(eta_quotient({6: 1, 1: 2, 3: -2, 2: -1}, n, QQ)
+                    * mock.appell_rhs(mock.AP_HF12, n).over(QQ)), 80))
     add(IdentityCase(
         "dz-theta-quotient-q6-sixfold", "jet", _jet_theta_quotient_sixfold,
-        lambda n: (-_eq({6: 9, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n, QQ)
-                   - _eq({12: 1, 2: 4, 6: -1, 4: -1, 3: -2}, n + 1, QQ).shift(2, 1).truncate(n)),
-        150))
+        lambda n: eta_sum(Q6_SIXFOLD, n, QQ), 150))
     add(IdentityCase(
         "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double,
-        lambda n: _eq({12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}, n + 1, QQ
-                      ).shift(-2, 1).truncate(n), 150))
+        lambda n: eta_sum(((-2, 1, {12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}),), n, QQ), 150))
     add(IdentityCase(
         "dz-eta-logderiv-combo", "univariate",
-        lambda n: (_eq({6: 1, 2: 2, 1: 3, 12: -2, 3: -3}, n, QQ).scale(Fraction(2, 3))
-                   + _eq({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4}, n, QQ)
-                   * (_eq({2: 3, 6: -1}, n, QQ).scale(Fraction(1, 3))
-                      + _eq({18: 3, 6: -1}, n + 2, QQ).shift(3, 2).truncate(n))
-                   - _eq({6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}, n, QQ).scale(Fraction(2, 3))
-                   - _eq({6: 1, 4: 3, 2: 2, 12: -3, 3: -2}, n, QQ).scale(Fraction(4, 3))),
-        lambda n: (-_eq({6: 9, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n, QQ)
-                   - _eq({12: 1, 2: 4, 6: -1, 4: -1, 3: -2}, n + 1, QQ).shift(2, 1).truncate(n)),
+        lambda n: (eta_sum(((Fraction(2, 3), 0, {6: 1, 2: 2, 1: 3, 12: -2, 3: -3}),
+                            (Fraction(-2, 3), 0, {6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}),
+                            (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})), n, QQ)
+                   + eta_quotient({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4}, n, QQ)
+                   * eta_sum(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})), n, QQ)),
+        lambda n: eta_sum(Q6_SIXFOLD, n, QQ),
         150, note="logarithmic-derivative eta combination from the q^6 quotient lemma"))
     add(IdentityCase(
         "dz-f121-hecke", "jet",
@@ -648,7 +583,7 @@ def registry():
         add(IdentityCase(
             f"mrel-xinverse-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: _m(x.inv(), z.inv(), n).shift(x.inv().coef, x.inv().qdeg),
+            lambda n, xi=x.inv(), z=z: _m(xi, z.inv(), n - xi.qdeg).shift(xi.coef, xi.qdeg),
             30, note="m(x,q,z) = x^-1 m(x^-1,q,z^-1)"))
     for i, (x, z) in enumerate(_W_SHIFT, 1):
         add(IdentityCase(
@@ -667,40 +602,41 @@ def registry():
         add(IdentityCase(
             f"mrel-reflect-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: (x.inv().as_series(n)
-                                 - _m(x.qshift(1), z, n).shift(x.inv().coef, x.inv().qdeg)),
+            lambda n, x=x, xi=x.inv(), z=z: (xi.as_series(n) - _m(x.qshift(1), z, n - xi.qdeg)
+                                             .shift(xi.coef, xi.qdeg)),
             30, note="m(x,q,z) = x^-1 - x^-1 m(qx,q,z)"))
     for i, (x, z1, z0) in enumerate(_W_CHANGE_Z, 1):
         add(IdentityCase(
             f"mrel-change-z-w{i}", "univariate",
-            lambda n, x=x, z1=z1, z0=z0: _change_z_pair(n, x, z1, z0)[0],
-            lambda n, x=x, z1=z1, z0=z0: _change_z_pair(n, x, z1, z0)[1], 30,
+            lambda n, x=x, z1=z1, z0=z0: _m(x, z1, n) - _m(x, z0, n),
+            lambda n, x=x, z1=z1, z0=z0: _change_z_rhs(n, x, z1, z0), 30,
             note="z0 J1^3 j(z1/z0;q) j(x z0 z1;q) correction"))
     for i, (x, z) in enumerate(_W_QUARTIC, 1):
         add(IdentityCase(
             f"mrel-quartic-w{i}", "univariate",
-            lambda n, x=x, z=z: _quartic_pair(n, x, z)[0],
-            lambda n, x=x, z=z: _quartic_pair(n, x, z)[1], 30,
+            lambda n, x=x, z=z: _m(x, z, n),
+            lambda n, x=x, z=z: _quartic_rhs(n, x, z), 30,
             note="base q -> q^4 relation; middle z-argument reconstructed as z^4 "
                  "(printed form has j(q^4;q^4) = 0 in a denominator)"))
     for i, (x, y) in enumerate(_W_FG, 1):
         add(IdentityCase(
             f"mrel-f121-g121-w{i}", "univariate",
-            lambda n, x=x, y=y: _f121_pair(n, x, y)[0],
-            lambda n, x=x, y=y: _f121_pair(n, x, y)[1], 40,
+            lambda n, x=x, y=y: f_abc(1, 2, 1, x, y, n).over(QQ),
+            lambda n, x=x, y=y, z1=QMono.of(y) * QMono.of(x).inv(): (
+                g_abc(1, 2, 1, x, y, z1, z1.inv(), n)), 40,
             note="f_{1,2,1}(x,y,q) = g_{1,2,1}(x,y,q,y/x,x/y)"))
     add(IdentityCase(
         "mrel-f151-theta14", "univariate",
-        lambda n: _f151_theta_pair(n)[0],
-        lambda n: _f151_theta_pair(n)[1], 40, allow_fail=True,
+        lambda n: f_abc(1, 5, 1, *_W_F151, n).over(QQ),
+        lambda n: (g_abc(1, 5, 1, *_W_F151, QMono(1, 1), QMono(1, -1), n)
+                   - theta_1_4(*_W_F151, n)), 40, allow_fail=True,
         note="f_{1,5,1} = g_{1,5,1} - Theta_{1,4} with the correction transcribed "
              "verbatim; the printed formula repeats j(y/x;q^24) in numerator and "
              "denominator and fails at q^0 (the same instance matches with the "
              "correction's sign flipped; reconciliation left to the reader)"))
     add(IdentityCase(
         "mrel-evenodd", "numeric_z",
-        lambda n, z0: _m_evenodd(n, z0)[0],
-        lambda n, z0: _m_evenodd(n, z0)[1], 40,
+        _m_minus_z, _m_evenodd_rhs, 40,
         witnesses=(Fraction(2), Fraction(3), Fraction(1, 2)),
         note="even/odd split of m(-z,q,-1) into base-q^4 sums plus "
              "j(q;q^2)^2/(2 j(z;q))"))
@@ -709,13 +645,12 @@ def registry():
     ws = (Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1, 3))
     add(IdentityCase(
         "numz-f4-appell", "numeric_z",
-        lambda n, z0: _f4_appell_bridge(n, z0)[0],
-        lambda n, z0: _f4_appell_bridge(n, z0)[1], 60, witnesses=ws,
+        lambda n, z0: mock.F4_series(n).eval_z(z0).scale(1 - Fraction(1) / z0),
+        lambda n, z0: appell_m(QMono(-z0, 0), 2, QMono(-1, 1), n), 60, witnesses=ws,
         note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q)"))
     add(IdentityCase(
         "numz-f8-appell", "numeric_z",
-        lambda n, z0: _f8_appell_bridge(n, z0)[0],
-        lambda n, z0: _f8_appell_bridge(n, z0)[1], 60, witnesses=ws,
+        lambda n, z0: mock.F8_series(n).eval_z(z0), _f8_appell_rhs, 60, witnesses=ws,
         note="F8(z,q) = -z/(1-z) (m(-z,q,-1) - j(q;q^2)^2/(2 j(z;q)))"))
 
     # -- Humbert's formula and the combinatorial theorems ----------------------
@@ -741,7 +676,7 @@ def registry():
     add(IdentityCase(
         "consecutive-eq-unimodal", "univariate",
         lambda n: combinat.Q_series(n, "formula"),
-        lambda n: combinat.P_series(2 * n + 1, "formula").sift(2), 150,
+        lambda n: combinat.P_series(2 * n, "formula").sift(2), 150,
         note="Q(n) = P(2n)"))
     add(IdentityCase(
         "unimodal-methods", "univariate",
@@ -763,7 +698,7 @@ def registry():
         add(IdentityCase(
             f"theta-row-constant-{m}", "univariate",
             lambda n, m=m: mock.c_sum(m, n),
-            lambda n: _eq({2: 2, 1: -1}, n), 60,
+            lambda n: eta_quotient({2: 2, 1: -1}, n), 60,
             note="C_m = sum_k q^{(2k-m)(2k+1-m)/2} is independent of m"))
 
     return cases

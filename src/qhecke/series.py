@@ -85,11 +85,12 @@ class QSeries:
 
     @classmethod
     def one(cls, ring, order=INF):
-        return cls(ring, 0, [ring.one], order, _trusted=True)
+        return cls.monomial(ring, ring.one, 0, order)
 
     @classmethod
     def monomial(cls, ring, c, d, order=INF):
-        if ring.is_zero(c):
+        """c * q^d, certified through q^order (zero when d lies above it)."""
+        if ring.is_zero(c) or d > order:
             return cls.zero(ring, order)
         return cls(ring, d, [c], order, _trusted=True)
 
@@ -499,16 +500,15 @@ _eta_cache = {}
 
 
 def etaq(k, n):
-    """(q^k; q^k)_infinity to order n, with integer coefficients."""
+    """(q^k; q^k)_infinity to order n, integral, by Euler's pentagonal theorem."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     cached = _eta_cache.get(k)
     if cached is None or cached.order < n:
         top = max(n, 64)
-        out = QSeries.one(ZZ, top)
-        for m in range(1, top // k + 1):
-            out = out.mul_one_minus(1, k * m)
-        _eta_cache[k] = cached = out
+        _eta_cache[k] = cached = QSeries.from_terms(
+            ZZ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
+                 for m in lattice_range(3 * k, -k, -2 * top)), top)
     return cached.truncate(n)
 
 
@@ -525,8 +525,11 @@ def etaq_inv(k, n):
 def eta_quotient(powers, n, ring=ZZ):
     """Product of J_k^e over (k, e) pairs, to order n.
 
-    powers maps k -> exponent e (negative e for denominators).
+    powers maps k -> exponent e (negative e for denominators).  The
+    quotient is 1 + O(q), so below q^0 it is zero.
     """
+    if n < 0:
+        return QSeries.zero(ring, n)
     out = QSeries.one(ZZ, n)
     for k, e in sorted(powers.items()):
         if e == 0:
@@ -534,3 +537,15 @@ def eta_quotient(powers, n, ring=ZZ):
         base = etaq(k, n) if e > 0 else etaq_inv(k, n)
         out = out * base ** abs(e)
     return out if ring is ZZ else out.over(ring)
+
+
+def eta_sum(terms, n, ring=ZZ):
+    """Sum of c * q^s * prod J_delta^r over (c, s, {delta: r}) terms, to order n.
+
+    Each quotient is built to n - s, so every term is certified through
+    exactly q^n.
+    """
+    out = QSeries.zero(ring, n)
+    for c, s, powers in terms:
+        out = out + eta_quotient(powers, n - s, ring).shift(c, s)
+    return out

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .rings import QQ, ZPOLY, ZZ, ZPoly
-from .series import INF, QSeries, SignedMonomial, etaq, lattice_range, pochhammer
+from .series import INF, QSeries, SignedMonomial, eta_quotient, etaq, lattice_range, pochhammer
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,15 @@ def theta_sum_scaled(x: QMono, base, n):
     return QSeries.from_terms(
         QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, c ** m if m % 2 == 0 else -(c ** m))
              for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
+
+
+def theta_low(d, base):
+    """Lowest exponent of j(c*q^d; q^base): min over m of base*m(m-1)/2 + d*m.
+
+    It is the valuation of j unless j vanishes (c = 1 and base | d).
+    """
+    m = (base - 2 * d) // (2 * base)  # floor of the real minimiser 1/2 - d/base
+    return min(base * k * (k - 1) // 2 + d * k for k in (m, m + 1))
 
 
 def jtheta(arg: ThetaArg, n, method="sum"):
@@ -160,10 +170,8 @@ def f_abc_terms(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
 
     # b*r*s >= 0 on both quadrants, so row r holds a term only if
     # a*r(r-1)/2 + xq*r + min_s(c*s(s-1)/2 + yq*s) <= n (doubled below)
-    s0 = (c - 2 * yq) // (2 * c)
-    min_s2 = min(c * s * (s - 1) + 2 * yq * s for s in (s0, s0 + 1))
     out = []
-    for r in lattice_range(a, 2 * xq - a, min_s2 - 2 * n):
+    for r in lattice_range(a, 2 * xq - a, 2 * (theta_low(yq, c) - n)):
         row2 = a * r * (r - 1) + 2 * xq * r
         quadrant = (0, None) if r >= 0 else (None, -1)
         for s in lattice_range(c, 2 * (b * r + yq) - c, row2 - 2 * n, *quadrant):
@@ -182,40 +190,77 @@ def f_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
 
 
 def g_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, z1, z0, n):
-    """g_{a,b,c}(x,y,q,z1,z0): two t-sums of theta times Appell-Lerch terms."""
-    xm = QMono.of(x)
-    ym = QMono.of(y)
-    z1 = QMono.of(z1)
-    z0 = QMono.of(z0)
+    """g_{a,b,c}(x,y,q,z1,z0): two t-sums of theta times Appell-Lerch terms.
+
+    The second t-sum is the first with (a, x, z0) and (c, y, z1) swapped.
+    Each factor of a term is built to n minus the other's valuation when
+    that is negative: theta_low gives the theta's, the built series the
+    Appell-Lerch sum's.
+    """
     mbase = a * (b * b - a * c)
-    out = QSeries.zero(QQ, n)
-    for t in range(a):
-        pref = (ym.neg() ** t).qshift(c * t * (t - 1) // 2)
-        jfac = theta_sum_scaled(QMono(xm.coef, xm.qdeg + b * t), a, n)
-        marg = ((ym.neg() ** a) * (xm.neg() ** (-b))).neg().qshift(
-            a * b * (b + 1) // 2 - c * a * (a + 1) // 2 - t * (b * b - a * c))
-        mser = appell_m(marg, mbase, z0, n)
-        out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
-    for t in range(c):
-        pref = (xm.neg() ** t).qshift(a * t * (t - 1) // 2)
-        jfac = theta_sum_scaled(QMono(ym.coef, ym.qdeg + b * t), c, n)
-        marg = ((xm.neg() ** c) * (ym.neg() ** (-b))).neg().qshift(
-            c * b * (b + 1) // 2 - a * c * (c + 1) // 2 - t * (b * b - a * c))
-        mser = appell_m(marg, mbase, z1, n)
-        out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
-    return out
+
+    def t_sum(a, c, xm, ym, z):
+        out = QSeries.zero(QQ, n)
+        for t in range(a):
+            pref = (ym.neg() ** t).qshift(c * t * (t - 1) // 2)
+            jarg = QMono(xm.coef, xm.qdeg + b * t)
+            marg = ((ym.neg() ** a) * (xm.neg() ** (-b))).neg().qshift(
+                a * b * (b + 1) // 2 - c * a * (a + 1) // 2 - t * (b * b - a * c))
+            m = n - min(pref.qdeg, 0)
+            mser = appell_m(marg, mbase, z, m - min(theta_low(jarg.qdeg, a), 0))
+            jfac = theta_sum_scaled(jarg, a, m - min(mser.valuation() or 0, 0))
+            out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
+        return out
+
+    xm, ym = QMono.of(x), QMono.of(y)
+    return t_sum(a, c, xm, ym, QMono.of(z0)) + t_sum(c, a, ym, xm, QMono.of(z1))
 
 
-def theta_1_4_parts(x: SignedMonomial, y: SignedMonomial, n):
-    """The two inner sums S1, S2 of the theta correction, as displayed."""
+@dataclass(frozen=True)
+class _Deferred:
+    """A series not yet built: build(n) certifies it through q^n, and its
+    valuation is at least low (exactly low where it is inverted).
+
+    Operands are built to the orders QSeries.__mul__, .shift and .invert
+    need: a factor q^d or of valuation v < 0 means the other is built to
+    n - d or n - v.  A positive valuation is not used to build less, as a
+    factor built below it is zero and __mul__ cannot see where it starts.
+    """
+
+    low: int
+    build: Callable
+
+    def __mul__(self, other):
+        a, b = min(self.low, 0), min(other.low, 0)
+        return _Deferred(self.low + other.low, lambda n: self.build(n - b) * other.build(n - a))
+
+    def __pow__(self, k):
+        return _Deferred(k * self.low, lambda n: self.build(n - (k - 1) * min(self.low, 0)) ** k)
+
+    def __add__(self, other):
+        return _Deferred(min(self.low, other.low), lambda n: self.build(n) + other.build(n))
+
+    def __sub__(self, other):
+        return self + other.shift(-1, 0)
+
+    def shift(self, c, d):
+        return _Deferred(self.low + d, lambda n: self.build(n - d).shift(c, d))
+
+    def invert(self):
+        # 1/f is certified through f.order - 2v, and f must reach q^v
+        v = self.low
+        return _Deferred(-v, lambda n: self.build(max(n + 2 * v, v)).invert())
+
+
+def _theta_1_4_deferred(x: SignedMonomial, y: SignedMonomial):
+    """S1, S2 and the whole theta correction, unbuilt."""
     xm, ym = QMono.of(x), QMono.of(y)
 
     def j(mono, base):
-        return theta_sum_scaled(mono, base, n)
+        return _Deferred(theta_low(mono.qdeg, base), lambda n: theta_sum_scaled(mono, base, n))
 
-    def J(k, power=1):
-        s = etaq(k, n).over(QQ)
-        return s ** power if power != 1 else s
+    def J(powers):
+        return _Deferred(0, lambda n: eta_quotient(powers, n, QQ))
 
     y_over_x = ym * xm.inv()
     xy = xm * ym
@@ -223,21 +268,32 @@ def theta_1_4_parts(x: SignedMonomial, y: SignedMonomial, n):
     y2_over_x2 = y_over_x * y_over_x
 
     s1_pref = (j(x2y2.qshift(22), 24) * j(y_over_x.neg().qshift(12), 24)
-               * j(xy.qshift(5), 12) * (J(12, 3) * J(48)).invert())
-    s1_inner = (j(x2y2.neg().qshift(10), 24) * j(y2_over_x2.qshift(12), 24) * J(24, 2)
+               * j(xy.qshift(5), 12) * J({12: -3, 48: -1}))
+    s1_inner = (j(x2y2.neg().qshift(10), 24) * j(y2_over_x2.qshift(12), 24) * J({24: 2})
                 + (j(x2y2.neg().qshift(22), 24) * j(y_over_x.qshift(12), 24) ** 2
-                   * j(y_over_x.neg(), 24) ** 2 * J(24).invert()
+                   * j(y_over_x.neg(), 24) ** 2 * J({24: -1})
                    ).shift((xm * xm).coef, (xm * xm).qdeg + 5))
     s1 = s1_pref * s1_inner
 
     s2_pref = (j(x2y2.qshift(10), 24) * j(y_over_x.neg(), 24)
-               * j(xy.qshift(11), 12) * J(12, 2).invert())
+               * j(xy.qshift(11), 12) * J({12: -2}))
     s2_inner = ((j(x2y2.neg().qshift(10), 24) * j(y2_over_x2.qshift(12), 24)
-                 * J(48) * J(24).invert()).shift(ym.inv().coef, ym.inv().qdeg + 2)
+                 * J({48: 1, 24: -1})).shift(ym.inv().coef, ym.inv().qdeg + 2)
                 + (j(x2y2.neg().qshift(22), 24) * j(y2_over_x2.qshift(24), 48) ** 2
-                   * J(48).invert()).shift(xm.coef, xm.qdeg + 1))
+                   * J({48: -1})).shift(xm.coef, xm.qdeg + 1))
     s2 = s2_pref * s2_inner
-    return s1, s2
+
+    front = (j(y_over_x, 24)
+             * (j(y_over_x, 24) * j((xm ** 4).neg().qshift(10), 24)
+                * j((ym ** 4).neg().qshift(10), 24)).invert()
+             ).shift(-xy.coef, xy.qdeg + 1)
+    return s1, s2, front * (j(QMono(1, 4), 16) * s1 - (j(QMono(1, 8), 16) * s2).shift(1, 1))
+
+
+def theta_1_4_parts(x: SignedMonomial, y: SignedMonomial, n):
+    """The two inner sums S1, S2 of the theta correction, as displayed."""
+    s1, s2, _ = _theta_1_4_deferred(x, y)
+    return s1.build(n), s2.build(n)
 
 
 def theta_1_4(x: SignedMonomial, y: SignedMonomial, n):
@@ -247,16 +303,4 @@ def theta_1_4(x: SignedMonomial, y: SignedMonomial, n):
     denominator exactly as displayed; see the registry notes on the
     expected-fail status of the identity using it.
     """
-    xm, ym = QMono.of(x), QMono.of(y)
-
-    def j(mono, base):
-        return theta_sum_scaled(mono, base, n)
-
-    y_over_x = ym * xm.inv()
-    xy = xm * ym
-    s1, s2 = theta_1_4_parts(x, y, n)
-    front = (j(y_over_x, 24)
-             * (j(y_over_x, 24) * j((xm ** 4).neg().qshift(10), 24)
-                * j((ym ** 4).neg().qshift(10), 24)).invert()
-             ).shift(-xy.coef, xy.qdeg + 1)
-    return front * (j(QMono(1, 4), 16) * s1 - (j(QMono(1, 8), 16) * s2).shift(1, 1))
+    return _theta_1_4_deferred(x, y)[2].build(n)

@@ -8,10 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qhecke.errors import NonUnitError, RingMismatchError
 from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
-from qhecke.series import (INF, QSeries, eta_quotient, etaq, geom_ratio, monomial,
+from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, geom_ratio, monomial,
                            pochhammer)
 
 
@@ -66,6 +67,19 @@ def test_mul_telescoping():
     h = QSeries.from_coeffs(ZZ, 0, [1, 1, 1, 1], INF)
     assert as_dict(g * h) == {0: 1, 4: -1}
     assert as_dict((g * h).truncate(3)) == {0: 1}
+
+
+def test_monomial_above_its_order_is_zero():
+    # q^5 is not certified by a series known only through q^3
+    m = QSeries.monomial(ZZ, 1, 5, 3)
+    assert m.valuation() is None and m.order == 3
+    assert str(m) == "0 + O(q^4)"
+    with pytest.raises(NonUnitError):
+        m.invert()
+    assert (QSeries.zero(ZZ, 3) + m).is_zero_through_order()
+    assert QSeries.one(ZZ, -1).is_zero_through_order()
+    e = eta_quotient({1: 2, 2: -1}, -1)
+    assert e.order == -1 and e.is_zero_through_order()
 
 
 def test_monomial_shift():
@@ -207,6 +221,37 @@ def test_eta_quotient_is_cached_but_exact():
     inv2 = as_dict(etaq(2, 25).invert())
     b = {e: c for e, c in naive_mul(b, inv2).items() if e <= 25}
     assert as_dict(a) == b
+
+
+_DELTAS = (1, 2, 3, 4, 6, 12)
+
+
+def _eta_terms(coef):
+    powers = st.dictionaries(st.sampled_from(_DELTAS), st.integers(-3, 3), max_size=3)
+    return st.lists(st.tuples(coef, st.integers(-3, 3), powers), max_size=4)
+
+
+_small = st.integers(-5, 5)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(st.tuples(st.just(ZZ), _eta_terms(_small)),
+                 st.tuples(st.just(QQ), _eta_terms(st.one_of(
+                     _small, st.fractions(-5, 5, max_denominator=9))))),
+       st.one_of(st.integers(0, 2), st.integers(0, 60)))
+@example((ZZ, [(1, 3, {1: 3, 2: -2}), (-2, -3, {4: 2})]), 0)
+@example((QQ, [(Fraction(1, 3), 2, {3: -3, 6: 2})]), 1)
+def test_eta_sum_certifies_exactly_n(ring_terms, n):
+    # the terms with s > n (drawn at n <= 2, and in the examples) are
+    # built below q^0 and must still come back certified through q^n
+    ring, terms = ring_terms
+    got = eta_sum(terms, n, ring)
+    assert got.order == n
+    want = QSeries.zero(ring, n)
+    for c, s, powers in terms:
+        want = want + eta_quotient(powers, n + 3, ring).shift(c, s)
+    order, bad = got.first_mismatch(want)
+    assert order == n and bad is None
 
 
 # -- restructuring ------------------------------------------------------------

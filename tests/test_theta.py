@@ -8,7 +8,7 @@ from qhecke.errors import PoleError
 from qhecke.rings import QQ, ZZ, ZPoly
 from qhecke.series import etaq, monomial
 from qhecke.theta import (QMono, ThetaArg, appell_m, f_abc, f_abc_terms, g_abc,
-                          jtheta, theta_1_4_parts, theta_sum_scaled)
+                          jtheta, theta_1_4, theta_1_4_parts, theta_low, theta_sum_scaled)
 
 # every theta argument shape the registry builders touch
 REGISTRY_THETA_ARGS = [
@@ -123,6 +123,22 @@ def test_g_abc_single_t_terms_when_a_c_one():
     f = f_abc(1, 2, 1, x, y, 30).over(QQ)
     _, bad = f.first_mismatch(g)
     assert bad is None
+
+
+def test_negative_valuation_factors_still_certify_the_order():
+    # j(-q^2; q) and j(-q^4; q) start at q^-1 and q^-6, and the theta
+    # factors of Theta_{1,4} at x = q^2, y = q^3 as low as q^-8
+    g = g_abc(1, 2, 1, monomial(-1, 0, 2), monomial(-1, 0, 4), QMono(1, 2), QMono(1, -2), 40)
+    assert g.order >= 40
+    assert theta_1_4(monomial(1, 0, 2), monomial(1, 0, 3), 40).order >= 40
+    assert all(s.order >= 40 for s in theta_1_4_parts(monomial(1, 0, 2), monomial(1, 0, 3), 40))
+
+
+def test_theta_low_is_the_lowest_exponent_of_the_sum():
+    for d in range(-30, 31):
+        for base in (1, 2, 3, 12, 24):
+            s = theta_sum_scaled(QMono(Fraction(2), d), base, 40)
+            assert theta_low(d, base) == s.valuation()
 
 
 def test_theta_1_4_part_sums_are_integral():

@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
+from qhecke.rings import QQ
+from qhecke.series import QSeries
 from qhecke.verify import all_passed, run_case, verify
 
 SAMPLE = ["hecke-hf8", "appell-hf4", "dz-j-z6q-q3", "mrel-evenodd",
@@ -99,3 +101,50 @@ def test_report_json_schema():
     js = report.to_json()
     assert set(js) == {"id", "status", "certified_order", "first_mismatch", "ms"}
     assert js["status"] == "pass" and js["first_mismatch"] is None
+
+
+def _orders(value):
+    return [v.order for v in value] if isinstance(value, tuple) else [value.order]
+
+
+def test_every_builder_certifies_the_order_it_is_asked_for():
+    # run_case asks each side for exactly n, so a side that falls short
+    # would turn its case into an error; check every tuple component and
+    # every numeric-z witness
+    short = []
+    for case in registry():
+        for n in (1, 2, 5, 40):
+            for side, build in (("lhs", case.build_lhs), ("rhs", case.build_rhs)):
+                if case.mode == "numeric_z":
+                    got = [o for z0 in case.witnesses for o in _orders(build(n, z0))]
+                else:
+                    got = _orders(build(n))
+                if min(got) < n:
+                    short.append((case.id, side, n, min(got)))
+    assert not short
+
+
+def _bump_rhs(case, e):
+    """The case with q^e added to its right-hand side."""
+    bump = QSeries.monomial(QQ, 1, e)
+    if case.mode == "numeric_z":
+        return replace(case, build_rhs=lambda n, z0: case.build_rhs(n, z0) + bump)
+    return replace(case, build_rhs=lambda n: case.build_rhs(n) + bump)
+
+
+@pytest.mark.parametrize("cid, order", [("mrel-xinverse-w1", 30),
+                                        ("dz-theta-quotient-q12-double", 40),
+                                        ("numz-f8-appell", 30)])
+def test_negative_controls(cid, order):
+    # a term at the lowest exponent or at q^N is caught there; one at
+    # q^(N+1) lies beyond the certificate and must not be
+    case = get_case(cid)
+    numeric = case.mode == "numeric_z"
+    z0 = case.witnesses[0] if numeric else None
+    rhs = case.build_rhs(order, z0) if numeric else case.build_rhs(order)
+    for e in (rhs.valuation(), order):
+        report = run_case(_bump_rhs(case, e), order)
+        assert report.status == "fail" and report.first_mismatch["exp"] == e
+        assert report.to_json()["first_mismatch"].get("slot") == (f"z={z0}" if numeric else None)
+    report = run_case(_bump_rhs(case, order + 1), order)
+    assert report.status == "pass" and report.certified_order == order
