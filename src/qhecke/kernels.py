@@ -1,12 +1,19 @@
 """Hot kernels for dense truncated series arithmetic.
 
 All functions work on plain lists of ring elements (ints, Fractions,
-GaussianRationals or ZPolys) and rely only on + - *.  Products and
-inverses of lists of plain ints go through one big-integer multiply by
-Kronecker substitution: each list is packed into a single int with one
-fixed-width slot per coefficient, so CPython's Karatsuba does the
-convolution.  Every other list takes the schoolbook loop.
+GaussianRationals or ZPolys) and rely only on + - *.  A list of ints and
+Fractions is multiplied as integer numerators over one common
+denominator, as FLINT's fmpq_poly stores it; an int list is the case
+where that denominator is 1.  Long integer lists go through one
+big-integer multiply by Kronecker substitution: each list is packed into
+a single int with one fixed-width slot per coefficient, so CPython's
+Karatsuba does the convolution.  Rational units are inverted by Newton
+iteration on those products.  Gaussian and ZPoly lists take the
+schoolbook loop.
 """
+
+from fractions import Fraction
+from math import lcm
 
 BACKEND = "python"
 
@@ -20,8 +27,33 @@ BACKEND = "python"
 KRONECKER_MIN_NNZ = 16
 
 
-def _all_int(a):
-    return type(a[0]) is int and len(set(map(type, a))) == 1
+_RATIONAL = {int, Fraction}
+
+
+def _over_ints(a):
+    """``a`` as integers over one denominator: (ints, d), ints[i] = a[i]*d.
+
+    d is the lcm of the denominators.  None when ``a`` holds anything but
+    ints and Fractions.
+    """
+    types = set(map(type, a))
+    if not types <= _RATIONAL:
+        return None
+    if Fraction not in types:
+        return a, 1
+    d = lcm(*[x.denominator for x in a])
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
+def _divide(out, d):
+    """``out`` divided by d, with every exact quotient an int."""
+    if d == 1:
+        return out
+    res = []
+    for c in out:
+        x = Fraction(c, d) if c else 0
+        res.append(x if x.denominator != 1 else x.numerator)
+    return res
 
 
 def _pack(a, k):
@@ -60,11 +92,22 @@ def _conv(a, b, keep):
     n = min(keep, la + lb - 1) if la and lb else 0
     if n <= 0:
         return []
-    if _all_int(a) and _all_int(b):
-        a, b = a[:n], b[:n]
-        if (len(a) - a.count(0) >= KRONECKER_MIN_NNZ
-                and len(b) - b.count(0) >= KRONECKER_MIN_NNZ):
-            return _kron_mul(a, b, n)
+    sa = _over_ints(a[:n])
+    sb = sa and _over_ints(b[:n])
+    if not sb:
+        return _schoolbook(a, b, n)
+    (a, da), (b, db) = sa, sb
+    if (len(a) - a.count(0) >= KRONECKER_MIN_NNZ
+            and len(b) - b.count(0) >= KRONECKER_MIN_NNZ):
+        out = _kron_mul(a, b, n)
+    else:
+        out = _schoolbook(a, b, n)
+    return _divide(out, da * db)
+
+
+def _schoolbook(a, b, n):
+    """The first n coefficients of a*b by the double loop."""
+    la, lb = len(a), len(b)
     out = [0] * n
     for i in range(min(la, n)):
         ai = a[i]
@@ -84,7 +127,7 @@ def conv_trunc(a, b, keep):
 
 
 def _inv_newton(g, keep):
-    """Inverse of an int list with g[0] == 1, by Newton iteration.
+    """Inverse of an int/Fraction list with g[0] == 1, by Newton iteration.
 
     Each step doubles the known prefix m of h = 1/g: with
     e = g*h - 1 = O(q^m), the update h - h*e is exact to q^(2m).
@@ -109,7 +152,7 @@ def inv_unit(g, keep, one):
     """
     if keep <= 0:
         return [0] * keep
-    if type(one) is int and one == 1 and _all_int(g):
+    if set(map(type, g)) <= _RATIONAL and g[0] == 1:
         return _inv_newton(g, keep)
     out = [0] * keep
     out[0] = one

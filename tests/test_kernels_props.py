@@ -2,9 +2,9 @@
 
 Every expected value comes from naive oracles in this file (a double loop
 over all index pairs, the schoolbook inverse recurrence, a dict keyed by
-exponent) that share no code with the package.  The int lists straddle
-``KRONECKER_MIN_NNZ`` so that both the packed and the schoolbook product
-are exercised.
+exponent) that share no code with the package.  The int and rational
+lists straddle ``KRONECKER_MIN_NNZ`` so that both the packed and the
+schoolbook product are exercised.
 """
 
 from fractions import Fraction
@@ -92,6 +92,44 @@ def series(draw, ring):
     return QSeries(ring, min_exp, coeffs, order)
 
 
+# Primes of 100 to 200 bits, for denominators no witness shares.
+BIG_PRIMES = (2**100 - 15, 2**107 - 1, 2**127 - 1, 2**130 - 5, 2**150 - 3,
+              2**192 - 2**64 - 1, 2**200 - 75)
+
+# 2^i 3^j 5^k, as the rational witnesses z0 = p/q with |p|, |q| <= 5 and
+# their powers produce, up to about 5^60
+smooth = st.builds(lambda i, j, k: 2**i * 3**j * 5**k,
+                   st.integers(0, 40), st.integers(0, 40), st.integers(0, 60))
+denominators = st.one_of(smooth, st.sampled_from(BIG_PRIMES),
+                         st.builds(lambda p, d: p * d, st.sampled_from(BIG_PRIMES), smooth))
+
+
+@st.composite
+def rational_lists(draw, max_len=3 * T):
+    """Hard QQ lists: all Fractions, ints among Fractions, or ints with
+    one entry over a huge denominator."""
+    n = draw(st.one_of(st.integers(0, T - 1), st.integers(T, max_len)))
+    num = st.integers(-(1 << 64), 1 << 64)
+    kind = draw(st.sampled_from(["fraction", "mixed", "one-huge"]))
+    if kind == "one-huge":
+        out = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        if n:
+            huge = 5**60 * draw(st.sampled_from(BIG_PRIMES))
+            out[draw(st.integers(0, n - 1))] = Fraction(draw(num), huge)
+        return out
+    dens = draw(st.lists(denominators, min_size=1, max_size=4))
+    frac = st.builds(Fraction, num, st.sampled_from(dens))
+    if kind == "fraction":
+        return draw(st.lists(frac, min_size=n, max_size=n))
+    return draw(st.lists(st.one_of(num, frac), min_size=n, max_size=n))
+
+
+def rational(out):
+    """Every entry an int, or a Fraction that is not an integer."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1)
+               for x in out)
+
+
 # -- conv_trunc ------------------------------------------------------------------
 
 @prop
@@ -112,6 +150,35 @@ def test_conv_trunc_mixed_int_fraction_matches_double_loop(data):
     b = data.draw(mixed_lists())
     keep = data.draw(keeps(len(a), len(b)))
     assert kernels.conv_trunc(a, b, keep) == naive_conv(a, b, keep)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_conv_trunc_rational_matches_double_loop(data):
+    a = data.draw(rational_lists())
+    b = data.draw(st.one_of(rational_lists(), int_lists()))
+    keep = data.draw(keeps(len(a), len(b)))
+    for x, y in ((a, b), (b, a)):
+        out = kernels.conv_trunc(x, y, keep)
+        assert out == naive_conv(x, y, keep)
+        assert rational(out)
+
+
+def test_one_huge_denominator_anywhere_in_the_list():
+    huge = 5**60 * BIG_PRIMES[-1]
+    for n in (T - 1, 3 * T):
+        base = [(-1) ** i * (i % 7 + 1) for i in range(n)]
+        for pos in (0, n // 2, n - 1):
+            a = list(base)
+            a[pos] = Fraction(2 * pos + 1, huge)
+            for b in (base, a):
+                for keep in (n, 2 * n - 1):
+                    out = kernels.conv_trunc(a, b, keep)
+                    assert out == naive_conv(a, b, keep)
+                    assert rational(out)
+            h = kernels.inv_unit([1] + a, n + 4, 1)
+            assert h == naive_inv([1] + a, n + 4)
+            assert rational(h)
 
 
 def test_conv_trunc_packed_path_signs_and_carries():
@@ -143,6 +210,15 @@ def test_inv_unit_int_is_the_inverse(data):
 def test_inv_unit_mixed_matches_recurrence(tail, keep):
     g = [1] + tail
     assert kernels.inv_unit(g, keep, 1) == naive_inv(g, keep)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rational_lists(max_len=2 * T), st.integers(0, 2 * T + 4))
+def test_inv_unit_rational_matches_recurrence(tail, keep):
+    g = [1] + tail
+    h = kernels.inv_unit(g, keep, 1)
+    assert h == naive_inv(g, keep)
+    assert rational(h)
 
 
 # -- QSeries.__add__ ---------------------------------------------------------------

@@ -1,0 +1,85 @@
+"""Order soundness: a series operation claims no more than its inputs know.
+
+Each operation is run twice: on series certified through some finite
+order, and on longer series that agree with them through that order and
+carry random coefficients beyond it.  Through the order the first result
+claims, both results must have the same coefficients, and the longer
+inputs must certify at least as far.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from qhecke.rings import QQ, ZZ
+from qhecke.series import INF, QSeries
+
+prop = settings(deadline=None, max_examples=150)
+
+rings = st.sampled_from([ZZ, QQ])
+
+
+def coeffs_of(ring):
+    if ring is ZZ:
+        return st.integers(-3, 3)
+    return st.one_of(st.integers(-3, 3),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=50))
+
+
+@st.composite
+def truncated_pair(draw, ring, unit=False):
+    """(f, longer): f certified through a finite order, and a longer
+    series with the same coefficients through it.
+
+    With ``unit``, f has a nonzero term through its order whose
+    coefficient is a unit of the ring, so that f can be inverted.
+    """
+    coeff = coeffs_of(ring)
+    min_exp = draw(st.integers(-6, 8))
+    coeffs = draw(st.lists(coeff, max_size=12))
+    if unit:
+        lead = st.sampled_from([1, -1]) if ring is ZZ else coeff.filter(bool)
+        coeffs = [draw(lead)] + coeffs
+        order = draw(st.integers(min_exp, min_exp + 14))
+    else:
+        order = draw(st.integers(min_exp - 2, min_exp + 14))
+    f = QSeries(ring, min_exp, coeffs, order)
+    extra = draw(st.lists(coeff, min_size=1, max_size=12))
+    beyond = [(order + 1 + i, c) for i, c in enumerate(extra)]
+    longer_order = order + len(extra) + draw(st.integers(0, 3))
+    longer = QSeries.from_terms(ring, list(f.nonzero_terms()) + beyond, longer_order)
+    return f, longer
+
+
+def assert_agree(r, longer):
+    assert longer.order >= r.order
+    through = {e: c for e, c in longer.nonzero_terms() if e <= r.order}
+    assert dict(r.nonzero_terms()) == through
+
+
+@prop
+@given(rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
+def test_mul_claims_no_more_than_its_inputs_know(pairs):
+    (f, f_long), (g, g_long) = pairs
+    assert_agree(f * g, f_long * g_long)
+
+
+@prop
+@given(rings.flatmap(lambda r: truncated_pair(r, unit=True)))
+def test_invert_claims_no_more_than_its_input_knows(pair):
+    f, f_long = pair
+    inv = f.invert()
+    assert inv.order is not INF
+    assert_agree(inv, f_long.invert())
+
+
+@prop
+@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(0, 4))
+def test_positive_pow_claims_no_more_than_its_input_knows(pair, k):
+    f, f_long = pair
+    assert_agree(f ** k, f_long ** k)
+
+
+@prop
+@given(rings.flatmap(lambda r: truncated_pair(r, unit=True)), st.integers(-4, -1))
+def test_negative_pow_claims_no_more_than_its_input_knows(pair, k):
+    f, f_long = pair
+    assert_agree(f ** k, f_long ** k)

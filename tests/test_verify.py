@@ -5,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
-from qhecke.rings import QQ
 from qhecke.series import QSeries
 from qhecke.verify import all_passed, run_case, verify
 
@@ -124,27 +123,49 @@ def test_every_builder_certifies_the_order_it_is_asked_for():
     assert not short
 
 
-def _bump_rhs(case, e):
-    """The case with q^e added to its right-hand side."""
-    bump = QSeries.monomial(QQ, 1, e)
+def _bump_rhs(case, e, c=1, component=None):
+    """The case with c*q^e added to its right-hand side, or to one
+    component of a tuple side."""
+    def bump(s):
+        return s + QSeries.monomial(s.ring, s.ring.from_int(c), e)
+
+    def bumped(rhs):
+        if component is None:
+            return bump(rhs)
+        return tuple(bump(s) if i == component else s for i, s in enumerate(rhs))
+
     if case.mode == "numeric_z":
-        return replace(case, build_rhs=lambda n, z0: case.build_rhs(n, z0) + bump)
-    return replace(case, build_rhs=lambda n: case.build_rhs(n) + bump)
+        return replace(case, build_rhs=lambda n, z0: bumped(case.build_rhs(n, z0)))
+    return replace(case, build_rhs=lambda n: bumped(case.build_rhs(n)))
 
 
 @pytest.mark.parametrize("cid, order", [("mrel-xinverse-w1", 30),
                                         ("dz-theta-quotient-q12-double", 40),
-                                        ("numz-f8-appell", 30)])
+                                        ("numz-f8-appell", 30),
+                                        ("dissect-j1j2-3", 30),
+                                        ("cong-hf24-phi-minus", 40),
+                                        ("bivar-f8z-appell", 30)])
 def test_negative_controls(cid, order):
-    # a term at the lowest exponent or at q^N is caught there; one at
-    # q^(N+1) lies beyond the certificate and must not be
+    # a term at the lowest exponent or at q^N is caught there, in the slot
+    # it was added to (a zero tuple component starts at q^0); one at
+    # q^(N+1) lies beyond the certificate and must not be.  A congruence
+    # case passes a term that is a multiple of its modulus.
     case = get_case(cid)
     numeric = case.mode == "numeric_z"
     z0 = case.witnesses[0] if numeric else None
     rhs = case.build_rhs(order, z0) if numeric else case.build_rhs(order)
-    for e in (rhs.valuation(), order):
-        report = run_case(_bump_rhs(case, e), order)
-        assert report.status == "fail" and report.first_mismatch["exp"] == e
-        assert report.to_json()["first_mismatch"].get("slot") == (f"z={z0}" if numeric else None)
-    report = run_case(_bump_rhs(case, order + 1), order)
-    assert report.status == "pass" and report.certified_order == order
+    if isinstance(rhs, tuple):
+        slots = [(i, f"component {i}", side) for i, side in enumerate(rhs)]
+    else:
+        slots = [(None, f"z={z0}" if numeric else None, rhs)]
+    for component, slot, side in slots:
+        low = side.valuation()
+        for e in (0 if low is None else low, order):
+            report = run_case(_bump_rhs(case, e, 1, component), order)
+            assert report.status == "fail" and report.first_mismatch["exp"] == e
+            assert report.to_json()["first_mismatch"].get("slot") == slot
+            if case.modulus:
+                report = run_case(_bump_rhs(case, e, case.modulus, component), order)
+                assert report.status == "pass" and report.certified_order == order
+        report = run_case(_bump_rhs(case, order + 1, 1, component), order)
+        assert report.status == "pass" and report.certified_order == order
