@@ -27,7 +27,7 @@ from .mock import (F4_series, F8_series, appell_rhs, eulerian, hecke_rogers,
                    humbert_series, kronecker_minus4)
 from .combinat import P_series, Q_series, count_P, count_Q, list_P, list_Q
 from .oeis import oeis_compare
-from .verify import appell_relation_check, verify
+from .verify import verify
 
 __all__ = [
     "QQ", "QQI", "ZPOLY", "ZZ", "GaussianRational", "ZPoly", "I",
@@ -39,7 +39,7 @@ __all__ = [
     "F4_series", "F8_series", "appell_rhs", "eulerian", "hecke_rogers",
     "humbert_series", "kronecker_minus4",
     "P_series", "Q_series", "count_P", "count_Q", "list_P", "list_Q",
-    "oeis_compare", "appell_relation_check", "verify",
+    "oeis_compare", "verify",
 ]
 
 __version__ = "0.1.0"

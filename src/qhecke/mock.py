@@ -25,7 +25,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .rings import ZPOLY, ZZ, ZPoly
-from .series import QSeries, geom_ratio, lattice_range
+from .series import QSeries, geom_ratio, grown, lattice_range
 
 
 def kronecker_minus4(n):
@@ -86,10 +86,7 @@ _euler_cache: dict = {}
 
 def eulerian(which, n):
     """One of the Eulerian series A, V1, sigma, phi_minus to order n."""
-    cached = _euler_cache.get(which)
-    if cached is None or cached.order < n:
-        _euler_cache[which] = cached = _eulerian_raw(which, max(n, 64))
-    return cached.truncate(n)
+    return grown(_euler_cache, which, n, lambda m: _eulerian_raw(which, m))
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +117,12 @@ _fz_cache: dict = {}
 
 def F8_series(n):
     """F8(z,q) = sum (-1)^k (q;q^2)_k q^{(k+1)^2} / (zq, q/z; q^2)_{k+1}."""
-    cached = _fz_cache.get("F8")
-    if cached is None or cached.order < n:
-        _fz_cache["F8"] = cached = _f_bivariate("F8", n)
-    return cached.truncate(n)
+    return grown(_fz_cache, "F8", n, lambda m: _f_bivariate("F8", m))
 
 
 def F4_series(n):
     """F4(z,q) = sum (-1)^k (q;-q)_{2k} q^{k+1} / (zq, q/z; q^2)_{k+1}."""
-    cached = _fz_cache.get("F4")
-    if cached is None or cached.order < n:
-        _fz_cache["F4"] = cached = _f_bivariate("F4", n)
-    return cached.truncate(n)
+    return grown(_fz_cache, "F4", n, lambda m: _f_bivariate("F4", m))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,10 @@ from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
-from .rings import QQ, QQI, ZPOLY, ZZ, ZPoly, I
+from .rings import QQ, QQI, ZZ, I
 from .series import QSeries, eta_quotient, eta_sum, etaq, monomial
-from .theta import QMono, appell_m, f_abc, f_abc_terms, g_abc, theta_1_4, theta_sum_scaled
+from .theta import (QMono, ThetaArg, appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4,
+                    theta_sum_scaled)
 
 
 @dataclass(frozen=True)
@@ -352,46 +353,25 @@ def registry():
         200, note="two bilateral sums plus 2q J12^2 J3^2 J2^6/(J6^2 J4 J1^3)"))
 
     # -- bivariate z-analogs (formal_z, order 100) ---------------------------
-    def _mul_poch(series, sign, zdeg, qdeg, step, n):
-        d = qdeg
-        while d <= n:
-            series = series.mul_one_minus(ZPoly.monomial(sign, zdeg), d)
-            d += step
-        return series
-
-    def _bivar_f8_hecke_lhs(n):
-        out = _mul_poch(mock.F8_series(n), 1, 1, 1, 2, n)
-        out = _mul_poch(out, 1, -1, 1, 2, n)
-        return out * etaq(2, n).over(ZPOLY)
-
-    def _bivar_f4_hecke_lhs(n):
-        out = _mul_poch(mock.F4_series(n).alternate(), -1, 1, 1, 1, n)
-        out = _mul_poch(out, -1, -1, 0, 1, n)
-        return out * etaq(1, n).over(ZPOLY)
-
-    def _bivar_f4_appell_lhs(n):
-        out = _mul_poch(mock.F4_series(n), 1, 1, 1, 2, n)
-        out = _mul_poch(out, 1, -1, 1, 2, n)
-        return out * etaq(2, n).over(ZPOLY)
-
-    def _bivar_f8_appell_lhs(n):
-        out = _mul_poch(mock.F8_series(n), 1, 2, 2, 4, n)
-        out = _mul_poch(out, 1, -2, 2, 4, n)
-        return out * etaq(4, n).over(ZPOLY)
-
+    # each product (x, q^b/x, q^b; q^b)_inf is the theta series j(x; q^b);
+    # it goes first, as the convolution skips the zeros of its first operand
     add(IdentityCase(
-        "bivar-f8z-hecke", "formal_z", _bivar_f8_hecke_lhs,
+        "bivar-f8z-hecke", "formal_z",
+        lambda n: jtheta(ThetaArg(monomial(1, 1, 1), 2), n) * mock.F8_series(n),
         lambda n: mock.hecke_rogers(mock.HR_F8Z, n), 100,
         note="(zq, q/z, q^2; q^2)_inf F8(z,q) against the geom_j-weighted sum"))
     add(IdentityCase(
-        "bivar-f4z-hecke", "formal_z", _bivar_f4_hecke_lhs,
+        "bivar-f4z-hecke", "formal_z",
+        lambda n: jtheta(ThetaArg(monomial(-1, 1, 1), 1), n) * mock.F4_series(n).alternate(),
         lambda n: mock.hecke_rogers(mock.HR_F4Z, n), 100,
         note="(-zq, -1/z, q; q)_inf F4(z,-q) against the geom_n-weighted sum"))
     add(IdentityCase(
-        "bivar-f4z-appell", "formal_z", _bivar_f4_appell_lhs,
+        "bivar-f4z-appell", "formal_z",
+        lambda n: jtheta(ThetaArg(monomial(1, 1, 1), 2), n) * mock.F4_series(n),
         lambda n: mock.appell_rhs(mock.AP_F4Z, n), 100))
     add(IdentityCase(
-        "bivar-f8z-appell", "formal_z", _bivar_f8_appell_lhs,
+        "bivar-f8z-appell", "formal_z",
+        lambda n: jtheta(ThetaArg(monomial(1, 2, 2), 4), n) * mock.F8_series(n),
         lambda n: mock.appell_rhs(mock.AP_F8Z, n), 100))
 
     # -- specializations of F4/F8 (order 100) --------------------------------

@@ -236,19 +236,6 @@ class ZPoly:
             return _raw(self.lo + k, self.coeffs)
         return _raw(self.lo + k, tuple([v * x for x in self.coeffs]))
 
-    def __pow__(self, k):
-        out = ZPoly.const(1)
-        base = self
-        if k < 0:
-            base = ZPOLY.invert(self)
-            k = -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def eval(self, z0):
         """Evaluate at an exact nonzero point (rational or Gaussian rational)."""
         return specialise([self], z0)[0]
@@ -496,5 +483,3 @@ ZZ = _IntRing("ZZ", 0, 1)
 QQ = _RatRing("QQ", 0, 1)
 QQI = _GaussRing("QQi", GaussianRational(0, 0), GaussianRational(1, 0))
 ZPOLY = _ZPolyRing("Zpoly", ZPoly(), ZPoly.const(1))
-
-RINGS = {r.name: r for r in (ZZ, QQ, QQI, ZPOLY)}

@@ -40,9 +40,6 @@ class SignedMonomial:
         if self.sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
 
-    def qshift(self, d):
-        return SignedMonomial(self.sign, self.zdeg, self.qdeg + d)
-
 
 def monomial(sign=1, zdeg=0, qdeg=0):
     return SignedMonomial(sign, zdeg, qdeg)
@@ -133,9 +130,6 @@ class QSeries:
         if self.min_exp <= e <= self.top:
             return self.coeffs[e - self.min_exp]
         return self.ring.zero
-
-    def __getitem__(self, e):
-        return self.coeff(e)
 
     def nonzero_terms(self):
         for i, c in enumerate(self.coeffs):
@@ -306,34 +300,25 @@ class QSeries:
 
     def sift(self, p):
         """U_p operator: coefficient of q^n in the result is coeff(p*n)."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
         if p == 1:
             return self
         order = self.order if self.order is INF else self.order // p
         lo = -((-self.min_exp) // p)  # ceil(min_exp / p)
-        terms = []
-        e = lo * p
-        while e <= self.top:
-            if self.min_exp <= e:
-                terms.append((e // p, self.coeffs[e - self.min_exp]))
-            e += p
-        return QSeries.from_terms(self.ring, terms, order)
+        return QSeries(self.ring, lo, self.coeffs[lo * p - self.min_exp::p], order)
 
     def dissect(self, p):
-        """Components f_0..f_{p-1} with f(q) = sum_i q^i * f_i(q^p)."""
-        out = []
-        for i in range(p):
-            order = self.order if self.order is INF else (self.order - i) // p
-            terms = []
-            lo = -((i - self.min_exp) // p)  # smallest m with p*m+i >= min_exp
-            e = lo * p + i
-            while e <= self.top:
-                terms.append(((e - i) // p, self.coeffs[e - self.min_exp]))
-                e += p
-            out.append(QSeries.from_terms(self.ring, terms, order))
-        return out
+        """Components f_0..f_{p-1} with f(q) = sum_i q^i * f_i(q^p);
+        f_i = U_p(q^-i f) is certified through (order - i) // p."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
+        return [self.shift(1, -i).sift(p) for i in range(p)]
 
     def inflate(self, p):
         """Substitute q -> q^p."""
+        if p < 1:
+            raise ValueError("p must be a positive integer")
         order = self.order if self.order is INF else p * self.order + p - 1
         terms = [(p * e, c) for e, c in self.nonzero_terms()]
         return QSeries.from_terms(self.ring, terms, order)
@@ -400,10 +385,10 @@ class QSeries:
             "coeffs": [self.ring.to_json(c) for c in self.coeffs],
         }
 
-    def __str__(self, max_terms=10):
+    def __str__(self):
         parts = []
         for e, c in self.nonzero_terms():
-            if len(parts) >= max_terms:
+            if len(parts) >= 10:
                 parts.append("...")
                 break
             cs = str(c)
@@ -471,17 +456,15 @@ def _mono_coeff(x: SignedMonomial, ring):
     return ZPoly.monomial(x.sign, x.zdeg)
 
 
-def pochhammer(x: SignedMonomial, step, count, n, ring=None):
+def pochhammer(x: SignedMonomial, step, count, n):
     """Truncated q-Pochhammer (x; q^step)_count to order n.
 
     count may be an integer or None for the infinite product.  The
-    coefficient ring is ZZ for z-free x and Zpoly otherwise unless
-    overridden.
+    coefficient ring is ZZ for z-free x and Zpoly otherwise.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    if ring is None:
-        ring = ZZ if x.zdeg == 0 else ZPOLY
+    ring = ZZ if x.zdeg == 0 else ZPOLY
     out = QSeries.one(ring, n)
     k = 0
     while True:
@@ -496,6 +479,15 @@ def pochhammer(x: SignedMonomial, step, count, n, ring=None):
     return out
 
 
+def grown(cache, key, n, build):
+    """cache[key] to order n, first rebuilt as build(max(n, 64)) when it
+    is missing or certifies less than q^n."""
+    cached = cache.get(key)
+    if cached is None or cached.order < n:
+        cache[key] = cached = build(max(n, 64))
+    return cached.truncate(n)
+
+
 _eta_cache = {}
 
 
@@ -503,23 +495,16 @@ def etaq(k, n):
     """(q^k; q^k)_infinity to order n, integral, by Euler's pentagonal theorem."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    cached = _eta_cache.get(k)
-    if cached is None or cached.order < n:
-        top = max(n, 64)
-        _eta_cache[k] = cached = QSeries.from_terms(
-            ZZ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
-                 for m in lattice_range(3 * k, -k, -2 * top)), top)
-    return cached.truncate(n)
+    return grown(_eta_cache, k, n, lambda top: QSeries.from_terms(
+        ZZ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
+             for m in lattice_range(3 * k, -k, -2 * top)), top))
 
 
 _eta_inv_cache = {}
 
 
 def etaq_inv(k, n):
-    cached = _eta_inv_cache.get(k)
-    if cached is None or cached.order < n:
-        _eta_inv_cache[k] = cached = etaq(k, max(n, 64)).invert()
-    return cached.truncate(n)
+    return grown(_eta_inv_cache, k, n, lambda top: etaq(k, top).invert())
 
 
 def eta_quotient(powers, n, ring=ZZ):

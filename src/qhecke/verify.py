@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .registry import IdentityCase, registry
-from .series import INF
 
 
 @dataclass
@@ -50,19 +49,11 @@ def _compare(lhs, rhs, order, modulus=0, slot=None):
     if min(lhs.order, rhs.order) < order:
         return {"exp": None, "lhs": f"certified only to {lhs.order}",
                 "rhs": f"certified only to {rhs.order}", "slot": slot}
-    if modulus:
-        lo = min(lhs.effective_min(), rhs.effective_min())
-        if lo is INF:
-            return None
-        for e in range(lo, order + 1):
-            if (lhs.coeff(e) - rhs.coeff(e)) % modulus != 0:
-                return {"exp": e, "lhs": str(lhs.coeff(e)), "rhs": str(rhs.coeff(e)),
-                        "slot": slot}
-        return None
-    _, bad = lhs.first_mismatch(rhs)
-    if bad is not None:
-        e, a, b = bad
-        return {"exp": e, "lhs": str(a), "rhs": str(b), "slot": slot}
+    # every exponent where the sides can disagree is a term of the difference
+    for e, c in (lhs - rhs).nonzero_terms():
+        if not modulus or c % modulus:
+            return {"exp": e, "lhs": str(lhs.coeff(e)), "rhs": str(rhs.coeff(e)),
+                    "slot": slot}
     return None
 
 
@@ -118,8 +109,8 @@ def _run_by_id(args):
 def verify(ids=None, order=None, jobs=1):
     """Run the selected cases (all by default); reports in registry order.
 
-    Raises ValueError for an order or job count below 1: a certificate
-    through q^0 or below checks nothing.
+    Raises ValueError for an order or job count below 1, or for no cases:
+    a certificate through q^0 or below, or of nothing, checks nothing.
     """
     if order is not None and order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
@@ -133,6 +124,8 @@ def verify(ids=None, order=None, jobs=1):
             raise KeyError(f"unknown identity id(s): {', '.join(unknown)}")
         wanted = set(ids)
         cases = [c for c in cases if c.id in wanted]
+    if not cases:
+        raise ValueError("no cases selected: nothing to certify")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             reports = list(pool.map(_run_by_id, [(c.id, order) for c in cases]))
@@ -143,28 +136,3 @@ def verify(ids=None, order=None, jobs=1):
 
 def all_passed(reports):
     return all(r.status == "pass" or r.allow_fail for r in reports)
-
-
-_M_RELATIONS = {
-    "z_shift": "mrel-zshift", "x_inverse": "mrel-xinverse",
-    "x_shift_up": "mrel-xshift-up", "x_shift_down": "mrel-xshift-down",
-    "reflect": "mrel-reflect", "change_z": "mrel-change-z",
-    "quartic": "mrel-quartic", "f121_g121": "mrel-f121-g121",
-}
-
-
-def appell_relation_check(relation, witness=1, order=None):
-    """Run one Appell-Lerch machinery relation at a registered witness.
-
-    relation names the relation by content: z_shift, x_inverse,
-    x_shift_up, x_shift_down, reflect (the five m-translation rules),
-    change_z, quartic, f121_g121, or f151_theta14; witness selects the
-    argument set (1 or 2, ignored for f151_theta14).
-    """
-    from .registry import get_case
-    if relation == "f151_theta14":
-        return run_case(get_case("mrel-f151-theta14"), order)
-    if relation not in _M_RELATIONS:
-        raise KeyError(f"unknown relation {relation!r}; choose from "
-                       f"{sorted(_M_RELATIONS) + ['f151_theta14']}")
-    return run_case(get_case(f"{_M_RELATIONS[relation]}-w{witness}"), order)

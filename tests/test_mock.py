@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from qhecke import mock
 from qhecke.errors import NonConvergentError
 from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
-                         HeckeRogersSpec, appell_rhs, c_sum, eulerian,
-                         F4_series, F8_series, hecke_rogers, humbert_series,
+                         HeckeRogersSpec, _eulerian_raw, _f_bivariate, appell_rhs, c_sum,
+                         eulerian, F4_series, F8_series, hecke_rogers, humbert_series,
                          kronecker_minus4)
 from qhecke.rings import ZPoly, ZZ
 from qhecke.series import QSeries, eta_quotient
@@ -73,6 +74,27 @@ def test_phi_minus_term_count():
     assert eulerian("phi_minus", 3).coeff(3) == 5
     with pytest.raises(ValueError):
         eulerian("nope", 5)
+
+
+@pytest.mark.parametrize("which", ["A", "V1", "sigma", "phi_minus"])
+def test_eulerian_cache_grows_to_each_request(monkeypatch, which):
+    monkeypatch.setattr(mock, "_euler_cache", {})
+    small = eulerian(which, 10)
+    large = eulerian(which, 100)
+    want = _eulerian_raw(which, 100)
+    assert (small.order, large.order) == (10, 100)
+    assert small.same(want.truncate(10)) and large.same(want)
+
+
+@pytest.mark.parametrize("which", ["F4", "F8"])
+def test_bivariate_cache_grows_to_each_request(monkeypatch, which):
+    monkeypatch.setattr(mock, "_fz_cache", {})
+    build = F4_series if which == "F4" else F8_series
+    small = build(10)
+    large = build(72)
+    want = _f_bivariate(which, 72)
+    assert (small.order, large.order) == (10, 72)
+    assert small.same(want.truncate(10)) and large.same(want)
 
 
 def test_bivariate_leading_terms():

@@ -83,3 +83,27 @@ def test_positive_pow_claims_no_more_than_its_input_knows(pair, k):
 def test_negative_pow_claims_no_more_than_its_input_knows(pair, k):
     f, f_long = pair
     assert_agree(f ** k, f_long ** k)
+
+
+@prop
+@given(rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
+def test_sub_claims_no_more_than_its_inputs_know(pairs):
+    (f, f_long), (g, g_long) = pairs
+    assert_agree(f - g, f_long - g_long)
+
+
+@prop
+@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
+def test_sift_claims_no_more_than_its_input_knows(pair, p):
+    f, f_long = pair
+    assert_agree(f.sift(p), f_long.sift(p))
+
+
+@prop
+@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
+def test_dissect_claims_no_more_than_its_input_knows(pair, p):
+    f, f_long = pair
+    parts, long_parts = f.dissect(p), f_long.dissect(p)
+    assert len(parts) == len(long_parts) == p
+    for part, long_part in zip(parts, long_parts):
+        assert_agree(part, long_part)

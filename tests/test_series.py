@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qhecke import series
 from qhecke.errors import NonUnitError, RingMismatchError
 from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
-from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, geom_ratio, monomial,
-                           pochhammer)
+from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, etaq_inv, geom_ratio,
+                           monomial, pochhammer)
 
 
 # -- naive oracle helpers (independent of the package internals) ------------
@@ -215,6 +216,21 @@ def test_etaq_pins_match_naive_oracle():
         assert as_dict(etaq(k, n)) == naive_eta(k, n)
 
 
+@pytest.mark.parametrize("build, cache, invert", [(etaq, "_eta_cache", False),
+                                                  (etaq_inv, "_eta_inv_cache", True)])
+@pytest.mark.parametrize("k", [1, 3])
+def test_eta_caches_grow_to_each_request(monkeypatch, build, cache, invert, k):
+    monkeypatch.setattr(series, cache, {})
+    small = build(k, 10)
+    entry = getattr(series, cache)[k]
+    assert build(k, 30).order == 30 and getattr(series, cache)[k] is entry
+    large = build(k, 100)
+    want = pochhammer(monomial(1, 0, k), k, None, 100)
+    want = want.invert() if invert else want
+    assert (small.order, large.order) == (10, 100)
+    assert small.same(want.truncate(10)) and large.same(want)
+
+
 def test_eta_quotient_is_cached_but_exact():
     a = eta_quotient({1: 2, 2: -1}, 25)
     b = naive_mul(naive_eta(1, 25), naive_eta(1, 25))
@@ -357,6 +373,16 @@ def test_json_shapes():
 def test_pochhammer_step_must_be_positive():
     with pytest.raises(ValueError):
         pochhammer(monomial(1, 0, 1), 0, 3, 10)
+
+
+@pytest.mark.parametrize("op", ["sift", "dissect", "inflate"])
+@pytest.mark.parametrize("p", [0, -1])
+def test_restructuring_rejects_p_below_one(op, p):
+    # p < 1 would loop forever (sift), give no components to compare
+    # (dissect) or certify a negative order (inflate)
+    f = QSeries.from_coeffs(ZZ, 0, [1, 2, 3, 4, 5], 4)
+    with pytest.raises(ValueError, match="positive"):
+        getattr(f, op)(p)
 
 
 def test_alternate_on_bivariate_series():

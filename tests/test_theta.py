@@ -20,7 +20,7 @@ REGISTRY_THETA_ARGS = [
     (1, 6, 3, 6), (-1, 0, 5, 6), (1, 4, 5, 6), (-1, 4, 1, 12), (-1, 8, 0, 12),
     (-1, 8, 4, 12), (1, 8, 14, 24), (1, 8, 8, 12), (1, 8, 5, 12), (1, 4, 1, 12),
     (1, 12, 6, 12), (-1, 4, 2, 12), (-1, 0, 11, 12), (-1, 4, 6, 12),
-    (-1, 0, 5, 12),
+    (-1, 0, 5, 12), (-1, 1, 1, 1), (1, 2, 2, 4),
 ]
 
 

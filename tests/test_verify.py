@@ -37,6 +37,12 @@ def test_verify_rejects_order_and_jobs_below_one():
             verify(["hecke-hf4"], **kwargs)
 
 
+def test_verify_rejects_an_empty_selection():
+    # all_passed([]) is True, so an empty run would be a pass of nothing
+    with pytest.raises(ValueError, match="no cases selected"):
+        verify([])
+
+
 def test_tuple_case_with_missing_component_is_an_error():
     # zip would drop the third component and pass vacuously
     case = get_case("dissect-j1j2-3")
