@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .rings import ZZ
-from .series import QSeries
+from .series import QSeries, geometric_sum, lattice_range
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,23 @@ class ConsecutivePartition:
 
 
 def list_P(n):
-    """All strongly unimodal unit-step compositions of n."""
+    """All strongly unimodal unit-step compositions of n.
+
+    Peak y has totals y (x = z = y) through y^2 (x = z = 1), so
+    y^2 >= n.  Given y, t = y^2 - x(x-1)/2 - n must equal z(z-1)/2 for
+    some 1 <= z <= y, i.e. lie in [0, y(y-1)/2]; both ends of that
+    x-range are lattice_range ends, and z is solved for exactly.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     out = []
-    for y in range(1, n + 1):
-        if y > n:  # smallest total for peak y is y itself
-            break
-        yy = y * y
-        for x in range(1, y + 1):
-            rest = yy - x * (x - 1) // 2
-            # need rest - z(z-1)/2 == n with 1 <= z <= y
-            t = rest - n
-            if t < 0:
-                break
+    for y in range(isqrt(n - 1) + 1, n + 1):
+        top = y * y - n
+        # x(x-1)/2 <= top, and x(x-1)/2 < top - y(y-1)/2 leaves z > y
+        xs = lattice_range(1, -1, -2 * top, 1, y)
+        short = lattice_range(1, -1, 2 - 2 * top + y * (y - 1))
+        for x in range(max(xs.start, short.stop), xs.stop):
+            t = top - x * (x - 1) // 2
             z = (1 + isqrt(1 + 8 * t)) // 2
             if z * (z - 1) // 2 == t and 1 <= z <= y:
                 out.append(UnimodalComposition(x, y, z))
@@ -136,15 +139,14 @@ def Q_series(n, method="direct"):
         return QSeries.from_terms(ZZ, ((m, count_Q(m)) for m in range(1, n + 1)), n)
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
-    out = QSeries.zero(ZZ, n)
-    for l in range(1, n + 1):
-        base_l = l * (l + 1) // 2
-        terms = []
-        for m in range(1, l + 1):
-            e = base_l - m * (m - 1) // 2
-            if e > n:
-                continue
-            terms.append((e, 1))
-        if terms:
-            out = out + QSeries.from_terms(ZZ, terms, n).div_one_minus(1, l)
-    return out
+
+    def terms():
+        # the exponent falls as m grows; the m whose exponent exceeds n
+        # are the lattice_range m(m-1) <= l(l+1) - 2n - 2 (holding 0 and 1)
+        for l in range(1, n + 1):
+            base_l = l * (l + 1) // 2
+            above = lattice_range(1, -1, 2 * n + 2 - 2 * base_l)
+            for m in range(max(above.stop, 1), l + 1):
+                yield 1, base_l - m * (m - 1) // 2, 1, l
+
+    return geometric_sum(ZZ, terms(), n)

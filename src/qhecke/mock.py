@@ -13,9 +13,10 @@ times a few linear factors).  Indefinite theta sums run over exactly
 the shells n that hold a term through the order: the exponent is
 lowest at an end of the shell's j-range, so those shells are the
 series.lattice_range of the two ends.  Appell-type sums run over
-exactly the k whose lowest exponent is at most the order, and divide
-each term by 1 +- q^(dk+e) with QSeries.div_one_minus, exact for any
-degree.
+exactly the k whose lowest exponent is at most the order, and
+Humbert's double sum over exactly the (m, u) whose exponent is; each
+term over its own 1 +- q^(dk+e) goes into series.geometric_sum, exact
+for any degree.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from .rings import ZPOLY, ZZ, ZPoly
-from .series import QSeries, geom_ratio, grown, lattice_range
+from .series import QSeries, geom_ratio, geometric_sum, grown, lattice_range
 
 
 def kronecker_minus4(n):
@@ -263,19 +264,19 @@ def appell_rhs(spec: AppellRhsSpec, n):
     ring = ZZ if spec.zgeom is None else ZPOLY
     d, e = spec.denom
     s = spec.denom_sign
-    out = QSeries.zero(ring, n)
     # term k has lowest exponent Q(k) + max(0, -(dk+e)) with
     # Q(k) = ak^2 + bk + c: both Q(k) <= n and Q(k) - (dk+e) <= n
     qa, qb, qc = spec.quad
     ks = lattice_range(qa, qb, qc - n, 1 if spec.krange == "positive" else None)
-    for k in lattice_range(qa, qb - d, qc - e - n, ks.start, ks.stop - 1):
-        c = spec.term_coeff(k)
-        if c == 0:
-            continue
-        coef = spec.zgeom(k) * c if spec.zgeom is not None else ring.from_int(c)
-        t = QSeries.monomial(ring, coef, spec.exponent(k), n)
-        out = out + t.div_one_minus(-s, d * k + e)
-    return out
+
+    def terms():
+        for k in lattice_range(qa, qb - d, qc - e - n, ks.start, ks.stop - 1):
+            c = spec.term_coeff(k)
+            if c:
+                coef = spec.zgeom(k) * c if spec.zgeom is not None else ring.from_int(c)
+                yield coef, spec.exponent(k), -s, d * k + e
+
+    return geometric_sum(ring, terms(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +334,18 @@ AP_F8Z = AppellRhsSpec((2, 0, 0), (0, 1), True, 1, (4, -1), "bilateral",
 
 
 def humbert_series(n):
-    """sum_{m>=0} sum_{u=-m..m} q^{(m+1)^2 - u^2} / (1 - q^{2m+1})."""
-    out = QSeries.zero(ZZ, n)
-    m = 0
-    while 2 * m + 1 <= n:
-        row = QSeries.from_terms(
-            ZZ, (((m + 1) ** 2 - u * u, 1) for u in range(-m, m + 1)), n)
-        out = out + row.div_one_minus(1, 2 * m + 1)
-        m += 1
-    return out
+    """sum_{m>=0} sum_{u=-m..m} q^{(m+1)^2 - u^2} / (1 - q^{2m+1}).
+
+    Row m reaches q^n from u = +-m (exponent 2m + 1) inwards; the
+    middle u, whose exponent exceeds n, are one lattice_range.
+    """
+    def terms():
+        for m in range((n + 1) // 2):
+            above = lattice_range(1, 0, n + 1 - (m + 1) ** 2)
+            for u in chain(range(-m, above.start), range(above.stop, m + 1)):
+                yield 1, (m + 1) ** 2 - u * u, 1, 2 * m + 1
+
+    return geometric_sum(ZZ, terms(), n)
 
 
 def c_sum(n_shift, n):

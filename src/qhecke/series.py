@@ -9,10 +9,13 @@ order are exactly zero).  order = INF marks a series known in full
 Every operation propagates the tightest provable order, so negative
 exponents and monomial shifts never silently lose validity.
 
-div_one_minus(c, d) is the one exact rule for dividing by 1 - c*q^d,
-used by every Appell-type sum: for d >= 1 it expands geometrically,
-for d <= -1 it rewrites 1/(1 - u) as -u^-1/(1 - u^-1), and for d = 0
-it scales by 1/(1 - c), raising PoleError when 1 - c is not a unit.
+One rule reads every linear denominator 1 - c*q^d: for d >= 1 it
+expands geometrically, for d <= -1 it rewrites 1/(1 - u) as
+-u^-1/(1 - u^-1), and for d = 0 it scales by 1/(1 - c), raising
+PoleError when 1 - c is not a unit.  div_one_minus applies it to a
+whole series; geometric_sum, used by every Appell- and Lambert-type
+sum, applies it term by term and writes each term c*q^e/(1 - r*q^d)
+along its own stride e, e + d, ... of one dense list.
 """
 
 from __future__ import annotations
@@ -259,8 +262,12 @@ class QSeries:
     # -- linear-factor helpers (the builders' workhorses) -------------------
 
     def mul_one_minus(self, c, d):
-        """Multiply by (1 - c*q^d) for any integer d."""
-        if not self.coeffs:
+        """Multiply by (1 - c*q^d) for any integer d.
+
+        A zero window is returned as it is only when the factor cannot
+        lower its order: c = 0 or d >= 0.
+        """
+        if self.ring.is_zero(c) or (not self.coeffs and d >= 0):
             return self
         if d >= 1 and self.order is not INF:
             hi = min(self.order, self.top + d)
@@ -271,22 +278,11 @@ class QSeries:
         return self - self.shift(c, d)
 
     def div_one_minus(self, c, d):
-        """Divide by (1 - c*q^d) for any integer d.
-
-        d >= 1 expands geometrically; d <= -1 rewrites 1/(1 - u) as
-        -u^-1/(1 - u^-1); d = 0 scales by 1/(1 - c) and raises PoleError
-        when 1 - c is not a unit of the ring.
-        """
+        """Divide by (1 - c*q^d) for any integer d, by _one_minus_form."""
+        a, s, c, d = _one_minus_form(self.ring, c, d)
+        f = self if a is None else self.shift(a, s)
         if d == 0:
-            try:
-                inv = self.ring.invert(self.ring.one - c)
-            except NonUnitError:
-                raise PoleError(f"1 - ({c}) is not a unit in {self.ring}") from None
-            return self.scale(inv)
-        f = self
-        if d < 0:
-            c, d = self.ring.invert(c), -d
-            f = self.shift(-c, d)
+            return f
         if f.order is INF:
             raise NonUnitError("truncate before geometric division")
         if not f.coeffs:
@@ -405,6 +401,55 @@ class QSeries:
 
     def __repr__(self):
         return f"<QSeries {self.ring} {self}>"
+
+
+def _one_minus_form(ring, c, d):
+    """1/(1 - c*q^d) as a*q^s/(1 - c'*q^d'), returned as (a, s, c', d').
+
+    d >= 1 is already of that form, with a = None for "no factor".
+    d <= -1 rewrites 1/(1 - u) as -u^-1/(1 - u^-1), so d' = -d >= 1.
+    d = 0 gives the constant a = 1/(1 - c) with d' = 0, and PoleError
+    when 1 - c is not a unit of the ring.
+    """
+    if d > 0:
+        return None, 0, c, d
+    if d == 0:
+        try:
+            return ring.invert(ring.one - c), 0, c, 0
+        except NonUnitError:
+            raise PoleError(f"1 - ({c}) is not a unit in {ring}") from None
+    c = ring.invert(c)
+    return -c, -d, c, -d
+
+
+def geometric_sum(ring, terms, n):
+    """Sum of c*q^e/(1 - r*q^d) over (c, e, r, d) terms, certified through q^n.
+
+    Each term, read by _one_minus_form, is written into one dense list
+    along its own stride: c*r^j at e + j*d for every such exponent up to
+    n, so it costs (n - e)/d updates.  Terms are consumed as they come;
+    the list grows leftwards when a lower exponent appears.
+    """
+    lo, out = n + 1, []
+    for c, e, r, d in terms:
+        a, s, r, d = _one_minus_form(ring, r, d)
+        if a is not None:
+            c, e = a * c, e + s
+        if e > n or ring.is_zero(c):
+            continue
+        if e < lo:
+            out[:0] = [ring.zero] * (lo - e)
+            lo = e
+        i = e - lo
+        if d == 0:
+            out[i] = out[i] + c
+        elif r == 1:
+            out[i::d] = [x + c for x in out[i::d]]
+        else:
+            for k in range(i, len(out), d):
+                out[k] = out[k] + c
+                c = r * c
+    return QSeries(ring, lo, out, n)
 
 
 def lattice_range(a, b, c, lo=None, hi=None):

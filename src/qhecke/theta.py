@@ -11,8 +11,9 @@ case d = 0.
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
 the order, and no others.  jtheta is the one term sum of j with a
-z-bearing argument (jets.py takes its image at z = 1), and every
-Appell-Lerch denominator is divided out by QSeries.div_one_minus.
+z-bearing argument (jets.py takes its image at z = 1), and the terms
+of an Appell-Lerch sum, each over its own denominator, are summed by
+series.geometric_sum.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .rings import QQ, ZPOLY, ZZ, ZPoly
-from .series import INF, QSeries, SignedMonomial, eta_quotient, etaq, lattice_range, pochhammer
+from .series import (INF, QSeries, SignedMonomial, eta_quotient, etaq, geometric_sum,
+                     lattice_range, pochhammer)
 
 
 @dataclass(frozen=True)
@@ -133,20 +135,19 @@ def appell_m(x, base, z, n):
     """Appell-Lerch m(x, q^base, z) to order n, rational coefficients.
 
     x and z are scaled q-monomials (rationals allowed for z, including
-    plain numbers); each bilateral-sum denominator 1 - q^{base(r-1)} x z
-    is divided out by QSeries.div_one_minus, exact for any q-degree.
+    plain numbers); the bilateral sum over the denominators
+    1 - q^{base(r-1)} x z is a series.geometric_sum, exact for any
+    q-degree.
     """
     x = QMono.of(x)
     z = QMono.of(z)
     jz = theta_sum_scaled(z, base, n)
     xz = x * z
     cz = Fraction(z.coef)
-
-    total = QSeries.zero(QQ, n)
-    for r in appell_range(base, z.qdeg, xz.qdeg, n):
-        c = (cz ** r) if r % 2 == 0 else -(cz ** r)
-        t = QSeries.monomial(QQ, c, base * r * (r - 1) // 2 + z.qdeg * r, n)
-        total = total + t.div_one_minus(xz.coef, base * (r - 1) + xz.qdeg)
+    total = geometric_sum(QQ, ((cz ** r if r % 2 == 0 else -(cz ** r),
+                                base * r * (r - 1) // 2 + z.qdeg * r,
+                                xz.coef, base * (r - 1) + xz.qdeg)
+                               for r in appell_range(base, z.qdeg, xz.qdeg, n)), n)
     return total * jz.invert()
 
 

@@ -1,6 +1,8 @@
 """Unimodal compositions and consecutive-part partitions, checked
 against exhaustive generate-and-filter oracles."""
 
+from math import isqrt
+
 import pytest
 
 from qhecke.combinat import (ConsecutivePartition, P_series, Q_series,
@@ -27,6 +29,22 @@ def oracle_P(n):
                 extend(prefix + [v], remaining - v)
 
     extend([], n)
+    return hits
+
+
+def scan_P(n):
+    """(x, y, z) for every composition of n, by scanning every peak
+    y <= n and every x from 1 until y^2 - x(x-1)/2 falls below n, with
+    z solved from what is left (no lattice_range)."""
+    hits = set()
+    for y in range(1, n + 1):
+        for x in range(1, y + 1):
+            t = y * y - x * (x - 1) // 2 - n
+            if t < 0:
+                break
+            z = (1 + isqrt(1 + 8 * t)) // 2
+            if z * (z - 1) // 2 == t and 1 <= z <= y:
+                hits.add((x, y, z))
     return hits
 
 
@@ -68,6 +86,14 @@ def test_listings_match_oracles_exactly():
         assert got == sorted(oracle_P(n))
         got = sorted(sorted(c.parts()) for c in list_Q(n))
         assert got == sorted(oracle_Q(n))
+
+
+@pytest.mark.parametrize("ns", [range(1, 201), (500, 997, 1024)])
+def test_list_P_matches_full_scan(ns):
+    for n in ns:
+        got = [(c.first, c.peak, c.last) for c in list_P(n)]
+        assert len(got) == len(set(got)), n
+        assert set(got) == scan_P(n), n
 
 
 def test_P_pins():

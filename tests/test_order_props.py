@@ -92,6 +92,40 @@ def test_sub_claims_no_more_than_its_inputs_know(pairs):
     assert_agree(f - g, f_long - g_long)
 
 
+def linear_factor(ring, d, divide):
+    """c for a factor 1 - c*q^d; when dividing, one that div_one_minus
+    accepts: c a unit for d < 0, and 1 - c a unit for d = 0."""
+    if not divide or d > 0:
+        return coeffs_of(ring)
+    if ring is ZZ:
+        return st.sampled_from([1, -1] if d < 0 else [0, 2])
+    if d < 0:
+        return coeffs_of(ring).filter(bool)
+    return coeffs_of(ring).filter(lambda c: c != 1)
+
+
+def linear_case(divide):
+    """(ring, (f, longer), c, d) with d < 0, d = 0 and d > 0 all drawn."""
+    return st.tuples(rings, st.sampled_from([-1, 0, 1]), st.integers(1, 5)).flatmap(
+        lambda t: st.tuples(st.just(t[0]), truncated_pair(t[0]),
+                            linear_factor(t[0], t[1] * t[2], divide),
+                            st.just(t[1] * t[2])))
+
+
+@prop
+@given(linear_case(divide=False))
+def test_mul_one_minus_claims_no_more_than_its_input_knows(case):
+    _, (f, f_long), c, d = case
+    assert_agree(f.mul_one_minus(c, d), f_long.mul_one_minus(c, d))
+
+
+@prop
+@given(linear_case(divide=True))
+def test_div_one_minus_claims_no_more_than_its_input_knows(case):
+    _, (f, f_long), c, d = case
+    assert_agree(f.div_one_minus(c, d), f_long.div_one_minus(c, d))
+
+
 @prop
 @given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
 def test_sift_claims_no_more_than_its_input_knows(pair, p):

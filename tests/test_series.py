@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qhecke import series
-from qhecke.errors import NonUnitError, RingMismatchError
+from qhecke.errors import NonUnitError, PoleError, RingMismatchError
 from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
 from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, etaq_inv, geom_ratio,
-                           monomial, pochhammer)
+                           geometric_sum, monomial, pochhammer)
 
 
 # -- naive oracle helpers (independent of the package internals) ------------
@@ -268,6 +268,66 @@ def test_eta_sum_certifies_exactly_n(ring_terms, n):
         want = want + eta_quotient(powers, n + 3, ring).shift(c, s)
     order, bad = got.first_mismatch(want)
     assert order == n and bad is None
+
+
+# -- geometric sums -------------------------------------------------------------
+
+_z_monomials = st.builds(ZPoly.monomial, st.sampled_from([1, -1]), st.integers(-2, 2))
+
+# ring -> (coefficient strategy, ratio strategy)
+_GEOMETRIC = {
+    ZZ: (_small, st.sampled_from([1, -1])),
+    QQ: (st.one_of(_small, st.fractions(-5, 5, max_denominator=9)),
+         st.one_of(st.sampled_from([1, -1]),
+                   st.fractions(-3, 3, max_denominator=4).filter(bool))),
+    ZPOLY: (st.builds(ZPoly, st.dictionaries(st.integers(-3, 3), _small, max_size=3)),
+            st.one_of(st.sampled_from([1, -1]), _z_monomials)),
+}
+
+
+@st.composite
+def _geometric_case(draw):
+    ring = draw(st.sampled_from([ZZ, QQ, ZPOLY]))
+    coef, ratio = _GEOMETRIC[ring]
+    n = draw(st.integers(-3, 24))
+    term = st.tuples(coef, st.integers(-10, n + 3), ratio, st.integers(-5, 5))
+    return ring, draw(st.lists(term, max_size=6)), n
+
+
+def _div_one_minus_route(ring, terms, n):
+    out = QSeries.zero(ring, n)
+    for c, e, r, d in terms:
+        out = out + QSeries.monomial(ring, c, e, n).div_one_minus(r, d)
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(_geometric_case())
+@example((ZZ, [(1, 9, 1, 3), (2, -4, -1, 2), (-1, 0, -1, -3)], 12))
+@example((QQ, [(Fraction(1, 2), 5, Fraction(-2, 3), -2), (3, -10, 2, 5)], 8))
+@example((ZPOLY, [(ZPoly({1: 1}), 2, ZPoly.monomial(1, 1), 1),
+                  (ZPoly({0: -1}), -3, ZPoly.monomial(-1, -1), -4)], 10))
+def test_geometric_sum_matches_div_one_minus(case):
+    # the terms go in as a stream, in drawn order, so lower exponents
+    # arriving later grow the list leftwards
+    ring, terms, n = case
+    try:
+        want = _div_one_minus_route(ring, terms, n)
+    except PoleError:
+        with pytest.raises(PoleError):
+            geometric_sum(ring, iter(terms), n)
+        return
+    got = geometric_sum(ring, iter(terms), n)
+    assert (got.min_exp, got.order, got.coeffs) == (want.min_exp, want.order, want.coeffs)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, ZPOLY])
+def test_geometric_sum_pole_at_r_one_d_zero(ring):
+    with pytest.raises(PoleError):
+        geometric_sum(ring, iter([(ring.one, 0, 1, 0)]), 5)
+    # the pole is the denominator's, whether or not the term lands
+    with pytest.raises(PoleError):
+        geometric_sum(ring, iter([(ring.one, 9, 1, 0)]), 5)
 
 
 # -- restructuring ------------------------------------------------------------
