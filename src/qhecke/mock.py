@@ -8,21 +8,34 @@ The four Eulerian series
     sigma(q)= sum q^{(n+1)(n+2)/2} (-q;q)_n / (q;q^2)_{n+1}
     phi-(q) = sum_{n>=1} q^n (-q;q)_{2n-1} / (q;q^2)_n
 
-are built by exact term recurrences (each term is the previous one
-times a few linear factors).  Indefinite theta sums run over exactly
-the shells n that hold a term through the order: the exponent is
-lowest at an end of the shell's j-range, so those shells are the
-series.lattice_range of the two ends.  Appell-type sums run over
-exactly the k whose lowest exponent is at most the order, and
-Humbert's double sum over exactly the (m, u) whose exponent is; each
-term over its own 1 +- q^(dk+e) goes into series.geometric_sum, exact
-for any degree.
+and the bivariate F4(z,q), F8(z,q) are built by one term-recurrence
+engine: each term is the previous one times +-q^s, a few 1 +- q^d and
+a few 1/(1 - z^t q^d), and the sum stops once a term's valuation
+exceeds the order.  A term is a flat list of n + 1 ints: q^s is a
+slice, 1 +- q^d one top-down pass and 1/(1 - q^d) one bottom-up pass.
+For F4 and F8 each q-coefficient sum_a c_a z^a is packed into one int,
+sum_a c_a B^(a + n + 1) with B = 2^bits (Kronecker substitution), so
+1/(1 - z q^d) shifts term[i - d] left by bits before adding it and
+1/(1 - q^d/z) shifts it right, exactly since |a| <= m <= n at q^m.
+Each step is a ring map, so only the final unpack needs every
+|c_a| < B/2.  The width comes from a majorant: the same engine at
+B = 1 with every sign made + gives at q^m a bound on sum_a |c_a|, and
+bits is that bound's bit length plus a sign bit, in whole bytes.
+
+Indefinite theta sums run over exactly the shells n that hold a term
+through the order: the exponent is lowest at an end of the shell's
+j-range, so those shells are the series.lattice_range of the two ends.
+Appell-type sums run over exactly the k whose lowest exponent is at
+most the order, and Humbert's double sum over exactly the (m, u) whose
+exponent is; each term over its own 1 +- q^(dk+e) goes into
+series.geometric_sum, exact for any degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
+from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
 from .rings import ZPOLY, ZZ, ZPoly
@@ -37,80 +50,110 @@ def kronecker_minus4(n):
 
 
 # ---------------------------------------------------------------------------
-# Eulerian series
+# The term-recurrence engine: Eulerian series and bivariate F4, F8
 
 
-def _eulerian_raw(which, n):
-    one = QSeries.one(ZZ, n)
-    out = QSeries.zero(ZZ, n)
-    if which == "A":
-        term = one.shift(1, 1).div_one_minus(1, 1).div_one_minus(1, 1)
-        k = 0
-        while term.coeffs and (k + 1) ** 2 <= n:
-            out = out + term
-            k += 1
-            term = (term.shift(1, 2 * k + 1).mul_one_minus(-1, 2 * k - 1)
-                    .div_one_minus(1, 2 * k + 1).div_one_minus(1, 2 * k + 1))
-        return out
-    if which == "V1":
-        term = one.shift(1, 1).div_one_minus(1, 1)
-        k = 0
-        while term.coeffs and (k + 1) ** 2 <= n:
-            out = out + term
-            k += 1
-            term = (term.shift(1, 2 * k + 1).mul_one_minus(-1, 2 * k - 1)
-                    .div_one_minus(1, 2 * k + 1))
-        return out
-    if which == "sigma":
-        term = one.shift(1, 1).div_one_minus(1, 1)
-        k = 0
-        while term.coeffs and (k + 1) * (k + 2) // 2 <= n:
-            out = out + term
-            k += 1
-            term = (term.shift(1, k + 1).mul_one_minus(-1, k)
-                    .div_one_minus(1, 2 * k + 1))
-        return out
-    if which == "phi_minus":
-        term = one.shift(1, 1).mul_one_minus(-1, 1).div_one_minus(1, 1)
-        k = 1
-        while term.coeffs and k <= n:
-            out = out + term
-            k += 1
-            term = (term.shift(1, 1).mul_one_minus(-1, 2 * k - 2)
-                    .mul_one_minus(-1, 2 * k - 1).div_one_minus(1, 2 * k - 1))
-        return out
-    raise ValueError(f"unknown Eulerian series {which!r}")
+# A recipe is (first, step): term_0 = first applied to 1, and term_k =
+# step(k) applied to term_(k-1).  Each is (sign, s, muls, divs), the factor
+#     sign * q^s * prod_(e, d) (1 + e*q^d) / prod_(t, d) (1 - z^t*q^d)
+# with e = +-1, t in {-1, 0, 1} and every d >= 1.
+_RECIPES = {
+    "A": ((1, 1, (), ((0, 1), (0, 1))),
+          lambda k: (1, 2 * k + 1, ((1, 2 * k - 1),),
+                     ((0, 2 * k + 1), (0, 2 * k + 1)))),
+    "V1": ((1, 1, (), ((0, 1),)),
+           lambda k: (1, 2 * k + 1, ((1, 2 * k - 1),), ((0, 2 * k + 1),))),
+    "sigma": ((1, 1, (), ((0, 1),)),
+              lambda k: (1, k + 1, ((1, k),), ((0, 2 * k + 1),))),
+    "phi_minus": ((1, 1, ((1, 1),), ((0, 1),)),
+                  lambda k: (1, 1, ((1, 2 * k), (1, 2 * k + 1)), ((0, 2 * k + 1),))),
+    "F8": ((1, 1, (), ((1, 1), (-1, 1))),
+           lambda k: (-1, 2 * k + 1, ((-1, 2 * k - 1),),
+                      ((1, 2 * k + 1), (-1, 2 * k + 1)))),
+    "F4": ((1, 1, (), ((1, 1), (-1, 1))),
+           lambda k: (-1, 1, ((-1, 2 * k - 1), (1, 2 * k)),
+                      ((1, 2 * k + 1), (-1, 2 * k + 1)))),
+}
+
+
+def _term_sum(recipe, n, bits=0, majorant=False):
+    """The sum of the recipe's terms through q^n, as n + 1 ints.
+
+    Every term is a flat list of n + 1 ints; the sum stops at the first
+    term whose valuation (the sum of its shifts) exceeds n.  A z-free
+    recipe gives the coefficients themselves.  With z, entry m packs
+    sum_a c_a z^a as sum_a c_a * 2^(bits*(a + n + 1)), so 1/(1 - z q^d)
+    is a left shift of term[i - d] by bits and 1/(1 - q^d/z) a right
+    shift, exact because |a| <= m <= n.  With ``majorant`` every sign is
+    +; at bits = 0 (z -> 1) entry m then bounds sum_a |c_a| at q^m.
+    """
+    first, step = recipe
+    term = [1 << bits * (n + 1)] + [0] * n
+    out = [0] * (n + 1)
+    v, sg, k, factors = 0, 1, 0, first
+    while True:
+        sign, s, muls, divs = factors
+        v += s
+        if v > n:
+            return out
+        term = [0] * s + term[:n + 1 - s]
+        if not majorant:
+            sg *= sign
+        for e, d in muls:
+            # times 1 + e q^d: both slices are read before the write
+            term[v + d:] = map(add if e > 0 or majorant else sub,
+                               term[v + d:], term[v:n + 1 - d])
+        for t, d in divs:
+            # divided by 1 - z^t q^d, one stride of d entries at a time,
+            # each from the one below it already divided
+            for j in range(v + d, n + 1, d):
+                below = term[j - d:j]
+                if t and bits:
+                    below = map(lshift if t > 0 else rshift, below, repeat(bits))
+                term[j:j + d] = map(add, term[j:j + d], below)
+        out[v:] = map(add if sg > 0 else sub, out[v:], term[v:])
+        k += 1
+        factors = step(k)
 
 
 _euler_cache: dict = {}
 
 
+def _build_eulerian(which, n):
+    """A, V1, sigma or phi_minus through exactly q^n, from its recipe."""
+    if which not in ("A", "V1", "sigma", "phi_minus"):
+        raise ValueError(f"unknown Eulerian series {which!r}")
+    return QSeries(ZZ, 0, _term_sum(_RECIPES[which], n), n)
+
+
 def eulerian(which, n):
     """One of the Eulerian series A, V1, sigma, phi_minus to order n."""
-    return grown(_euler_cache, which, n, lambda m: _eulerian_raw(which, m))
+    return grown(_euler_cache, which, n, lambda m: _build_eulerian(which, m))
 
 
-# ---------------------------------------------------------------------------
-# Bivariate F4 and F8
+def _slot_bits(which, n):
+    """Slot width for F4/F8 through q^n: whole bytes holding every
+    coefficient with a sign bit, by the majorant."""
+    top = max(_term_sum(_RECIPES[which], n, majorant=True))
+    return 8 * ((top.bit_length() + 8) // 8)
 
 
-def _f_bivariate(which, n):
-    out = QSeries.zero(ZPOLY, n)
-    term = (QSeries.monomial(ZPOLY, ZPoly.const(1), 1, n)
-            .div_one_minus(ZPoly.monomial(1, 1), 1)
-            .div_one_minus(ZPoly.monomial(1, -1), 1))
-    k = 0
-    while term.coeffs and ((k + 1) ** 2 if which == "F8" else k + 1) <= n:
-        out = out + term
-        k += 1
-        if which == "F8":
-            term = term.shift(-1, 2 * k + 1).mul_one_minus(1, 2 * k - 1)
-        else:
-            term = (term.shift(-1, 1).mul_one_minus(1, 2 * k - 1)
-                    .mul_one_minus(-1, 2 * k))
-        term = (term.div_one_minus(ZPoly.monomial(1, 1), 2 * k + 1)
-                .div_one_minus(ZPoly.monomial(1, -1), 2 * k + 1))
-    return out
+def _build_bivariate(which, n):
+    """F4 or F8 through q^n from the packed recurrence, one ZPoly per q^m."""
+    bits = _slot_bits(which, n)
+    size = bits // 8
+    half = 1 << (bits - 1)
+    slot_bias = bytes(size - 1) + b"\x80"
+    fb = int.from_bytes
+    coeffs = []
+    for m, x in enumerate(_term_sum(_RECIPES[which], n, bits)):
+        # the 2m + 1 slots of z^-m .. z^m, each biased to [0, 2^bits)
+        width = size * (2 * m + 1)
+        x = (x >> bits * (n + 1 - m)) + fb(slot_bias * (2 * m + 1), "little")
+        data = x.to_bytes(width, "little")
+        coeffs.append(ZPoly({a: fb(data[i:i + size], "little") - half
+                             for a, i in enumerate(range(0, width, size), -m)}))
+    return QSeries(ZPOLY, 0, coeffs, n)
 
 
 _fz_cache: dict = {}
@@ -118,12 +161,12 @@ _fz_cache: dict = {}
 
 def F8_series(n):
     """F8(z,q) = sum (-1)^k (q;q^2)_k q^{(k+1)^2} / (zq, q/z; q^2)_{k+1}."""
-    return grown(_fz_cache, "F8", n, lambda m: _f_bivariate("F8", m))
+    return grown(_fz_cache, "F8", n, lambda m: _build_bivariate("F8", m))
 
 
 def F4_series(n):
     """F4(z,q) = sum (-1)^k (q;-q)_{2k} q^{k+1} / (zq, q/z; q^2)_{k+1}."""
-    return grown(_fz_cache, "F4", n, lambda m: _f_bivariate("F4", m))
+    return grown(_fz_cache, "F4", n, lambda m: _build_bivariate("F4", m))
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,9 @@ def verify(ids=None, order=None, jobs=1):
     if not cases:
         raise ValueError("no cases selected: nothing to certify")
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forking pool starts all its workers at once, so start no
+        # more than there are cases
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
             reports = list(pool.map(_run_by_id, [(c.id, order) for c in cases]))
     else:
         reports = [run_case(c, order) for c in cases]

@@ -4,14 +4,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhecke import mock
 from qhecke.errors import NonConvergentError
 from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
-                         HeckeRogersSpec, _eulerian_raw, _f_bivariate, appell_rhs, c_sum,
-                         eulerian, F4_series, F8_series, hecke_rogers, humbert_series,
-                         kronecker_minus4)
-from qhecke.rings import ZPoly, ZZ
+                         HeckeRogersSpec, _build_bivariate, _build_eulerian, appell_rhs,
+                         c_sum, eulerian, F4_series, F8_series, hecke_rogers,
+                         humbert_series, kronecker_minus4)
+from qhecke.rings import ZPOLY, ZPoly, ZZ
 from qhecke.series import QSeries, eta_quotient
 
 
@@ -60,6 +61,116 @@ def oracle_eulerian(which, n):
             total[e] = total.get(e, 0) + c
         k += 1
     return {e: c for e, c in total.items() if c}
+
+
+# -- the QSeries-route oracles -------------------------------------------------
+# Reference builders that share nothing with mock's flat-integer engine:
+# each term is a QSeries times its linear factors by mul_one_minus and
+# div_one_minus, over ZZ or ZPOLY.
+
+
+def _eulerian_raw(which, n):
+    one = QSeries.one(ZZ, n)
+    out = QSeries.zero(ZZ, n)
+    if which == "A":
+        term = one.shift(1, 1).div_one_minus(1, 1).div_one_minus(1, 1)
+        k = 0
+        while term.coeffs and (k + 1) ** 2 <= n:
+            out = out + term
+            k += 1
+            term = (term.shift(1, 2 * k + 1).mul_one_minus(-1, 2 * k - 1)
+                    .div_one_minus(1, 2 * k + 1).div_one_minus(1, 2 * k + 1))
+        return out
+    if which == "V1":
+        term = one.shift(1, 1).div_one_minus(1, 1)
+        k = 0
+        while term.coeffs and (k + 1) ** 2 <= n:
+            out = out + term
+            k += 1
+            term = (term.shift(1, 2 * k + 1).mul_one_minus(-1, 2 * k - 1)
+                    .div_one_minus(1, 2 * k + 1))
+        return out
+    if which == "sigma":
+        term = one.shift(1, 1).div_one_minus(1, 1)
+        k = 0
+        while term.coeffs and (k + 1) * (k + 2) // 2 <= n:
+            out = out + term
+            k += 1
+            term = (term.shift(1, k + 1).mul_one_minus(-1, k)
+                    .div_one_minus(1, 2 * k + 1))
+        return out
+    if which == "phi_minus":
+        term = one.shift(1, 1).mul_one_minus(-1, 1).div_one_minus(1, 1)
+        k = 1
+        while term.coeffs and k <= n:
+            out = out + term
+            k += 1
+            term = (term.shift(1, 1).mul_one_minus(-1, 2 * k - 2)
+                    .mul_one_minus(-1, 2 * k - 1).div_one_minus(1, 2 * k - 1))
+        return out
+    raise ValueError(f"unknown Eulerian series {which!r}")
+
+
+def _f_bivariate(which, n):
+    out = QSeries.zero(ZPOLY, n)
+    term = (QSeries.monomial(ZPOLY, ZPoly.const(1), 1, n)
+            .div_one_minus(ZPoly.monomial(1, 1), 1)
+            .div_one_minus(ZPoly.monomial(1, -1), 1))
+    k = 0
+    while term.coeffs and ((k + 1) ** 2 if which == "F8" else k + 1) <= n:
+        out = out + term
+        k += 1
+        if which == "F8":
+            term = term.shift(-1, 2 * k + 1).mul_one_minus(1, 2 * k - 1)
+        else:
+            term = (term.shift(-1, 1).mul_one_minus(1, 2 * k - 1)
+                    .mul_one_minus(-1, 2 * k))
+        term = (term.div_one_minus(ZPoly.monomial(1, 1), 2 * k + 1)
+                .div_one_minus(ZPoly.monomial(1, -1), 2 * k + 1))
+    return out
+
+
+SIX = ("A", "V1", "sigma", "phi_minus", "F4", "F8")
+
+
+def engine_and_oracle(which, n):
+    if which in ("F4", "F8"):
+        return _build_bivariate(which, n), _f_bivariate(which, n)
+    return _build_eulerian(which, n), _eulerian_raw(which, n)
+
+
+def scalar_types(series):
+    return [type(v) for c in series.coeffs
+            for v in (c.coeffs if series.ring is ZPOLY else (c,))]
+
+
+def assert_identical(got, want):
+    """Equal ring, window, order and coefficients, down to int vs Fraction."""
+    assert (got.ring, got.min_exp, got.order) == (want.ring, want.min_exp, want.order)
+    assert got.coeffs == want.coeffs
+    assert scalar_types(got) == scalar_types(want)
+
+
+@pytest.mark.parametrize("which,n", [(w, n) for w in SIX for n in (0, 1, 2, 5, 40, 100)]
+                         + [("F4", 200), ("F8", 200), ("phi_minus", 600)])
+def test_engine_matches_qseries_route(which, n):
+    assert_identical(*engine_and_oracle(which, n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(SIX), st.integers(0, 80))
+def test_engine_matches_qseries_route_at_every_order(which, n):
+    assert_identical(*engine_and_oracle(which, n))
+
+
+@pytest.mark.parametrize("which,n", [("F4", 100), ("F4", 200), ("F8", 100), ("F8", 200)])
+def test_majorant_bounds_every_z_coefficient_sum(which, n):
+    bound = mock._term_sum(mock._RECIPES[which], n, majorant=True)
+    got = _build_bivariate(which, n)
+    for m in range(n + 1):
+        assert sum(map(abs, got.coeff(m).coeffs)) <= bound[m], m
+    # the slot holds the bound with a sign bit to spare
+    assert max(bound) < 1 << (mock._slot_bits(which, n) - 1)
 
 
 def test_eulerian_heads_match_definition_oracle():

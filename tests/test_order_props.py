@@ -9,19 +9,29 @@ inputs must certify at least as far.
 
 from hypothesis import given, settings, strategies as st
 
-from qhecke.rings import QQ, ZZ
+from qhecke.rings import QQ, ZPOLY, ZZ, GaussianRational, ZPoly
 from qhecke.series import INF, QSeries
 
 prop = settings(deadline=None, max_examples=150)
 
+# invert and negative powers need a unit lead; ZPOLY's are monomials only
 rings = st.sampled_from([ZZ, QQ])
+all_rings = st.sampled_from([ZZ, QQ, ZPOLY])
+
+rationals = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=50))
 
 
 def coeffs_of(ring):
     if ring is ZZ:
         return st.integers(-3, 3)
-    return st.one_of(st.integers(-3, 3),
-                     st.fractions(min_value=-4, max_value=4, max_denominator=50))
+    if ring is ZPOLY:
+        return st.dictionaries(st.integers(-3, 3), rationals, max_size=3).map(ZPoly)
+    return rationals
+
+
+# z-monomials +-z^k
+z_units = st.builds(ZPoly.monomial, st.sampled_from([1, -1]), st.integers(-2, 2))
 
 
 @st.composite
@@ -56,7 +66,7 @@ def assert_agree(r, longer):
 
 
 @prop
-@given(rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
 def test_mul_claims_no_more_than_its_inputs_know(pairs):
     (f, f_long), (g, g_long) = pairs
     assert_agree(f * g, f_long * g_long)
@@ -72,7 +82,7 @@ def test_invert_claims_no_more_than_its_input_knows(pair):
 
 
 @prop
-@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(0, 4))
+@given(all_rings.flatmap(lambda r: truncated_pair(r)), st.integers(0, 4))
 def test_positive_pow_claims_no_more_than_its_input_knows(pair, k):
     f, f_long = pair
     assert_agree(f ** k, f_long ** k)
@@ -86,7 +96,14 @@ def test_negative_pow_claims_no_more_than_its_input_knows(pair, k):
 
 
 @prop
-@given(rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
+def test_add_claims_no_more_than_its_inputs_know(pairs):
+    (f, f_long), (g, g_long) = pairs
+    assert_agree(f + g, f_long + g_long)
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), truncated_pair(r))))
 def test_sub_claims_no_more_than_its_inputs_know(pairs):
     (f, f_long), (g, g_long) = pairs
     assert_agree(f - g, f_long - g_long)
@@ -94,7 +111,10 @@ def test_sub_claims_no_more_than_its_inputs_know(pairs):
 
 def linear_factor(ring, d, divide):
     """c for a factor 1 - c*q^d; when dividing, one that div_one_minus
-    accepts: c a unit for d < 0, and 1 - c a unit for d = 0."""
+    accepts: c a unit for d < 0, and 1 - c a unit for d = 0.  Over ZPOLY
+    c is +-z^k, and 1 - c is a unit only for c = -1."""
+    if ring is ZPOLY:
+        return st.just(ZPoly.const(-1)) if divide and d == 0 else z_units
     if not divide or d > 0:
         return coeffs_of(ring)
     if ring is ZZ:
@@ -106,7 +126,7 @@ def linear_factor(ring, d, divide):
 
 def linear_case(divide):
     """(ring, (f, longer), c, d) with d < 0, d = 0 and d > 0 all drawn."""
-    return st.tuples(rings, st.sampled_from([-1, 0, 1]), st.integers(1, 5)).flatmap(
+    return st.tuples(all_rings, st.sampled_from([-1, 0, 1]), st.integers(1, 5)).flatmap(
         lambda t: st.tuples(st.just(t[0]), truncated_pair(t[0]),
                             linear_factor(t[0], t[1] * t[2], divide),
                             st.just(t[1] * t[2])))
@@ -127,17 +147,45 @@ def test_div_one_minus_claims_no_more_than_its_input_knows(case):
 
 
 @prop
-@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
+@given(all_rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
 def test_sift_claims_no_more_than_its_input_knows(pair, p):
     f, f_long = pair
     assert_agree(f.sift(p), f_long.sift(p))
 
 
 @prop
-@given(rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
+@given(all_rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
 def test_dissect_claims_no_more_than_its_input_knows(pair, p):
     f, f_long = pair
     parts, long_parts = f.dissect(p), f_long.dissect(p)
     assert len(parts) == len(long_parts) == p
     for part, long_part in zip(parts, long_parts):
         assert_agree(part, long_part)
+
+
+@prop
+@given(all_rings.flatmap(lambda r: truncated_pair(r)))
+def test_alternate_claims_no_more_than_its_input_knows(pair):
+    f, f_long = pair
+    assert_agree(f.alternate(), f_long.alternate())
+
+
+nonzero_rationals = rationals.filter(bool)
+z_points = st.one_of(
+    nonzero_rationals,
+    st.builds(GaussianRational, rationals, rationals).filter(bool))
+
+
+@prop
+@given(truncated_pair(ZPOLY), z_points)
+def test_eval_z_claims_no_more_than_its_input_knows(pair, z0):
+    f, f_long = pair
+    assert_agree(f.eval_z(z0), f_long.eval_z(z0))
+
+
+@prop
+@given(truncated_pair(ZPOLY))
+def test_z_at_one_claims_no_more_than_its_input_knows(pair):
+    f, f_long = pair
+    assert_agree(f.subs_z_one(), f_long.subs_z_one())
+    assert_agree(f.dz_at_one(), f_long.dz_at_one())

@@ -1,5 +1,6 @@
 """Registry and verification driver behavior."""
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -89,6 +90,34 @@ def test_parallel_matches_sequential():
     par = verify(SAMPLE, order=36, jobs=2)
     assert [(r.id, r.status, r.certified_order) for r in seq] == \
         [(r.id, r.status, r.certified_order) for r in par]
+
+
+def test_pool_starts_no_more_workers_than_cases(monkeypatch):
+    # the package exports a function named verify, so fetch the module itself
+    verify_mod = importlib.import_module("qhecke.verify")
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [run_case(get_case(case_id), order) for case_id, order in items]
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+    two = ["hecke-sigma", "humbert-hf4"]
+    reports = verify(two, order=10, jobs=4)
+    assert [r.id for r in reports] == [c for c in registry_ids() if c in set(two)]
+    verify(SAMPLE, order=10, jobs=2)
+    assert sizes == [2, 2]
+    verify(SAMPLE[:3], order=10, jobs=3)
+    assert sizes == [2, 2, 3]
 
 
 def test_expected_fail_case_is_isolated():
