@@ -55,28 +55,37 @@ def hurwitz12(n):
     return sum(_form_weight12(*f) for f in reduced_forms(n))
 
 
-def hurwitz12_table(limit):
+def hurwitz12_table(limit, known=()):
     """12*H(n) for all 0 <= n <= limit, by one sieve over reduced forms.
 
-    Enumerates (a, b, c) with 4ac - b^2 <= limit directly; much faster
-    than calling hurwitz12 per value.
+    ``known`` holds 12*H(n) for n < len(known) (a table this function
+    returned); only the n above it are sieved, into a new list.
+
+    Each reduced form (a, b, c) with c >= a lies on the progression
+    n = 4a^2 - b^2 + 4a*j (c = a + j), which is written as one strided
+    slice from its first term past len(known).  The term c = a has its
+    own weight: 6 for b = 0, 4 for b = a, 12 for b > 0 and none for
+    b < 0.  Every later term has weight 12, so for 0 < b < a the
+    progressions of b and -b, which share their n, count 24 together.
     """
-    table = [0] * (limit + 1)
-    if limit >= 0:
+    start = len(known)
+    table = list(known) + [0] * (limit + 1 - start)
+    if start == 0 and limit >= 0:
         table[0] = -1
-    # reduced forms: |b| <= a <= c, 3a^2 <= n; c = a first, then c > a,
-    # where b > -a excludes nothing and every form has weight 12
     a = 1
     while 3 * a * a <= limit:
         step = 4 * a
-        for b in range(-a + 1, a + 1):
+        for b in range(a + 1):
             n = a * step - b * b
             if n > limit:
                 continue
-            if b >= 0:
+            if n >= start:
                 table[n] += 6 if b == 0 else 4 if b == a else 12
-            for n in range(n + step, limit + 1, step):
-                table[n] += 12
+            n += step
+            if n < start:
+                n -= (n - start) // step * step
+            v = 24 if 0 < b < a else 12
+            table[n:limit + 1:step] = map(v.__add__, table[n:limit + 1:step])
         a += 1
     return table
 
@@ -101,13 +110,18 @@ def kronecker_F(m, _h12=None):
     return h12 // 4
 
 
-_table_cache = [0]
+_table_cache = []
 
 
 def _h12_upto(limit):
+    """hurwitz12_table(L) for some L >= limit, shared by every caller.
+
+    A longer request extends the cached table to exactly its limit and
+    rebinds the name to the new list.
+    """
     global _table_cache
     if len(_table_cache) <= limit:
-        _table_cache = hurwitz12_table(max(limit, 4 * len(_table_cache), 1024))
+        _table_cache = hurwitz12_table(limit, _table_cache)
     return _table_cache
 
 

@@ -99,12 +99,13 @@ def _cmd_verify(args):
     config_path = args.config or ("qhecke.conf" if os.path.exists("qhecke.conf") else None)
     if config_path:
         conf = _load_config(config_path)
-    order = args.order if args.order is not None else (
-        int(conf["default_order"]) if "default_order" in conf else None)
+    order = args.order
+    if order is None and args.scale is None and "default_order" in conf:
+        order = int(conf["default_order"])
     jobs = args.jobs if args.jobs is not None else int(conf.get("jobs", 1))
     ids = args.id or None
     try:
-        reports = verify(ids, order, jobs)
+        reports = verify(ids, order, jobs, args.scale)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -166,7 +167,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run identity verifications")
     p.add_argument("--id", action="append", help="case id (repeatable); default all")
-    p.add_argument("--order", type=int, help="override the per-case default order")
+    depth = p.add_mutually_exclusive_group()
+    depth.add_argument("--order", type=int, help="override the per-case default order")
+    depth.add_argument("--scale", type=int, metavar="K",
+                       help="run each case at K times its own default order")
     p.add_argument("--jobs", type=int, help="parallel worker processes")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
     p.add_argument("--config", help="key=value config file (default_order, jobs)")

@@ -126,14 +126,16 @@ def conv_trunc(a, b, keep):
     return _conv(a, b, keep)
 
 
-def _inv_newton(g, keep):
+def _inv_newton(g, keep, known=None):
     """Inverse of an int/Fraction list with g[0] == 1, by Newton iteration.
 
     Each step doubles the known prefix m of h = 1/g: with
     e = g*h - 1 = O(q^m), the update h - h*e is exact to q^(2m).
+    ``known``, a list holding the first len(known) coefficients of 1/g,
+    is extended in place from there instead of from h = [1].
     """
-    h = [1]
-    m = 1
+    h = [1] if known is None else known
+    m = len(h)
     while m < keep:
         m2 = min(2 * m, keep)
         e = _conv(g[:m2], h, m2)[m:]

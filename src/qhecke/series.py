@@ -525,11 +525,12 @@ def pochhammer(x: SignedMonomial, step, count, n):
 
 
 def grown(cache, key, n, build):
-    """cache[key] to order n, first rebuilt as build(max(n, 64)) when it
-    is missing or certifies less than q^n."""
+    """cache[key] to order n, first rebuilt as build(max(n, 64), cached)
+    when it is missing or certifies less than q^n; cached is the entry
+    being replaced (None when there is none), which build may extend."""
     cached = cache.get(key)
     if cached is None or cached.order < n:
-        cache[key] = cached = build(max(n, 64))
+        cache[key] = cached = build(max(n, 64), cached)
     return cached.truncate(n)
 
 
@@ -540,7 +541,7 @@ def etaq(k, n):
     """(q^k; q^k)_infinity to order n, integral, by Euler's pentagonal theorem."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return grown(_eta_cache, k, n, lambda top: QSeries.from_terms(
+    return grown(_eta_cache, k, n, lambda top, _: QSeries.from_terms(
         ZZ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
              for m in lattice_range(3 * k, -k, -2 * top)), top))
 
@@ -548,25 +549,44 @@ def etaq(k, n):
 _eta_inv_cache = {}
 
 
+def _eta_inv_build(k, top, cached):
+    """1/(q^k; q^k)_infinity to order top; Newton iteration resumes from
+    the cached inverse, whose trimmed window is padded back to its order."""
+    if cached is None:
+        return etaq(k, top).invert()
+    known = cached.coeffs + [0] * (cached.order + 1 - len(cached.coeffs))
+    h = kernels._inv_newton(etaq(k, top).coeffs, top + 1, known)
+    return QSeries(ZZ, 0, h, top)
+
+
 def etaq_inv(k, n):
-    return grown(_eta_inv_cache, k, n, lambda top: etaq(k, top).invert())
+    """1/(q^k; q^k)_infinity to order n."""
+    return grown(_eta_inv_cache, k, n, lambda top, cached: _eta_inv_build(k, top, cached))
+
+
+_eta_quotient_cache = {}
 
 
 def eta_quotient(powers, n, ring=ZZ):
     """Product of J_k^e over (k, e) pairs, to order n.
 
     powers maps k -> exponent e (negative e for denominators).  The
-    quotient is 1 + O(q), so below q^0 it is zero.
+    quotient is 1 + O(q), so below q^0 it is zero.  The integral product
+    is cached per exponent vector and lifted to ring afterwards.
     """
     if n < 0:
         return QSeries.zero(ring, n)
+    key = tuple(sorted((k, e) for k, e in powers.items() if e))
+    return grown(_eta_quotient_cache, key, n,
+                 lambda top, _: _eta_product(key, top)).over(ring)
+
+
+def _eta_product(key, n):
     out = QSeries.one(ZZ, n)
-    for k, e in sorted(powers.items()):
-        if e == 0:
-            continue
+    for k, e in key:
         base = etaq(k, n) if e > 0 else etaq_inv(k, n)
         out = out * base ** abs(e)
-    return out if ring is ZZ else out.over(ring)
+    return out
 
 
 def eta_sum(terms, n, ring=ZZ):

@@ -10,7 +10,6 @@ of how many worker processes run the builders.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,14 +105,29 @@ def _run_by_id(args):
     return run_case(get_case(case_id), order)
 
 
-def verify(ids=None, order=None, jobs=1):
+def _pool(workers):
+    """A process pool of that many workers.  Imported here, so that a
+    sequential run never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+def verify(ids=None, order=None, jobs=1, scale=None):
     """Run the selected cases (all by default); reports in registry order.
 
-    Raises ValueError for an order or job count below 1, or for no cases:
-    a certificate through q^0 or below, or of nothing, checks nothing.
+    Each case runs at order, or at scale times its own default order, or
+    at its default order when neither is given.  Raises ValueError for an
+    order, scale or job count below 1, for both order and scale, or for
+    no cases: a certificate through q^0 or below, or of nothing, checks
+    nothing.
     """
     if order is not None and order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
+    if scale is not None:
+        if order is not None:
+            raise ValueError("order and scale conflict: give at most one")
+        if scale < 1:
+            raise ValueError(f"scale must be at least 1, got {scale}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     cases = registry()
@@ -126,13 +140,14 @@ def verify(ids=None, order=None, jobs=1):
         cases = [c for c in cases if c.id in wanted]
     if not cases:
         raise ValueError("no cases selected: nothing to certify")
+    orders = [order if scale is None else scale * c.default_order for c in cases]
     if jobs > 1:
         # a forking pool starts all its workers at once, so start no
         # more than there are cases
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cases))) as pool:
-            reports = list(pool.map(_run_by_id, [(c.id, order) for c in cases]))
+        with _pool(min(jobs, len(cases))) as pool:
+            reports = list(pool.map(_run_by_id, [(c.id, n) for c, n in zip(cases, orders)]))
     else:
-        reports = [run_case(c, order) for c in cases]
+        reports = [run_case(c, n) for c, n in zip(cases, orders)]
     return reports
 
 

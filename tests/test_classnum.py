@@ -4,7 +4,9 @@ the generating functions."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qhecke import classnum
 from qhecke.classnum import (genfun_F, genfun_H, hurwitz, hurwitz12,
                              hurwitz12_table, kronecker_F, reduced_forms)
 from qhecke.errors import UndefinedResidueError
@@ -77,6 +79,52 @@ def test_table_at_edge_limits(limit):
     assert len(table) == limit + 1
     check = range(limit + 1) if limit <= 1024 else range(limit - 63, limit + 1)
     assert all(table[n] == hurwitz12(n) for n in check)
+
+
+_GROWTH_TOP = 3000
+_PER_VALUE = []
+
+
+def _per_value(limit):
+    """hurwitz12(n) for n <= limit, the reduced-form oracle, computed once."""
+    if not _PER_VALUE:
+        _PER_VALUE.extend(hurwitz12(n) for n in range(_GROWTH_TOP + 1))
+    return _PER_VALUE[:limit + 1]
+
+
+def test_table_extends_a_known_prefix_without_touching_it():
+    known = hurwitz12_table(700)
+    copy = list(known)
+    got = hurwitz12_table(1500, known)
+    assert known == copy and got is not known
+    assert got == hurwitz12_table(1500) == _per_value(1500)
+    assert hurwitz12_table(0, []) == [-1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.integers(0, _GROWTH_TOP), min_size=1, max_size=8),
+       st.sampled_from(["rising", "falling", "drawn"]))
+def test_cached_table_grows_to_exactly_each_request(limits, how):
+    if how != "drawn":
+        limits = sorted(limits, reverse=how == "falling")
+    old = classnum._table_cache
+    classnum._table_cache = []
+    try:
+        top = -1
+        for limit in limits:
+            before = classnum._table_cache
+            table = classnum._h12_upto(limit)
+            assert table is classnum._table_cache
+            if limit > top:
+                # a growth sieves exactly to the request, into a new list
+                top = limit
+                assert table is not before
+            else:
+                assert table is before
+            assert len(table) == top + 1
+        assert table == hurwitz12_table(top) == _per_value(top)
+    finally:
+        classnum._table_cache = old
 
 
 def test_residue_vanishing_to_ten_thousand():

@@ -4,6 +4,7 @@ import json
 import os
 
 from qhecke.cli import main
+from qhecke.registry import get_case
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -83,7 +84,7 @@ def test_verify_unknown_id(capsys):
 
 def test_verify_rejects_vacuous_order_and_jobs(capsys, tmp_path):
     for flag, value in (("--order", "-3"), ("--order", "0"), ("--jobs", "0"),
-                        ("--jobs", "-2")):
+                        ("--jobs", "-2"), ("--scale", "0"), ("--scale", "-2")):
         code, out, err = run(capsys, "verify", "--id", "hecke-hf4", flag, value)
         assert code == 2 and out == ""
         assert f"{flag[2:]} must be at least 1, got {value}" in err
@@ -92,6 +93,32 @@ def test_verify_rejects_vacuous_order_and_jobs(capsys, tmp_path):
         conf.write_text(line + "\n")
         code, out, err = run(capsys, "verify", "--id", "hecke-hf4", "--config", str(conf))
         assert code == 2 and out == "" and "must be at least 1" in err
+
+
+def test_verify_scale_multiplies_each_default_order(capsys, tmp_path):
+    ids = ("hecke-sigma", "cong-hf8-A", "eta-u3-j1cubed")  # registry order
+    argv = ["verify", "--scale", "3", "--format", "json"]
+    for cid in ids:
+        argv += ["--id", cid]
+    # --scale wins over a config file's default order, as --order does
+    conf = tmp_path / "qhecke.conf"
+    conf.write_text("default_order = 42\n")
+    code, out, _ = run(capsys, *argv, "--config", str(conf))
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["id"] for r in reports] == list(ids)
+    for r in reports:
+        assert r["status"] == "pass"
+        assert r["certified_order"] == 3 * get_case(r["id"]).default_order
+
+
+def test_verify_scale_with_order_exits_two(capsys):
+    try:
+        code = run(capsys, "verify", "--id", "hecke-hf4", "--scale", "2", "--order", "40")[0]
+    except SystemExit as exc:  # argparse rejects the pair itself
+        code = exc.code
+    assert code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_verify_allow_fail_exit_zero(capsys):

@@ -221,6 +221,16 @@ def test_inv_unit_rational_matches_recurrence(tail, keep):
     assert rational(h)
 
 
+@prop
+@given(st.data())
+def test_inv_newton_resumes_from_a_known_prefix(data):
+    g = [1] + data.draw(st.one_of(int_lists(), mixed_lists()))
+    keep = data.draw(st.integers(1, 4 * T))
+    m = data.draw(st.integers(1, keep))
+    known = naive_inv(g, m)
+    assert kernels._inv_newton(g, keep, known) == naive_inv(g, keep)
+
+
 # -- QSeries.__add__ ---------------------------------------------------------------
 
 @prop

@@ -9,7 +9,7 @@ inputs must certify at least as far.
 
 from hypothesis import given, settings, strategies as st
 
-from qhecke.rings import QQ, ZPOLY, ZZ, GaussianRational, ZPoly
+from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
 from qhecke.series import INF, QSeries
 
 prop = settings(deadline=None, max_examples=150)
@@ -189,3 +189,47 @@ def test_z_at_one_claims_no_more_than_its_input_knows(pair):
     f, f_long = pair
     assert_agree(f.subs_z_one(), f_long.subs_z_one())
     assert_agree(f.dz_at_one(), f_long.dz_at_one())
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), coeffs_of(r))),
+       st.integers(-6, 6))
+def test_shift_claims_no_more_than_its_input_knows(pair_c, d):
+    (f, f_long), c = pair_c
+    assert_agree(f.shift(c, d), f_long.shift(c, d))
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), coeffs_of(r))))
+def test_scale_claims_no_more_than_its_input_knows(pair_c):
+    (f, f_long), c = pair_c
+    assert_agree(f.scale(c), f_long.scale(c))
+
+
+@prop
+@given(all_rings.flatmap(lambda r: truncated_pair(r)), st.integers(-8, 24))
+def test_truncate_claims_no_more_than_its_input_knows(pair, n):
+    f, f_long = pair
+    got = f.truncate(n)
+    assert got.order == min(f.order, n)
+    assert_agree(got, f_long.truncate(n))
+
+
+@prop
+@given(all_rings.flatmap(lambda r: truncated_pair(r)), st.integers(1, 4))
+def test_inflate_claims_no_more_than_its_input_knows(pair, p):
+    f, f_long = pair
+    assert_agree(f.inflate(p), f_long.inflate(p))
+
+
+# the rings each ring lifts into
+_LIFTS = {ZZ: [ZZ, QQ, QQI, ZPOLY], QQ: [QQ, QQI, ZPOLY], ZPOLY: [ZPOLY]}
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), st.sampled_from(_LIFTS[r]))))
+def test_over_claims_no_more_than_its_input_knows(pair_target):
+    (f, f_long), target = pair_target
+    got = f.over(target)
+    assert got.ring is target and got.order == f.order
+    assert_agree(got, f_long.over(target))

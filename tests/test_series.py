@@ -239,6 +239,56 @@ def test_eta_quotient_is_cached_but_exact():
     assert as_dict(a) == b
 
 
+@pytest.mark.parametrize("k, first, second", [(1, 70, 150), (3, 71, 200), (7, 64, 65),
+                                               (2, 130, 131)])
+def test_eta_inverse_resumes_from_the_cached_one(monkeypatch, k, first, second):
+    # k = 3 at order 71 and k = 7 at 64 leave trailing zeros the cached
+    # window trims, which the resumed Newton iteration must pad back
+    monkeypatch.setattr(series, "_eta_inv_cache", {})
+    etaq_inv(k, first)
+    entry = series._eta_inv_cache[k]
+    got = etaq_inv(k, second)
+    assert series._eta_inv_cache[k] is not entry
+    fresh = etaq(k, second).invert()
+    assert got.order == fresh.order == second
+    assert (got.min_exp, got.coeffs) == (fresh.min_exp, fresh.coeffs)
+
+
+def naive_inv(g, n):
+    """1/g through q^n for a dict g with g[0] == 1, term by term."""
+    h = {}
+    for m in range(n + 1):
+        c = (1 if m == 0 else 0) - sum(g.get(i, 0) * h.get(m - i, 0)
+                                       for i in range(1, m + 1))
+        if c:
+            h[m] = c
+    return h
+
+
+def naive_eta_quotient(powers, n):
+    out = {0: 1}
+    for k, e in powers.items():
+        base = naive_eta(k, n) if e > 0 else naive_inv(naive_eta(k, n), n)
+        for _ in range(abs(e)):
+            out = {x: c for x, c in naive_mul(out, base).items() if x <= n}
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.dictionaries(st.sampled_from((1, 2, 3, 4, 6)), st.integers(-3, 3), max_size=3),
+       st.lists(st.integers(0, 90), min_size=1, max_size=5),
+       st.sampled_from([ZZ, QQ]))
+def test_eta_quotient_grows_and_shrinks_exactly(powers, orders, ring):
+    # rising then falling orders: growths rebuild, shrinks cut the cache
+    series._eta_quotient_cache.clear()
+    orders = sorted(orders) + sorted(orders, reverse=True)
+    want = naive_eta_quotient(powers, max(orders))
+    for n in orders:
+        got = eta_quotient(powers, n, ring)
+        assert got.ring is ring and got.order == n
+        assert as_dict(got) == {e: c for e, c in want.items() if e <= n}
+
+
 _DELTAS = (1, 2, 3, 4, 6, 12)
 
 

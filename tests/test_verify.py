@@ -1,13 +1,19 @@
 """Registry and verification driver behavior."""
 
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
 from qhecke.series import QSeries
 from qhecke.verify import all_passed, run_case, verify
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SAMPLE = ["hecke-hf8", "appell-hf4", "dz-j-z6q-q3", "mrel-evenodd",
           "cong-hf8-A", "dissect-j1j2-3", "spec-f4-at-i"]
@@ -33,9 +39,28 @@ def test_get_case_unknown():
 
 
 def test_verify_rejects_order_and_jobs_below_one():
-    for kwargs in ({"order": 0}, {"order": -3}, {"jobs": 0}, {"jobs": -1}):
+    for kwargs in ({"order": 0}, {"order": -3}, {"jobs": 0}, {"jobs": -1},
+                   {"scale": 0}, {"scale": -1}):
         with pytest.raises(ValueError, match="must be at least 1"):
             verify(["hecke-hf4"], **kwargs)
+
+
+def test_verify_rejects_order_with_scale():
+    with pytest.raises(ValueError, match="conflict"):
+        verify(["hecke-hf4"], order=40, scale=2)
+
+
+def test_import_loads_no_process_pool():
+    # a sequential run needs no multiprocessing, so importing the package
+    # and building the registry must not load it
+    code = ("import sys, qhecke; from qhecke.registry import registry; registry(); "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        SRC, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_verify_rejects_an_empty_selection():
@@ -110,7 +135,7 @@ def test_pool_starts_no_more_workers_than_cases(monkeypatch):
         def map(self, fn, items):
             return [run_case(get_case(case_id), order) for case_id, order in items]
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify_mod, "_pool", RecordingPool)
     two = ["hecke-sigma", "humbert-hf4"]
     reports = verify(two, order=10, jobs=4)
     assert [r.id for r in reports] == [c for c in registry_ids() if c in set(two)]
