@@ -26,18 +26,32 @@ _MOCK_NAMES = {"A": "A", "V1": "V1", "sigma": "sigma", "phi-": "phi_minus",
                "phi_minus": "phi_minus"}
 
 
+_CONFIG_KEYS = ("default_order", "jobs")
+
+
 def _load_config(path):
-    """TOML-like key=value file; '#' starts a comment."""
+    """TOML-like key=value file; '#' starts a comment.
+
+    An unreadable file or a key other than _CONFIG_KEYS raises
+    ValueError, which exits 2.
+    """
     conf = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            conf[key] = value
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"expected one of {', '.join(_CONFIG_KEYS)}")
+        conf[key] = value
     return conf
 
 

@@ -7,7 +7,7 @@ theta functions come from theta.jtheta) and propagates through ring
 operations: products use the product rule, quotients (u'v - uv')/v^2.
 Appell-Lerch sums divide each term by 1 - c z^k q^d with two passes of
 the exact denominator rule QSeries.div_one_minus, over the same index
-range (theta.appell_range) as the scalar evaluator.
+range (series.appell_range) as every other Appell-type sum.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import QQ, ZPOLY, ZPoly
-from .series import QSeries, monomial
-from .theta import ThetaArg, appell_range, jtheta
+from .series import QSeries, appell_range, monomial
+from .theta import ThetaArg, jtheta
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def jet_appell(x, base, w, n):
     sx, ax, bx = x
     sw, aw, bw = w
     total = Jet1.of(QSeries.zero(QQ, n))
-    for r in appell_range(base, bw, bx + bw, n):
+    for r in appell_range(base, 2 * bw - base, 0, base, bx + bw - base, n):
         # (-1)^r sw^r == (-sw)^r
         c = 1 if (-sw == 1 or r % 2 == 0) else -1
         numer = Jet1.of(QSeries.monomial(

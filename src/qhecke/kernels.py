@@ -72,11 +72,19 @@ def _kron_mul(a, b, n):
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     k = (bits + 7) // 8
-    c = _pack(a, k) * _pack(b, k)
+    return unpack_signed(_pack(a, k) * _pack(b, k), k, n)
+
+
+def unpack_signed(x, k, n):
+    """The n lowest k-byte slots of x as signed ints, lowest first.
+
+    x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1), as a
+    packed product or a packed series is; higher slots are dropped.
+    """
     # a bias of 0x80.. per slot makes every slot nonnegative and below 2^(8k)
     slot_bias = bytes(k - 1) + b"\x80"
-    c += int.from_bytes(slot_bias * n, "little")
-    data = (c & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
+    x += int.from_bytes(slot_bias * n, "little")
+    data = (x & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
     half = 1 << (8 * k - 1)
     fb = int.from_bytes
     return [fb(data[i:i + k], "little") - half for i in range(0, k * n, k)]

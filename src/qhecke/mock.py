@@ -22,12 +22,15 @@ Each step is a ring map, so only the final unpack needs every
 B = 1 with every sign made + gives at q^m a bound on sum_a |c_a|, and
 bits is that bound's bit length plus a sign bit, in whole bytes.
 
+A Hecke-Rogers or Appell-type sum is described by one spec: its
+quadratic exponent, its index region and one coefficient function.
 Indefinite theta sums run over exactly the shells n that hold a term
 through the order: the exponent is lowest at an end of the shell's
 j-range, so those shells are the series.lattice_range of the two ends.
-Appell-type sums run over exactly the k whose lowest exponent is at
-most the order, and Humbert's double sum over exactly the (m, u) whose
-exponent is; each term over its own 1 +- q^(dk+e) goes into
+Appell-type sums, the Appell-Lerch sums of theta.appell_m included,
+run over series.appell_range, the k whose lowest exponent is at most
+the order, and Humbert's double sum over exactly the (m, u) whose
+exponent is; each term over its own 1 - r q^(dk+e) goes into
 series.geometric_sum, exact for any degree.
 """
 
@@ -38,8 +41,10 @@ from itertools import chain, repeat
 from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
+from .kernels import unpack_signed
 from .rings import ZPOLY, ZZ, ZPoly
-from .series import QSeries, geom_ratio, geometric_sum, grown, lattice_range
+from .series import (QSeries, appell_range, geom_ratio, geometric_sum, grown,
+                     lattice_range)
 
 
 def kronecker_minus4(n):
@@ -141,18 +146,11 @@ def _slot_bits(which, n):
 def _build_bivariate(which, n):
     """F4 or F8 through q^n from the packed recurrence, one ZPoly per q^m."""
     bits = _slot_bits(which, n)
-    size = bits // 8
-    half = 1 << (bits - 1)
-    slot_bias = bytes(size - 1) + b"\x80"
-    fb = int.from_bytes
     coeffs = []
     for m, x in enumerate(_term_sum(_RECIPES[which], n, bits)):
-        # the 2m + 1 slots of z^-m .. z^m, each biased to [0, 2^bits)
-        width = size * (2 * m + 1)
-        x = (x >> bits * (n + 1 - m)) + fb(slot_bias * (2 * m + 1), "little")
-        data = x.to_bytes(width, "little")
-        coeffs.append(ZPoly({a: fb(data[i:i + size], "little") - half
-                             for a, i in enumerate(range(0, width, size), -m)}))
+        # the 2m + 1 slots of z^-m .. z^m
+        slots = unpack_signed(x >> bits * (n + 1 - m), bits // 8, 2 * m + 1)
+        coeffs.append(ZPoly(dict(enumerate(slots, -m))))
     return QSeries(ZPOLY, 0, coeffs, n)
 
 
@@ -179,26 +177,19 @@ _JENDS = {"jabs": ((1, 0), (0, 1)), "sym": ((1, -1), (0, 1)), "pos": ((1, 0), (0
 
 @dataclass(frozen=True)
 class HeckeRogersSpec:
-    """An indefinite theta sum over a lattice region.
+    """The indefinite theta sum of coef(n, j) q^Q(n, j) over a lattice region.
 
     region: "jabs" (1 <= j <= |n|, n != 0), "sym" (1-|n| <= j <= |n|,
-    n != 0) or "pos" (n >= 1, 1 <= j <= n).  The exponent is the
-    integer-valued quadratic (A n^2 + B nj + C j^2 + D n + E j + F)/2
-    given by doubled integer coefficients.  Sign flags compose
-    multiplicatively; weight is w_n*n + w_j*j + w_0, optionally times
-    extra(n, j); zpart attaches the Laurent-polynomial factor used by
-    the z-analog identities.
+    n != 0) or "pos" (n >= 1, 1 <= j <= n).  Q is the integer-valued
+    quadratic (A n^2 + B nj + C j^2 + D n + E j + F)/2 given by doubled
+    integer coefficients.  coef(n, j) is an element of ring: an int, or
+    a Laurent polynomial in z for the z-analogs.
     """
 
     region: str
     quad2: tuple  # doubled coefficients (A, B, C, D, E, F)
-    sg_n: bool = False
-    alt_n: bool = False        # (-1)^(n-1)
-    alt_j: bool = False        # (-1)^(j-1)
-    alt_half: bool = False     # (-1)^(n-1+j(j-1)/2)
-    weight: tuple = (0, 0, 1)  # (w_n, w_j, w_0)
-    extra: Optional[Callable] = None
-    zpart: Optional[str] = None  # None | "geom_j" | "geom_n"
+    coef: Callable
+    ring: object = ZZ
 
     def __post_init__(self):
         if self.region not in _JENDS:
@@ -219,30 +210,6 @@ class HeckeRogersSpec:
         (lo0, lo1), (hi0, hi1) = _JENDS[self.region]
         return range(lo0 + lo1 * abs(n), hi0 + hi1 * abs(n) + 1)
 
-    def term_coeff(self, n, j):
-        w = self.weight[0] * n + self.weight[1] * j + self.weight[2]
-        if self.extra is not None:
-            w *= self.extra(n, j)
-        if w == 0:
-            return 0
-        s = 1
-        if self.sg_n and n < 0:
-            s = -s
-        if self.alt_n and n % 2 == 0:
-            s = -s
-        if self.alt_j and j % 2 == 0:
-            s = -s
-        if self.alt_half and (n - 1 + j * (j - 1) // 2) % 2 != 0:
-            s = -s
-        return s * w
-
-    def zfactor(self, n, j):
-        if self.zpart == "geom_j":
-            return geom_ratio(1 - j, j)
-        if self.zpart == "geom_n":
-            return geom_ratio(n, -n)
-        raise ValueError(f"unknown zpart {self.zpart!r}")
-
 
 def hecke_rogers(spec: HeckeRogersSpec, n):
     """Evaluate the indefinite theta sum to order n over the exact shells.
@@ -251,7 +218,6 @@ def hecke_rogers(spec: HeckeRogersSpec, n):
     j^2 coefficient <= 0 the exponent is lowest at one of those ends, so
     the shells holding a term are the union of the two ends' t-ranges.
     """
-    ring = ZZ if spec.zpart is None else ZPOLY
     a, b, c, d, e, f = spec.quad2
     terms = []
     for sgn in ((1,) if spec.region == "pos" else (1, -1)):
@@ -264,62 +230,50 @@ def hecke_rogers(spec: HeckeRogersSpec, n):
             m = sgn * t
             for j in spec.jrange(m):
                 ex = spec.exponent(m, j)
-                coef = spec.term_coeff(m, j) if ex <= n else 0
+                coef = spec.coef(m, j) if ex <= n else 0
                 if coef:
-                    terms.append((ex, coef if spec.zpart is None
-                                  else spec.zfactor(m, j) * coef))
-    return QSeries.from_terms(ring, terms, n)
+                    terms.append((ex, coef))
+    return QSeries.from_terms(spec.ring, terms, n)
 
 
 # ---------------------------------------------------------------------------
-# Generic Appell-type right-hand sides
+# Generic Appell-type sums
 
 
 @dataclass(frozen=True)
 class AppellRhsSpec:
-    """sum w(k) (-1)^(k-1)? q^{a k^2 + b k + c} / (1 + s q^{d k + e}).
+    """sum_{k >= lo} coef(k) q^((A k^2 + B k + C)/2) / (1 - ratio q^(d k + e)).
 
-    krange is "bilateral" (k in Z) or "positive" (k >= 1); zgeom, when
-    set, multiplies term k by a Laurent polynomial in z.
+    quad2 = (A, B, C), A > 0, gives the exponent by doubled integer
+    coefficients; lo = None sums over all of Z.  coef(k) is an element
+    of ring, and ratio an element of ring or an int.
     """
 
-    quad: tuple            # (a, b, c) with a > 0
-    weight: tuple = (0, 1)  # (w1, w0): w1*k + w0
-    alternating: bool = True
-    denom_sign: int = 1     # s in 1 + s q^{dk+e}
-    denom: tuple = (1, 0)   # (d, e), d != 0
-    krange: str = "bilateral"
-    zgeom: Optional[Callable] = None
+    quad2: tuple
+    coef: Callable
+    ratio: object
+    denom: tuple  # (d, e)
+    lo: Optional[int] = None
+    ring: object = ZZ
 
-    def exponent(self, k):
-        a, b, c = self.quad
-        return a * k * k + b * k + c
-
-    def term_coeff(self, k):
-        w = self.weight[0] * k + self.weight[1]
-        if self.alternating and k % 2 == 0:
-            w = -w
-        return w
+    def __post_init__(self):
+        a, b, c = self.quad2
+        if (a + b) % 2 or c % 2:
+            raise ValueError(f"quad2 {self.quad2} does not give an integer exponent")
 
 
 def appell_rhs(spec: AppellRhsSpec, n):
-    """Evaluate the Appell-type sum to order n."""
-    ring = ZZ if spec.zgeom is None else ZPOLY
+    """Evaluate the Appell-type sum to order n over series.appell_range."""
+    a, b, c = spec.quad2
     d, e = spec.denom
-    s = spec.denom_sign
-    # term k has lowest exponent Q(k) + max(0, -(dk+e)) with
-    # Q(k) = ak^2 + bk + c: both Q(k) <= n and Q(k) - (dk+e) <= n
-    qa, qb, qc = spec.quad
-    ks = lattice_range(qa, qb, qc - n, 1 if spec.krange == "positive" else None)
 
     def terms():
-        for k in lattice_range(qa, qb - d, qc - e - n, ks.start, ks.stop - 1):
-            c = spec.term_coeff(k)
-            if c:
-                coef = spec.zgeom(k) * c if spec.zgeom is not None else ring.from_int(c)
-                yield coef, spec.exponent(k), -s, d * k + e
+        for k in appell_range(a, b, c, d, e, n, spec.lo):
+            coef = spec.coef(k)
+            if coef:
+                yield coef, (a * k * k + b * k + c) // 2, spec.ratio, d * k + e
 
-    return geometric_sum(ring, terms(), n)
+    return geometric_sum(spec.ring, terms(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +284,52 @@ def _q2(*coeffs):
     return tuple(2 * c for c in coeffs)
 
 
+def _sg(n):
+    """sg(n): 1 for n >= 0, -1 for n < 0."""
+    return 1 if n >= 0 else -1
+
+
+def _alt(k):
+    """(-1)^(k-1)."""
+    return 1 if k % 2 else -1
+
+
 # exponent 2n^2 - n - j^2 + j over 1 <= j <= |n|
-HR_HF8 = HeckeRogersSpec("jabs", _q2(2, 0, -1, -1, 1, 0), sg_n=True,
-                         alt_j=True, weight=(0, 2, -1))
-HR_A = HeckeRogersSpec("jabs", _q2(2, 0, -1, -1, 1, 0), sg_n=True,
-                       alt_n=True, weight=(0, 0, 1))
-HR_F8Z = HeckeRogersSpec("jabs", _q2(2, 0, -1, -1, 1, 0), sg_n=True,
-                         alt_j=True, weight=(0, 0, 1), zpart="geom_j")
+_HF8_QUAD = _q2(2, 0, -1, -1, 1, 0)
+HR_HF8 = HeckeRogersSpec("jabs", _HF8_QUAD, lambda n, j: _sg(n) * _alt(j) * (2 * j - 1))
+HR_A = HeckeRogersSpec("jabs", _HF8_QUAD, lambda n, j: _sg(n) * _alt(n))
+HR_F8Z = HeckeRogersSpec("jabs", _HF8_QUAD,
+                         lambda n, j: _sg(n) * _alt(j) * geom_ratio(1 - j, j), ZPOLY)
 
 # exponent n^2 - j(j-1)/2 over n >= 1, 1 <= j <= n
 _HF4_QUAD = (2, 0, -1, 0, 1, 0)
-HR_F4Z = HeckeRogersSpec("pos", _HF4_QUAD, weight=(0, 0, 1), zpart="geom_n")
-HR_V1 = HeckeRogersSpec("pos", _HF4_QUAD, weight=(0, 0, 1),
-                        extra=lambda n, j: kronecker_minus4(n))
-HR_HF4 = HeckeRogersSpec("pos", _HF4_QUAD, alt_half=True, weight=(1, 0, 0))
+HR_F4Z = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: geom_ratio(n, -n), ZPOLY)
+HR_V1 = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: kronecker_minus4(n))
+HR_HF4 = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: _alt(n + j * (j - 1) // 2) * n)
 
 # exponent 4n^2 - 2n - 3j^2 + 2j over 1-|n| <= j <= |n|
-HR_HF12 = HeckeRogersSpec("sym", _q2(4, 0, -3, -2, 2, 0), sg_n=True,
-                          alt_j=True, weight=(4, 0, -1))
-HR_SIGMA = HeckeRogersSpec("sym", _q2(4, 0, -3, -2, 2, 0), sg_n=True,
-                           alt_j=True, weight=(0, 0, 1))
+_HF12_QUAD = _q2(4, 0, -3, -2, 2, 0)
+HR_HF12 = HeckeRogersSpec("sym", _HF12_QUAD, lambda n, j: _sg(n) * _alt(j) * (4 * n - 1))
+HR_SIGMA = HeckeRogersSpec("sym", _HF12_QUAD, lambda n, j: _sg(n) * _alt(j))
 
 # exponent 3n^2 - n - 2j^2 + j over 1-|n| <= j <= |n|
-HR_HF24 = HeckeRogersSpec("sym", _q2(3, 0, -2, -1, 1, 0), sg_n=True,
-                          alt_n=True, weight=(0, 4, -1))
-HR_PHI = HeckeRogersSpec("sym", _q2(3, 0, -2, -1, 1, 0), sg_n=True,
-                         alt_n=True, weight=(0, 0, 1))
-HR_PSI = HeckeRogersSpec("sym", _q2(3, 0, -2, -1, 1, 0), sg_n=True,
-                         alt_j=True, weight=(0, 0, 1))
+_HF24_QUAD = _q2(3, 0, -2, -1, 1, 0)
+HR_HF24 = HeckeRogersSpec("sym", _HF24_QUAD, lambda n, j: _sg(n) * _alt(n) * (4 * j - 1))
+HR_PHI = HeckeRogersSpec("sym", _HF24_QUAD, lambda n, j: _sg(n) * _alt(n))
+HR_PSI = HeckeRogersSpec("sym", _HF24_QUAD, lambda n, j: _sg(n) * _alt(j))
 
-AP_HF4 = AppellRhsSpec((1, 0, 0), (2, -1), True, 1, (2, -1), "positive")
-AP_HF8 = AppellRhsSpec((2, 0, 0), (4, -1), True, 1, (4, -1))
-AP_A = AppellRhsSpec((2, 0, 0), (0, 1), True, -1, (4, -1))
-AP_HF12 = AppellRhsSpec((3, 0, 0), (6, -1), True, 1, (6, -1))
-AP_SIGMA = AppellRhsSpec((3, 0, 0), (0, 1), True, -1, (6, -1))
-AP_HF24_A = AppellRhsSpec((6, 0, 0), (12, -1), True, 1, (12, -1))
-AP_HF24_B = AppellRhsSpec((6, 0, -2), (12, -7), True, 1, (12, -7))
-AP_F4Z = AppellRhsSpec((1, 0, 0), (0, 1), True, 1, (2, -1), "positive",
-                       zgeom=lambda k: geom_ratio(1 - k, k))
-AP_F8Z = AppellRhsSpec((2, 0, 0), (0, 1), True, 1, (4, -1), "bilateral",
-                       zgeom=lambda k: geom_ratio(1 - 2 * k, 2 * k))
+# (-1)^(k-1) w(k) q^Q(k) over 1 + q^(dk+e) (ratio -1) or 1 - q^(dk+e) (ratio 1)
+AP_HF4 = AppellRhsSpec((2, 0, 0), lambda k: _alt(k) * (2 * k - 1), -1, (2, -1), lo=1)
+AP_HF8 = AppellRhsSpec((4, 0, 0), lambda k: _alt(k) * (4 * k - 1), -1, (4, -1))
+AP_A = AppellRhsSpec((4, 0, 0), _alt, 1, (4, -1))
+AP_HF12 = AppellRhsSpec((6, 0, 0), lambda k: _alt(k) * (6 * k - 1), -1, (6, -1))
+AP_SIGMA = AppellRhsSpec((6, 0, 0), _alt, 1, (6, -1))
+AP_HF24_A = AppellRhsSpec((12, 0, 0), lambda k: _alt(k) * (12 * k - 1), -1, (12, -1))
+AP_HF24_B = AppellRhsSpec((12, 0, -4), lambda k: _alt(k) * (12 * k - 7), -1, (12, -7))
+AP_F4Z = AppellRhsSpec((2, 0, 0), lambda k: _alt(k) * geom_ratio(1 - k, k), -1, (2, -1),
+                       lo=1, ring=ZPOLY)
+AP_F8Z = AppellRhsSpec((4, 0, 0), lambda k: _alt(k) * geom_ratio(1 - 2 * k, 2 * k), -1,
+                       (4, -1), ring=ZPOLY)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,18 @@ def lattice_range(a, b, c, lo=None, hi=None):
     return range(kmin, kmax + 1)
 
 
+def appell_range(a, b, c, d, e, n, lo=None):
+    """The k >= lo whose term q^Q(k)/(1 - r*q^(dk+e)), with
+    Q(k) = (a*k*k + b*k + c)/2, has lowest exponent at most n.
+
+    That exponent is Q(k) + max(0, -(dk+e)), so it is at most n exactly
+    when both Q(k) <= n and Q(k) - (dk+e) <= n.  Every Appell-type sum,
+    Appell-Lerch sums and their jets included, runs over this range.
+    """
+    ks = lattice_range(a, b, c - 2 * n, lo)
+    return lattice_range(a, b - 2 * d, c - 2 * e - 2 * n, ks.start, ks.stop - 1)
+
+
 def geom_ratio(a, b):
     """(z^a - z^b) / (1 - z) as an exact Laurent polynomial.
 

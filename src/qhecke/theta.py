@@ -11,8 +11,9 @@ case d = 0.
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
 the order, and no others.  jtheta is the one term sum of j with a
-z-bearing argument (jets.py takes its image at z = 1), and the terms
-of an Appell-Lerch sum, each over its own denominator, are summed by
+z-bearing argument (jets.py takes its image at z = 1).  An Appell-Lerch
+sum is one mock.AppellRhsSpec run by mock.appell_rhs, over
+series.appell_range, with each term over its own denominator summed by
 series.geometric_sum.
 """
 
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .mock import AppellRhsSpec, appell_rhs
 from .rings import QQ, ZPOLY, ZZ, ZPoly
-from .series import (INF, QSeries, SignedMonomial, eta_quotient, etaq, geometric_sum,
-                     lattice_range, pochhammer)
+from .series import INF, QSeries, SignedMonomial, eta_quotient, lattice_range
 
 
 @dataclass(frozen=True)
@@ -96,20 +97,13 @@ def theta_low(d, base):
     return min(base * k * (k - 1) // 2 + d * k for k in (m, m + 1))
 
 
-def jtheta(arg: ThetaArg, n, method="sum"):
-    """j(x; q^base) to order n; sum and product methods must agree.
+def jtheta(arg: ThetaArg, n):
+    """j(x; q^base) to order n by the bilateral sum.
 
     Coefficients are integers for z-free x and Laurent polynomials in z
     otherwise.
     """
     x, base = arg.monomial, arg.base
-    if method == "product":
-        qbase_over_x = SignedMonomial(x.sign, -x.zdeg, base - x.qdeg)
-        out = pochhammer(x, base, None, n)
-        out = out * pochhammer(qbase_over_x, base, None, n).over(out.ring)
-        return out * etaq(base, n).over(out.ring)
-    if method != "sum":
-        raise ValueError(f"unknown method {method!r}")
     neg = -x.sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
     terms = ((base * m * (m - 1) // 2 + x.qdeg * m, 1 if neg == 1 or m % 2 == 0 else -1,
               x.zdeg * m) for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
@@ -118,37 +112,20 @@ def jtheta(arg: ThetaArg, n, method="sum"):
     return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(c, k)) for e, c, k in terms), n)
 
 
-def appell_range(base, zq, xzq, n):
-    """The r whose term of m(x, q^base, z) has lowest exponent <= n.
-
-    Term r is (-1)^r q^{Q(r)} z^r / (1 - x z q^{d(r)}) with
-    Q(r) = base*r(r-1)/2 + zq*r and d(r) = base*(r-1) + xzq, so its
-    lowest exponent is Q(r) + max(0, -d(r)); that is <= n exactly when
-    both Q(r) <= n and Q(r) - d(r) <= n.
-    """
-    rs = lattice_range(base, 2 * zq - base, -2 * n)
-    return lattice_range(base, 2 * zq - 3 * base, 2 * (base - xzq - n),
-                         rs.start, rs.stop - 1)
-
-
 def appell_m(x, base, z, n):
     """Appell-Lerch m(x, q^base, z) to order n, rational coefficients.
 
     x and z are scaled q-monomials (rationals allowed for z, including
-    plain numbers); the bilateral sum over the denominators
-    1 - q^{base(r-1)} x z is a series.geometric_sum, exact for any
-    q-degree.
+    plain numbers).  The bilateral sum of (-z)^r q^{base r(r-1)/2} over
+    1 - x z q^{base(r-1)} is one Appell-type sum, divided by j(z; q^base).
     """
     x = QMono.of(x)
     z = QMono.of(z)
-    jz = theta_sum_scaled(z, base, n)
     xz = x * z
-    cz = Fraction(z.coef)
-    total = geometric_sum(QQ, ((cz ** r if r % 2 == 0 else -(cz ** r),
-                                base * r * (r - 1) // 2 + z.qdeg * r,
-                                xz.coef, base * (r - 1) + xz.qdeg)
-                               for r in appell_range(base, z.qdeg, xz.qdeg, n)), n)
-    return total * jz.invert()
+    minus_cz = -Fraction(z.coef)
+    spec = AppellRhsSpec((base, 2 * z.qdeg - base, 0), lambda r: minus_cz ** r, xz.coef,
+                         (base, xz.qdeg - base), ring=QQ)
+    return appell_rhs(spec, n) * theta_sum_scaled(z, base, n).invert()
 
 
 def f_abc_terms(a, b, c, x: SignedMonomial, y: SignedMonomial, n):

@@ -139,6 +139,27 @@ def test_config_file_sets_order(capsys, tmp_path, monkeypatch):
     assert code == 0 and "    35" in out
 
 
+def test_missing_config_file_exits_two(capsys, tmp_path):
+    missing = tmp_path / "missing.conf"
+    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(missing))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "cannot read config file" in err
+
+
+def test_config_path_that_is_a_directory_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "cannot read config file" in err
+
+
+def test_unknown_config_key_exits_two(capsys, tmp_path):
+    conf = tmp_path / "qhecke.conf"
+    conf.write_text("jobs = 1\ndefault_ordr = 400\n")
+    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and ":2: unknown key 'default_ordr'" in err
+
+
 def test_oeis_command(capsys):
     code, out, _ = run(capsys, "oeis", "--seq", "A238872",
                        "--bfile", os.path.join(DATA, "b238872.txt"),

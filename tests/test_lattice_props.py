@@ -158,9 +158,16 @@ def hr_specs(draw):
     d = 2 * draw(st.integers(-20, 20)) + a % 2
     e = 2 * draw(st.integers(-20, 20)) + c % 2
     f = 2 * draw(st.integers(-30, 30))
-    return HeckeRogersSpec(draw(st.sampled_from(["jabs", "sym", "pos"])), (a, 0, c, d, e, f),
-                           sg_n=draw(st.booleans()), alt_j=draw(st.booleans()),
-                           weight=(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), 1))
+    region = draw(st.sampled_from(["jabs", "sym", "pos"]))
+    sg_n, alt_j = draw(st.booleans()), draw(st.booleans())
+    w_n, w_j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+
+    def coef(m, j):
+        # sg(m) when sg_n, (-1)^(j-1) when alt_j, times w_n m + w_j j + 1
+        s = -1 if (sg_n and m < 0) != (alt_j and j % 2 == 0) else 1
+        return s * (w_n * m + w_j * j + 1)
+
+    return HeckeRogersSpec(region, (a, 0, c, d, e, f), coef)
 
 
 @prop
@@ -179,7 +186,7 @@ def test_hecke_rogers_matches_box(spec, n):
             ex = (a * m * m + c * j * j + d * m + e * j + f) // 2
             if ex <= n:
                 # the coefficient rule is not what this test is about
-                want[ex] = want.get(ex, 0) + spec.term_coeff(m, j)
+                want[ex] = want.get(ex, 0) + spec.coef(m, j)
     got = hecke_rogers(spec, n)
     assert got.order == n
     assert dict(got.nonzero_terms()) == {ex: v for ex, v in want.items() if v}
@@ -187,19 +194,20 @@ def test_hecke_rogers_matches_box(spec, n):
 
 # -- Appell-type right-hand sides --------------------------------------------------
 
-def brute_appell_rhs(spec, n):
-    """The terms of ``spec`` through q^n, each denominator expanded by hand."""
-    a, b, c = spec.quad
-    d, e = spec.denom
-    s = spec.denom_sign
+def brute_appell_rhs(quad, weight, alternating, sign, denom, krange, n):
+    """sum w(k) (-1)^(k-1)? q^(a k^2 + b k + c) / (1 + s q^(d k + e)) through
+    q^n, over k in Z or k >= 1, each denominator expanded by hand."""
+    a, b, c = quad
+    d, e = denom
+    s = sign
     # a >= 1, so Q(k) > n once |k| > |b| + |c - n|, and every term of k
     # lies at or above Q(k)
     box = abs(b) + abs(c - n) + 1
     out = {}
-    for k in range(1 if spec.krange == "positive" else -box, box + 1):
+    for k in range(1 if krange == "positive" else -box, box + 1):
         q0, dk = a * k * k + b * k + c, d * k + e
-        w = spec.weight[0] * k + spec.weight[1]
-        if spec.alternating and k % 2 == 0:
+        w = weight[0] * k + weight[1]
+        if alternating and k % 2 == 0:
             w = -w
         if w == 0 or q0 > n:
             continue
@@ -216,15 +224,26 @@ def brute_appell_rhs(spec, n):
     return {ex: v for ex, v in out.items() if v}
 
 
+def appell_spec(quad, weight, alternating, sign, denom, krange):
+    """The AppellRhsSpec of the sum brute_appell_rhs expands."""
+    def coef(k):
+        w = weight[0] * k + weight[1]
+        return -w if alternating and k % 2 == 0 else w
+
+    return AppellRhsSpec(tuple(2 * x for x in quad), coef, -sign, denom,
+                         1 if krange == "positive" else None)
+
+
 @prop
 @given(st.integers(1, 3), st.integers(-30, 30), st.integers(-30, 30),
        st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.booleans(),
        st.sampled_from([1, -1]), st.integers(-6, 6).filter(bool), st.integers(-40, 40),
        st.sampled_from(["bilateral", "positive"]), st.integers(-10, 50))
 def test_appell_rhs_matches_box(a, b, c, weight, alternating, sign, d, e, krange, n):
-    spec = AppellRhsSpec((a, b, c), weight, alternating, sign, (d, e), krange)
+    args = ((a, b, c), weight, alternating, sign, (d, e), krange)
+    spec = appell_spec(*args)
     try:
-        want = brute_appell_rhs(spec, n)
+        want = brute_appell_rhs(*args, n)
     except PoleError:
         with pytest.raises(PoleError):
             appell_rhs(spec, n)
@@ -236,7 +255,7 @@ def test_appell_rhs_matches_box(a, b, c, weight, alternating, sign, d, e, krange
 def test_appell_rhs_terms_past_empty_rows():
     # k = 0..7 lie above q^50 at their lowest exponent, k = 8..34 do not
     for krange in ("bilateral", "positive"):
-        spec = AppellRhsSpec((1, -40, 0), (0, 1), True, 1, (2, -300), krange)
-        want = brute_appell_rhs(spec, 50)
-        assert dict(appell_rhs(spec, 50).nonzero_terms()) == want, krange
+        args = ((1, -40, 0), (0, 1), True, 1, (2, -300), krange)
+        want = brute_appell_rhs(*args, 50)
+        assert dict(appell_rhs(appell_spec(*args), 50).nonzero_terms()) == want, krange
         assert min(want) == -141

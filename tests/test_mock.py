@@ -16,6 +16,11 @@ from qhecke.rings import ZPOLY, ZPoly, ZZ
 from qhecke.series import QSeries, eta_quotient
 
 
+def ONE(n, j):
+    """The coefficient 1 of every term of a Hecke-Rogers sum."""
+    return 1
+
+
 def naive_mul(a, b, n):
     out = {}
     for e1, c1 in a.items():
@@ -226,13 +231,15 @@ def test_hecke_rogers_shapes():
 
 
 def test_hecke_rogers_empty_shells_terminate():
-    spec = HeckeRogersSpec("jabs", (4, 0, -2, -2, 2, 0), sg_n=True, alt_j=True,
-                           weight=(0, 2, -1))
+    # sg(n) (-1)^(j-1) (2j - 1)
+    spec = HeckeRogersSpec("jabs", (4, 0, -2, -2, 2, 0),
+                           lambda n, j: (1 if n >= 0 else -1) * (1 if j % 2 else -1)
+                           * (2 * j - 1))
     assert hecke_rogers(spec, 0).is_zero_through_order()
 
 
 def test_hecke_rogers_unbounded_raises():
-    bad = HeckeRogersSpec("sym", (-2, 0, 0, 0, 0, 0))
+    bad = HeckeRogersSpec("sym", (-2, 0, 0, 0, 0, 0), ONE)
     with pytest.raises(NonConvergentError):
         hecke_rogers(bad, 10)
 
@@ -240,7 +247,7 @@ def test_hecke_rogers_unbounded_raises():
 def test_hecke_rogers_shells_far_from_the_origin():
     # exponent (t-20)^2 - j(j-1)/2: shells 1..10 hold no term through
     # q^50, shells 11..68 do
-    spec = HeckeRogersSpec("pos", (2, 0, -1, -80, 1, 800))
+    spec = HeckeRogersSpec("pos", (2, 0, -1, -80, 1, 800), ONE)
     want = {}
     # for t >= 100 the doubled exponent is >= t(t - 79) + 800 > 100
     for t in range(1, 100):
@@ -256,7 +263,7 @@ def test_hecke_rogers_shells_far_from_the_origin():
 def test_hecke_rogers_linear_end_converges():
     # exponent t^2 - j^2 + t + j over 1 <= j <= t is 2t at the end j = t:
     # linear growth, which still truncates; shells t > 10 lie above q^20
-    spec = HeckeRogersSpec("pos", (2, 0, -2, 2, 2, 0))
+    spec = HeckeRogersSpec("pos", (2, 0, -2, 2, 2, 0), ONE)
     want = {}
     for t in range(1, 11):
         for j in range(1, t + 1):
@@ -268,17 +275,17 @@ def test_hecke_rogers_linear_end_converges():
 
 def test_hecke_rogers_spec_validation():
     with pytest.raises(ValueError):
-        HeckeRogersSpec("pos", (2, 1, -1, 0, 1, 0))    # odd B
+        HeckeRogersSpec("pos", (2, 1, -1, 0, 1, 0), ONE)    # odd B
     with pytest.raises(ValueError):
-        HeckeRogersSpec("pos", (2, 0, -1, 0, 1, 1))    # odd F
+        HeckeRogersSpec("pos", (2, 0, -1, 0, 1, 1), ONE)    # odd F
     with pytest.raises(ValueError):
-        HeckeRogersSpec("pos", (2, 0, -1, 1, 1, 0))    # A + D odd
+        HeckeRogersSpec("pos", (2, 0, -1, 1, 1, 0), ONE)    # A + D odd
     with pytest.raises(ValueError):
-        HeckeRogersSpec("pos", (2, 0, -1, 0, 0, 0))    # C + E odd
+        HeckeRogersSpec("pos", (2, 0, -1, 0, 0, 0), ONE)    # C + E odd
     with pytest.raises(ValueError):
-        HeckeRogersSpec("pos", (2, 0, 1, 0, 1, 0))     # C > 0
+        HeckeRogersSpec("pos", (2, 0, 1, 0, 1, 0), ONE)     # C > 0
     with pytest.raises(ValueError):
-        HeckeRogersSpec("box", (2, 0, -2, 0, 0, 0))
+        HeckeRogersSpec("box", (2, 0, -2, 0, 0, 0), ONE)
     import qhecke.mock as mock
     named = [v for k, v in vars(mock).items() if k.startswith("HR_")]
     assert len(named) == 11
@@ -286,9 +293,19 @@ def test_hecke_rogers_spec_validation():
         replace(spec)  # re-runs the validation
 
 
+def test_appell_rhs_spec_validation():
+    for quad2 in ((1, 0, 0), (2, 1, 0), (2, 0, 1)):  # A + B or C odd
+        with pytest.raises(ValueError):
+            AppellRhsSpec(quad2, lambda k: 1, 1, (2, -1))
+    named = [v for k, v in vars(mock).items() if k.startswith("AP_")]
+    assert len(named) == 9
+    for spec in named:
+        replace(spec)  # re-runs the validation
+
+
 def test_appell_rhs_geometric_head():
     # single k=1 term: q/(1+q) = q - q^2 + q^3 - ...
-    spec = AppellRhsSpec((1, 0, 0), (0, 1), False, 1, (2, -1), "positive")
+    spec = AppellRhsSpec((2, 0, 0), lambda k: 1, -1, (2, -1), lo=1)
     got = appell_rhs(spec, 6)
     head = {e: (1 if e % 2 else -1) for e in range(1, 7)}
     one_term = {e: c for e, c in got.nonzero_terms() if e <= 3}
@@ -324,9 +341,9 @@ def test_kronecker_minus4():
 
 
 def test_zpart_sums_have_z_inversion_symmetry():
-    # every geom_j-weighted sum satisfies [z^k] = [z^-k] (the factor
-    # (z^(1-j)-z^j)/(1-z) is invariant under z -> 1/z); the geom_n
-    # factor picks up one power of z, giving [z^k] = [z^(-1-k)]
+    # every sum weighted by geom_ratio(1 - j, j) satisfies [z^k] = [z^-k]
+    # (the factor (z^(1-j)-z^j)/(1-z) is invariant under z -> 1/z); the
+    # factor geom_ratio(n, -n) picks up one power of z, giving [z^k] = [z^(-1-k)]
     from qhecke.mock import AP_F4Z, AP_F8Z, HR_F4Z, HR_F8Z, appell_rhs
 
     def check(series, mirror):

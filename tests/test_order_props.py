@@ -4,13 +4,15 @@ Each operation is run twice: on series certified through some finite
 order, and on longer series that agree with them through that order and
 carry random coefficients beyond it.  Through the order the first result
 claims, both results must have the same coefficients, and the longer
-inputs must certify at least as far.
+inputs must certify at least as far.  The builders geometric_sum and
+eta_sum take exact terms and an order instead: the same terms summed to
+a longer order must agree with them through the order they claim.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from qhecke.rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly
-from qhecke.series import INF, QSeries
+from qhecke.series import INF, QSeries, eta_sum, geometric_sum
 
 prop = settings(deadline=None, max_examples=150)
 
@@ -233,3 +235,45 @@ def test_over_claims_no_more_than_its_input_knows(pair_target):
     got = f.over(target)
     assert got.ring is target and got.order == f.order
     assert_agree(got, f_long.over(target))
+
+
+@st.composite
+def geometric_terms(draw, ring):
+    """Up to four (c, e, r, d) terms of c q^e/(1 - r q^d) that geometric_sum
+    accepts: r as linear_factor draws it for d < 0, d = 0 and d > 0, so
+    rational r over QQ and r = +-z^k over ZPOLY."""
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        d = draw(st.integers(-4, 4))
+        r = draw(linear_factor(ring, d, divide=True))
+        terms.append((draw(coeffs_of(ring)), draw(st.integers(-8, 12)), r, d))
+    return terms
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(st.just(r), geometric_terms(r))),
+       st.integers(-4, 16), st.integers(1, 8))
+def test_geometric_sum_claims_no_more_than_its_terms_know(case, n, more):
+    ring, terms = case
+    got = geometric_sum(ring, terms, n)
+    assert got.ring is ring and got.order == n
+    assert_agree(got, geometric_sum(ring, terms, n + more))
+
+
+# (c, s, {delta: r}) terms of c q^s prod J_delta^r
+eta_terms = st.lists(st.tuples(st.integers(-6, 6),
+                               st.dictionaries(st.integers(1, 6), st.integers(-3, 3),
+                                               max_size=3)),
+                     max_size=3)
+
+
+@prop
+@given(all_rings.flatmap(lambda r: st.tuples(st.just(r), st.lists(coeffs_of(r), min_size=3,
+                                                                  max_size=3))),
+       eta_terms, st.integers(-4, 30), st.integers(1, 8))
+def test_eta_sum_claims_no_more_than_its_terms_know(ring_cs, shifts_powers, n, more):
+    ring, cs = ring_cs
+    terms = [(c, s, powers) for c, (s, powers) in zip(cs, shifts_powers)]
+    got = eta_sum(terms, n, ring)
+    assert got.ring is ring and got.order == n
+    assert_agree(got, eta_sum(terms, n + more, ring))

@@ -1,17 +1,21 @@
 """Names that tools outside the package rely on.
 
 ``perfbench/tracer.py`` wraps the functions listed in its ``TARGETS`` and
-fails a traced benchmark run when one is gone; this test makes a rename
-fail here first.  The tracer is read, not installed.
+the caches listed in its ``CACHES``, and fails a traced benchmark run
+when one is gone; ``perfbench/child.py`` prints ``qhecke.kernels.BACKEND``
+and replaces a case's witnesses with ``dataclasses.replace``.  These
+tests make a rename fail here first.  Both files are read, not run.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import qhecke
+from qhecke.registry import IdentityCase
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _resolve(obj, dotted):
@@ -20,12 +24,19 @@ def _resolve(obj, dotted):
     return obj
 
 
+def _assigned(tree, name):
+    """The value node of the module-level assignment to ``name``."""
+    return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
+def _parse(name):
+    return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"))
+
+
 def test_public_and_traced_names_resolve():
     missing = [name for name in qhecke.__all__ if not hasattr(qhecke, name)]
-    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
-    targets = next(ast.literal_eval(node.value) for node in tree.body
-                   if isinstance(node, ast.Assign)
-                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    targets = ast.literal_eval(_assigned(_parse("tracer.py"), "TARGETS"))
     assert targets
     for module, names in targets.items():
         mod = importlib.import_module(f"qhecke.{module}")
@@ -35,3 +46,39 @@ def test_public_and_traced_names_resolve():
             except AttributeError:
                 missing.append(f"{module}: {name}")
     assert not missing
+
+
+def test_traced_caches_resolve():
+    # each entry is (cache name, module, accessor, cache attribute, key);
+    # the key is a lambda, so only the first four are read
+    entries = _assigned(_parse("tracer.py"), "CACHES").elts
+    assert entries
+    missing = []
+    for entry in entries:
+        _, module, accessor, attr = (ast.literal_eval(e) for e in entry.elts[:4])
+        mod = importlib.import_module(f"qhecke.{module}")
+        for name in (accessor, attr):
+            if not hasattr(mod, name):
+                missing.append(f"{module}: {name}")
+    assert not missing
+
+
+def test_benchmark_child_names_resolve():
+    tree = _parse("child.py")
+    # attribute chains rooted at the package, such as qhecke.kernels.BACKEND
+    chains = []
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == "qhecke":
+            chains.append(".".join(reversed(parts)))
+    assert "kernels.BACKEND" in chains
+    for dotted in chains:
+        _resolve(qhecke, dotted)
+    # the fields child.py passes to replace() on a registry case
+    fields = {kw.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "replace" for kw in node.keywords}
+    assert "witnesses" in fields
+    assert fields <= {f.name for f in dataclasses.fields(IdentityCase)}
