@@ -8,12 +8,14 @@ where that denominator is 1.  Long integer lists go through one
 big-integer multiply by Kronecker substitution: each list is packed into
 a single int with one fixed-width slot per coefficient, so CPython's
 Karatsuba does the convolution.  Rational units are inverted by Newton
-iteration on those products.  Gaussian and ZPoly lists take the
-schoolbook loop.
+iteration on those products.  Other integer products add one scaled
+copy of one operand per nonzero entry of the sparser one.  Gaussian and
+ZPoly lists take the schoolbook loop.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 BACKEND = "python"
 
@@ -105,16 +107,34 @@ def _conv(a, b, keep):
     if not sb:
         return _schoolbook(a, b, n)
     (a, da), (b, db) = sa, sb
-    if (len(a) - a.count(0) >= KRONECKER_MIN_NNZ
-            and len(b) - b.count(0) >= KRONECKER_MIN_NNZ):
+    nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
+    if min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
         out = _kron_mul(a, b, n)
     else:
-        out = _schoolbook(a, b, n)
+        out = _sparse_int_mul(a, b, n) if nnz_a <= nnz_b else _sparse_int_mul(b, a, n)
     return _divide(out, da * db)
 
 
+def _sparse_int_mul(a, b, n):
+    """The first n coefficients of a*b for int lists, one scaled copy of
+    b added per nonzero entry of a (the sparser operand)."""
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if not ai:
+            continue
+        m = min(len(b), n - i)
+        if ai == 1:
+            out[i:i + m] = map(add, out[i:i + m], b[:m])
+        elif ai == -1:
+            out[i:i + m] = map(sub, out[i:i + m], b[:m])
+        else:
+            out[i:i + m] = map(add, out[i:i + m], map(ai.__mul__, b[:m]))
+    return out
+
+
 def _schoolbook(a, b, n):
-    """The first n coefficients of a*b by the double loop."""
+    """The first n coefficients of a*b by the double loop (Gaussian and
+    ZPoly lists)."""
     la, lb = len(a), len(b)
     out = [0] * n
     for i in range(min(la, n)):

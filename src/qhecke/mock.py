@@ -22,11 +22,20 @@ Each step is a ring map, so only the final unpack needs every
 B = 1 with every sign made + gives at q^m a bound on sum_a |c_a|, and
 bits is that bound's bit length plus a sign bit, in whole bytes.
 
+The congruence cases need the Eulerian series only modulo m = 2^k.
+Their residue form reads the same recipes and keeps a whole term in one
+int, the residue at q^e in a slot of k + 1 bits: q^s is a right shift,
+1 + q^d one shift-add, 1/(1 - q^d) the doubling product of the
+1 + q^(d 2^i), and each step ends with one AND against the slot mask.
+A slot holds less than m after that AND, so one addition never carries
+into the next slot.  Only recipes with + signs and no z qualify.
+
 A Hecke-Rogers or Appell-type sum is described by one spec: its
 quadratic exponent, its index region and one coefficient function.
 Indefinite theta sums run over exactly the shells n that hold a term
 through the order: the exponent is lowest at an end of the shell's
-j-range, so those shells are the series.lattice_range of the two ends.
+j-range, so those shells are the series.lattice_range of the two ends,
+and within a shell the j above q^n, one middle lattice_range, are skipped.
 Appell-type sums, the Appell-Lerch sums of theta.appell_m included,
 run over series.appell_range, the k whose lowest exponent is at most
 the order, and Humbert's double sum over exactly the (m, u) whose
@@ -136,6 +145,57 @@ def eulerian(which, n):
     return grown(_euler_cache, which, n, lambda m, _: _build_eulerian(which, m))
 
 
+def _residue_sum(recipe, n, m):
+    """The sum of the recipe's terms through q^n modulo m = 2^k, as n + 1
+    residues in [0, m).
+
+    A term is one int with the residue at q^e in slot n - e, each slot
+    k + 1 bits wide and below m after every AND with the slot mask, so
+    one addition stays below 2^(k + 1) and no carry crosses a slot.
+    q^s is a right shift, which drops what passes q^n, 1 + q^d one
+    shift-add, and 1/(1 - q^d) the product of the 1 + q^(d 2^i) with
+    d 2^i <= n - v.  Only + signs and z-free factors are allowed.
+    """
+    w = m.bit_length()
+    mask = (m - 1) * (((1 << w * (n + 1)) - 1) // ((1 << w) - 1))
+    first, step = recipe
+    term, out = 1 << w * n, 0
+    v, k, factors = 0, 0, first
+    while True:
+        sign, s, muls, divs = factors
+        if sign < 0 or any(e < 0 for e, _ in muls) or any(t for t, _ in divs):
+            raise ValueError("residue sums take only + signs and z-free factors")
+        v += s
+        if v > n:
+            break
+        term >>= w * s
+        for _, d in muls:
+            term = (term + (term >> w * d)) & mask
+        for _, d in divs:
+            while d <= n - v:
+                term = (term + (term >> w * d)) & mask
+                d *= 2
+        out = (out + term) & mask
+        k += 1
+        factors = step(k)
+    bits = format(out, f"0{w * (n + 1)}b")
+    return [int(bits[j:j + w], 2) for j in range(0, w * (n + 1), w)]
+
+
+_residue_cache: dict = {}
+
+
+def eulerian_residues(which, n, m):
+    """A, V1, sigma or phi_minus through q^n with every coefficient
+    reduced to [0, m), for m a power of two >= 2."""
+    if type(m) is not int or m < 2 or m & (m - 1):
+        raise ValueError(f"modulus must be a power of two >= 2, got {m!r}")
+    if which not in _RECIPES:
+        raise ValueError(f"unknown Eulerian series {which!r}")
+    return grown(_residue_cache, (which, m), n,
+                 lambda top, _: QSeries(ZZ, 0, _residue_sum(_RECIPES[which], top, m), top))
+
+
 def _slot_bits(which, n):
     """Slot width for F4/F8 through q^n: whole bytes holding every
     coefficient with a sign bit, by the majorant."""
@@ -217,6 +277,8 @@ def hecke_rogers(spec: HeckeRogersSpec, n):
     Shell n = sgn*t (t >= 1) runs j between two ends linear in t.  With a
     j^2 coefficient <= 0 the exponent is lowest at one of those ends, so
     the shells holding a term are the union of the two ends' t-ranges.
+    Within a shell the j above q^n are one middle run, a lattice_range
+    that is skipped.
     """
     a, b, c, d, e, f = spec.quad2
     terms = []
@@ -228,11 +290,17 @@ def hecke_rogers(spec: HeckeRogersSpec, n):
                       for j0, j1 in _JENDS[spec.region])
         for t in chain(t_lo, (t for t in t_hi if t not in t_lo)):
             m = sgn * t
-            for j in spec.jrange(m):
-                ex = spec.exponent(m, j)
-                coef = spec.coef(m, j) if ex <= n else 0
+            js = spec.jrange(m)
+            # the j whose doubled exponent c j^2 + lin j + rest exceeds 2n
+            lin, rest = b * m + e, a * m * m + d * m + f
+            above = (lattice_range(-c, -lin, 2 * n + 1 - rest, js.start, js.stop - 1)
+                     if c or lin else range(0))
+            if above:
+                js = chain(range(js.start, above.start), range(above.stop, js.stop))
+            for j in js:
+                coef = spec.coef(m, j)
                 if coef:
-                    terms.append((ex, coef))
+                    terms.append((spec.exponent(m, j), coef))
     return QSeries.from_terms(spec.ring, terms, n)
 
 

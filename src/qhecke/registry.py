@@ -398,18 +398,18 @@ def registry():
     add(IdentityCase(
         "cong-hf8-A", "congruence",
         lambda n: classnum.genfun_F(8, -1, n),
-        lambda n: -mock.eulerian("A", n).alternate(), 300, modulus=4))
+        lambda n: -mock.eulerian_residues("A", n, 4).alternate(), 300, modulus=4))
     add(IdentityCase(
         "cong-hf12-sigma", "congruence",
         lambda n: classnum.genfun_F(12, -1, n),
-        lambda n: -mock.eulerian("sigma", n), 300, modulus=4))
+        lambda n: -mock.eulerian_residues("sigma", n, 4), 300, modulus=4))
     add(IdentityCase(
         "cong-hf24-phi-minus", "congruence",
         lambda n: classnum.genfun_F(24, -1, n),
-        lambda n: -mock.eulerian("phi_minus", n), 300, modulus=4))
+        lambda n: -mock.eulerian_residues("phi_minus", n, 4), 300, modulus=4))
     add(IdentityCase(
         "cong-A-hurwitz", "congruence",
-        lambda n: mock.eulerian("A", n),
+        lambda n: mock.eulerian_residues("A", n, 4),
         _neg_alt_hurwitz, 300, modulus=4,
         note="coefficients of A against (-1)^(n+1) H(8n-1)"))
 

@@ -51,8 +51,11 @@ def _compare(lhs, rhs, order, modulus=0, slot=None):
     # every exponent where the sides can disagree is a term of the difference
     for e, c in (lhs - rhs).nonzero_terms():
         if not modulus or c % modulus:
-            return {"exp": e, "lhs": str(lhs.coeff(e)), "rhs": str(rhs.coeff(e)),
-                    "slot": slot}
+            a, b = lhs.coeff(e), rhs.coeff(e)
+            if modulus:
+                # as elements of Z/mZ, whichever way each side was built
+                a, b = a % modulus, b % modulus
+            return {"exp": e, "lhs": str(a), "rhs": str(b), "slot": slot}
     return None
 
 

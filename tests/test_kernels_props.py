@@ -191,6 +191,23 @@ def test_conv_trunc_packed_path_signs_and_carries():
             assert kernels.conv_trunc(a, b, keep) == naive_conv(a, b, keep)
 
 
+@prop
+@given(st.data())
+def test_conv_trunc_sparse_int_operand_on_either_side(data):
+    # one operand below KRONECKER_MIN_NNZ nonzeros, of +-1 and larger
+    # entries, against a longer and denser one, in both argument orders
+    n = data.draw(st.integers(1, 4 * T))
+    sparse = [0] * n
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=T - 1)):
+        sparse[i] = data.draw(st.sampled_from([1, -1, 2, -3, 1 << 70, -(1 << 65)]))
+    dense = data.draw(st.lists(st.integers(-(1 << 80), 1 << 80), min_size=1, max_size=4 * T))
+    keep = data.draw(keeps(n, len(dense)))
+    for x, y in ((sparse, dense), (dense, sparse)):
+        out = kernels.conv_trunc(x, y, keep)
+        assert out == naive_conv(x, y, keep)
+        assert all(type(v) is int for v in out)
+
+
 # -- inv_unit --------------------------------------------------------------------
 
 @prop

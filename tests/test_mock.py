@@ -10,8 +10,8 @@ from qhecke import mock
 from qhecke.errors import NonConvergentError
 from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
                          HeckeRogersSpec, _build_bivariate, _build_eulerian, appell_rhs,
-                         c_sum, eulerian, F4_series, F8_series, hecke_rogers,
-                         humbert_series, kronecker_minus4)
+                         c_sum, eulerian, eulerian_residues, F4_series, F8_series,
+                         hecke_rogers, humbert_series, kronecker_minus4)
 from qhecke.rings import ZPOLY, ZPoly, ZZ
 from qhecke.series import QSeries, eta_quotient
 
@@ -200,6 +200,45 @@ def test_eulerian_cache_grows_to_each_request(monkeypatch, which):
     want = _eulerian_raw(which, 100)
     assert (small.order, large.order) == (10, 100)
     assert small.same(want.truncate(10)) and large.same(want)
+
+
+EULERIAN = ("A", "V1", "sigma", "phi_minus")
+
+
+@pytest.mark.parametrize("which", EULERIAN)
+def test_residues_match_exact_engine(which):
+    # the packed residue slots against the exact flat-list sum, reduced
+    for n in (0, 1, 2, 5, 40, 300, 1200):
+        exact = mock._term_sum(mock._RECIPES[which], n)
+        for m in (2, 4, 8):
+            got = mock._residue_sum(mock._RECIPES[which], n, m)
+            assert got == [c % m for c in exact], (n, m)
+
+
+@pytest.mark.parametrize("which", EULERIAN)
+def test_residue_cache_grows_to_each_request(monkeypatch, which):
+    # order exactly n at each request; 0 builds to 64, so 65 must rebuild,
+    # and each modulus has its own entry
+    monkeypatch.setattr(mock, "_residue_cache", {})
+    for n in (0, 1, 2, 5, 40, 65, 300):
+        exact = mock._term_sum(mock._RECIPES[which], n)
+        for m in (2, 4, 8):
+            got = eulerian_residues(which, n, m)
+            assert got.ring is ZZ and got.order == n
+            assert [got.coeff(e) for e in range(n + 1)] == [c % m for c in exact], (n, m)
+            assert mock._residue_cache[(which, m)].order >= n
+    assert set(mock._residue_cache) == {(which, m) for m in (2, 4, 8)}
+
+
+def test_residues_reject_other_moduli_and_signed_or_z_recipes():
+    for m in (0, 1, 3, 6, 12, -4, 4.0, True):
+        with pytest.raises(ValueError, match="power of two"):
+            eulerian_residues("A", 10, m)
+    for which in ("F4", "F8"):
+        with pytest.raises(ValueError, match="only \\+ signs"):
+            eulerian_residues(which, 10, 4)
+    with pytest.raises(ValueError, match="unknown"):
+        eulerian_residues("nope", 10, 4)
 
 
 @pytest.mark.parametrize("which", ["F4", "F8"])

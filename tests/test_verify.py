@@ -229,3 +229,30 @@ def test_negative_controls(cid, order):
                 assert report.status == "pass" and report.certified_order == order
         report = run_case(_bump_rhs(case, order + 1, 1, component), order)
         assert report.status == "pass" and report.certified_order == order
+
+
+def test_congruence_mismatch_is_reported_in_residues():
+    # a mismatch is reported as two elements of Z/mZ, in [0, m), so the
+    # report does not depend on which side was built as residues
+    from qhecke import classnum, mock
+    from qhecke.rings import ZZ
+    from qhecke.verify import _compare
+
+    lhs = QSeries(ZZ, 0, [0, 5, -3], 2)
+    assert _compare(lhs, QSeries(ZZ, 0, [0, 1, 0], 2), 2, modulus=4) == {
+        "exp": 2, "lhs": "1", "rhs": "0", "slot": None}
+    assert _compare(lhs, QSeries(ZZ, 0, [0, 1, 0], 2), 2) == {
+        "exp": 1, "lhs": "5", "rhs": "1", "slot": None}
+
+    case = get_case("cong-hf24-phi-minus")
+    exact = replace(case, build_rhs=lambda n: -mock.eulerian("phi_minus", n))
+    order = 40
+    for e in (1, 17, order):
+        reports = [run_case(_bump_rhs(c, e, 1), order).to_json() for c in (case, exact)]
+        for r in reports:
+            r.pop("ms")
+        assert reports[0] == reports[1]
+        mm = reports[0]["first_mismatch"]
+        assert mm["exp"] == e
+        want = classnum.genfun_F(24, -1, order).coeff(e) % 4
+        assert mm["lhs"] == str(want) and mm["rhs"] == str((want + 1) % 4)
