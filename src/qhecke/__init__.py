@@ -11,8 +11,8 @@ configurable truncation order.
 from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly, I
 from .series import (
     INF,
+    Monomial,
     QSeries,
-    SignedMonomial,
     eta_quotient,
     etaq,
     geom_ratio,
@@ -21,7 +21,7 @@ from .series import (
     pochhammer,
 )
 from .jets import Jet1, jet_of_termsum
-from .theta import ThetaArg, appell_m, f_abc, g_abc, jtheta, theta_1_4
+from .theta import appell_m, f_abc, g_abc, jtheta, theta_1_4
 from .classnum import genfun_F, genfun_H, hurwitz, hurwitz12, kronecker_F
 from .mock import (F4_series, F8_series, appell_rhs, eulerian, hecke_rogers,
                    humbert_series, kronecker_minus4)
@@ -31,10 +31,10 @@ from .verify import verify
 
 __all__ = [
     "QQ", "QQI", "ZPOLY", "ZZ", "GaussianRational", "ZPoly", "I",
-    "INF", "QSeries", "SignedMonomial", "eta_quotient", "etaq", "geom_ratio",
+    "INF", "Monomial", "QSeries", "eta_quotient", "etaq", "geom_ratio",
     "lattice_range", "monomial", "pochhammer",
     "Jet1", "jet_of_termsum",
-    "ThetaArg", "appell_m", "f_abc", "g_abc", "jtheta", "theta_1_4",
+    "appell_m", "f_abc", "g_abc", "jtheta", "theta_1_4",
     "genfun_F", "genfun_H", "hurwitz", "hurwitz12", "kronecker_F",
     "F4_series", "F8_series", "appell_rhs", "eulerian", "hecke_rogers",
     "humbert_series", "kronecker_minus4",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .rings import QQ, ZPOLY, ZPoly
 from .series import QSeries, appell_range, monomial
-from .theta import ThetaArg, jtheta
+from .theta import jtheta
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ def jet_of_termsum(terms, n):
 
 def jet_theta(sign, a, b, base, n, zshift=0):
     """Jet of z^zshift * j(sign * z^a q^b; q^base) to order n."""
-    jet = Jet1.of(jtheta(ThetaArg(monomial(sign, a, b), base), n))
+    jet = Jet1.of(jtheta(monomial(sign, a, b), base, n))
     return Jet1.z_power(zshift) * jet if zshift else jet
 
 
@@ -90,13 +90,13 @@ def jet_appell(x, base, w, n):
     either may depend on z.  Term r is (-w)^r q^{base r(r-1)/2} over
     1 - x w q^{base(r-1)}, divided out by Jet1.div_one_minus.
     """
-    sx, ax, bx = x
-    sw, aw, bw = w
+    w = monomial(*w)
+    xw = monomial(*x) * w
+    neg = -w.unit()  # (-w)^r has sign neg^r
     total = Jet1.of(QSeries.zero(QQ, n))
-    for r in appell_range(base, 2 * bw - base, 0, base, bx + bw - base, n):
-        # (-1)^r sw^r == (-sw)^r
-        c = 1 if (-sw == 1 or r % 2 == 0) else -1
+    for r in appell_range(base, 2 * w.qdeg - base, 0, base, xw.qdeg - base, n):
         numer = Jet1.of(QSeries.monomial(
-            ZPOLY, ZPoly.monomial(c, aw * r), base * r * (r - 1) // 2 + bw * r, n))
-        total = total + numer.div_one_minus(sx * sw, ax + aw, base * (r - 1) + bx + bw)
-    return jet_theta(sw, aw, bw, base, n).invert() * total
+            ZPOLY, ZPoly.monomial(neg ** (r % 2), w.zdeg * r),
+            base * r * (r - 1) // 2 + w.qdeg * r, n))
+        total = total + numer.div_one_minus(xw.unit(), xw.zdeg, base * (r - 1) + xw.qdeg)
+    return jet_theta(w.coef, w.zdeg, w.qdeg, base, n).invert() * total

@@ -7,15 +7,15 @@ denominator, as FLINT's fmpq_poly stores it; an int list is the case
 where that denominator is 1.  Long integer lists go through one
 big-integer multiply by Kronecker substitution: each list is packed into
 a single int with one fixed-width slot per coefficient, so CPython's
-Karatsuba does the convolution.  Rational units are inverted by Newton
-iteration on those products.  Other integer products add one scaled
-copy of one operand per nonzero entry of the sparser one.  Gaussian and
-ZPoly lists take the schoolbook loop.
+Karatsuba does the convolution.  Every other product, on any ring,
+adds one scaled copy of one operand per nonzero entry of the sparser
+one.  Every unit is inverted by Newton iteration on those products.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 BACKEND = "python"
 
@@ -102,22 +102,23 @@ def _conv(a, b, keep):
     n = min(keep, la + lb - 1) if la and lb else 0
     if n <= 0:
         return []
-    sa = _over_ints(a[:n])
-    sb = sa and _over_ints(b[:n])
-    if not sb:
-        return _schoolbook(a, b, n)
-    (a, da), (b, db) = sa, sb
+    a, b, d = a[:n], b[:n], 1
+    sa = _over_ints(a)
+    sb = sa and _over_ints(b)
+    if sb:
+        (a, da), (b, db) = sa, sb
+        d = da * db
     nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
-    if min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
+    if sb and min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
         out = _kron_mul(a, b, n)
     else:
-        out = _sparse_int_mul(a, b, n) if nnz_a <= nnz_b else _sparse_int_mul(b, a, n)
-    return _divide(out, da * db)
+        out = _sparse_mul(a, b, n) if nnz_a <= nnz_b else _sparse_mul(b, a, n)
+    return _divide(out, d)
 
 
-def _sparse_int_mul(a, b, n):
-    """The first n coefficients of a*b for int lists, one scaled copy of
-    b added per nonzero entry of a (the sparser operand)."""
+def _sparse_mul(a, b, n):
+    """The first n coefficients of a*b, one scaled copy of b added per
+    nonzero entry of a (the sparser operand)."""
     out = [0] * n
     for i, ai in enumerate(a[:n]):
         if not ai:
@@ -128,24 +129,7 @@ def _sparse_int_mul(a, b, n):
         elif ai == -1:
             out[i:i + m] = map(sub, out[i:i + m], b[:m])
         else:
-            out[i:i + m] = map(add, out[i:i + m], map(ai.__mul__, b[:m]))
-    return out
-
-
-def _schoolbook(a, b, n):
-    """The first n coefficients of a*b by the double loop (Gaussian and
-    ZPoly lists)."""
-    la, lb = len(a), len(b)
-    out = [0] * n
-    for i in range(min(la, n)):
-        ai = a[i]
-        if not ai:
-            continue
-        jmax = min(lb, n - i)
-        for j in range(jmax):
-            bj = b[j]
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
+            out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(ai, m), b[:m]))
     return out
 
 
@@ -154,15 +138,15 @@ def conv_trunc(a, b, keep):
     return _conv(a, b, keep)
 
 
-def _inv_newton(g, keep, known=None):
-    """Inverse of an int/Fraction list with g[0] == 1, by Newton iteration.
+def _inv_newton(g, keep, known):
+    """Inverse of a list with g[0] the ring's one, by Newton iteration.
 
     Each step doubles the known prefix m of h = 1/g: with
     e = g*h - 1 = O(q^m), the update h - h*e is exact to q^(2m).
-    ``known``, a list holding the first len(known) coefficients of 1/g,
-    is extended in place from there instead of from h = [1].
+    ``known``, a list holding the first len(known) >= 1 coefficients of
+    1/g, is extended in place from there.
     """
-    h = [1] if known is None else known
+    h = known
     m = len(h)
     while m < keep:
         m2 = min(2 * m, keep)
@@ -176,25 +160,14 @@ def _inv_newton(g, keep, known=None):
 
 
 def inv_unit(g, keep, one):
-    """Inverse of a series with g[0] == 1, to keep coefficients.
+    """Inverse of a series with g[0] == one, to keep coefficients.
 
-    ``one`` is the ring's multiplicative identity (used to seed out[0]).
+    ``one`` is the ring's multiplicative identity, which seeds the
+    Newton iteration.
     """
     if keep <= 0:
         return [0] * keep
-    if set(map(type, g)) <= _RATIONAL and g[0] == 1:
-        return _inv_newton(g, keep)
-    out = [0] * keep
-    out[0] = one
-    lg = len(g)
-    for k in range(1, keep):
-        acc = 0
-        for i in range(1, min(k, lg - 1) + 1):
-            gi = g[i]
-            if gi:
-                acc = acc + gi * out[k - i]
-        out[k] = -acc if acc else 0
-    return out
+    return _inv_newton(g, keep, [one])
 
 
 def mul_linear(f, c, d):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 from typing import Callable
 
@@ -29,8 +30,7 @@ from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import QQ, QQI, ZZ, I
 from .series import QSeries, eta_quotient, eta_sum, etaq, monomial
-from .theta import (QMono, ThetaArg, appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4,
-                    theta_sum_scaled)
+from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
 
 
 @dataclass(frozen=True)
@@ -137,13 +137,13 @@ def _humbert_triple_expansion(n):
 
 
 def _m_minus_z(n, z0):
-    return appell_m(QMono(-z0, 0), 1, QMono(-1, 0), n)
+    return appell_m(monomial(-z0), 1, monomial(-1), n)
 
 
 def _theta_correction(n, z0):
     """j(q;q^2)^2 / (2 j(z0;q)), the theta term of the F8 and even/odd relations."""
-    return (theta_sum_scaled(QMono(1, 1), 2, n) ** 2
-            * theta_sum_scaled(QMono(z0, 0), 1, n).invert()).scale(Fraction(1, 2))
+    return (theta_sum_scaled(monomial(1, 0, 1), 2, n) ** 2
+            * theta_sum_scaled(monomial(z0), 1, n).invert()).scale(Fraction(1, 2))
 
 
 def _f8_appell_rhs(n, z0):
@@ -151,18 +151,19 @@ def _f8_appell_rhs(n, z0):
 
 
 def _m_evenodd_rhs(n, z0):
-    t1 = appell_m(QMono(-z0 * z0, 1), 4, QMono(Fraction(1, z0 * z0), 2), n)
-    t2 = appell_m(QMono(-Fraction(1, z0 * z0), 1), 4,
-                  QMono(z0 * z0, 2), n).scale(Fraction(1, z0))
+    t1 = appell_m(monomial(-z0 * z0, 0, 1), 4, monomial(Fraction(1, z0 * z0), 0, 2), n)
+    t2 = appell_m(monomial(-Fraction(1, z0 * z0), 0, 1), 4,
+                  monomial(z0 * z0, 0, 2), n).scale(Fraction(1, z0))
     return t1 - t2 + _theta_correction(n, z0)
 
 
 # Appell-Lerch relation witnesses: (x, z) scaled monomials chosen to avoid poles
-_W_SHIFT = ((QMono(1, 3), QMono(2, 0)), (QMono(-1, 2), QMono(-3, 0)))
-_W_INV = ((QMono(-1, 1), QMono(2, 0)), (QMono(1, 2), QMono(Fraction(3, 2), 0)))
-_W_CHANGE_Z = ((QMono(1, 3), QMono(-1, 0), QMono(2, 0)),
-        (QMono(-1, 2), QMono(3, 0), QMono(Fraction(1, 2), 0)))
-_W_QUARTIC = ((QMono(-1, 1), QMono(3, 0)), (QMono(1, 3), QMono(2, 0)))
+_W_SHIFT = ((monomial(1, 0, 3), monomial(2)), (monomial(-1, 0, 2), monomial(-3)))
+_W_INV = ((monomial(-1, 0, 1), monomial(2)),
+          (monomial(1, 0, 2), monomial(Fraction(3, 2))))
+_W_CHANGE_Z = ((monomial(1, 0, 3), monomial(-1), monomial(2)),
+        (monomial(-1, 0, 2), monomial(3), monomial(Fraction(1, 2))))
+_W_QUARTIC = ((monomial(-1, 0, 1), monomial(3)), (monomial(1, 0, 3), monomial(2)))
 _W_FG = ((monomial(1, 0, 3), monomial(1, 0, 4)), (monomial(-1, 0, 2), monomial(-1, 0, 4)))
 _W_F151 = (monomial(1, 0, 2), monomial(1, 0, 3))
 
@@ -183,8 +184,8 @@ def _quartic_rhs(n, x, z):
     # middle z-argument reconstructed as z^4 (the printed q^4 makes
     # j(q^4;q^4) = 0); theta term exactly as displayed
     w = z ** 4
-    t1 = appell_m(QMono(-x.coef * x.coef, 2 * x.qdeg + 1), 4, w, n)
-    t2 = appell_m(QMono(-x.coef * x.coef, 2 * x.qdeg - 1), 4, w, n
+    t1 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg + 1), 4, w, n)
+    t2 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg - 1), 4, w, n
                   ).shift(x.coef, x.qdeg - 1)
     num = (etaq(2, n).over(QQ) * etaq(4, n).over(QQ)
            * theta_sum_scaled((x * z * z).neg(), 1, n)
@@ -357,21 +358,21 @@ def registry():
     # it goes first, as the convolution skips the zeros of its first operand
     add(IdentityCase(
         "bivar-f8z-hecke", "formal_z",
-        lambda n: jtheta(ThetaArg(monomial(1, 1, 1), 2), n) * mock.F8_series(n),
+        lambda n: jtheta(monomial(1, 1, 1), 2, n) * mock.F8_series(n),
         lambda n: mock.hecke_rogers(mock.HR_F8Z, n), 100,
         note="(zq, q/z, q^2; q^2)_inf F8(z,q) against the geom_j-weighted sum"))
     add(IdentityCase(
         "bivar-f4z-hecke", "formal_z",
-        lambda n: jtheta(ThetaArg(monomial(-1, 1, 1), 1), n) * mock.F4_series(n).alternate(),
+        lambda n: jtheta(monomial(-1, 1, 1), 1, n) * mock.F4_series(n).alternate(),
         lambda n: mock.hecke_rogers(mock.HR_F4Z, n), 100,
         note="(-zq, -1/z, q; q)_inf F4(z,-q) against the geom_n-weighted sum"))
     add(IdentityCase(
         "bivar-f4z-appell", "formal_z",
-        lambda n: jtheta(ThetaArg(monomial(1, 1, 1), 2), n) * mock.F4_series(n),
+        lambda n: jtheta(monomial(1, 1, 1), 2, n) * mock.F4_series(n),
         lambda n: mock.appell_rhs(mock.AP_F4Z, n), 100))
     add(IdentityCase(
         "bivar-f8z-appell", "formal_z",
-        lambda n: jtheta(ThetaArg(monomial(1, 2, 2), 4), n) * mock.F8_series(n),
+        lambda n: jtheta(monomial(1, 2, 2), 4, n) * mock.F8_series(n),
         lambda n: mock.appell_rhs(mock.AP_F8Z, n), 100))
 
     # -- specializations of F4/F8 (order 100) --------------------------------
@@ -582,8 +583,9 @@ def registry():
         add(IdentityCase(
             f"mrel-reflect-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, xi=x.inv(), z=z: (xi.as_series(n) - _m(x.qshift(1), z, n - xi.qdeg)
-                                             .shift(xi.coef, xi.qdeg)),
+            lambda n, x=x, xi=x.inv(), z=z: (
+                QSeries.monomial(QQ, xi.coef, xi.qdeg, n)
+                - _m(x.qshift(1), z, n - xi.qdeg).shift(xi.coef, xi.qdeg)),
             30, note="m(x,q,z) = x^-1 - x^-1 m(qx,q,z)"))
     for i, (x, z1, z0) in enumerate(_W_CHANGE_Z, 1):
         add(IdentityCase(
@@ -602,13 +604,13 @@ def registry():
         add(IdentityCase(
             f"mrel-f121-g121-w{i}", "univariate",
             lambda n, x=x, y=y: f_abc(1, 2, 1, x, y, n).over(QQ),
-            lambda n, x=x, y=y, z1=QMono.of(y) * QMono.of(x).inv(): (
+            lambda n, x=x, y=y, z1=y * x.inv(): (
                 g_abc(1, 2, 1, x, y, z1, z1.inv(), n)), 40,
             note="f_{1,2,1}(x,y,q) = g_{1,2,1}(x,y,q,y/x,x/y)"))
     add(IdentityCase(
         "mrel-f151-theta14", "univariate",
         lambda n: f_abc(1, 5, 1, *_W_F151, n).over(QQ),
-        lambda n: (g_abc(1, 5, 1, *_W_F151, QMono(1, 1), QMono(1, -1), n)
+        lambda n: (g_abc(1, 5, 1, *_W_F151, monomial(1, 0, 1), monomial(1, 0, -1), n)
                    - theta_1_4(*_W_F151, n)), 40, allow_fail=True,
         note="f_{1,5,1} = g_{1,5,1} - Theta_{1,4} with the correction transcribed "
              "verbatim; the printed formula repeats j(y/x;q^24) in numerator and "
@@ -626,7 +628,7 @@ def registry():
     add(IdentityCase(
         "numz-f4-appell", "numeric_z",
         lambda n, z0: mock.F4_series(n).eval_z(z0).scale(1 - Fraction(1) / z0),
-        lambda n, z0: appell_m(QMono(-z0, 0), 2, QMono(-1, 1), n), 60, witnesses=ws,
+        lambda n, z0: appell_m(monomial(-z0), 2, monomial(-1, 0, 1), n), 60, witnesses=ws,
         note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q)"))
     add(IdentityCase(
         "numz-f8-appell", "numeric_z",
@@ -684,12 +686,15 @@ def registry():
     return cases
 
 
+@cache
+def cases_by_id():
+    """Every case by id, in registry order, built once per process."""
+    return {c.id: c for c in registry()}
+
+
 def registry_ids():
-    return [c.id for c in registry()]
+    return list(cases_by_id())
 
 
 def get_case(case_id):
-    for c in registry():
-        if c.id == case_id:
-            return c
-    raise KeyError(case_id)
+    return cases_by_id()[case_id]

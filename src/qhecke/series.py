@@ -21,6 +21,7 @@ along its own stride e, e + d, ... of one dense list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import isqrt
 from operator import add
 
@@ -32,20 +33,43 @@ INF = float("inf")
 
 
 @dataclass(frozen=True)
-class SignedMonomial:
-    """The term sign * z^zdeg * q^qdeg with sign in {+1, -1}."""
+class Monomial:
+    """coef * z^zdeg * q^qdeg with a nonzero int or Fraction coef: every
+    theta, Appell-Lerch and f_{a,b,c} argument."""
 
-    sign: int
-    zdeg: int
-    qdeg: int
+    coef: int | Fraction
+    zdeg: int = 0
+    qdeg: int = 0
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
+        if self.coef == 0:
+            raise ValueError("monomial coefficient must be nonzero")
+
+    def __mul__(self, other):
+        return Monomial(self.coef * other.coef, self.zdeg + other.zdeg, self.qdeg + other.qdeg)
+
+    def inv(self):
+        return Monomial(Fraction(1) / self.coef, -self.zdeg, -self.qdeg)
+
+    def __pow__(self, k):
+        # Fraction, as an int to a negative power is a float
+        return Monomial(Fraction(self.coef) ** k, self.zdeg * k, self.qdeg * k)
+
+    def neg(self):
+        return Monomial(-self.coef, self.zdeg, self.qdeg)
+
+    def qshift(self, d):
+        return Monomial(self.coef, self.zdeg, self.qdeg + d)
+
+    def unit(self):
+        """coef as the int +1 or -1; ValueError for any other coef."""
+        if self.coef not in (1, -1):
+            raise ValueError(f"monomial coefficient must be +1 or -1, got {self.coef}")
+        return int(self.coef)
 
 
-def monomial(sign=1, zdeg=0, qdeg=0):
-    return SignedMonomial(sign, zdeg, qdeg)
+def monomial(coef=1, zdeg=0, qdeg=0):
+    return Monomial(coef, zdeg, qdeg)
 
 
 class QSeries:
@@ -505,34 +529,21 @@ def geom_ratio(a, b):
     return ZPoly({i: -1 for i in range(b, a)})
 
 
-def _mono_coeff(x: SignedMonomial, ring):
-    if x.zdeg == 0:
-        return ring.from_int(x.sign)
-    if ring is not ZPOLY:
-        raise RingMismatchError("z-bearing monomial needs Zpoly coefficients")
-    return ZPoly.monomial(x.sign, x.zdeg)
-
-
-def pochhammer(x: SignedMonomial, step, count, n):
+def pochhammer(x: Monomial, step, count, n):
     """Truncated q-Pochhammer (x; q^step)_count to order n.
 
-    count may be an integer or None for the infinite product.  The
-    coefficient ring is ZZ for z-free x and Zpoly otherwise.
+    count may be an integer or None for the infinite product.  x needs
+    coefficient +1 or -1.  The coefficient ring is ZZ for z-free x and
+    Zpoly otherwise.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    ring = ZZ if x.zdeg == 0 else ZPOLY
-    out = QSeries.one(ring, n)
-    k = 0
-    while True:
-        if count is not None and k >= count:
-            break
-        d = x.qdeg + k * step
-        if count is None and d > n:
-            break
-        c = _mono_coeff(x, ring)
-        out = out.mul_one_minus(c, d)
-        k += 1
+    c = x.unit() if x.zdeg == 0 else ZPoly.monomial(x.unit(), x.zdeg)
+    out = QSeries.one(ZZ if x.zdeg == 0 else ZPOLY, n)
+    if count is None:  # the factors 1 - x q^(k*step) with a term through q^n
+        count = max(0, (n - x.qdeg) // step + 1)
+    for k in range(count):
+        out = out.mul_one_minus(c, x.qdeg + k * step)
     return out
 
 

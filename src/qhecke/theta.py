@@ -3,10 +3,10 @@
 j(x;q) follows the triple-product convention
     j(x;q) = (x, q/x, q; q)_inf = sum_{n} (-1)^n q^{n(n-1)/2} x^n,
 m(x,q,z) the bilateral Appell-Lerch sum, and f_{a,b,c} / g_{a,b,c} the
-indefinite-theta blocks they decompose into.  Exact arguments are
-scaled q-monomials c*q^d (c a nonzero rational), which covers every
-witness instance in the registry; z-free scalars are the degenerate
-case d = 0.
+indefinite-theta blocks they decompose into.  Every argument is one
+series.Monomial c*z^k*q^d: the integral builders (jtheta, f_abc) take
+c = +-1 and any k, the rational ones (theta_sum_scaled, appell_m,
+g_abc, theta_1_4) any nonzero rational c and k = 0.
 
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
@@ -25,66 +25,21 @@ from typing import Callable
 
 from .mock import AppellRhsSpec, appell_rhs
 from .rings import QQ, ZPOLY, ZZ, ZPoly
-from .series import INF, QSeries, SignedMonomial, eta_quotient, lattice_range
+from .series import Monomial, QSeries, eta_quotient, lattice_range, monomial
 
 
-@dataclass(frozen=True)
-class QMono:
-    """A scaled q-monomial coef * q^qdeg with nonzero rational coef."""
-
-    coef: Fraction
-    qdeg: int
-
-    def __post_init__(self):
-        if self.coef == 0:
-            raise ValueError("monomial coefficient must be nonzero")
-
-    @classmethod
-    def of(cls, value):
-        if isinstance(value, QMono):
-            return value
-        if isinstance(value, SignedMonomial):
-            if value.zdeg != 0:
-                raise ValueError("z-bearing monomial where a scalar was expected")
-            return cls(value.sign, value.qdeg)
-        return cls(Fraction(value), 0)
-
-    def __mul__(self, other):
-        other = QMono.of(other)
-        return QMono(self.coef * other.coef, self.qdeg + other.qdeg)
-
-    def inv(self):
-        return QMono(Fraction(1) / self.coef, -self.qdeg)
-
-    def __pow__(self, k):
-        c = Fraction(self.coef) ** k
-        return QMono(c, self.qdeg * k)
-
-    def neg(self):
-        return QMono(-self.coef, self.qdeg)
-
-    def qshift(self, d):
-        return QMono(self.coef, self.qdeg + d)
-
-    def as_series(self, n=INF):
-        return QSeries.monomial(QQ, self.coef, self.qdeg, n)
+def _z_free(*xs):
+    """Raise ValueError unless every monomial is free of z."""
+    if any(x.zdeg for x in xs):
+        raise ValueError("z-bearing monomial where a scalar was expected")
 
 
-@dataclass(frozen=True)
-class ThetaArg:
-    monomial: SignedMonomial
-    base: int
-
-    def __post_init__(self):
-        if self.base < 1:
-            raise ValueError("theta base must be >= 1")
-
-
-def theta_sum_scaled(x: QMono, base, n):
+def theta_sum_scaled(x: Monomial, base, n):
     """j(c*q^d; q^base) by the bilateral sum, rational coefficients."""
-    c = Fraction(x.coef)
+    _z_free(x)
+    minus_c = -Fraction(x.coef)  # (-1)^m x^m = (-c)^m q^(dm)
     return QSeries.from_terms(
-        QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, c ** m if m % 2 == 0 else -(c ** m))
+        QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, minus_c ** m)
              for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
 
 
@@ -97,30 +52,35 @@ def theta_low(d, base):
     return min(base * k * (k - 1) // 2 + d * k for k in (m, m + 1))
 
 
-def jtheta(arg: ThetaArg, n):
-    """j(x; q^base) to order n by the bilateral sum.
+def jtheta(x: Monomial, base, n):
+    """j(x; q^base) to order n by the bilateral sum, for x = +-z^k q^d.
 
     Coefficients are integers for z-free x and Laurent polynomials in z
     otherwise.
     """
-    x, base = arg.monomial, arg.base
-    neg = -x.sign  # (-1)^m sign^m == neg^m, and neg^m depends only on parity
-    terms = ((base * m * (m - 1) // 2 + x.qdeg * m, 1 if neg == 1 or m % 2 == 0 else -1,
-              x.zdeg * m) for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
-    if x.zdeg == 0:
-        return QSeries.from_terms(ZZ, ((e, c) for e, c, _ in terms), n)
-    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(c, k)) for e, c, k in terms), n)
+    if base < 1:
+        raise ValueError("theta base must be >= 1")
+    neg = -x.unit()  # (-1)^m x^m has sign neg^m
+    terms = ((neg ** (m % 2), x.zdeg * m, base * m * (m - 1) // 2 + x.qdeg * m)
+             for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
+    return _integral(terms, x.zdeg == 0, n)
+
+
+def _integral(terms, z_free, n):
+    """The series of (coef, zdeg, qdeg) terms: over ZZ when z_free, else Zpoly."""
+    if z_free:
+        return QSeries.from_terms(ZZ, ((e, v) for v, _, e in terms), n)
+    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(v, k)) for v, k, e in terms), n)
 
 
 def appell_m(x, base, z, n):
     """Appell-Lerch m(x, q^base, z) to order n, rational coefficients.
 
-    x and z are scaled q-monomials (rationals allowed for z, including
-    plain numbers).  The bilateral sum of (-z)^r q^{base r(r-1)/2} over
-    1 - x z q^{base(r-1)} is one Appell-type sum, divided by j(z; q^base).
+    x and z are z-free monomials c*q^d.  The bilateral sum of
+    (-z)^r q^{base r(r-1)/2} over 1 - x z q^{base(r-1)} is one
+    Appell-type sum, divided by j(z; q^base).
     """
-    x = QMono.of(x)
-    z = QMono.of(z)
+    _z_free(x, z)
     xz = x * z
     minus_cz = -Fraction(z.coef)
     spec = AppellRhsSpec((base, 2 * z.qdeg - base, 0), lambda r: minus_cz ** r, xz.coef,
@@ -128,46 +88,36 @@ def appell_m(x, base, z, n):
     return appell_rhs(spec, n) * theta_sum_scaled(z, base, n).invert()
 
 
-def f_abc_terms(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
+def f_abc_terms(a, b, c, x: Monomial, y: Monomial, n):
     """Terms (coef, zdeg, qdeg) of f_{a,b,c}(x,y,q) with q-degree <= n.
 
     f_{a,b,c}(x,y,q) = sum_{sg(r)=sg(s)} sg(r) (-1)^{r+s} x^r y^s
-                       q^{a r(r-1)/2 + b rs + c s(s-1)/2}.
+                       q^{a r(r-1)/2 + b rs + c s(s-1)/2},
+    for x = +-z^k q^d and y likewise.
     """
     if a <= 0 or c <= 0 or b < 0:
         raise ValueError("f_{a,b,c} needs a > 0, c > 0 and b >= 0")
     xq, yq = x.qdeg, y.qdeg
-
-    def coef(r, s):
-        sg = 1 if r >= 0 else -1
-        neg = (r + s) % 2
-        sgn_x = 1 if (x.sign == 1 or r % 2 == 0) else -1
-        sgn_y = 1 if (y.sign == 1 or s % 2 == 0) else -1
-        v = sg * sgn_x * sgn_y
-        return -v if neg else v
-
+    neg_x, neg_y = -x.unit(), -y.unit()  # (-1)^r x^r has sign neg_x^r
     # b*r*s >= 0 on both quadrants, so row r holds a term only if
     # a*r(r-1)/2 + xq*r + min_s(c*s(s-1)/2 + yq*s) <= n (doubled below)
     out = []
     for r in lattice_range(a, 2 * xq - a, 2 * (theta_low(yq, c) - n)):
         row2 = a * r * (r - 1) + 2 * xq * r
         quadrant = (0, None) if r >= 0 else (None, -1)
+        row_sign = (1 if r >= 0 else -1) * neg_x ** (r % 2)
         for s in lattice_range(c, 2 * (b * r + yq) - c, row2 - 2 * n, *quadrant):
             e = (row2 + c * s * (s - 1)) // 2 + b * r * s + yq * s
-            out.append((coef(r, s), x.zdeg * r + y.zdeg * s, e))
+            out.append((row_sign * neg_y ** (s % 2), x.zdeg * r + y.zdeg * s, e))
     return out
 
 
-def f_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, n):
+def f_abc(a, b, c, x: Monomial, y: Monomial, n):
     """The indefinite-theta block f_{a,b,c}(x,y,q), exact to order n."""
-    terms = f_abc_terms(a, b, c, x, y, n)
-    if x.zdeg == 0 and y.zdeg == 0:
-        return QSeries.from_terms(ZZ, ((e, v) for v, _, e in terms), n)
-    return QSeries.from_terms(
-        ZPOLY, ((e, ZPoly.monomial(v, zd)) for v, zd, e in terms), n)
+    return _integral(f_abc_terms(a, b, c, x, y, n), x.zdeg == y.zdeg == 0, n)
 
 
-def g_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, z1, z0, n):
+def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
     """g_{a,b,c}(x,y,q,z1,z0): two t-sums of theta times Appell-Lerch terms.
 
     The second t-sum is the first with (a, x, z0) and (c, y, z1) swapped.
@@ -181,7 +131,7 @@ def g_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, z1, z0, n):
         out = QSeries.zero(QQ, n)
         for t in range(a):
             pref = (ym.neg() ** t).qshift(c * t * (t - 1) // 2)
-            jarg = QMono(xm.coef, xm.qdeg + b * t)
+            jarg = xm.qshift(b * t)
             marg = ((ym.neg() ** a) * (xm.neg() ** (-b))).neg().qshift(
                 a * b * (b + 1) // 2 - c * a * (a + 1) // 2 - t * (b * b - a * c))
             m = n - min(pref.qdeg, 0)
@@ -190,8 +140,8 @@ def g_abc(a, b, c, x: SignedMonomial, y: SignedMonomial, z1, z0, n):
             out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
         return out
 
-    xm, ym = QMono.of(x), QMono.of(y)
-    return t_sum(a, c, xm, ym, QMono.of(z0)) + t_sum(c, a, ym, xm, QMono.of(z1))
+    _z_free(x, y, z1, z0)
+    return t_sum(a, c, x, y, z0) + t_sum(c, a, y, x, z1)
 
 
 @dataclass(frozen=True)
@@ -230,9 +180,9 @@ class _Deferred:
         return _Deferred(-v, lambda n: self.build(max(n + 2 * v, v)).invert())
 
 
-def _theta_1_4_deferred(x: SignedMonomial, y: SignedMonomial):
+def _theta_1_4_deferred(xm: Monomial, ym: Monomial):
     """S1, S2 and the whole theta correction, unbuilt."""
-    xm, ym = QMono.of(x), QMono.of(y)
+    _z_free(xm, ym)
 
     def j(mono, base):
         return _Deferred(theta_low(mono.qdeg, base), lambda n: theta_sum_scaled(mono, base, n))
@@ -265,16 +215,17 @@ def _theta_1_4_deferred(x: SignedMonomial, y: SignedMonomial):
              * (j(y_over_x, 24) * j((xm ** 4).neg().qshift(10), 24)
                 * j((ym ** 4).neg().qshift(10), 24)).invert()
              ).shift(-xy.coef, xy.qdeg + 1)
-    return s1, s2, front * (j(QMono(1, 4), 16) * s1 - (j(QMono(1, 8), 16) * s2).shift(1, 1))
+    return s1, s2, front * (j(monomial(1, 0, 4), 16) * s1
+                            - (j(monomial(1, 0, 8), 16) * s2).shift(1, 1))
 
 
-def theta_1_4_parts(x: SignedMonomial, y: SignedMonomial, n):
+def theta_1_4_parts(x: Monomial, y: Monomial, n):
     """The two inner sums S1, S2 of the theta correction, as displayed."""
     s1, s2, _ = _theta_1_4_deferred(x, y)
     return s1.build(n), s2.build(n)
 
 
-def theta_1_4(x: SignedMonomial, y: SignedMonomial, n):
+def theta_1_4(x: Monomial, y: Monomial, n):
     """The printed theta correction for f_{1,5,1}, transcribed verbatim.
 
     The leading j(y/x;q^24) appears both in the numerator and in the

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .registry import IdentityCase, registry
+from .registry import IdentityCase, cases_by_id, get_case
 
 
 @dataclass
@@ -104,7 +104,6 @@ def run_case(case: IdentityCase, order=None):
 
 def _run_by_id(args):
     case_id, order = args
-    from .registry import get_case
     return run_case(get_case(case_id), order)
 
 
@@ -133,10 +132,10 @@ def verify(ids=None, order=None, jobs=1, scale=None):
             raise ValueError(f"scale must be at least 1, got {scale}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cases = registry()
+    by_id = cases_by_id()
+    cases = list(by_id.values())
     if ids is not None:
-        known = {c.id for c in cases}
-        unknown = [i for i in ids if i not in known]
+        unknown = [i for i in ids if i not in by_id]
         if unknown:
             raise KeyError(f"unknown identity id(s): {', '.join(unknown)}")
         wanted = set(ids)

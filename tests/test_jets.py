@@ -9,7 +9,7 @@ from qhecke.errors import NonUnitError
 from qhecke.jets import Jet1, jet_of_termsum, jet_theta
 from qhecke.rings import QQ, ZPOLY, ZPoly
 from qhecke.series import QSeries, monomial
-from qhecke.theta import ThetaArg, jtheta
+from qhecke.theta import jtheta
 
 
 def test_constant_jet_has_zero_derivative():
@@ -46,7 +46,7 @@ def test_product_rule_against_expanded_termsum():
         terms = [(1, 0, 0)]
         for sign, a, b, base in factors:
             new = []
-            theta = jtheta(ThetaArg(monomial(sign, a, b), base), 25)
+            theta = jtheta(monomial(sign, a, b), base, 25)
             theta_terms = [(c1, z1, q1) for q1, p in theta.nonzero_terms()
                            for z1, c1 in p.c.items()]
             for c0, z0, q0 in terms:
@@ -92,10 +92,9 @@ def test_alternating_theta_derivative_vanishes():
 
 def test_eval_z_at_one_agrees_with_jet_value():
     # the f0 route and the Zpoly-evaluation route must agree (order 25)
-    from qhecke.theta import jtheta, ThetaArg
     from qhecke.series import monomial
     for sign, zdeg, qdeg, base in ((1, 1, 1, 2), (-1, 2, 0, 2), (1, 6, 1, 3)):
-        via_poly = jtheta(ThetaArg(monomial(sign, zdeg, qdeg), base), 25).eval_z(1)
+        via_poly = jtheta(monomial(sign, zdeg, qdeg), base, 25).eval_z(1)
         via_jet = jet_theta(sign, zdeg, qdeg, base, 25).f0
         _, bad = via_poly.first_mismatch(via_jet)
         assert bad is None

@@ -15,8 +15,8 @@ from hypothesis import assume, given, settings, strategies as st
 from qhecke.errors import NonConvergentError, PoleError
 from qhecke.mock import AppellRhsSpec, HeckeRogersSpec, appell_rhs, hecke_rogers
 from qhecke.rings import QQ
-from qhecke.series import QSeries, lattice_range
-from qhecke.theta import QMono, appell_m, theta_sum_scaled
+from qhecke.series import QSeries, lattice_range, monomial
+from qhecke.theta import appell_m, theta_sum_scaled
 
 # no deadline: the shared test hosts' speed varies too much for one
 prop = settings(deadline=None, max_examples=150)
@@ -113,7 +113,7 @@ def brute_theta(coef, d, base, n):
 @prop
 @given(small_rationals, st.integers(-40, 40), st.integers(1, 5), st.integers(-5, 60))
 def test_theta_sum_scaled_matches_box(coef, d, base, n):
-    got = theta_sum_scaled(QMono(coef, d), base, n)
+    got = theta_sum_scaled(monomial(coef, 0, d), base, n)
     assert got.order == n
     assert dict(got.nonzero_terms()) == brute_theta(coef, d, base, n)
 
@@ -143,7 +143,7 @@ def test_appell_m_matches_box(cx, xq, base, cz, zq, n):
             inner[e] = inner.get(e, 0) + v
     want = (QSeries.from_terms(QQ, inner.items(), n)
             * QSeries.from_terms(QQ, jz.items(), n).invert())
-    got = appell_m(QMono(cx, xq), base, QMono(cz, zq), n)
+    got = appell_m(monomial(cx, 0, xq), base, monomial(cz, 0, zq), n)
     order, bad = got.first_mismatch(want)
     assert bad is None and got.order == want.order
 
