@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import UndefinedResidueError
-from .rings import QQ, ZZ
+from .rings import QQ
 from .series import QSeries
 
 
@@ -134,24 +134,19 @@ def genfun_F(a, b, n):
     if a % 4 != 0 or b % 4 != 3:
         raise UndefinedResidueError(
             f"F({a}n{b:+d}) leaves the residues where F is defined")
-    table = _h12_upto(a * n + b if a * n + b >= 0 else 0)
-    terms = []
-    for k in range(n + 1):
-        m = a * k + b
-        if m < 0:
-            continue
-        terms.append((k, kronecker_F(m, _h12=table[m])))
-    return QSeries.from_terms(ZZ, terms, n)
+    return _genfun(a, b, n, lambda m, h12: kronecker_F(m, _h12=h12))
 
 
 def genfun_H(a, b, n):
     """Generating function sum_{k>=0} H(a*k+b) q^k to order n, rationals."""
-    top = a * n + b
-    table = _h12_upto(top if top >= 0 else 0)
-    terms = []
-    for k in range(n + 1):
-        m = a * k + b
-        if m < 0:
-            continue
-        terms.append((k, Fraction(table[m], 12)))
-    return QSeries.from_terms(QQ, terms, n)
+    return _genfun(a, b, n, lambda m, h12: Fraction(h12, 12))
+
+
+def _genfun(a, b, n, value):
+    """sum_{k=0..n} value(m, 12*H(m)) q^k over the m = a*k+b >= 0.
+
+    The largest such m is b or a*n+b, whichever the slope makes larger.
+    """
+    table = _h12_upto(max(b, a * n + b, 0))
+    return QSeries.from_terms(QQ, ((k, value(m, table[m])) for k in range(n + 1)
+                                   if (m := a * k + b) >= 0), n)

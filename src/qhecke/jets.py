@@ -2,12 +2,13 @@
 
 A Jet1 carries (f(1,q), d/dz f(z,q)|_{z=1}) as a pair of rational
 q-series: the image of a series in z under z -> 1 + eps, eps^2 = 0.
-Every jet starts as the image of a ZZ, QQ or Zpoly series (Jet1.of, so
-theta functions come from theta.jtheta) and propagates through ring
-operations: products use the product rule, quotients (u'v - uv')/v^2.
-Appell-Lerch sums divide each term by 1 - c z^k q^d with two passes of
-the exact denominator rule QSeries.div_one_minus, over the same index
-range (series.appell_range) as every other Appell-type sum.
+Every jet starts as the image of a QQ series (integral ones included)
+or a Zpoly series (Jet1.of, so theta functions come from theta.jtheta)
+and propagates through ring operations: products use the product rule,
+quotients (u'v - uv')/v^2.  Appell-Lerch sums divide each term by
+1 - c z^k q^d with two passes of the exact denominator rule
+QSeries.div_one_minus, over the same index range (series.appell_range)
+as every other Appell-type sum.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .rings import QQ, ZPOLY, ZPoly
 from .series import QSeries, appell_range, monomial
-from .theta import jtheta
+from .theta import _integral, jtheta
 
 
 @dataclass(frozen=True)
@@ -26,10 +27,10 @@ class Jet1:
 
     @classmethod
     def of(cls, series):
-        """Jet of a ZZ, QQ or Zpoly series: its value and z-derivative at 1."""
+        """Jet of a QQ or Zpoly series: its value and z-derivative at 1."""
         if series.ring is ZPOLY:
             return cls(series.subs_z_one(), series.dz_at_one())
-        return cls(series.over(QQ), QSeries.zero(QQ, series.order))
+        return cls(series, QSeries.zero(QQ, series.order))
 
     @classmethod
     def z_power(cls, k):
@@ -73,8 +74,7 @@ def jet_of_termsum(terms, n):
     Terms with qdeg > n are ignored; the caller must supply every term
     at or below the order.
     """
-    return Jet1.of(QSeries.from_terms(
-        ZPOLY, ((qdeg, ZPoly.monomial(c, zdeg)) for c, zdeg, qdeg in terms), n))
+    return Jet1.of(_integral(terms, False, n))
 
 
 def jet_theta(sign, a, b, base, n, zshift=0):

@@ -51,7 +51,7 @@ from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
 from .kernels import unpack_signed
-from .rings import ZPOLY, ZZ, ZPoly
+from .rings import QQ, ZPOLY, ZPoly
 from .series import (QSeries, appell_range, geom_ratio, geometric_sum, grown,
                      lattice_range)
 
@@ -137,7 +137,7 @@ def _build_eulerian(which, n):
     """A, V1, sigma or phi_minus through exactly q^n, from its recipe."""
     if which not in ("A", "V1", "sigma", "phi_minus"):
         raise ValueError(f"unknown Eulerian series {which!r}")
-    return QSeries(ZZ, 0, _term_sum(_RECIPES[which], n), n)
+    return QSeries(QQ, 0, _term_sum(_RECIPES[which], n), n)
 
 
 def eulerian(which, n):
@@ -193,7 +193,7 @@ def eulerian_residues(which, n, m):
     if which not in _RECIPES:
         raise ValueError(f"unknown Eulerian series {which!r}")
     return grown(_residue_cache, (which, m), n,
-                 lambda top, _: QSeries(ZZ, 0, _residue_sum(_RECIPES[which], top, m), top))
+                 lambda top, _: QSeries(QQ, 0, _residue_sum(_RECIPES[which], top, m), top))
 
 
 def _slot_bits(which, n):
@@ -249,7 +249,7 @@ class HeckeRogersSpec:
     region: str
     quad2: tuple  # doubled coefficients (A, B, C, D, E, F)
     coef: Callable
-    ring: object = ZZ
+    ring: object = QQ
 
     def __post_init__(self):
         if self.region not in _JENDS:
@@ -322,7 +322,7 @@ class AppellRhsSpec:
     ratio: object
     denom: tuple  # (d, e)
     lo: Optional[int] = None
-    ring: object = ZZ
+    ring: object = QQ
 
     def __post_init__(self):
         a, b, c = self.quad2
@@ -416,12 +416,12 @@ def humbert_series(n):
             for u in chain(range(-m, above.start), range(above.stop, m + 1)):
                 yield 1, (m + 1) ** 2 - u * u, 1, 2 * m + 1
 
-    return geometric_sum(ZZ, terms(), n)
+    return geometric_sum(QQ, terms(), n)
 
 
 def c_sum(n_shift, n):
     """C_m = sum_k q^{(2k - m)(2k + 1 - m)/2} (constant in m)."""
     m = n_shift
     return QSeries.from_terms(
-        ZZ, (((2 * k - m) * (2 * k + 1 - m) // 2, 1)
+        QQ, (((2 * k - m) * (2 * k + 1 - m) // 2, 1)
              for k in lattice_range(4, 2 - 4 * m, m * (m - 1) - 2 * n)), n)

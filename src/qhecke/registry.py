@@ -28,7 +28,7 @@ from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
-from .rings import QQ, QQI, ZZ, I
+from .rings import QQ, QQI, I
 from .series import QSeries, eta_quotient, eta_sum, etaq, monomial
 from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
 
@@ -82,7 +82,7 @@ def _psi_rhs_bruteforce(n):
             e = 3 * m * m - m - 2 * j * j + j
             if e <= n:
                 terms.append((e, sg * (1 if j % 2 == 1 else -1)))
-    return QSeries.from_terms(ZZ, terms, n)
+    return QSeries.from_terms(QQ, terms, n)
 
 
 def _hf12_rs_form(n):
@@ -99,7 +99,7 @@ def _hf12_rs_form(n):
             e = (2 * r + 1) * s + (r + s + 1) ** 2
             if e <= n:
                 terms.append((e, -(1 if r % 2 == 0 else -1) * (2 * s + 4 * r + 3)))
-    return QSeries.from_terms(ZZ, terms, n)
+    return QSeries.from_terms(QQ, terms, n)
 
 
 def _hf12_7_hsum(n):
@@ -117,7 +117,7 @@ def _neg_alt_hurwitz(n):
         h = table[8 * k - 1]
         assert h % 12 == 0
         terms.append((k, (h // 12) if k % 2 == 1 else -(h // 12)))
-    return QSeries.from_terms(ZZ, terms, n)
+    return QSeries.from_terms(QQ, terms, n)
 
 
 def _humbert_triple_expansion(n):
@@ -133,7 +133,7 @@ def _humbert_triple_expansion(n):
                 terms.append((e, 1))
                 k += 1
         m += 1
-    return QSeries.from_terms(ZZ, terms, n)
+    return QSeries.from_terms(QQ, terms, n)
 
 
 def _m_minus_z(n, z0):
@@ -173,7 +173,7 @@ def _m(x, z, n, base=1):
 
 
 def _change_z_rhs(n, x, z1, z0):
-    num = (etaq(1, n).over(QQ) ** 3 * theta_sum_scaled(z1 * z0.inv(), 1, n)
+    num = (etaq(1, n) ** 3 * theta_sum_scaled(z1 * z0.inv(), 1, n)
            * theta_sum_scaled(x * z0 * z1, 1, n))
     den = (theta_sum_scaled(z0, 1, n) * theta_sum_scaled(z1, 1, n)
            * theta_sum_scaled(x * z0, 1, n) * theta_sum_scaled(x * z1, 1, n))
@@ -187,7 +187,7 @@ def _quartic_rhs(n, x, z):
     t1 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg + 1), 4, w, n)
     t2 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg - 1), 4, w, n
                   ).shift(x.coef, x.qdeg - 1)
-    num = (etaq(2, n).over(QQ) * etaq(4, n).over(QQ)
+    num = (etaq(2, n) * etaq(4, n)
            * theta_sum_scaled((x * z * z).neg(), 1, n)
            * theta_sum_scaled((x * z * z * z).neg(), 1, n))
     den = (theta_sum_scaled(x * z, 1, n) * theta_sum_scaled(z ** 4, 4, n)
@@ -220,15 +220,15 @@ def _jet_theta_quotient_sixfold(n):
 def _jet_theta_quotient_double(n):
     # t1 and t6 have valuation -1, so what they multiply is built to m = n + 1
     m = n + 1
-    t1 = (Jet1.z_power(5) * Jet1.of(eta_sum(((1, -1, {12: 1, 4: 2}),), n, QQ))
+    t1 = (Jet1.z_power(5) * Jet1.of(eta_sum(((1, -1, {12: 1, 4: 2}),), n))
           * jet_theta(-1, 4, 1, 12, m)
-          / (Jet1.of(eta_quotient({8: 1, 6: 1}, m, QQ)) * jet_theta(-1, 8, 0, 12, m)
+          / (Jet1.of(eta_quotient({8: 1, 6: 1}, m)) * jet_theta(-1, 8, 0, 12, m)
              * jet_theta(-1, 8, 4, 12, m)))
-    t2 = (Jet1.of(eta_quotient({12: 2, 8: 1, 24: -2, 4: -1}, m, QQ))
+    t2 = (Jet1.of(eta_quotient({12: 2, 8: 1, 24: -2, 4: -1}, m))
           * jet_theta(1, 8, 14, 24, m) * jet_theta(1, 8, 14, 24, m))
-    t3 = (Jet1.of(eta_sum(((1, 2, {24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}),), m, QQ))
+    t3 = (Jet1.of(eta_sum(((1, 2, {24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}),), m))
           * jet_theta(1, 8, 8, 12, m))
-    t4 = (Jet1.z_power(1) * Jet1.of(eta_quotient({12: 3}, m, QQ))
+    t4 = (Jet1.z_power(1) * Jet1.of(eta_quotient({12: 3}, m))
           * jet_theta(1, 4, 1, 2, m) * jet_theta(1, 8, 5, 12, m)
           / (jet_theta(1, 4, 1, 12, m) * jet_theta(1, 12, 6, 12, m)))
     t5 = jet_theta(-1, 4, 2, 12, n) / (jet_theta(-1, 8, 4, 12, n)
@@ -258,7 +258,7 @@ def _jet_f121_decomp_rhs(n):
 
 
 def _jet_m_z_change_rhs(n):
-    corr = (Jet1.of(eta_quotient({6: 3}, n, QQ)) * jet_theta(-1, 4, 4, 6, n)
+    corr = (Jet1.of(eta_quotient({6: 3}, n)) * jet_theta(-1, 4, 4, 6, n)
             * jet_theta(1, 2, 4, 6, n)
             / (jet_theta(-1, 2, 5, 6, n) * jet_theta(1, 6, 3, 6, n)
                * jet_theta(-1, 0, 5, 6, n) * jet_theta(1, 4, 5, 6, n)))
@@ -379,16 +379,16 @@ def registry():
     add(IdentityCase(
         "spec-f8-at-1", "univariate",
         lambda n: mock.F8_series(n).eval_z(1),
-        lambda n: classnum.genfun_F(8, -1, n).over(QQ), 100))
+        lambda n: classnum.genfun_F(8, -1, n), 100))
     add(IdentityCase(
         "spec-f8-at-m1", "univariate",
         lambda n: mock.F8_series(n).alternate().eval_z(-1),
-        lambda n: (-mock.eulerian("A", n)).over(QQ), 100,
+        lambda n: -mock.eulerian("A", n), 100,
         note="F8(-1,-q) = -A(q)"))
     add(IdentityCase(
         "spec-f4-at-1", "univariate",
         lambda n: mock.F4_series(n).eval_z(1),
-        lambda n: classnum.genfun_F(4, -1, n).over(QQ), 100))
+        lambda n: classnum.genfun_F(4, -1, n), 100))
     add(IdentityCase(
         "spec-f4-at-i", "univariate",
         lambda n: mock.F4_series(n).alternate().eval_z(I),
@@ -421,7 +421,7 @@ def registry():
         note="U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3"))
     add(IdentityCase(
         "eta-hf12-7-split", "univariate",
-        lambda n: classnum.genfun_F(12, 7, n).over(QQ), _hf12_7_hsum, 150,
+        lambda n: classnum.genfun_F(12, 7, n), _hf12_7_hsum, 150,
         note="sum F(12n+7) q^n split into H(24n+7) and 3q H(24n+19) parts"))
     add(IdentityCase(
         "eta-hf12-7-pair", "univariate",
@@ -451,13 +451,13 @@ def registry():
         _tuple_dissect(lambda m: eta_quotient(J12_over_2, m), 3),
         lambda n: (eta_quotient(J32_over_6, n),
                    -eta_quotient({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
-                   QSeries.zero(ZZ, n)), 150,
+                   QSeries.zero(QQ, n)), 150,
         note="3-dissection of J_1^2/J_2"))
     add(IdentityCase(
         "dissect-j2j4-3", "univariate",
         _tuple_dissect(lambda m: eta_quotient(J22_over_4, m), 3),
         lambda n: (eta_quotient(J62_over_12, n),
-                   QSeries.zero(ZZ, n),
+                   QSeries.zero(QQ, n),
                    -eta_quotient({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
         note="3-dissection of J_2^2/J_4"))
     add(IdentityCase(
@@ -505,42 +505,42 @@ def registry():
         add(IdentityCase(
             cid, "jet",
             lambda n, j=(sign, a, b, base), zshift=zshift: jet_theta(*j, n, zshift=zshift).f1,
-            lambda n, rhs=rhs: eta_sum(rhs, n, QQ), 80, note=note))
+            lambda n, rhs=rhs: eta_sum(rhs, n), 80, note=note))
     add(IdentityCase(
         "dz-theta-quotient-q6-pair", "jet", _jet_theta_quotient_pair,
-        lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n, QQ), 80,
+        lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n), 80,
         note="theta-quotient derivative inside the first q^6 lemma"))
     add(IdentityCase(
         "dz-m-appell-q6", "jet",
         lambda n: jet_appell((1, 0, 1), 6, (-1, 2, -1), n).f1,
-        lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n, QQ).scale(-half),
+        lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n).scale(-half),
         80, note="d/dz m(q, q^6, -z^2/q)|_1"))
     add(IdentityCase(
         "dz-m-times-theta-q6-a", "jet", _jet_m_times_theta_a,
-        lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n, QQ), 80))
+        lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n), 80))
     add(IdentityCase(
         "dz-m-times-theta-q6-b", "jet", _jet_m_times_theta_b,
-        lambda n: -(eta_quotient({6: 1, 1: 2, 3: -2, 2: -1}, n, QQ)
-                    * mock.appell_rhs(mock.AP_HF12, n).over(QQ)), 80))
+        lambda n: -(eta_quotient({6: 1, 1: 2, 3: -2, 2: -1}, n)
+                    * mock.appell_rhs(mock.AP_HF12, n)), 80))
     add(IdentityCase(
         "dz-theta-quotient-q6-sixfold", "jet", _jet_theta_quotient_sixfold,
-        lambda n: eta_sum(Q6_SIXFOLD, n, QQ), 150))
+        lambda n: eta_sum(Q6_SIXFOLD, n), 150))
     add(IdentityCase(
         "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double,
-        lambda n: eta_sum(((-2, 1, {12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}),), n, QQ), 150))
+        lambda n: eta_sum(((-2, 1, {12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}),), n), 150))
     add(IdentityCase(
         "dz-eta-logderiv-combo", "univariate",
         lambda n: (eta_sum(((Fraction(2, 3), 0, {6: 1, 2: 2, 1: 3, 12: -2, 3: -3}),
                             (Fraction(-2, 3), 0, {6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}),
-                            (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})), n, QQ)
-                   + eta_quotient({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4}, n, QQ)
-                   * eta_sum(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})), n, QQ)),
-        lambda n: eta_sum(Q6_SIXFOLD, n, QQ),
+                            (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})), n)
+                   + eta_quotient({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4}, n)
+                   * eta_sum(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})), n)),
+        lambda n: eta_sum(Q6_SIXFOLD, n),
         150, note="logarithmic-derivative eta combination from the q^6 quotient lemma"))
     add(IdentityCase(
         "dz-f121-hecke", "jet",
         lambda n: _jet_f121_terms(n).f1,
-        lambda n: mock.hecke_rogers(mock.HR_HF12, n).over(QQ), 80,
+        lambda n: mock.hecke_rogers(mock.HR_HF12, n), 80,
         note="d/dz (q z^3 f_{1,2,1}(q^3 z^4, -q^4 z^2, q^2))|_1 is the HF12 sum"))
     add(IdentityCase(
         "dz-f121-decomp", "jet",
@@ -603,13 +603,13 @@ def registry():
     for i, (x, y) in enumerate(_W_FG, 1):
         add(IdentityCase(
             f"mrel-f121-g121-w{i}", "univariate",
-            lambda n, x=x, y=y: f_abc(1, 2, 1, x, y, n).over(QQ),
+            lambda n, x=x, y=y: f_abc(1, 2, 1, x, y, n),
             lambda n, x=x, y=y, z1=y * x.inv(): (
                 g_abc(1, 2, 1, x, y, z1, z1.inv(), n)), 40,
             note="f_{1,2,1}(x,y,q) = g_{1,2,1}(x,y,q,y/x,x/y)"))
     add(IdentityCase(
         "mrel-f151-theta14", "univariate",
-        lambda n: f_abc(1, 5, 1, *_W_F151, n).over(QQ),
+        lambda n: f_abc(1, 5, 1, *_W_F151, n),
         lambda n: (g_abc(1, 5, 1, *_W_F151, monomial(1, 0, 1), monomial(1, 0, -1), n)
                    - theta_1_4(*_W_F151, n)), 40, allow_fail=True,
         note="f_{1,5,1} = g_{1,5,1} - Theta_{1,4} with the correction transcribed "
@@ -652,7 +652,7 @@ def registry():
         note="P(n) = F(4n-1): enumeration against reduced-form class numbers"))
     add(IdentityCase(
         "consecutive-eq-hf8", "univariate",
-        lambda n: combinat.Q_series(n, "formula").over(QQ),
+        lambda n: combinat.Q_series(n, "formula"),
         lambda n: classnum.genfun_H(8, -1, n), 300,
         note="Q(n) = H(8n-1)"))
     add(IdentityCase(

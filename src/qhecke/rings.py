@@ -1,19 +1,18 @@
 """Exact coefficient rings for q-series.
 
-Four rings are supported, each as a module-level singleton tag:
+Three rings are supported, each as a module-level singleton tag:
 
-* ``ZZ``    -- arbitrary-precision integers (plain ``int``)
-* ``QQ``    -- rationals (``fractions.Fraction``, ints allowed as a fast path)
+* ``QQ``    -- rationals as ``fractions.Fraction``, with integers kept as
+  plain ``int``s: an integral series is the denominator-1 case
 * ``QQI``   -- Gaussian rationals a + b*i
 * ``ZPOLY`` -- Laurent polynomials in z with rational coefficients, each a
   dense window: its lowest z-exponent plus a tuple of coefficients
   trimmed to nonzero ends (see ``ZPoly``)
 
 Everything is exact; no floats appear anywhere.  Elements are ordinary
-Python objects supporting ``+ - *`` so series code and the compiled
-kernels stay ring-agnostic.  ``specialise`` evaluates many Laurent
-polynomials at one rational or Gaussian-rational z0 with integer
-arithmetic only.
+Python objects supporting ``+ - *`` so series code and the kernels
+stay ring-agnostic.  ``specialise`` evaluates many Laurent polynomials
+at one rational or Gaussian-rational z0 with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -357,7 +356,7 @@ def specialise(polys, z0):
 
 
 class CoeffRing:
-    """A coefficient-ring capability tag; exactly four instances exist."""
+    """A coefficient-ring capability tag; exactly three instances exist."""
 
     __slots__ = ("name", "zero", "one")
 
@@ -369,14 +368,8 @@ class CoeffRing:
     def __repr__(self):
         return self.name
 
-    def from_int(self, n):
-        raise NotImplementedError
-
     def invert(self, x):
         raise NotImplementedError
-
-    def is_zero(self, x):
-        return x == self.zero
 
     def coerce(self, x, src):
         """Convert element x of ring src into this ring, if a lift exists."""
@@ -386,28 +379,7 @@ class CoeffRing:
         raise NotImplementedError
 
 
-class _IntRing(CoeffRing):
-    def from_int(self, n):
-        return n
-
-    def invert(self, x):
-        if x == 1 or x == -1:
-            return x
-        raise NonUnitError(f"{x} is not a unit in ZZ")
-
-    def coerce(self, x, src):
-        if src is ZZ:
-            return x
-        raise RingCoercionError(src, self)
-
-    def to_json(self, x):
-        return str(x)
-
-
 class _RatRing(CoeffRing):
-    def from_int(self, n):
-        return n
-
     def invert(self, x):
         if x == 1 or x == -1:
             return int(x)
@@ -416,7 +388,7 @@ class _RatRing(CoeffRing):
         return Fraction(1) / x
 
     def coerce(self, x, src):
-        if src is ZZ or src is QQ:
+        if src is QQ:
             return x
         raise RingCoercionError(src, self)
 
@@ -425,19 +397,13 @@ class _RatRing(CoeffRing):
 
 
 class _GaussRing(CoeffRing):
-    def from_int(self, n):
-        return GaussianRational(n, 0)
-
     def invert(self, x):
         if isinstance(x, (int, Fraction)):
             x = GaussianRational(x, 0)
         return x.inverse()
 
-    def is_zero(self, x):
-        return x == 0
-
     def coerce(self, x, src):
-        if src is ZZ or src is QQ:
+        if src is QQ:
             return GaussianRational(x, 0)
         if src is QQI:
             return x
@@ -448,9 +414,6 @@ class _GaussRing(CoeffRing):
 
 
 class _ZPolyRing(CoeffRing):
-    def from_int(self, n):
-        return ZPoly.const(n)
-
     def invert(self, x):
         if isinstance(x, (int, Fraction)):
             x = ZPoly.const(x)
@@ -460,11 +423,8 @@ class _ZPolyRing(CoeffRing):
         v, k = unit
         return ZPoly.monomial(QQ.invert(v), -k)
 
-    def is_zero(self, x):
-        return not x if isinstance(x, ZPoly) else x == 0
-
     def coerce(self, x, src):
-        if src is ZZ or src is QQ:
+        if src is QQ:
             return ZPoly.const(x)
         if src is ZPOLY:
             return x
@@ -479,7 +439,6 @@ class RingCoercionError(NonUnitError):
         super().__init__(f"no coercion from {src} to {dst}")
 
 
-ZZ = _IntRing("ZZ", 0, 1)
 QQ = _RatRing("QQ", 0, 1)
 QQI = _GaussRing("QQi", GaussianRational(0, 0), GaussianRational(1, 0))
 ZPOLY = _ZPolyRing("Zpoly", ZPoly(), ZPoly.const(1))

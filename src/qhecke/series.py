@@ -27,7 +27,7 @@ from operator import add
 
 from . import kernels
 from .errors import NonConvergentError, NonUnitError, PoleError, RingMismatchError
-from .rings import QQ, QQI, ZPOLY, ZZ, GaussianRational, ZPoly, specialise
+from .rings import QQ, QQI, ZPOLY, GaussianRational, ZPoly, specialise
 
 INF = float("inf")
 
@@ -79,9 +79,9 @@ class QSeries:
         if not _trusted:
             # trim zeros at both ends; clip stored window to the order
             lo, hi = 0, len(coeffs)
-            while lo < hi and ring.is_zero(coeffs[lo]):
+            while lo < hi and not coeffs[lo]:
                 lo += 1
-            while hi > lo and ring.is_zero(coeffs[hi - 1]):
+            while hi > lo and not coeffs[hi - 1]:
                 hi -= 1
             # a list slice is already a fresh list, so the pop() below
             # never touches the caller's
@@ -92,7 +92,7 @@ class QSeries:
             if order is not INF and min_exp + len(coeffs) - 1 > order:
                 keep = order - min_exp + 1
                 coeffs = coeffs[: max(keep, 0)]
-                while coeffs and ring.is_zero(coeffs[-1]):
+                while coeffs and not coeffs[-1]:
                     coeffs.pop()
             if not coeffs:
                 min_exp = 0
@@ -114,7 +114,7 @@ class QSeries:
     @classmethod
     def monomial(cls, ring, c, d, order=INF):
         """c * q^d, certified through q^order (zero when d lies above it)."""
-        if ring.is_zero(c) or d > order:
+        if not c or d > order:
             return cls.zero(ring, order)
         return cls(ring, d, [c], order, _trusted=True)
 
@@ -160,7 +160,7 @@ class QSeries:
 
     def nonzero_terms(self):
         for i, c in enumerate(self.coeffs):
-            if not self.ring.is_zero(c):
+            if c:
                 yield self.min_exp + i, c
 
     def valuation(self):
@@ -291,7 +291,7 @@ class QSeries:
         A zero window is returned as it is only when the factor cannot
         lower its order: c = 0 or d >= 0.
         """
-        if self.ring.is_zero(c) or (not self.coeffs and d >= 0):
+        if not c or (not self.coeffs and d >= 0):
             return self
         if d >= 1 and self.order is not INF:
             hi = min(self.order, self.top + d)
@@ -459,7 +459,7 @@ def geometric_sum(ring, terms, n):
         a, s, r, d = _one_minus_form(ring, r, d)
         if a is not None:
             c, e = a * c, e + s
-        if e > n or ring.is_zero(c):
+        if e > n or not c:
             continue
         if e < lo:
             out[:0] = [ring.zero] * (lo - e)
@@ -533,13 +533,13 @@ def pochhammer(x: Monomial, step, count, n):
     """Truncated q-Pochhammer (x; q^step)_count to order n.
 
     count may be an integer or None for the infinite product.  x needs
-    coefficient +1 or -1.  The coefficient ring is ZZ for z-free x and
-    Zpoly otherwise.
+    coefficient +1 or -1.  The coefficients are integers for z-free x
+    and Laurent polynomials in z otherwise.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     c = x.unit() if x.zdeg == 0 else ZPoly.monomial(x.unit(), x.zdeg)
-    out = QSeries.one(ZZ if x.zdeg == 0 else ZPOLY, n)
+    out = QSeries.one(QQ if x.zdeg == 0 else ZPOLY, n)
     if count is None:  # the factors 1 - x q^(k*step) with a term through q^n
         count = max(0, (n - x.qdeg) // step + 1)
     for k in range(count):
@@ -565,7 +565,7 @@ def etaq(k, n):
     if k < 1:
         raise ValueError("k must be a positive integer")
     return grown(_eta_cache, k, n, lambda top, _: QSeries.from_terms(
-        ZZ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
+        QQ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
              for m in lattice_range(3 * k, -k, -2 * top)), top))
 
 
@@ -579,7 +579,7 @@ def _eta_inv_build(k, top, cached):
         return etaq(k, top).invert()
     known = cached.coeffs + [0] * (cached.order + 1 - len(cached.coeffs))
     h = kernels._inv_newton(etaq(k, top).coeffs, top + 1, known)
-    return QSeries(ZZ, 0, h, top)
+    return QSeries(QQ, 0, h, top)
 
 
 def etaq_inv(k, n):
@@ -590,35 +590,34 @@ def etaq_inv(k, n):
 _eta_quotient_cache = {}
 
 
-def eta_quotient(powers, n, ring=ZZ):
-    """Product of J_k^e over (k, e) pairs, to order n.
+def eta_quotient(powers, n):
+    """Product of J_k^e over (k, e) pairs, to order n, integral.
 
     powers maps k -> exponent e (negative e for denominators).  The
-    quotient is 1 + O(q), so below q^0 it is zero.  The integral product
-    is cached per exponent vector and lifted to ring afterwards.
+    quotient is 1 + O(q), so below q^0 it is zero.  The product is
+    cached per exponent vector.
     """
     if n < 0:
-        return QSeries.zero(ring, n)
+        return QSeries.zero(QQ, n)
     key = tuple(sorted((k, e) for k, e in powers.items() if e))
-    return grown(_eta_quotient_cache, key, n,
-                 lambda top, _: _eta_product(key, top)).over(ring)
+    return grown(_eta_quotient_cache, key, n, lambda top, _: _eta_product(key, top))
 
 
 def _eta_product(key, n):
-    out = QSeries.one(ZZ, n)
+    out = QSeries.one(QQ, n)
     for k, e in key:
         base = etaq(k, n) if e > 0 else etaq_inv(k, n)
         out = out * base ** abs(e)
     return out
 
 
-def eta_sum(terms, n, ring=ZZ):
+def eta_sum(terms, n):
     """Sum of c * q^s * prod J_delta^r over (c, s, {delta: r}) terms, to order n.
 
     Each quotient is built to n - s, so every term is certified through
     exactly q^n.
     """
-    out = QSeries.zero(ring, n)
+    out = QSeries.zero(QQ, n)
     for c, s, powers in terms:
-        out = out + eta_quotient(powers, n - s, ring).shift(c, s)
+        out = out + eta_quotient(powers, n - s).shift(c, s)
     return out

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .mock import AppellRhsSpec, appell_rhs
-from .rings import QQ, ZPOLY, ZZ, ZPoly
+from .rings import QQ, ZPOLY, ZPoly
 from .series import Monomial, QSeries, eta_quotient, lattice_range, monomial
 
 
@@ -67,9 +67,9 @@ def jtheta(x: Monomial, base, n):
 
 
 def _integral(terms, z_free, n):
-    """The series of (coef, zdeg, qdeg) terms: over ZZ when z_free, else Zpoly."""
+    """The series of (coef, zdeg, qdeg) terms: integral when z_free, else Zpoly."""
     if z_free:
-        return QSeries.from_terms(ZZ, ((e, v) for v, _, e in terms), n)
+        return QSeries.from_terms(QQ, ((e, v) for v, _, e in terms), n)
     return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(v, k)) for v, k, e in terms), n)
 
 
@@ -84,7 +84,7 @@ def appell_m(x, base, z, n):
     xz = x * z
     minus_cz = -Fraction(z.coef)
     spec = AppellRhsSpec((base, 2 * z.qdeg - base, 0), lambda r: minus_cz ** r, xz.coef,
-                         (base, xz.qdeg - base), ring=QQ)
+                         (base, xz.qdeg - base))
     return appell_rhs(spec, n) * theta_sum_scaled(z, base, n).invert()
 
 
@@ -188,7 +188,7 @@ def _theta_1_4_deferred(xm: Monomial, ym: Monomial):
         return _Deferred(theta_low(mono.qdeg, base), lambda n: theta_sum_scaled(mono, base, n))
 
     def J(powers):
-        return _Deferred(0, lambda n: eta_quotient(powers, n, QQ))
+        return _Deferred(0, lambda n: eta_quotient(powers, n))
 
     y_over_x = ym * xm.inv()
     xy = xm * ym

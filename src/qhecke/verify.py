@@ -2,7 +2,8 @@
 
 A case passes when its two builders, each asked once for exactly the
 requested order, agree coefficientwise through it (for congruence cases,
-modulo the case modulus); a side certified below the order is an error.
+modulo the case modulus); a side certified below the order, or a
+congruence side with a non-integral coefficient, is an error.
 Reports are deterministic and ordered by registry position regardless
 of how many worker processes run the builders.
 """
@@ -48,6 +49,11 @@ def _compare(lhs, rhs, order, modulus=0, slot=None):
     if min(lhs.order, rhs.order) < order:
         return {"exp": None, "lhs": f"certified only to {lhs.order}",
                 "rhs": f"certified only to {rhs.order}", "slot": slot}
+    if modulus:  # a non-integral coefficient has no residue to compare
+        bad = [next((f"non-integral coefficient {c} at q^{e}" for e, c in f.nonzero_terms()
+                     if c.denominator != 1), "integral") for f in (lhs, rhs)]
+        if bad != ["integral", "integral"]:
+            return {"exp": None, "lhs": bad[0], "rhs": bad[1], "slot": slot}
     # every exponent where the sides can disagree is a term of the difference
     for e, c in (lhs - rhs).nonzero_terms():
         if not modulus or c % modulus:

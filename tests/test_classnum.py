@@ -183,3 +183,19 @@ def test_genfun_H_pins():
     assert [got.coeff(e) for e in range(3)] == [1, 3, 4]
     assert not genfun_H(4, 1, 30).coeffs
     assert genfun_H(1, 0, 4).coeff(0) == Fraction(-1, 12)
+
+
+def test_genfun_negative_slope(monkeypatch):
+    # for a < 0 the k = 0 term reads the largest index, b; from an empty
+    # table it must still be sized to reach it
+    monkeypatch.setattr(classnum, "_table_cache", [])
+    got = genfun_F(-4, 3, 5)  # F(3), then negative indices
+    assert got.order == 5 and dict(got.nonzero_terms()) == {0: 1}
+    monkeypatch.setattr(classnum, "_table_cache", [])
+    got = genfun_H(-8, 7, 3)  # H(7), then negative indices
+    assert got.order == 3 and dict(got.nonzero_terms()) == {0: 1}
+    got = genfun_F(-4, 7, 4)  # F(7), F(3)
+    assert [got.coeff(e) for e in range(5)] == [1, 1, 0, 0, 0]
+    got = genfun_H(-1, 4, 6)  # H(4), H(3), H(2), H(1), H(0)
+    assert [got.coeff(e) for e in range(7)] == [Fraction(1, 2), Fraction(1, 3), 0, 0,
+                                                Fraction(-1, 12), 0, 0]

@@ -206,3 +206,12 @@ def test_series_rejects_negative_order(capsys):
     assert code == 2 and out == "" and "order must be at least 0, got -3" in err
     code, out, _ = run(capsys, "series", "--family", "F:4,-1", "--order", "0")
     assert code == 0 and out.strip().endswith("O(q^1)")
+
+
+def test_series_negative_slope_exits_zero(capsys, monkeypatch):
+    # the k = 0 term is the largest index read; an empty table must reach it
+    from qhecke import classnum
+    for family, order, want in (("F:-4,3", "5", "1 + O(q^6)"), ("H:-8,7", "3", "1 + O(q^4)")):
+        monkeypatch.setattr(classnum, "_table_cache", [])
+        code, out, _ = run(capsys, "series", "--family", family, "--order", order)
+        assert code == 0 and out.strip() == want

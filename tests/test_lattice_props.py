@@ -196,7 +196,8 @@ def test_hecke_rogers_matches_box(spec, n):
 
 def brute_appell_rhs(quad, weight, alternating, sign, denom, krange, n):
     """sum w(k) (-1)^(k-1)? q^(a k^2 + b k + c) / (1 + s q^(d k + e)) through
-    q^n, over k in Z or k >= 1, each denominator expanded by hand."""
+    q^n, over k in Z or k >= 1, each denominator expanded by hand: at
+    d k + e = 0 it is the constant 1/(1 + s), a pole for s = -1."""
     a, b, c = quad
     d, e = denom
     s = sign
@@ -211,10 +212,12 @@ def brute_appell_rhs(quad, weight, alternating, sign, denom, krange, n):
             w = -w
         if w == 0 or q0 > n:
             continue
-        if dk == 0:
-            raise PoleError("zero q-degree")
         # 1/(1 + s u) = sum (-s u)^i, or s u^-1 sum (-s u^-1)^i for dk < 0
-        if dk > 0:
+        if dk == 0:
+            if s == -1:
+                raise PoleError("zero q-degree")
+            series = [(q0, Fraction(w, 2))]
+        elif dk > 0:
             series = [(q0 + dk * i, w * (-s) ** i) for i in range((n - q0) // dk + 1)]
         else:
             series = [(q0 - dk * i, w * s * (-s) ** (i - 1))

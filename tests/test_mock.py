@@ -12,7 +12,7 @@ from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
                          HeckeRogersSpec, _build_bivariate, _build_eulerian, appell_rhs,
                          c_sum, eulerian, eulerian_residues, F4_series, F8_series,
                          hecke_rogers, humbert_series, kronecker_minus4)
-from qhecke.rings import ZPOLY, ZPoly, ZZ
+from qhecke.rings import QQ, ZPOLY, ZPoly
 from qhecke.series import QSeries, eta_quotient
 
 
@@ -71,12 +71,12 @@ def oracle_eulerian(which, n):
 # -- the QSeries-route oracles -------------------------------------------------
 # Reference builders that share nothing with mock's flat-integer engine:
 # each term is a QSeries times its linear factors by mul_one_minus and
-# div_one_minus, over ZZ or ZPOLY.
+# div_one_minus, over QQ or ZPOLY.
 
 
 def _eulerian_raw(which, n):
-    one = QSeries.one(ZZ, n)
-    out = QSeries.zero(ZZ, n)
+    one = QSeries.one(QQ, n)
+    out = QSeries.zero(QQ, n)
     if which == "A":
         term = one.shift(1, 1).div_one_minus(1, 1).div_one_minus(1, 1)
         k = 0
@@ -224,7 +224,7 @@ def test_residue_cache_grows_to_each_request(monkeypatch, which):
         exact = mock._term_sum(mock._RECIPES[which], n)
         for m in (2, 4, 8):
             got = eulerian_residues(which, n, m)
-            assert got.ring is ZZ and got.order == n
+            assert got.ring is QQ and got.order == n
             assert [got.coeff(e) for e in range(n + 1)] == [c % m for c in exact], (n, m)
             assert mock._residue_cache[(which, m)].order >= n
     assert set(mock._residue_cache) == {(which, m) for m in (2, 4, 8)}

@@ -187,7 +187,7 @@ def _bump_rhs(case, e, c=1, component=None):
     """The case with c*q^e added to its right-hand side, or to one
     component of a tuple side."""
     def bump(s):
-        return s + QSeries.monomial(s.ring, s.ring.from_int(c), e)
+        return s + QSeries.monomial(s.ring, s.ring.one * c, e)
 
     def bumped(rhs):
         if component is None:
@@ -235,13 +235,13 @@ def test_congruence_mismatch_is_reported_in_residues():
     # a mismatch is reported as two elements of Z/mZ, in [0, m), so the
     # report does not depend on which side was built as residues
     from qhecke import classnum, mock
-    from qhecke.rings import ZZ
+    from qhecke.rings import QQ
     from qhecke.verify import _compare
 
-    lhs = QSeries(ZZ, 0, [0, 5, -3], 2)
-    assert _compare(lhs, QSeries(ZZ, 0, [0, 1, 0], 2), 2, modulus=4) == {
+    lhs = QSeries(QQ, 0, [0, 5, -3], 2)
+    assert _compare(lhs, QSeries(QQ, 0, [0, 1, 0], 2), 2, modulus=4) == {
         "exp": 2, "lhs": "1", "rhs": "0", "slot": None}
-    assert _compare(lhs, QSeries(ZZ, 0, [0, 1, 0], 2), 2) == {
+    assert _compare(lhs, QSeries(QQ, 0, [0, 1, 0], 2), 2) == {
         "exp": 1, "lhs": "5", "rhs": "1", "slot": None}
 
     case = get_case("cong-hf24-phi-minus")
@@ -256,3 +256,29 @@ def test_congruence_mismatch_is_reported_in_residues():
         assert mm["exp"] == e
         want = classnum.genfun_F(24, -1, order).coeff(e) % 4
         assert mm["lhs"] == str(want) and mm["rhs"] == str((want + 1) % 4)
+
+
+def test_congruence_refuses_non_integral_sides():
+    # two equal sides of 1/2 q agree exactly, but 1/2 has no residue mod
+    # 4: a congruence between them is an error, never a pass
+    from fractions import Fraction
+
+    from qhecke.rings import QQ
+
+    half_q = lambda n: QSeries.monomial(QQ, Fraction(1, 2), 1, n)
+    one_q = lambda n: QSeries.monomial(QQ, 1, 1, n)
+    case = replace(get_case("cong-hf8-A"), build_lhs=half_q, build_rhs=half_q)
+    assert case.modulus == 4
+    report = run_case(case, 10)
+    assert report.status == "error" and report.certified_order == 0
+    assert report.to_json()["first_mismatch"] == {
+        "exp": None, "lhs": "non-integral coefficient 1/2 at q^1",
+        "rhs": "non-integral coefficient 1/2 at q^1"}
+    report = run_case(replace(case, build_lhs=one_q), 10)
+    assert report.status == "error"
+    assert report.first_mismatch["lhs"] == "integral"
+    # a rational coefficient above the order is not compared
+    late = lambda n: one_q(n + 2) + QSeries.monomial(QQ, Fraction(1, 2), n + 1, n + 2)
+    assert run_case(replace(case, build_lhs=late, build_rhs=one_q), 10).status == "pass"
+    # without a modulus the same sides are an exact comparison, and pass
+    assert run_case(replace(case, modulus=0), 10).status == "pass"
