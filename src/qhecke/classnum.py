@@ -139,7 +139,7 @@ def genfun_F(a, b, n):
 
 def genfun_H(a, b, n):
     """Generating function sum_{k>=0} H(a*k+b) q^k to order n, rationals."""
-    return _genfun(a, b, n, lambda m, h12: Fraction(h12, 12))
+    return _genfun(a, b, n, lambda m, h12: h12 // 12 if h12 % 12 == 0 else Fraction(h12, 12))
 
 
 def _genfun(a, b, n, value):

@@ -29,7 +29,7 @@ from typing import Callable
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import QQ, QQI, I
-from .series import QSeries, eta_quotient, eta_sum, etaq, monomial
+from .series import QSeries, eta_quotient, eta_sum, monomial
 from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
 
 
@@ -173,7 +173,7 @@ def _m(x, z, n, base=1):
 
 
 def _change_z_rhs(n, x, z1, z0):
-    num = (etaq(1, n) ** 3 * theta_sum_scaled(z1 * z0.inv(), 1, n)
+    num = (eta_quotient({1: 3}, n) * theta_sum_scaled(z1 * z0.inv(), 1, n)
            * theta_sum_scaled(x * z0 * z1, 1, n))
     den = (theta_sum_scaled(z0, 1, n) * theta_sum_scaled(z1, 1, n)
            * theta_sum_scaled(x * z0, 1, n) * theta_sum_scaled(x * z1, 1, n))
@@ -187,7 +187,7 @@ def _quartic_rhs(n, x, z):
     t1 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg + 1), 4, w, n)
     t2 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg - 1), 4, w, n
                   ).shift(x.coef, x.qdeg - 1)
-    num = (etaq(2, n) * etaq(4, n)
+    num = (eta_quotient({2: 1, 4: 1}, n)
            * theta_sum_scaled((x * z * z).neg(), 1, n)
            * theta_sum_scaled((x * z * z * z).neg(), 1, n))
     den = (theta_sum_scaled(x * z, 1, n) * theta_sum_scaled(z ** 4, 4, n)
@@ -416,7 +416,7 @@ def registry():
 
     # -- eta-quotient identities (order 150) ----------------------------------
     add(IdentityCase(
-        "eta-u3-j1cubed", "univariate", lambda n: (etaq(1, 3 * n) ** 3).sift(3),
+        "eta-u3-j1cubed", "univariate", lambda n: eta_quotient({1: 3}, 3 * n).sift(3),
         lambda n: eta_sum(U3_J1_CUBED, n), 150,
         note="U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3"))
     add(IdentityCase(

@@ -385,7 +385,8 @@ class _RatRing(CoeffRing):
             return int(x)
         if x == 0:
             raise NonUnitError("0 is not a unit in QQ")
-        return Fraction(1) / x
+        r = Fraction(1) / x
+        return r.numerator if r.denominator == 1 else r
 
     def coerce(self, x, src):
         if src is QQ:

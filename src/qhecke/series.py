@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import add
 
 from . import kernels
@@ -340,8 +340,9 @@ class QSeries:
         if p < 1:
             raise ValueError("p must be a positive integer")
         order = self.order if self.order is INF else p * self.order + p - 1
-        terms = [(p * e, c) for e, c in self.nonzero_terms()]
-        return QSeries.from_terms(self.ring, terms, order)
+        out = [self.ring.zero] * ((len(self.coeffs) - 1) * p + 1 if self.coeffs else 0)
+        out[::p] = self.coeffs
+        return QSeries(self.ring, p * self.min_exp, out, order, _trusted=True)
 
     def alternate(self):
         """Substitute q -> -q (negate coefficients at odd exponents)."""
@@ -573,8 +574,11 @@ _eta_inv_cache = {}
 
 
 def _eta_inv_build(k, top, cached):
-    """1/(q^k; q^k)_infinity to order top; Newton iteration resumes from
-    the cached inverse, whose trimmed window is padded back to its order."""
+    """1/(q^k; q^k)_infinity to order top.  Only k = 1 runs Newton
+    iteration, resumed from the cached inverse, whose trimmed window is
+    padded back to its order; k > 1 inflates the k = 1 inverse."""
+    if k > 1:
+        return etaq_inv(1, top // k).inflate(k).truncate(top)
     if cached is None:
         return etaq(k, top).invert()
     known = cached.coeffs + [0] * (cached.order + 1 - len(cached.coeffs))
@@ -594,20 +598,30 @@ def eta_quotient(powers, n):
     """Product of J_k^e over (k, e) pairs, to order n, integral.
 
     powers maps k -> exponent e (negative e for denominators).  The
-    quotient is 1 + O(q), so below q^0 it is zero.  The product is
-    cached per exponent vector.
+    quotient is 1 + O(q), so below q^0 it is zero.  With g the gcd of
+    the levels, it is the quotient of the levels k/g built to n // g and
+    inflated by g, which certifies g*(n // g) + g - 1 >= n.  A quotient
+    of gcd 1 is cached per exponent vector as the product of the
+    inflated J_1^e(q^k), each J_1^e itself the cached quotient {1: e}.
     """
+    key = tuple(sorted((k, e) for k, e in powers.items() if e))
+    if any(k < 1 for k, _ in key):
+        raise ValueError("eta quotient levels must be positive integers")
     if n < 0:
         return QSeries.zero(QQ, n)
-    key = tuple(sorted((k, e) for k, e in powers.items() if e))
+    g = gcd(*(k for k, _ in key))
+    if g > 1:
+        return eta_quotient({k // g: e for k, e in key}, n // g).inflate(g).truncate(n)
     return grown(_eta_quotient_cache, key, n, lambda top, _: _eta_product(key, top))
 
 
 def _eta_product(key, n):
+    if len(key) == 1:  # gcd 1, so J_1^e: binary powering at length n
+        e = key[0][1]
+        return (etaq(1, n) if e > 0 else etaq_inv(1, n)) ** abs(e)
     out = QSeries.one(QQ, n)
     for k, e in key:
-        base = etaq(k, n) if e > 0 else etaq_inv(k, n)
-        out = out * base ** abs(e)
+        out = out * eta_quotient({1: e}, n // k).inflate(k)
     return out
 
 

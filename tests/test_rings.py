@@ -70,6 +70,8 @@ def test_ring_invert_rules():
     assert QQ.invert(2) == Fraction(1, 2)
     for unit in (1, -1, Fraction(1), Fraction(-1)):
         assert type(QQ.invert(unit)) is int and QQ.invert(unit) == unit
+    for x, inv in ((Fraction(1, 2), 2), (Fraction(-1, 3), -3), (Fraction(2, 3), Fraction(3, 2))):
+        assert QQ.invert(x) == inv and type(QQ.invert(x)) is type(inv)
     with pytest.raises(NonUnitError):
         QQ.invert(0)
     assert QQI.invert(GaussianRational(0, 2)) == GaussianRational(0, Fraction(-1, 2))
@@ -99,6 +101,9 @@ def test_integral_builders_stay_int_typed(n):
         "etaq": series.etaq(2, n),
         "etaq_inv": series.etaq_inv(3, n),
         "eta_quotient": series.eta_quotient({1: 2, 2: -1}, n),
+        "eta_quotient gcd 6": series.eta_quotient({6: 2, 12: -1}, n),
+        "unit fraction inverse": series.QSeries(QQ, 0, [Fraction(1, 2)], n).invert(),
+        "genfun_H": classnum.genfun_H(24, 7, n),
         **{f"eulerian {w}": mock.eulerian(w, n) for w in eulerian},
         **{f"eulerian_residues {w}": mock.eulerian_residues(w, n, 4) for w in eulerian},
         "genfun_F": classnum.genfun_F(24, -1, n),

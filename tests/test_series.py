@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qhecke import series
+from qhecke import kernels, series
 from qhecke.errors import NonUnitError, PoleError, RingMismatchError
 from qhecke.rings import QQ, QQI, ZPOLY, GaussianRational, ZPoly
 from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, etaq_inv, geom_ratio,
@@ -287,6 +287,74 @@ def test_eta_quotient_grows_and_shrinks_exactly(powers, orders):
         assert as_dict(got) == {e: c for e, c in want.items() if e <= n}
 
 
+_SHARED = (2, 4, 6, 8, 12, 18, 24)
+
+
+def _dense(terms, n):
+    """Coefficients of q^0..q^n from an exponent -> coefficient dict, trimmed."""
+    out = [terms.get(e, 0) for e in range(n + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.tuples(st.dictionaries(st.sampled_from(_SHARED), st.integers(-3, 3),
+                                          min_size=1, max_size=3),
+                          st.dictionaries(st.sampled_from((1, 2, 3, 4, 6)), st.integers(-3, 3),
+                                          max_size=3),
+                          st.integers(0, 60)),
+                min_size=1, max_size=4))
+def test_eta_quotients_with_shared_levels_match_naive_oracle(requests):
+    # levels with a common factor are built from the reduced quotient;
+    # asking for them between gcd-1 keys must not disturb either cache
+    series._eta_quotient_cache.clear()
+    oracle = {}
+    for shared, coprime, n in requests:
+        for powers in (shared, coprime):
+            key = tuple(sorted(powers.items()))
+            if key not in oracle:
+                oracle[key] = naive_eta_quotient(powers, 60)
+            got = eta_quotient(powers, n)
+            assert got.ring is QQ and got.order == n
+            assert (got.min_exp, got.coeffs) == (0, _dense(oracle[key], n))
+            assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize("powers", [{0: 1}, {-2: 1}, {0: 1, 2: 1}, {4: 2, -4: -1}])
+@pytest.mark.parametrize("n", [-1, 0, 30])
+def test_eta_quotient_rejects_levels_below_one(powers, n):
+    with pytest.raises(ValueError, match="positive"):
+        eta_quotient(powers, n)
+
+
+@pytest.mark.parametrize("powers", [{}, {2: 0}, {0: 0, 6: 0}])
+def test_empty_eta_quotient_is_one(powers):
+    got = eta_quotient(powers, 20)
+    assert (got.min_exp, got.coeffs, got.order) == (0, [1], 20)
+
+
+def test_only_the_j1_inverse_runs_newton(monkeypatch):
+    # every 1/J_k and every quotient with a denominator is an inflated
+    # power of 1/J_1, whose Newton iteration runs once per growth
+    seen = []
+    newton = kernels._inv_newton
+
+    def spy(g, keep, known):
+        seen.append(g[:6])
+        return newton(g, keep, known)
+
+    monkeypatch.setattr(kernels, "_inv_newton", spy)
+    monkeypatch.setattr(series, "_eta_inv_cache", {})
+    monkeypatch.setattr(series, "_eta_quotient_cache", {})
+    for n in (40, 100, 300):
+        for k in (1, 2, 3, 5, 12):
+            etaq_inv(k, n)
+        eta_quotient({2: -2, 4: 1}, n)
+        eta_quotient({1: 1, 3: -3, 6: -1}, n)
+    assert seen == [[1, -1, -1, 0, 0, 1]] * 3
+
+
 _DELTAS = (1, 2, 3, 4, 6, 12)
 
 
@@ -408,6 +476,16 @@ def test_inflate_and_alternate():
     assert as_dict(f.inflate(2)) == {-2: 1, 2: 3}
     assert f.inflate(2).order == 9
     assert as_dict(f.alternate()) == {-1: -1, 1: -3}
+
+
+def test_inflate_on_zpoly_series_with_negative_min_exp():
+    z = ZPoly.monomial
+    f = QSeries.from_coeffs(ZPOLY, -2, [z(1, 1), ZPOLY.zero, z(-2, -1), z(3, 0)], 3)
+    g = f.inflate(3)
+    assert (g.ring, g.min_exp, g.order) == (ZPOLY, -6, 11)
+    assert as_dict(g) == {-6: z(1, 1), 0: z(-2, -1), 3: z(3, 0)}
+    assert len(g.coeffs) == 10 and all(type(c) is ZPoly for c in g.coeffs)
+    assert QSeries.zero(ZPOLY, 4).inflate(2).coeffs == []
 
 
 # -- geom_ratio ----------------------------------------------------------------
