@@ -145,8 +145,17 @@ def genfun_H(a, b, n):
 def _genfun(a, b, n, value):
     """sum_{k=0..n} value(m, 12*H(m)) q^k over the m = a*k+b >= 0.
 
-    The largest such m is b or a*n+b, whichever the slope makes larger.
+    Those k are one run lo..hi: k >= -b/a for a > 0, k <= b/-a for
+    a < 0, and every k or none for a = 0.  The largest such m is b or
+    a*n+b, whichever the slope makes larger.
     """
+    lo, hi = 0, n
+    if a > 0:
+        lo = max(lo, -(b // a))
+    elif a < 0:
+        hi = min(hi, b // -a)
+    elif b < 0:
+        hi = -1
     table = _h12_upto(max(b, a * n + b, 0))
-    return QSeries.from_terms(QQ, ((k, value(m, table[m])) for k in range(n + 1)
-                                   if (m := a * k + b) >= 0), n)
+    return QSeries(QQ, lo, [value(m, table[m]) for m in
+                            (a * k + b for k in range(lo, hi + 1))], n)

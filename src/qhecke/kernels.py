@@ -1,10 +1,10 @@
 """Hot kernels for dense truncated series arithmetic.
 
-All functions work on plain lists of ring elements (ints, Fractions,
-GaussianRationals or ZPolys) and rely only on + - *.  A list of ints and
-Fractions is multiplied as integer numerators over one common
-denominator, as FLINT's fmpq_poly stores it; an int list is the case
-where that denominator is 1.  Long integer lists go through one
+All functions work on plain lists of ring elements (ints, Fractions or
+ZPolys) and rely only on + - *.  A list of ints and Fractions is
+multiplied as integer numerators over one common denominator, as
+FLINT's fmpq_poly stores it; an int list is the case where that
+denominator is 1.  Long integer lists go through one
 big-integer multiply by Kronecker substitution: each list is packed into
 a single int with one fixed-width slot per coefficient, so CPython's
 Karatsuba does the convolution.  Every other product, on any ring,

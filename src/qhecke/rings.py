@@ -1,10 +1,9 @@
 """Exact coefficient rings for q-series.
 
-Three rings are supported, each as a module-level singleton tag:
+Two rings are supported, each as a module-level singleton tag:
 
 * ``QQ``    -- rationals as ``fractions.Fraction``, with integers kept as
   plain ``int``s: an integral series is the denominator-1 case
-* ``QQI``   -- Gaussian rationals a + b*i
 * ``ZPOLY`` -- Laurent polynomials in z with rational coefficients, each a
   dense window: its lowest z-exponent plus a tuple of coefficients
   trimmed to nonzero ends (see ``ZPoly``)
@@ -12,7 +11,7 @@ Three rings are supported, each as a module-level singleton tag:
 Everything is exact; no floats appear anywhere.  Elements are ordinary
 Python objects supporting ``+ - *`` so series code and the kernels
 stay ring-agnostic.  ``specialise`` evaluates many Laurent polynomials
-at one rational or Gaussian-rational z0 with integer arithmetic only.
+at one rational z0 with integer arithmetic only.
 """
 
 from __future__ import annotations
@@ -25,97 +24,6 @@ from types import MappingProxyType
 from .errors import NonUnitError
 
 _new = object.__new__
-
-
-class GaussianRational:
-    """Exact Gaussian rational a + b*i with Fraction (or int) parts."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re
-        self.im = im
-
-    def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __eq__(self, other):
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((Fraction(self.re), Fraction(self.im)))
-
-    def __add__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(self.re + other.re, self.im + other.im)
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re + other, self.im)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if isinstance(other, (GaussianRational, int, Fraction)):
-            return self + (-other if isinstance(other, GaussianRational)
-                           else GaussianRational(-other, 0))
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other - self.re, -self.im)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise NonUnitError("0 has no inverse in Q(i)")
-        ninv = Fraction(1) / norm
-        return GaussianRational(self.re * ninv, -self.im * ninv)
-
-    def __pow__(self, k):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GaussianRational(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}*i"
-
-
-I = GaussianRational(0, 1)
 
 
 class ZPoly:
@@ -236,7 +144,7 @@ class ZPoly:
         return _raw(self.lo + k, tuple([v * x for x in self.coeffs]))
 
     def eval(self, z0):
-        """Evaluate at an exact nonzero point (rational or Gaussian rational)."""
+        """Evaluate at an exact nonzero rational point (an int or a Fraction)."""
         return specialise([self], z0)[0]
 
     def at_one(self):
@@ -308,55 +216,43 @@ def _aligned(p, q, op):
 def specialise(polys, z0):
     """Values of the Laurent polynomials ``polys`` at an exact nonzero z0.
 
-    With z0 = (a + b*i)/d and L the widest window, t[j] = (a + b*i)^j *
-    d^(L-1-j) is tabulated once.  z^lo * sum_j v_j z^j, its coefficients
-    cleared to integers over a common denominator c, is then
-    z0^lo * (sum_j v_j t[j]) / (c * d^(L-1)): an integer dot product per
-    part and one Fraction per part, with z0^lo cached per lo.  Rational
-    z0 gives Fractions, Gaussian z0 GaussianRationals; entries that are
-    not ZPolys are rational constants.
+    z0 must be an int or a Fraction: a float would be read as its binary
+    expansion, so anything else raises TypeError.  With z0 = a/d and L
+    the widest window, t[j] = a^j * d^(L-1-j) is tabulated once.
+    z^lo * sum_j v_j z^j, its coefficients cleared to integers over a
+    common denominator c, is then z0^lo * (sum_j v_j t[j]) / (c * d^(L-1)):
+    an integer dot product per part and one Fraction per part, with
+    z0^lo cached per lo.  Entries that are not ZPolys are rational
+    constants.
     """
+    if not isinstance(z0, (int, Fraction)):
+        raise TypeError(f"z0 must be an int or a Fraction, got {type(z0).__name__}")
     if z0 == 0:
         raise ZeroDivisionError("cannot evaluate Laurent polynomial at z=0")
-    gauss = isinstance(z0, GaussianRational)
-    re, im = (Fraction(z0.re), Fraction(z0.im)) if gauss else (Fraction(z0), Fraction(0))
-    d = lcm(re.denominator, im.denominator)
-    a, b = re.numerator * (d // re.denominator), im.numerator * (d // im.denominator)
+    a, d = z0.numerator, z0.denominator
     polys = [p if type(p) is ZPoly else ZPoly.const(p) for p in polys]
     span = max([len(p.coeffs) for p in polys] + [1])
-    tx, ty = [d ** (span - 1)], [0]
+    t = [d ** (span - 1)]
     for _ in range(span - 1):  # exact: t[j] still holds the factor d^(L-1-j)
-        x, y = tx[-1], ty[-1]
-        tx.append((x * a - y * b) // d)
-        ty.append((x * b + y * a) // d)
+        t.append(t[-1] * a // d)
     lo_pows = {}
     out = []
     for p in polys:
         v = p.coeffs
-        c = lcm(*[t.denominator for t in v])
+        c = lcm(*[x.denominator for x in v])
         if c != 1:
-            v = [t.numerator * (c // t.denominator) for t in v]
+            v = [x.numerator * (c // x.denominator) for x in v]
         zlo = lo_pows.get(p.lo)
-        # z0^lo = (a + b*i)^lo / d^lo = (d*(a - b*i))^-lo / (a^2 + b^2)^-lo
-        if zlo is None:
-            u, e = ((GaussianRational(a, b), d) if p.lo >= 0
-                    else (GaussianRational(d * a, -d * b), a * a + b * b))
-            g = u ** abs(p.lo)
-            zlo = lo_pows[p.lo] = (g.re, g.im, e ** abs(p.lo) * tx[0])
-        gx, gy, den = zlo
-        den *= c
-        sx = sum(map(mul, v, tx))
-        if gauss:
-            sy = sum(map(mul, v, ty))
-            out.append(GaussianRational(Fraction(sx * gx - sy * gy, den),
-                                        Fraction(sx * gy + sy * gx, den)))
-        else:
-            out.append(Fraction(sx * gx, den))
+        if zlo is None:  # z0^lo as num/den: (a/d)^lo, or (d/a)^-lo
+            num, den = (a, d) if p.lo >= 0 else (d, a)
+            zlo = lo_pows[p.lo] = (num ** abs(p.lo), den ** abs(p.lo) * t[0])
+        num, den = zlo
+        out.append(Fraction(sum(map(mul, v, t)) * num, den * c))
     return out
 
 
 class CoeffRing:
-    """A coefficient-ring capability tag; exactly three instances exist."""
+    """A coefficient-ring capability tag; exactly two instances exist."""
 
     __slots__ = ("name", "zero", "one")
 
@@ -369,10 +265,6 @@ class CoeffRing:
         return self.name
 
     def invert(self, x):
-        raise NotImplementedError
-
-    def coerce(self, x, src):
-        """Convert element x of ring src into this ring, if a lift exists."""
         raise NotImplementedError
 
     def to_json(self, x):
@@ -388,28 +280,6 @@ class _RatRing(CoeffRing):
         r = Fraction(1) / x
         return r.numerator if r.denominator == 1 else r
 
-    def coerce(self, x, src):
-        if src is QQ:
-            return x
-        raise RingCoercionError(src, self)
-
-    def to_json(self, x):
-        return str(x)
-
-
-class _GaussRing(CoeffRing):
-    def invert(self, x):
-        if isinstance(x, (int, Fraction)):
-            x = GaussianRational(x, 0)
-        return x.inverse()
-
-    def coerce(self, x, src):
-        if src is QQ:
-            return GaussianRational(x, 0)
-        if src is QQI:
-            return x
-        raise RingCoercionError(src, self)
-
     def to_json(self, x):
         return str(x)
 
@@ -424,22 +294,9 @@ class _ZPolyRing(CoeffRing):
         v, k = unit
         return ZPoly.monomial(QQ.invert(v), -k)
 
-    def coerce(self, x, src):
-        if src is QQ:
-            return ZPoly.const(x)
-        if src is ZPOLY:
-            return x
-        raise RingCoercionError(src, self)
-
     def to_json(self, x):
         return {str(x.lo + i): str(v) for i, v in enumerate(x.coeffs) if v}
 
 
-class RingCoercionError(NonUnitError):
-    def __init__(self, src, dst):
-        super().__init__(f"no coercion from {src} to {dst}")
-
-
 QQ = _RatRing("QQ", 0, 1)
-QQI = _GaussRing("QQi", GaussianRational(0, 0), GaussianRational(1, 0))
 ZPOLY = _ZPolyRing("Zpoly", ZPoly(), ZPoly.const(1))

@@ -27,7 +27,7 @@ from operator import add
 
 from . import kernels
 from .errors import NonConvergentError, NonUnitError, PoleError, RingMismatchError
-from .rings import QQ, QQI, ZPOLY, GaussianRational, ZPoly, specialise
+from .rings import QQ, ZPOLY, ZPoly, specialise
 
 INF = float("inf")
 
@@ -174,13 +174,6 @@ class QSeries:
     def _check(self, other):
         if self.ring is not other.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
-    def over(self, ring):
-        """Lift this series into a larger coefficient ring."""
-        if ring is self.ring:
-            return self
-        coeffs = [ring.coerce(c, self.ring) for c in self.coeffs]
-        return QSeries(ring, self.min_exp, coeffs, self.order)
 
     def truncate(self, n):
         if n >= self.order:
@@ -353,11 +346,11 @@ class QSeries:
     # -- z handling ---------------------------------------------------------
 
     def eval_z(self, z0):
-        """Specialize a Zpoly-coefficient series at an exact nonzero z0."""
+        """Specialize a Zpoly-coefficient series at an exact nonzero
+        rational z0 (an int or a Fraction; TypeError otherwise)."""
         if self.ring is not ZPOLY:
             raise RingMismatchError("eval_z requires Zpoly coefficients")
-        ring = QQI if isinstance(z0, GaussianRational) else QQ
-        return QSeries(ring, self.min_exp, specialise(self.coeffs, z0), self.order)
+        return QSeries(QQ, self.min_exp, specialise(self.coeffs, z0), self.order)
 
     def subs_z_one(self):
         if self.ring is not ZPOLY:

@@ -4,9 +4,9 @@ Every expected value comes from naive oracles in this file (a double loop
 over all index pairs, the schoolbook inverse recurrence, a dict keyed by
 exponent) that share no code with the package.  The int and rational
 lists straddle ``KRONECKER_MIN_NNZ`` so that both the packed and the
-sparse-copy product are exercised; ZPoly and Gaussian lists, alone and
-with plain ints beside their entries, take the sparse-copy product and
-the Newton inverse on every ring.
+sparse-copy product are exercised; ZPoly lists, alone and with plain
+ints beside their entries, take the sparse-copy product and the Newton
+inverse.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qhecke import kernels
-from qhecke.rings import QQ, QQI, ZPOLY, GaussianRational, ZPoly
+from qhecke.rings import QQ, ZPOLY, ZPoly
 from qhecke.series import INF, QSeries
 
 # no deadline: the shared test hosts' speed varies too much for one
@@ -129,12 +129,11 @@ def rational_lists(draw, max_len=3 * T):
 small = st.one_of(st.integers(-5, 5),
                   st.fractions(min_value=-3, max_value=3, max_denominator=7))
 zpoly_entries = st.builds(ZPoly, st.dictionaries(st.integers(-2, 2), small, max_size=2))
-gauss_entries = st.builds(GaussianRational, small, small)
 
 
 @st.composite
 def ring_lists(draw, entries, max_len=2 * T + 4):
-    """ZPoly or Gaussian lists: all ring entries (zeros among them), or a
+    """ZPoly lists: all ring entries (zeros among them), or a
     sparse int list, +-1 included, with a few ring entries beside its ints."""
     n = draw(st.integers(0, max_len))
     if draw(st.booleans()):
@@ -143,9 +142,6 @@ def ring_lists(draw, entries, max_len=2 * T + 4):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=n // 3 + 1)) if n else ():
         out[i] = draw(st.one_of(st.sampled_from([1, -1, 2, -3]), entries))
     return out
-
-
-ring_entries = st.sampled_from([(zpoly_entries, ZPOLY.one), (gauss_entries, QQI.one)])
 
 
 def rational(out):
@@ -233,8 +229,7 @@ def test_conv_trunc_sparse_int_operand_on_either_side(data):
 
 
 @settings(deadline=None, max_examples=60)
-@given(ring_entries.flatmap(lambda e: st.tuples(ring_lists(e[0]), ring_lists(e[0]))),
-       st.data())
+@given(st.tuples(ring_lists(zpoly_entries), ring_lists(zpoly_entries)), st.data())
 def test_conv_trunc_zpoly_and_gaussian_match_double_loop(pair, data):
     a, b = pair
     keep = data.draw(keeps(len(a), len(b)))
@@ -243,16 +238,15 @@ def test_conv_trunc_zpoly_and_gaussian_match_double_loop(pair, data):
 
 
 def test_conv_trunc_int_entries_beside_ring_entries():
-    # the sparser operand's ints, +-1 and larger, scale ZPoly and Gaussian
-    # copies of the denser one
-    for entry, one in ((ZPoly({-1: 2, 1: Fraction(1, 3)}), ZPOLY.one),
-                       (GaussianRational(Fraction(1, 2), -1), QQI.one)):
-        dense = [entry * k + one for k in range(3 * T)]
-        sparse = [0] * (2 * T)
-        sparse[0], sparse[3], sparse[5], sparse[T] = 1, -1, 7, entry
-        for keep in (1, T, 5 * T - 1, 6 * T):
-            for x, y in ((sparse, dense), (dense, sparse)):
-                assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
+    # the sparser operand's ints, +-1 and larger, scale ZPoly copies of
+    # the denser one
+    entry = ZPoly({-1: 2, 1: Fraction(1, 3)})
+    dense = [entry * k + ZPOLY.one for k in range(3 * T)]
+    sparse = [0] * (2 * T)
+    sparse[0], sparse[3], sparse[5], sparse[T] = 1, -1, 7, entry
+    for keep in (1, T, 5 * T - 1, 6 * T):
+        for x, y in ((sparse, dense), (dense, sparse)):
+            assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
 
 
 # -- inv_unit --------------------------------------------------------------------
@@ -286,13 +280,10 @@ def test_inv_unit_rational_matches_recurrence(tail, keep):
 
 
 @settings(deadline=None, max_examples=60)
-@given(ring_entries.flatmap(lambda e: st.tuples(ring_lists(e[0], max_len=T + 4),
-                                                 st.just(e[1]))),
-       st.integers(0, T + 4))
-def test_inv_unit_zpoly_and_gaussian_match_recurrence(tail_one, keep):
-    tail, one = tail_one
-    g = [one] + tail
-    assert kernels.inv_unit(g, keep, one) == naive_inv(g, keep)
+@given(ring_lists(zpoly_entries, max_len=T + 4), st.integers(0, T + 4))
+def test_inv_unit_zpoly_and_gaussian_match_recurrence(tail, keep):
+    g = [ZPOLY.one] + tail
+    assert kernels.inv_unit(g, keep, ZPOLY.one) == naive_inv(g, keep)
 
 
 @prop

@@ -4,14 +4,16 @@ Each operation is run twice: on series certified through some finite
 order, and on longer series that agree with them through that order and
 carry random coefficients beyond it.  Through the order the first result
 claims, both results must have the same coefficients, and the longer
-inputs must certify at least as far.  The builders geometric_sum and
+inputs must certify at least as far.  A jet is checked the same way, each
+of its two series a truncated pair.  The builders geometric_sum and
 eta_sum take exact terms and an order instead: the same terms summed to
 a longer order must agree with them through the order they claim.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from qhecke.rings import QQ, QQI, ZPOLY, GaussianRational, ZPoly
+from qhecke.jets import Jet1
+from qhecke.rings import QQ, ZPOLY, ZPoly
 from qhecke.series import INF, QSeries, eta_sum, geometric_sum
 
 prop = settings(deadline=None, max_examples=150)
@@ -167,14 +169,8 @@ def test_alternate_claims_no_more_than_its_input_knows(pair):
     assert_agree(f.alternate(), f_long.alternate())
 
 
-nonzero_rationals = rationals.filter(bool)
-z_points = st.one_of(
-    nonzero_rationals,
-    st.builds(GaussianRational, rationals, rationals).filter(bool))
-
-
 @prop
-@given(truncated_pair(ZPOLY), z_points)
+@given(truncated_pair(ZPOLY), rationals.filter(bool))
 def test_eval_z_claims_no_more_than_its_input_knows(pair, z0):
     f, f_long = pair
     assert_agree(f.eval_z(z0), f_long.eval_z(z0))
@@ -219,17 +215,48 @@ def test_inflate_claims_no_more_than_its_input_knows(pair, p):
     assert_agree(f.inflate(p), f_long.inflate(p))
 
 
-# the rings each ring lifts into
-_LIFTS = {QQ: [QQ, QQI, ZPOLY], ZPOLY: [ZPOLY]}
+@st.composite
+def jet_pair(draw, unit=False):
+    """(jet, longer): a Jet1 of two truncated QQ series, and the jet of
+    their longer partners.  With ``unit``, the value series can be
+    inverted."""
+    (f0, f0_long), (f1, f1_long) = draw(truncated_pair(QQ, unit)), draw(truncated_pair(QQ))
+    return Jet1(f0, f1), Jet1(f0_long, f1_long)
+
+
+def assert_jets_agree(r, longer):
+    assert_agree(r.f0, longer.f0)
+    assert_agree(r.f1, longer.f1)
 
 
 @prop
-@given(all_rings.flatmap(lambda r: st.tuples(truncated_pair(r), st.sampled_from(_LIFTS[r]))))
-def test_over_claims_no_more_than_its_input_knows(pair_target):
-    (f, f_long), target = pair_target
-    got = f.over(target)
-    assert got.ring is target and got.order == f.order
-    assert_agree(got, f_long.over(target))
+@given(all_rings.flatmap(lambda r: truncated_pair(r)))
+def test_jet_of_claims_no_more_than_its_input_knows(pair):
+    f, f_long = pair
+    assert_jets_agree(Jet1.of(f), Jet1.of(f_long))
+
+
+@prop
+@given(jet_pair(), jet_pair())
+def test_jet_mul_claims_no_more_than_its_inputs_know(pair, other):
+    (j, j_long), (k, k_long) = pair, other
+    assert_jets_agree(j * k, j_long * k_long)
+
+
+@prop
+@given(jet_pair(), jet_pair(unit=True))
+def test_jet_div_claims_no_more_than_its_inputs_know(pair, other):
+    (j, j_long), (k, k_long) = pair, other
+    assert_jets_agree(j / k, j_long / k_long)
+
+
+@prop
+@given(jet_pair(), st.sampled_from([-1, 0, 1]), st.integers(1, 5), st.integers(-3, 3),
+       st.data())
+def test_jet_div_one_minus_claims_no_more_than_its_input_knows(pair, sign, m, k, data):
+    (j, j_long), d = pair, sign * m
+    c = data.draw(linear_factor(QQ, d, divide=True))
+    assert_jets_agree(j.div_one_minus(c, k, d), j_long.div_one_minus(c, k, d))
 
 
 @st.composite

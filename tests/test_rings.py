@@ -5,24 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhecke.errors import NonUnitError
-from qhecke.rings import (QQ, QQI, ZPOLY, GaussianRational, I, ZPoly,
-                          RingCoercionError)
-
-
-def test_gaussian_field_ops():
-    a = GaussianRational(Fraction(1, 2), 1)
-    b = GaussianRational(2, Fraction(-1, 3))
-    assert a + b == GaussianRational(Fraction(5, 2), Fraction(2, 3))
-    assert a * b == GaussianRational(Fraction(4, 3), Fraction(11, 6))
-    assert (a * a.inverse()) == 1
-    assert I * I == -1
-    assert I ** -1 == -I
-    assert str(GaussianRational(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
-
-
-def test_gaussian_zero_has_no_inverse():
-    with pytest.raises(NonUnitError):
-        GaussianRational(0, 0).inverse()
+from qhecke.rings import QQ, ZPOLY, ZPoly
 
 
 def test_zpoly_ops():
@@ -31,7 +14,6 @@ def test_zpoly_ops():
     # direct expansion: (z + z^-1)(1 - z) = z + z^-1 - z^2 - 1
     assert p * q == ZPoly({1: 1, -1: 1, 2: -1, 0: -1})
     assert p.eval(2) == Fraction(5, 2)
-    assert p.eval(I) == GaussianRational(0, 0)
     assert p.at_one() == 2
     assert (p - p) == 0 and not (p - p)
     assert ZPoly({2: 3}).unit_part() == (3, 2)
@@ -74,20 +56,12 @@ def test_ring_invert_rules():
         assert QQ.invert(x) == inv and type(QQ.invert(x)) is type(inv)
     with pytest.raises(NonUnitError):
         QQ.invert(0)
-    assert QQI.invert(GaussianRational(0, 2)) == GaussianRational(0, Fraction(-1, 2))
     assert ZPOLY.invert(ZPoly({3: -2})) == ZPoly({-3: Fraction(-1, 2)})
     for sign in (1, -1):
         inv = ZPOLY.invert(ZPoly({3: sign}))
         assert inv == ZPoly({-3: sign}) and type(inv.unit_part()[0]) is int
     with pytest.raises(NonUnitError):
         ZPOLY.invert(ZPoly({0: 1, 1: -1}))
-
-
-def test_ring_coercions():
-    assert QQI.coerce(Fraction(1, 3), QQ) == GaussianRational(Fraction(1, 3), 0)
-    assert ZPOLY.coerce(7, QQ) == ZPoly({0: 7})
-    with pytest.raises(RingCoercionError):
-        QQ.coerce(I, QQI)
 
 
 @pytest.mark.parametrize("n", [40, 130])

@@ -204,7 +204,8 @@ def _bump_rhs(case, e, c=1, component=None):
                                         ("numz-f8-appell", 30),
                                         ("dissect-j1j2-3", 30),
                                         ("cong-hf24-phi-minus", 40),
-                                        ("bivar-f8z-appell", 30)])
+                                        ("bivar-f8z-appell", 30),
+                                        ("spec-f4-at-i", 30)])
 def test_negative_controls(cid, order):
     # a term at the lowest exponent or at q^N is caught there, in the slot
     # it was added to (a zero tuple component starts at q^0); one at
