@@ -399,6 +399,15 @@ AP_F4Z = AppellRhsSpec((2, 0, 0), lambda k: _alt(k) * geom_ratio(1 - k, k), -1, 
 AP_F8Z = AppellRhsSpec((4, 0, 0), lambda k: _alt(k) * geom_ratio(1 - 2 * k, 2 * k), -1,
                        (4, -1), ring=ZPOLY)
 
+# the Appell-Lerch sums of the cleared identities in z: j(-q;q^2) m(-z,q^2,-q),
+# j(-1;q) m(-z,q,-1) less its pole term 1/(1 - z) at k = 1, and
+# j(q^2/z^2;q^4) (m(-qz^2,q^4,q^2/z^2) - m(-q/z^2,q^4,q^2 z^2)/z)
+AP_M_F4Z = AppellRhsSpec((2, 0, 0), lambda k: 1, ZPoly.monomial(1, 1), (2, -1), ring=ZPOLY)
+AP_M_F8Z = AppellRhsSpec((1, -1, 0), lambda k: int(k != 1), ZPoly.monomial(1, 1), (1, -1),
+                         ring=ZPOLY)
+AP_M_SPLIT = AppellRhsSpec((4, 0, 0), lambda k: -_alt(k) * ZPoly({-2 * k: 1, 2 * k - 1: -1}),
+                           -1, (4, -1), ring=ZPOLY)
+
 
 # ---------------------------------------------------------------------------
 # Humbert's double sum

@@ -13,7 +13,6 @@ no padding.  Eta sums are data: (c, s, {delta: r}) tuples for eta_sum.
 Modes:
   univariate  -- builders return q-series with scalar coefficients
   formal_z    -- builders return series with Laurent-polynomial coefficients
-  numeric_z   -- builders take an exact rational witness z0 as well
   jet         -- builders return the z-derivative at z=1 (and its target)
   congruence  -- integer series compared modulo a fixed modulus
 """
@@ -28,8 +27,8 @@ from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
-from .rings import QQ, ZPoly
-from .series import QSeries, eta_quotient, eta_sum, monomial
+from .rings import QQ, ZPOLY, ZPoly
+from .series import QSeries, eta_quotient, eta_sum, geom_ratio, lattice_range, monomial
 from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
 
 
@@ -41,7 +40,7 @@ class IdentityCase:
     build_rhs: Callable
     default_order: int
     allow_fail: bool = False
-    witnesses: tuple = ()
+    witnesses: tuple = ()  # set by no case; perfbench/child.py still replaces it
     modulus: int = 0
     note: str = ""
 
@@ -122,17 +121,6 @@ def _hf12_7_hsum(n):
     return even + odd
 
 
-def _neg_alt_hurwitz(n):
-    # sum (-1)^(n+1) H(8n-1) q^n with integer values H(8n-1)
-    table = classnum._h12_upto(8 * n - 1)
-    terms = []
-    for k in range(1, n + 1):
-        h = table[8 * k - 1]
-        assert h % 12 == 0
-        terms.append((k, (h // 12) if k % 2 == 1 else -(h // 12)))
-    return QSeries.from_terms(QQ, terms, n)
-
-
 def _humbert_triple_expansion(n):
     # sum over (m, u, k >= 1) of q^{(k+m)^2 - (k+u)(k+u-1)/2 - (k-u)(k-u-1)/2}
     terms = []
@@ -149,25 +137,31 @@ def _humbert_triple_expansion(n):
     return QSeries.from_terms(QQ, terms, n)
 
 
-def _m_minus_z(n, z0):
-    return appell_m(monomial(-z0), 1, monomial(-1), n)
+def _lift(f):
+    """A z-free series over Zpoly, each coefficient a constant."""
+    return QSeries(ZPOLY, f.min_exp, [ZPoly.const(c) for c in f.coeffs], f.order)
 
 
-def _theta_correction(n, z0):
-    """j(q;q^2)^2 / (2 j(z0;q)), the theta term of the F8 and even/odd relations."""
-    return (theta_sum_scaled(monomial(1, 0, 1), 2, n) ** 2
-            * theta_sum_scaled(monomial(z0), 1, n).invert()).scale(Fraction(1, 2))
+def _theta_side(n):
+    """j(-1;q) j(q;q^2)^2 - 2 j(z;q)/(1 - z), pairing the terms m and 1 - m of j(z;q)."""
+    jj = jtheta(monomial(-1), 1, n) * jtheta(monomial(1, 0, 1), 2, n) ** 2
+    return _lift(jj) - QSeries.from_terms(ZPOLY, (
+        (m * (m - 1) // 2, (-1) ** m * 2 * geom_ratio(m, 1 - m))
+        for m in lattice_range(1, -1, -2 * n, lo=1)), n)
 
 
-def _f8_appell_rhs(n, z0):
-    return (_m_minus_z(n, z0) - _theta_correction(n, z0)).scale(Fraction(-z0, 1) / (1 - z0))
+def _f8_cleared_lhs(n):
+    # j(z;q) (2(1 - z) j(-1;q) F8 + 2z S'), j(z;q) in one product
+    inner = ((_lift(jtheta(monomial(-1), 1, n)) * mock.F8_series(n)).scale(ZPoly({0: 2, 1: -2}))
+             + mock.appell_rhs(mock.AP_M_F8Z, n).scale(ZPoly.monomial(2, 1)))
+    return jtheta(monomial(1, 1), 1, n) * inner
 
 
-def _m_evenodd_rhs(n, z0):
-    t1 = appell_m(monomial(-z0 * z0, 0, 1), 4, monomial(Fraction(1, z0 * z0), 0, 2), n)
-    t2 = appell_m(monomial(-Fraction(1, z0 * z0), 0, 1), 4,
-                  monomial(z0 * z0, 0, 2), n).scale(Fraction(1, z0))
-    return t1 - t2 + _theta_correction(n, z0)
+def _evenodd_cleared_lhs(n):
+    # 2 j(z;q) (S' D - j(-1;q) (A_- - A_+/z)) with D = j(q^2/z^2;q^4)
+    inner = (mock.appell_rhs(mock.AP_M_F8Z, n) * jtheta(monomial(1, -2, 2), 4, n)
+             - _lift(jtheta(monomial(-1), 1, n)) * mock.appell_rhs(mock.AP_M_SPLIT, n))
+    return jtheta(monomial(1, 1), 1, n) * inner.scale(2)
 
 
 # Appell-Lerch relation witnesses: (x, z) scaled monomials chosen to avoid poles
@@ -185,12 +179,12 @@ def _m(x, z, n, base=1):
     return appell_m(x, base, z, n)
 
 
-def _change_z_rhs(n, x, z1, z0):
-    num = (eta_quotient({1: 3}, n) * theta_sum_scaled(z1 * z0.inv(), 1, n)
-           * theta_sum_scaled(x * z0 * z1, 1, n))
-    den = (theta_sum_scaled(z0, 1, n) * theta_sum_scaled(z1, 1, n)
-           * theta_sum_scaled(x * z0, 1, n) * theta_sum_scaled(x * z1, 1, n))
-    return (num * den.invert()).shift(z0.coef, z0.qdeg)
+def _change_z_rhs(n, x, z, w):
+    num = (eta_quotient({1: 3}, n) * theta_sum_scaled(z * w.inv(), 1, n)
+           * theta_sum_scaled(x * w * z, 1, n))
+    den = (theta_sum_scaled(w, 1, n) * theta_sum_scaled(z, 1, n)
+           * theta_sum_scaled(x * w, 1, n) * theta_sum_scaled(x * z, 1, n))
+    return (num * den.invert()).shift(w.coef, w.qdeg)
 
 
 def _quartic_rhs(n, x, z):
@@ -424,7 +418,7 @@ def registry():
     add(IdentityCase(
         "cong-A-hurwitz", "congruence",
         lambda n: mock.eulerian_residues("A", n, 4),
-        _neg_alt_hurwitz, 300, modulus=4,
+        lambda n: -classnum.genfun_H(8, -1, n).alternate(), 300, modulus=4,
         note="coefficients of A against (-1)^(n+1) H(8n-1)"))
 
     # -- eta-quotient identities (order 150) ----------------------------------
@@ -600,12 +594,12 @@ def registry():
                 QSeries.monomial(QQ, xi.coef, xi.qdeg, n)
                 - _m(x.qshift(1), z, n - xi.qdeg).shift(xi.coef, xi.qdeg)),
             30, note="m(x,q,z) = x^-1 - x^-1 m(qx,q,z)"))
-    for i, (x, z1, z0) in enumerate(_W_CHANGE_Z, 1):
+    for i, (x, z, w) in enumerate(_W_CHANGE_Z, 1):
         add(IdentityCase(
             f"mrel-change-z-w{i}", "univariate",
-            lambda n, x=x, z1=z1, z0=z0: _m(x, z1, n) - _m(x, z0, n),
-            lambda n, x=x, z1=z1, z0=z0: _change_z_rhs(n, x, z1, z0), 30,
-            note="z0 J1^3 j(z1/z0;q) j(x z0 z1;q) correction"))
+            lambda n, x=x, z=z, w=w: _m(x, z, n) - _m(x, w, n),
+            lambda n, x=x, z=z, w=w: _change_z_rhs(n, x, z, w), 30,
+            note="w J1^3 j(z/w;q) j(x w z;q) correction"))
     for i, (x, z) in enumerate(_W_QUARTIC, 1):
         add(IdentityCase(
             f"mrel-quartic-w{i}", "univariate",
@@ -630,23 +624,23 @@ def registry():
              "denominator and fails at q^0 (the same instance matches with the "
              "correction's sign flipped; reconciliation left to the reader)"))
     add(IdentityCase(
-        "mrel-evenodd", "numeric_z",
-        _m_minus_z, _m_evenodd_rhs, 40,
-        witnesses=(Fraction(2), Fraction(3), Fraction(1, 2)),
+        "mrel-evenodd", "formal_z", _evenodd_cleared_lhs,
+        lambda n: _theta_side(n) * jtheta(monomial(1, -2, 2), 4, n), 40,
         note="even/odd split of m(-z,q,-1) into base-q^4 sums plus "
-             "j(q;q^2)^2/(2 j(z;q))"))
+             "j(q;q^2)^2/(2 j(z;q)), times 2 j(z;q) j(-1;q) j(q^2/z^2;q^4)"))
 
-    # -- numeric-z Appell-Lerch bridges for F4/F8 (order 60) ------------------
-    ws = (Fraction(2), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1, 3))
+    # -- Appell-Lerch bridges for F4/F8, denominators cleared (order 60) ------
     add(IdentityCase(
-        "numz-f4-appell", "numeric_z",
-        lambda n, z0: mock.F4_series(n).eval_z(z0).scale(1 - Fraction(1) / z0),
-        lambda n, z0: appell_m(monomial(-z0), 2, monomial(-1, 0, 1), n), 60, witnesses=ws,
-        note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q)"))
+        "numz-f4-appell", "formal_z",
+        lambda n: (_lift(jtheta(monomial(-1, 0, 1), 2, n)) * mock.F4_series(n)
+                   ).scale(ZPoly({0: 1, -1: -1})),
+        lambda n: mock.appell_rhs(mock.AP_M_F4Z, n), 60,
+        note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q), times j(-q;q^2)"))
     add(IdentityCase(
-        "numz-f8-appell", "numeric_z",
-        lambda n, z0: mock.F8_series(n).eval_z(z0), _f8_appell_rhs, 60, witnesses=ws,
-        note="F8(z,q) = -z/(1-z) (m(-z,q,-1) - j(q;q^2)^2/(2 j(z;q)))"))
+        "numz-f8-appell", "formal_z", _f8_cleared_lhs,
+        lambda n: _theta_side(n).scale(ZPoly.monomial(1, 1)), 60,
+        note="F8(z,q) = -z/(1-z) (m(-z,q,-1) - j(q;q^2)^2/(2 j(z;q))), "
+             "times 2 (1-z) j(z;q) j(-1;q)"))
 
     # -- Humbert's formula and the combinatorial theorems ----------------------
     add(IdentityCase(

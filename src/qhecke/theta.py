@@ -35,12 +35,15 @@ def _z_free(*xs):
 
 
 def theta_sum_scaled(x: Monomial, base, n):
-    """j(c*q^d; q^base) by the bilateral sum, rational coefficients."""
+    """j(c*q^d; q^base) by the bilateral sum, rational coefficients, each
+    integral one an int (which the kernels multiply as integers)."""
     _z_free(x)
     minus_c = -Fraction(x.coef)  # (-1)^m x^m = (-c)^m q^(dm)
-    return QSeries.from_terms(
+    f = QSeries.from_terms(
         QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, minus_c ** m)
              for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
+    return QSeries(QQ, f.min_exp, [c.numerator if c.denominator == 1 else c
+                                   for c in f.coeffs], f.order, _trusted=True)
 
 
 def theta_low(d, base):

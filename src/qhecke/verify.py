@@ -71,28 +71,18 @@ def run_case(case: IdentityCase, order=None):
     t0 = time.perf_counter()
     try:
         mismatch = None
-        if case.mode == "numeric_z":
-            if not case.witnesses:
-                raise ValueError("numeric_z case has no witnesses: nothing to certify")
-            for z0 in case.witnesses:
-                lhs = case.build_lhs(n, z0)
-                rhs = case.build_rhs(n, z0)
-                mismatch = _compare(lhs, rhs, n, slot=f"z={z0}")
+        lhs = case.build_lhs(n)
+        rhs = case.build_rhs(n)
+        if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+            widths = [len(x) if isinstance(x, tuple) else None for x in (lhs, rhs)]
+            if widths[0] != widths[1]:
+                raise ValueError(f"lhs has {widths[0]} components, rhs {widths[1]}")
+            for i, (a, b) in enumerate(zip(lhs, rhs)):
+                mismatch = _compare(a, b, n, case.modulus, slot=f"component {i}")
                 if mismatch:
                     break
         else:
-            lhs = case.build_lhs(n)
-            rhs = case.build_rhs(n)
-            if isinstance(lhs, tuple) or isinstance(rhs, tuple):
-                widths = [len(x) if isinstance(x, tuple) else None for x in (lhs, rhs)]
-                if widths[0] != widths[1]:
-                    raise ValueError(f"lhs has {widths[0]} components, rhs {widths[1]}")
-                for i, (a, b) in enumerate(zip(lhs, rhs)):
-                    mismatch = _compare(a, b, n, case.modulus, slot=f"component {i}")
-                    if mismatch:
-                        break
-            else:
-                mismatch = _compare(lhs, rhs, n, case.modulus)
+            mismatch = _compare(lhs, rhs, n, case.modulus)
         ms = int((time.perf_counter() - t0) * 1000)
         if mismatch and mismatch.get("exp") is None:
             return VerificationReport(case.id, "error", 0, mismatch, ms,

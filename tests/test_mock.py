@@ -337,7 +337,7 @@ def test_appell_rhs_spec_validation():
         with pytest.raises(ValueError):
             AppellRhsSpec(quad2, lambda k: 1, 1, (2, -1))
     named = [v for k, v in vars(mock).items() if k.startswith("AP_")]
-    assert len(named) == 9
+    assert len(named) == 12
     for spec in named:
         replace(spec)  # re-runs the validation
 

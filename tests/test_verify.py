@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
+from qhecke.rings import ZPOLY, ZPoly
 from qhecke.series import QSeries
 from qhecke.verify import all_passed, run_case, verify
 
@@ -25,7 +26,7 @@ def test_registry_well_formed():
     assert len(ids) == len(set(ids)), "duplicate ids"
     assert len(cases) >= 40
     modes = {c.mode for c in cases}
-    assert modes <= {"univariate", "formal_z", "numeric_z", "jet", "congruence"}
+    assert modes <= {"univariate", "formal_z", "jet", "congruence"}
     flagged = [c.id for c in cases if c.allow_fail]
     assert flagged == ["mrel-f151-theta14"]
     assert all(c.default_order >= 30 for c in cases)
@@ -77,12 +78,6 @@ def test_tuple_case_with_missing_component_is_an_error():
     assert report.status == "error" and report.certified_order == 0
     assert "3 components" in report.first_mismatch["lhs"]
     assert "rhs 2" in report.first_mismatch["lhs"]
-
-
-def test_numeric_z_case_without_witnesses_is_an_error():
-    report = run_case(replace(get_case("numz-f4-appell"), witnesses=()), 30)
-    assert report.status == "error" and report.certified_order == 0
-    assert "no witnesses" in report.first_mismatch["lhs"]
 
 
 def test_sample_cases_pass_and_certify_requested_order():
@@ -168,16 +163,12 @@ def _orders(value):
 
 def test_every_builder_certifies_the_order_it_is_asked_for():
     # run_case asks each side for exactly n, so a side that falls short
-    # would turn its case into an error; check every tuple component and
-    # every numeric-z witness
+    # would turn its case into an error; check every tuple component
     short = []
     for case in registry():
         for n in (1, 2, 5, 40):
             for side, build in (("lhs", case.build_lhs), ("rhs", case.build_rhs)):
-                if case.mode == "numeric_z":
-                    got = [o for z0 in case.witnesses for o in _orders(build(n, z0))]
-                else:
-                    got = _orders(build(n))
+                got = _orders(build(n))
                 if min(got) < n:
                     short.append((case.id, side, n, min(got)))
     assert not short
@@ -185,43 +176,42 @@ def test_every_builder_certifies_the_order_it_is_asked_for():
 
 def _bump_rhs(case, e, c=1, component=None):
     """The case with c*q^e added to its right-hand side, or to one
-    component of a tuple side."""
+    component of a tuple side; over Zpoly the term is c*z^3*q^e."""
     def bump(s):
-        return s + QSeries.monomial(s.ring, s.ring.one * c, e)
+        term = ZPoly.monomial(c, 3) if s.ring is ZPOLY else c
+        return s + QSeries.monomial(s.ring, term, e)
 
     def bumped(rhs):
         if component is None:
             return bump(rhs)
         return tuple(bump(s) if i == component else s for i, s in enumerate(rhs))
 
-    if case.mode == "numeric_z":
-        return replace(case, build_rhs=lambda n, z0: bumped(case.build_rhs(n, z0)))
     return replace(case, build_rhs=lambda n: bumped(case.build_rhs(n)))
 
 
 @pytest.mark.parametrize("cid, order", [("mrel-xinverse-w1", 30),
                                         ("dz-theta-quotient-q12-double", 40),
+                                        ("numz-f4-appell", 30),
                                         ("numz-f8-appell", 30),
+                                        ("mrel-evenodd", 30),
                                         ("dissect-j1j2-3", 30),
                                         ("cong-hf24-phi-minus", 40),
                                         ("bivar-f8z-appell", 30),
                                         ("spec-f4-at-i", 30)])
 def test_negative_controls(cid, order):
-    # a term at the lowest exponent or at q^N is caught there, in the slot
-    # it was added to (a zero tuple component starts at q^0); one at
-    # q^(N+1) lies beyond the certificate and must not be.  A congruence
+    # a term at the lowest exponent, at q^20 or at q^N is caught there, in
+    # the slot it was added to (a zero tuple component starts at q^0); one
+    # at q^(N+1) lies beyond the certificate and must not be.  A congruence
     # case passes a term that is a multiple of its modulus.
     case = get_case(cid)
-    numeric = case.mode == "numeric_z"
-    z0 = case.witnesses[0] if numeric else None
-    rhs = case.build_rhs(order, z0) if numeric else case.build_rhs(order)
+    rhs = case.build_rhs(order)
     if isinstance(rhs, tuple):
         slots = [(i, f"component {i}", side) for i, side in enumerate(rhs)]
     else:
-        slots = [(None, f"z={z0}" if numeric else None, rhs)]
+        slots = [(None, None, rhs)]
     for component, slot, side in slots:
         low = side.valuation()
-        for e in (0 if low is None else low, order):
+        for e in (0 if low is None else low, 20, order):
             report = run_case(_bump_rhs(case, e, 1, component), order)
             assert report.status == "fail" and report.first_mismatch["exp"] == e
             assert report.to_json()["first_mismatch"].get("slot") == slot
