@@ -8,7 +8,7 @@ machine-verifies a registry of identities relating all of them to a
 configurable truncation order.
 """
 
-from .rings import QQ, ZPOLY, ZPoly
+from .rings import ZPoly
 from .series import (
     INF,
     Monomial,
@@ -30,7 +30,7 @@ from .oeis import oeis_compare
 from .verify import verify
 
 __all__ = [
-    "QQ", "ZPOLY", "ZPoly",
+    "ZPoly",
     "INF", "Monomial", "QSeries", "eta_quotient", "etaq", "geom_ratio",
     "lattice_range", "monomial", "pochhammer",
     "Jet1", "jet_of_termsum",

@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import UndefinedResidueError
-from .rings import QQ
 from .series import QSeries
 
 
@@ -157,5 +156,4 @@ def _genfun(a, b, n, value):
     elif b < 0:
         hi = -1
     table = _h12_upto(max(b, a * n + b, 0))
-    return QSeries(QQ, lo, [value(m, table[m]) for m in
-                            (a * k + b for k in range(lo, hi + 1))], n)
+    return QSeries(lo, [value(m, table[m]) for m in (a * k + b for k in range(lo, hi + 1))], n)

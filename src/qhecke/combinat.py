@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .rings import QQ
 from .series import QSeries, geometric_sum, lattice_range
 
 
@@ -112,7 +111,7 @@ def P_series(n, method="direct"):
     Both methods must agree (standing self-test in the suite).
     """
     if method == "direct":
-        return QSeries.from_terms(QQ, ((m, count_P(m)) for m in range(1, n + 1)), n)
+        return QSeries.from_terms(((m, count_P(m)) for m in range(1, n + 1)), n)
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
     counts = [0] * (n + 1)
@@ -127,7 +126,7 @@ def P_series(n, method="direct"):
                 if total > n:
                     break
                 counts[total] += 1
-    return QSeries.from_coeffs(QQ, 0, counts, n)
+    return QSeries(0, counts, n)
 
 
 def Q_series(n, method="direct"):
@@ -136,7 +135,7 @@ def Q_series(n, method="direct"):
     formula: sum_{l>=1} sum_{m=1}^{l} q^{l(l+1)/2 - m(m-1)/2} / (1 - q^l).
     """
     if method == "direct":
-        return QSeries.from_terms(QQ, ((m, count_Q(m)) for m in range(1, n + 1)), n)
+        return QSeries.from_terms(((m, count_Q(m)) for m in range(1, n + 1)), n)
     if method != "formula":
         raise ValueError(f"unknown method {method!r}")
 
@@ -149,4 +148,4 @@ def Q_series(n, method="direct"):
             for m in range(max(above.stop, 1), l + 1):
                 yield 1, base_l - m * (m - 1) // 2, 1, l
 
-    return geometric_sum(QQ, terms(), n)
+    return geometric_sum(terms(), n)

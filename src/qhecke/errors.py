@@ -5,12 +5,8 @@ class QheckeError(Exception):
     """Base class for all package errors."""
 
 
-class RingMismatchError(QheckeError):
-    """Arithmetic attempted between series over different coefficient rings."""
-
-
 class NonUnitError(QheckeError):
-    """Leading coefficient is not invertible in the coefficient ring."""
+    """A coefficient is not invertible: zero, or not a unit monomial of Q[z, 1/z]."""
 
 
 class PoleError(QheckeError):

@@ -2,8 +2,8 @@
 
 A Jet1 carries (f(1,q), d/dz f(z,q)|_{z=1}) as a pair of rational
 q-series: the image of a series in z under z -> 1 + eps, eps^2 = 0.
-Every jet starts as the image of a QQ series (integral ones included)
-or a Zpoly series (Jet1.of, so theta functions come from theta.jtheta)
+Every jet starts as the image of a series (Jet1.of, so theta functions
+come from theta.jtheta), whose z-free coefficients have derivative 0,
 and propagates through ring operations: products use the product rule,
 quotients (u'v - uv')/v^2.  Appell-Lerch sums divide each term by
 1 - c z^k q^d with two passes of the exact denominator rule
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import QQ, ZPOLY, ZPoly
+from .rings import ZPoly
 from .series import QSeries, appell_range, monomial
 from .theta import _integral, jtheta
 
@@ -27,15 +27,13 @@ class Jet1:
 
     @classmethod
     def of(cls, series):
-        """Jet of a QQ or Zpoly series: its value and z-derivative at 1."""
-        if series.ring is ZPOLY:
-            return cls(series.subs_z_one(), series.dz_at_one())
-        return cls(series, QSeries.zero(QQ, series.order))
+        """Jet of a series: its value and z-derivative at 1."""
+        return cls(series.subs_z_one(), series.dz_at_one())
 
     @classmethod
     def z_power(cls, k):
         """Jet of z^k: value 1, derivative k."""
-        return cls.of(QSeries.monomial(ZPOLY, ZPoly.monomial(1, k), 0))
+        return cls.of(QSeries.monomial(ZPoly.monomial(1, k), 0))
 
     def __add__(self, other):
         return Jet1(self.f0 + other.f0, self.f1 + other.f1)
@@ -74,7 +72,7 @@ def jet_of_termsum(terms, n):
     Terms with qdeg > n are ignored; the caller must supply every term
     at or below the order.
     """
-    return Jet1.of(_integral(terms, False, n))
+    return Jet1.of(_integral(terms, n))
 
 
 def jet_theta(sign, a, b, base, n, zshift=0):
@@ -93,10 +91,9 @@ def jet_appell(x, base, w, n):
     w = monomial(*w)
     xw = monomial(*x) * w
     neg = -w.unit()  # (-w)^r has sign neg^r
-    total = Jet1.of(QSeries.zero(QQ, n))
+    total = Jet1.of(QSeries.zero(n))
     for r in appell_range(base, 2 * w.qdeg - base, 0, base, xw.qdeg - base, n):
-        numer = Jet1.of(QSeries.monomial(
-            ZPOLY, ZPoly.monomial(neg ** (r % 2), w.zdeg * r),
-            base * r * (r - 1) // 2 + w.qdeg * r, n))
+        numer = Jet1.of(QSeries.monomial(ZPoly.monomial(neg ** (r % 2), w.zdeg * r),
+                                         base * r * (r - 1) // 2 + w.qdeg * r, n))
         total = total + numer.div_one_minus(xw.unit(), xw.zdeg, base * (r - 1) + xw.qdeg)
     return jet_theta(w.coef, w.zdeg, w.qdeg, base, n).invert() * total

@@ -1,13 +1,13 @@
 """Hot kernels for dense truncated series arithmetic.
 
-All functions work on plain lists of ring elements (ints, Fractions or
-ZPolys) and rely only on + - *.  A list of ints and Fractions is
-multiplied as integer numerators over one common denominator, as
+All functions work on plain lists of coefficients (ints, Fractions and
+ZPolys, mixed freely) and rely only on + - *.  A list of ints and
+Fractions is multiplied as integer numerators over one common denominator, as
 FLINT's fmpq_poly stores it; an int list is the case where that
 denominator is 1.  Long integer lists go through one
 big-integer multiply by Kronecker substitution: each list is packed into
 a single int with one fixed-width slot per coefficient, so CPython's
-Karatsuba does the convolution.  Every other product, on any ring,
+Karatsuba does the convolution.  Every other product, on any coefficients,
 adds one scaled copy of one operand per nonzero entry of the sparser
 one.  Every unit is inverted by Newton iteration on those products.
 """
@@ -139,7 +139,7 @@ def conv_trunc(a, b, keep):
 
 
 def _inv_newton(g, keep, known):
-    """Inverse of a list with g[0] the ring's one, by Newton iteration.
+    """Inverse of a list with g[0] == 1, by Newton iteration.
 
     Each step doubles the known prefix m of h = 1/g: with
     e = g*h - 1 = O(q^m), the update h - h*e is exact to q^(2m).
@@ -162,8 +162,8 @@ def _inv_newton(g, keep, known):
 def inv_unit(g, keep, one):
     """Inverse of a series with g[0] == one, to keep coefficients.
 
-    ``one`` is the ring's multiplicative identity, which seeds the
-    Newton iteration.
+    ``one`` seeds the Newton iteration.  Every caller passes 1, which is
+    the one of Q and of Q[z, 1/z] alike.
     """
     if keep <= 0:
         return [0] * keep

@@ -51,7 +51,7 @@ from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
 from .kernels import unpack_signed
-from .rings import QQ, ZPOLY, ZPoly
+from .rings import ZPoly
 from .series import (QSeries, appell_range, geom_ratio, geometric_sum, grown,
                      lattice_range)
 
@@ -137,7 +137,7 @@ def _build_eulerian(which, n):
     """A, V1, sigma or phi_minus through exactly q^n, from its recipe."""
     if which not in ("A", "V1", "sigma", "phi_minus"):
         raise ValueError(f"unknown Eulerian series {which!r}")
-    return QSeries(QQ, 0, _term_sum(_RECIPES[which], n), n)
+    return QSeries(0, _term_sum(_RECIPES[which], n), n)
 
 
 def eulerian(which, n):
@@ -193,7 +193,7 @@ def eulerian_residues(which, n, m):
     if which not in _RECIPES:
         raise ValueError(f"unknown Eulerian series {which!r}")
     return grown(_residue_cache, (which, m), n,
-                 lambda top, _: QSeries(QQ, 0, _residue_sum(_RECIPES[which], top, m), top))
+                 lambda top, _: QSeries(0, _residue_sum(_RECIPES[which], top, m), top))
 
 
 def _slot_bits(which, n):
@@ -211,7 +211,7 @@ def _build_bivariate(which, n):
         # the 2m + 1 slots of z^-m .. z^m
         slots = unpack_signed(x >> bits * (n + 1 - m), bits // 8, 2 * m + 1)
         coeffs.append(ZPoly(dict(enumerate(slots, -m))))
-    return QSeries(ZPOLY, 0, coeffs, n)
+    return QSeries(0, coeffs, n)
 
 
 _fz_cache: dict = {}
@@ -242,14 +242,13 @@ class HeckeRogersSpec:
     region: "jabs" (1 <= j <= |n|, n != 0), "sym" (1-|n| <= j <= |n|,
     n != 0) or "pos" (n >= 1, 1 <= j <= n).  Q is the integer-valued
     quadratic (A n^2 + B nj + C j^2 + D n + E j + F)/2 given by doubled
-    integer coefficients.  coef(n, j) is an element of ring: an int, or
-    a Laurent polynomial in z for the z-analogs.
+    integer coefficients.  coef(n, j) is an int, or a Laurent polynomial
+    in z for the z-analogs.
     """
 
     region: str
     quad2: tuple  # doubled coefficients (A, B, C, D, E, F)
     coef: Callable
-    ring: object = QQ
 
     def __post_init__(self):
         if self.region not in _JENDS:
@@ -301,7 +300,7 @@ def hecke_rogers(spec: HeckeRogersSpec, n):
                 coef = spec.coef(m, j)
                 if coef:
                     terms.append((spec.exponent(m, j), coef))
-    return QSeries.from_terms(spec.ring, terms, n)
+    return QSeries.from_terms(terms, n)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +312,8 @@ class AppellRhsSpec:
     """sum_{k >= lo} coef(k) q^((A k^2 + B k + C)/2) / (1 - ratio q^(d k + e)).
 
     quad2 = (A, B, C), A > 0, gives the exponent by doubled integer
-    coefficients; lo = None sums over all of Z.  coef(k) is an element
-    of ring, and ratio an element of ring or an int.
+    coefficients; lo = None sums over all of Z.  coef(k) and ratio are
+    each a rational or a Laurent polynomial in z.
     """
 
     quad2: tuple
@@ -322,7 +321,6 @@ class AppellRhsSpec:
     ratio: object
     denom: tuple  # (d, e)
     lo: Optional[int] = None
-    ring: object = QQ
 
     def __post_init__(self):
         a, b, c = self.quad2
@@ -341,7 +339,7 @@ def appell_rhs(spec: AppellRhsSpec, n):
             if coef:
                 yield coef, (a * k * k + b * k + c) // 2, spec.ratio, d * k + e
 
-    return geometric_sum(spec.ring, terms(), n)
+    return geometric_sum(terms(), n)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +365,11 @@ _HF8_QUAD = _q2(2, 0, -1, -1, 1, 0)
 HR_HF8 = HeckeRogersSpec("jabs", _HF8_QUAD, lambda n, j: _sg(n) * _alt(j) * (2 * j - 1))
 HR_A = HeckeRogersSpec("jabs", _HF8_QUAD, lambda n, j: _sg(n) * _alt(n))
 HR_F8Z = HeckeRogersSpec("jabs", _HF8_QUAD,
-                         lambda n, j: _sg(n) * _alt(j) * geom_ratio(1 - j, j), ZPOLY)
+                         lambda n, j: _sg(n) * _alt(j) * geom_ratio(1 - j, j))
 
 # exponent n^2 - j(j-1)/2 over n >= 1, 1 <= j <= n
 _HF4_QUAD = (2, 0, -1, 0, 1, 0)
-HR_F4Z = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: geom_ratio(n, -n), ZPOLY)
+HR_F4Z = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: geom_ratio(n, -n))
 HR_V1 = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: kronecker_minus4(n))
 HR_HF4 = HeckeRogersSpec("pos", _HF4_QUAD, lambda n, j: _alt(n + j * (j - 1) // 2) * n)
 
@@ -395,18 +393,17 @@ AP_SIGMA = AppellRhsSpec((6, 0, 0), _alt, 1, (6, -1))
 AP_HF24_A = AppellRhsSpec((12, 0, 0), lambda k: _alt(k) * (12 * k - 1), -1, (12, -1))
 AP_HF24_B = AppellRhsSpec((12, 0, -4), lambda k: _alt(k) * (12 * k - 7), -1, (12, -7))
 AP_F4Z = AppellRhsSpec((2, 0, 0), lambda k: _alt(k) * geom_ratio(1 - k, k), -1, (2, -1),
-                       lo=1, ring=ZPOLY)
+                       lo=1)
 AP_F8Z = AppellRhsSpec((4, 0, 0), lambda k: _alt(k) * geom_ratio(1 - 2 * k, 2 * k), -1,
-                       (4, -1), ring=ZPOLY)
+                       (4, -1))
 
 # the Appell-Lerch sums of the cleared identities in z: j(-q;q^2) m(-z,q^2,-q),
 # j(-1;q) m(-z,q,-1) less its pole term 1/(1 - z) at k = 1, and
 # j(q^2/z^2;q^4) (m(-qz^2,q^4,q^2/z^2) - m(-q/z^2,q^4,q^2 z^2)/z)
-AP_M_F4Z = AppellRhsSpec((2, 0, 0), lambda k: 1, ZPoly.monomial(1, 1), (2, -1), ring=ZPOLY)
-AP_M_F8Z = AppellRhsSpec((1, -1, 0), lambda k: int(k != 1), ZPoly.monomial(1, 1), (1, -1),
-                         ring=ZPOLY)
+AP_M_F4Z = AppellRhsSpec((2, 0, 0), lambda k: 1, ZPoly.monomial(1, 1), (2, -1))
+AP_M_F8Z = AppellRhsSpec((1, -1, 0), lambda k: int(k != 1), ZPoly.monomial(1, 1), (1, -1))
 AP_M_SPLIT = AppellRhsSpec((4, 0, 0), lambda k: -_alt(k) * ZPoly({-2 * k: 1, 2 * k - 1: -1}),
-                           -1, (4, -1), ring=ZPOLY)
+                           -1, (4, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +422,11 @@ def humbert_series(n):
             for u in chain(range(-m, above.start), range(above.stop, m + 1)):
                 yield 1, (m + 1) ** 2 - u * u, 1, 2 * m + 1
 
-    return geometric_sum(QQ, terms(), n)
+    return geometric_sum(terms(), n)
 
 
 def c_sum(n_shift, n):
     """C_m = sum_k q^{(2k - m)(2k + 1 - m)/2} (constant in m)."""
     m = n_shift
-    return QSeries.from_terms(
-        QQ, (((2 * k - m) * (2 * k + 1 - m) // 2, 1)
-             for k in lattice_range(4, 2 - 4 * m, m * (m - 1) - 2 * n)), n)
+    return QSeries.from_terms((((2 * k - m) * (2 * k + 1 - m) // 2, 1)
+                               for k in lattice_range(4, 2 - 4 * m, m * (m - 1) - 2 * n)), n)

@@ -27,7 +27,7 @@ from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
-from .rings import QQ, ZPOLY, ZPoly
+from .rings import ZPoly
 from .series import QSeries, eta_quotient, eta_sum, geom_ratio, lattice_range, monomial
 from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
 
@@ -68,7 +68,7 @@ def _scaled(c, d, terms):
 # builders that need more than a lambda
 
 def _at_i(f):
-    """(Re, Im) of a Zpoly series at z = i, as two QQ series.  i^k is 1,
+    """(Re, Im) of a series at z = i, as two rational series.  i^k is 1,
     i, -1, -i for k = 0, 1, 2, 3 mod 4, so a coefficient sum_k v_k z^k
     has Re = s_0 - s_2 and Im = s_1 - s_3, with s_r the sum of the v_k
     with k = r mod 4."""
@@ -78,7 +78,7 @@ def _at_i(f):
         s = [sum(v[(r - lo) % 4::4]) for r in range(4)]
         re.append(s[0] - s[2])
         im.append(s[1] - s[3])
-    return QSeries(QQ, f.min_exp, re, f.order), QSeries(QQ, f.min_exp, im, f.order)
+    return QSeries(f.min_exp, re, f.order), QSeries(f.min_exp, im, f.order)
 
 
 def _psi_rhs_bruteforce(n):
@@ -94,7 +94,7 @@ def _psi_rhs_bruteforce(n):
             e = 3 * m * m - m - 2 * j * j + j
             if e <= n:
                 terms.append((e, sg * (1 if j % 2 == 1 else -1)))
-    return QSeries.from_terms(QQ, terms, n)
+    return QSeries.from_terms(terms, n)
 
 
 def _hf12_rs_form(n):
@@ -111,7 +111,7 @@ def _hf12_rs_form(n):
             e = (2 * r + 1) * s + (r + s + 1) ** 2
             if e <= n:
                 terms.append((e, -(1 if r % 2 == 0 else -1) * (2 * s + 4 * r + 3)))
-    return QSeries.from_terms(QQ, terms, n)
+    return QSeries.from_terms(terms, n)
 
 
 def _hf12_7_hsum(n):
@@ -134,25 +134,20 @@ def _humbert_triple_expansion(n):
                 terms.append((e, 1))
                 k += 1
         m += 1
-    return QSeries.from_terms(QQ, terms, n)
-
-
-def _lift(f):
-    """A z-free series over Zpoly, each coefficient a constant."""
-    return QSeries(ZPOLY, f.min_exp, [ZPoly.const(c) for c in f.coeffs], f.order)
+    return QSeries.from_terms(terms, n)
 
 
 def _theta_side(n):
     """j(-1;q) j(q;q^2)^2 - 2 j(z;q)/(1 - z), pairing the terms m and 1 - m of j(z;q)."""
     jj = jtheta(monomial(-1), 1, n) * jtheta(monomial(1, 0, 1), 2, n) ** 2
-    return _lift(jj) - QSeries.from_terms(ZPOLY, (
+    return jj - QSeries.from_terms((
         (m * (m - 1) // 2, (-1) ** m * 2 * geom_ratio(m, 1 - m))
         for m in lattice_range(1, -1, -2 * n, lo=1)), n)
 
 
 def _f8_cleared_lhs(n):
     # j(z;q) (2(1 - z) j(-1;q) F8 + 2z S'), j(z;q) in one product
-    inner = ((_lift(jtheta(monomial(-1), 1, n)) * mock.F8_series(n)).scale(ZPoly({0: 2, 1: -2}))
+    inner = ((jtheta(monomial(-1), 1, n) * mock.F8_series(n)).scale(ZPoly({0: 2, 1: -2}))
              + mock.appell_rhs(mock.AP_M_F8Z, n).scale(ZPoly.monomial(2, 1)))
     return jtheta(monomial(1, 1), 1, n) * inner
 
@@ -160,7 +155,7 @@ def _f8_cleared_lhs(n):
 def _evenodd_cleared_lhs(n):
     # 2 j(z;q) (S' D - j(-1;q) (A_- - A_+/z)) with D = j(q^2/z^2;q^4)
     inner = (mock.appell_rhs(mock.AP_M_F8Z, n) * jtheta(monomial(1, -2, 2), 4, n)
-             - _lift(jtheta(monomial(-1), 1, n)) * mock.appell_rhs(mock.AP_M_SPLIT, n))
+             - jtheta(monomial(-1), 1, n) * mock.appell_rhs(mock.AP_M_SPLIT, n))
     return jtheta(monomial(1, 1), 1, n) * inner.scale(2)
 
 
@@ -240,7 +235,7 @@ def _jet_theta_quotient_double(n):
           / (jet_theta(1, 4, 1, 12, m) * jet_theta(1, 12, 6, 12, m)))
     t5 = jet_theta(-1, 4, 2, 12, n) / (jet_theta(-1, 8, 4, 12, n)
                                        * jet_theta(-1, 0, 11, 12, n))
-    t6 = (Jet1.z_power(4) * Jet1.of(QSeries.monomial(QQ, 1, -1)) * jet_theta(-1, 4, 6, 12, m)
+    t6 = (Jet1.z_power(4) * Jet1.of(QSeries.monomial(1, -1)) * jet_theta(-1, 4, 6, 12, m)
           / (jet_theta(-1, 8, 0, 12, m) * jet_theta(-1, 0, 5, 12, m)))
     return (t1 * (t2 - t3) - t4 * (t5 + t6)).f1
 
@@ -399,7 +394,7 @@ def registry():
     add(IdentityCase(
         "spec-f4-at-i", "univariate",
         lambda n: _at_i(mock.F4_series(n).alternate()),
-        lambda n: (-mock.eulerian("V1", n), QSeries.zero(QQ, n)), 100,
+        lambda n: (-mock.eulerian("V1", n), QSeries.zero(n)), 100,
         note="F4(i,-q) = -V1(q), as (Re, Im) = (-V1, 0)"))
 
     # -- congruences mod 4 (order 300) ---------------------------------------
@@ -458,13 +453,13 @@ def registry():
         _tuple_dissect(lambda m: eta_quotient(J12_over_2, m), 3),
         lambda n: (eta_quotient(J32_over_6, n),
                    -eta_quotient({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
-                   QSeries.zero(QQ, n)), 150,
+                   QSeries.zero(n)), 150,
         note="3-dissection of J_1^2/J_2"))
     add(IdentityCase(
         "dissect-j2j4-3", "univariate",
         _tuple_dissect(lambda m: eta_quotient(J22_over_4, m), 3),
         lambda n: (eta_quotient(J62_over_12, n),
-                   QSeries.zero(QQ, n),
+                   QSeries.zero(n),
                    -eta_quotient({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
         note="3-dissection of J_2^2/J_4"))
     add(IdentityCase(
@@ -577,13 +572,13 @@ def registry():
         add(IdentityCase(
             f"mrel-xshift-up-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x.qshift(1), z, n),
-            lambda n, x=x, z=z: QSeries.one(QQ, n) - _m(x, z, n).shift(x.coef, x.qdeg),
+            lambda n, x=x, z=z: QSeries.one(n) - _m(x, z, n).shift(x.coef, x.qdeg),
             30, note="m(qx,q,z) = 1 - x m(x,q,z)"))
     for i, (x, z) in enumerate(_W_SHIFT, 1):
         add(IdentityCase(
             f"mrel-xshift-down-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: (QSeries.one(QQ, n)
+            lambda n, x=x, z=z: (QSeries.one(n)
                                  - _m(x.qshift(-1), z, n).shift(x.coef, x.qdeg - 1)),
             30, note="m(x,q,z) = 1 - q^-1 x m(q^-1 x,q,z)"))
     for i, (x, z) in enumerate(_W_SHIFT, 1):
@@ -591,7 +586,7 @@ def registry():
             f"mrel-reflect-w{i}", "univariate",
             lambda n, x=x, z=z: _m(x, z, n),
             lambda n, x=x, xi=x.inv(), z=z: (
-                QSeries.monomial(QQ, xi.coef, xi.qdeg, n)
+                QSeries.monomial(xi.coef, xi.qdeg, n)
                 - _m(x.qshift(1), z, n - xi.qdeg).shift(xi.coef, xi.qdeg)),
             30, note="m(x,q,z) = x^-1 - x^-1 m(qx,q,z)"))
     for i, (x, z, w) in enumerate(_W_CHANGE_Z, 1):
@@ -632,7 +627,7 @@ def registry():
     # -- Appell-Lerch bridges for F4/F8, denominators cleared (order 60) ------
     add(IdentityCase(
         "numz-f4-appell", "formal_z",
-        lambda n: (_lift(jtheta(monomial(-1, 0, 1), 2, n)) * mock.F4_series(n)
+        lambda n: (jtheta(monomial(-1, 0, 1), 2, n) * mock.F4_series(n)
                    ).scale(ZPoly({0: 1, -1: -1})),
         lambda n: mock.appell_rhs(mock.AP_M_F4Z, n), 60,
         note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q), times j(-q;q^2)"))

@@ -1,17 +1,19 @@
-"""Exact coefficient rings for q-series.
+"""Exact coefficients for q-series.
 
-Two rings are supported, each as a module-level singleton tag:
+A coefficient carries its own type, and Q is a subring of Q[z, 1/z]:
 
-* ``QQ``    -- rationals as ``fractions.Fraction``, with integers kept as
+* a scalar is a rational, a ``fractions.Fraction`` with integers kept as
   plain ``int``s: an integral series is the denominator-1 case
-* ``ZPOLY`` -- Laurent polynomials in z with rational coefficients, each a
-  dense window: its lowest z-exponent plus a tuple of coefficients
-  trimmed to nonzero ends (see ``ZPoly``)
+* a ``ZPoly`` is a Laurent polynomial in z with rational coefficients,
+  a dense window: its lowest z-exponent plus a tuple of coefficients
+  trimmed to nonzero ends
 
-Everything is exact; no floats appear anywhere.  Elements are ordinary
-Python objects supporting ``+ - *`` so series code and the kernels
-stay ring-agnostic.  ``specialise`` evaluates many Laurent polynomials
-at one rational z0 with integer arithmetic only.
+Zero is ``0`` and one is ``1`` in both.  Everything is exact; no floats
+appear anywhere.  Scalars and ZPolys mix under ``+ - *``, so series
+code and the kernels never ask which kind they hold; ``invert`` and
+``specialise`` dispatch on the coefficient itself.  ``specialise``
+evaluates many Laurent polynomials at one rational z0 with integer
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from types import MappingProxyType
 from .errors import NonUnitError
 
 _new = object.__new__
+_SCALARS = (int, Fraction)
 
 
 class ZPoly:
@@ -72,7 +75,7 @@ class ZPoly:
     def __eq__(self, other):
         if type(other) is ZPoly:
             return self.lo == other.lo and self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, _SCALARS):
             if other == 0:
                 return not self.coeffs
             return self.lo == 0 and self.coeffs == (other,)
@@ -86,8 +89,10 @@ class ZPoly:
 
     def __add__(self, other):
         if type(other) is not ZPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _SCALARS):
                 return NotImplemented
+            if not other:  # series pad with the scalar 0
+                return self
             other = ZPoly.const(other)
         if not other.coeffs:
             return self
@@ -102,8 +107,10 @@ class ZPoly:
 
     def __sub__(self, other):
         if type(other) is not ZPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _SCALARS):
                 return NotImplemented
+            if not other:
+                return self
             other = ZPoly.const(other)
         if not other.coeffs:
             return self
@@ -112,11 +119,11 @@ class ZPoly:
         return _aligned(self, other, sub)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other  # 0 - p takes __add__'s scalar-zero path
 
     def __mul__(self, other):
         if type(other) is not ZPoly:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _SCALARS):
                 return NotImplemented
             return self._times_monomial(other, 0)
         if len(other.coeffs) == 1:
@@ -124,7 +131,7 @@ class ZPoly:
         if len(self.coeffs) == 1:
             return other._times_monomial(self.coeffs[0], self.lo)
         if not self.coeffs or not other.coeffs:
-            return ZPOLY.zero
+            return _ZERO
         b = other.coeffs
         out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, x in enumerate(self.coeffs):
@@ -138,7 +145,7 @@ class ZPoly:
     def _times_monomial(self, v, k):
         """v * z^k * self for a scalar v."""
         if not v or not self.coeffs:
-            return ZPOLY.zero
+            return _ZERO
         if v == 1:
             return _raw(self.lo + k, self.coeffs)
         return _raw(self.lo + k, tuple([v * x for x in self.coeffs]))
@@ -189,6 +196,9 @@ def _raw(lo, coeffs):
     return p
 
 
+_ZERO = _raw(0, ())
+
+
 def _window(lo, coeffs):
     """The ZPoly z^lo * (coeffs[0] + coeffs[1]*z + ...), zero ends trimmed."""
     if coeffs and coeffs[0] and coeffs[-1]:
@@ -198,7 +208,7 @@ def _window(lo, coeffs):
         a += 1
     while b > a and not coeffs[b - 1]:
         b -= 1
-    return _raw(lo + a, coeffs[a:b]) if a < b else _raw(0, ())
+    return _raw(lo + a, coeffs[a:b]) if a < b else _ZERO
 
 
 def _aligned(p, q, op):
@@ -251,52 +261,18 @@ def specialise(polys, z0):
     return out
 
 
-class CoeffRing:
-    """A coefficient-ring capability tag; exactly two instances exist."""
-
-    __slots__ = ("name", "zero", "one")
-
-    def __init__(self, name, zero, one):
-        self.name = name
-        self.zero = zero
-        self.one = one
-
-    def __repr__(self):
-        return self.name
-
-    def invert(self, x):
-        raise NotImplementedError
-
-    def to_json(self, x):
-        raise NotImplementedError
-
-
-class _RatRing(CoeffRing):
-    def invert(self, x):
-        if x == 1 or x == -1:
-            return int(x)
-        if x == 0:
-            raise NonUnitError("0 is not a unit in QQ")
-        r = Fraction(1) / x
-        return r.numerator if r.denominator == 1 else r
-
-    def to_json(self, x):
-        return str(x)
-
-
-class _ZPolyRing(CoeffRing):
-    def invert(self, x):
-        if isinstance(x, (int, Fraction)):
-            x = ZPoly.const(x)
+def invert(x):
+    """1/x for a nonzero rational, or for a unit monomial c*z^k of Q[z, 1/z];
+    NonUnitError for anything else.  An integral inverse is an int."""
+    if type(x) is ZPoly:
         unit = x.unit_part()
         if unit is None:
             raise NonUnitError(f"{x} is not a unit monomial in Q[z, 1/z]")
         v, k = unit
-        return ZPoly.monomial(QQ.invert(v), -k)
-
-    def to_json(self, x):
-        return {str(x.lo + i): str(v) for i, v in enumerate(x.coeffs) if v}
-
-
-QQ = _RatRing("QQ", 0, 1)
-ZPOLY = _ZPolyRing("Zpoly", ZPoly(), ZPoly.const(1))
+        return _raw(-k, (invert(v),))
+    if x == 1 or x == -1:
+        return int(x)
+    if x == 0:
+        raise NonUnitError("0 is not a unit")
+    r = Fraction(1) / x
+    return r.numerator if r.denominator == 1 else r

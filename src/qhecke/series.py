@@ -1,10 +1,12 @@
-"""Truncated q-Laurent series over exact coefficient rings.
+"""Truncated q-Laurent series with exact coefficients.
 
 A QSeries stores dense coefficients for exponents min_exp..top together
 with a certification order: every coefficient of q^e with e <= order is
 known exactly (coefficients outside the stored window but below the
 order are exactly zero).  order = INF marks a series known in full
-(e.g. a Laurent polynomial).
+(e.g. a Laurent polynomial).  Each coefficient is a rational or a
+Laurent polynomial in z (see rings.py), and one series may hold both:
+Q is a subring of Q[z, 1/z].
 
 Every operation propagates the tightest provable order, so negative
 exponents and monomial shifts never silently lose validity.
@@ -26,8 +28,8 @@ from math import gcd, isqrt
 from operator import add
 
 from . import kernels
-from .errors import NonConvergentError, NonUnitError, PoleError, RingMismatchError
-from .rings import QQ, ZPOLY, ZPoly, specialise
+from .errors import NonConvergentError, NonUnitError, PoleError
+from .rings import ZPoly, invert, specialise
 
 INF = float("inf")
 
@@ -73,9 +75,9 @@ def monomial(coef=1, zdeg=0, qdeg=0):
 
 
 class QSeries:
-    __slots__ = ("ring", "min_exp", "coeffs", "order")
+    __slots__ = ("min_exp", "coeffs", "order")
 
-    def __init__(self, ring, min_exp, coeffs, order, _trusted=False):
+    def __init__(self, min_exp, coeffs, order, _trusted=False):
         if not _trusted:
             # trim zeros at both ends; clip stored window to the order
             lo, hi = 0, len(coeffs)
@@ -96,7 +98,6 @@ class QSeries:
                     coeffs.pop()
             if not coeffs:
                 min_exp = 0
-        self.ring = ring
         self.min_exp = min_exp
         self.coeffs = coeffs
         self.order = order
@@ -104,36 +105,32 @@ class QSeries:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, order=INF):
-        return cls(ring, 0, [], order, _trusted=True)
+    def zero(cls, order=INF):
+        return cls(0, [], order, _trusted=True)
 
     @classmethod
-    def one(cls, ring, order=INF):
-        return cls.monomial(ring, ring.one, 0, order)
+    def one(cls, order=INF):
+        return cls.monomial(1, 0, order)
 
     @classmethod
-    def monomial(cls, ring, c, d, order=INF):
+    def monomial(cls, c, d, order=INF):
         """c * q^d, certified through q^order (zero when d lies above it)."""
         if not c or d > order:
-            return cls.zero(ring, order)
-        return cls(ring, d, [c], order, _trusted=True)
+            return cls.zero(order)
+        return cls(d, [c], order, _trusted=True)
 
     @classmethod
-    def from_coeffs(cls, ring, min_exp, coeffs, order):
-        return cls(ring, min_exp, coeffs, order)
-
-    @classmethod
-    def from_terms(cls, ring, terms, order):
+    def from_terms(cls, terms, order):
         """Build from an iterable of (exponent, coefficient) pairs."""
         d = {}
         for e, c in terms:
             if e <= order:
-                d[e] = d.get(e, ring.zero) + c
+                d[e] = d.get(e, 0) + c
         if not d:
-            return cls.zero(ring, order)
+            return cls.zero(order)
         lo, hi = min(d), max(d)
-        coeffs = [d.get(e, ring.zero) for e in range(lo, hi + 1)]
-        return cls(ring, lo, coeffs, order)
+        coeffs = [d.get(e, 0) for e in range(lo, hi + 1)]
+        return cls(lo, coeffs, order)
 
     # -- basic queries -----------------------------------------------------
 
@@ -156,7 +153,7 @@ class QSeries:
             raise ValueError(f"coefficient of q^{e} not certified (order {self.order})")
         if self.min_exp <= e <= self.top:
             return self.coeffs[e - self.min_exp]
-        return self.ring.zero
+        return 0
 
     def nonzero_terms(self):
         for i, c in enumerate(self.coeffs):
@@ -169,21 +166,14 @@ class QSeries:
             return e
         return None
 
-    # -- ring/why helpers --------------------------------------------------
-
-    def _check(self, other):
-        if self.ring is not other.ring:
-            raise RingMismatchError(f"{self.ring} vs {other.ring}")
-
     def truncate(self, n):
         if n >= self.order:
             return self
-        return QSeries(self.ring, self.min_exp, self.coeffs, n)
+        return QSeries(self.min_exp, self.coeffs, n)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
         order = min(self.order, other.order)
         if not self.coeffs:
             return other.truncate(order)
@@ -192,29 +182,27 @@ class QSeries:
         lo = min(self.min_exp, other.min_exp)
         hi = min(order, max(self.top, other.top))
         if hi < lo:
-            return QSeries.zero(self.ring, order)
-        out = [self.ring.zero] * (hi - lo + 1)
+            return QSeries.zero(order)
+        out = [0] * (hi - lo + 1)
         for f in (self, other):
             # clip at hi; a bare negative bound would keep terms when
             # f.min_exp lies above hi
             cs = f.coeffs[:max(hi - f.min_exp + 1, 0)]
             s = f.min_exp - lo
             out[s:s + len(cs)] = map(add, out[s:s + len(cs)], cs)
-        return QSeries(self.ring, lo, out, order)
+        return QSeries(lo, out, order)
 
     def __neg__(self):
-        return QSeries(self.ring, self.min_exp, [-c for c in self.coeffs],
-                       self.order, _trusted=True)
+        return QSeries(self.min_exp, [-c for c in self.coeffs], self.order, _trusted=True)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a scalar (ring element or int)."""
+        """Multiply by a coefficient: a rational or a ZPoly."""
         if c == 0:
-            return QSeries.zero(self.ring, self.order)
-        return QSeries(self.ring, self.min_exp, [c * x for x in self.coeffs],
-                       self.order)
+            return QSeries.zero(self.order)
+        return QSeries(self.min_exp, [c * x for x in self.coeffs], self.order)
 
     def shift(self, c, d):
         """Multiply by the exact monomial c * q^d."""
@@ -223,10 +211,9 @@ class QSeries:
         return scaled._with_min(scaled.min_exp + d, order)
 
     def _with_min(self, min_exp, order):
-        return QSeries(self.ring, min_exp, self.coeffs, order, _trusted=True)
+        return QSeries(min_exp, self.coeffs, order, _trusted=True)
 
     def __mul__(self, other):
-        self._check(other)
         fl = min(self.effective_min(),
                  self.order + 1 if self.order is not INF else INF)
         gl = min(other.effective_min(),
@@ -234,20 +221,20 @@ class QSeries:
         order = min(self.order + gl if self.order is not INF else INF,
                     other.order + fl if other.order is not INF else INF)
         if not self.coeffs or not other.coeffs:
-            return QSeries.zero(self.ring, order)
+            return QSeries.zero(order)
         base = self.min_exp + other.min_exp
         keep = len(self.coeffs) + len(other.coeffs) - 1
         if order is not INF:
             keep = min(keep, order - base + 1)
         if keep <= 0:
-            return QSeries.zero(self.ring, order)
+            return QSeries.zero(order)
         out = kernels.conv_trunc(self.coeffs, other.coeffs, keep)
-        return QSeries(self.ring, base, out, order)
+        return QSeries(base, out, order)
 
     def __pow__(self, k):
         if k < 0:
             return self.invert() ** (-k)
-        out = QSeries.one(self.ring)
+        out = QSeries.one()
         base = self
         while k:
             if k & 1:
@@ -264,17 +251,16 @@ class QSeries:
         v = self.valuation()
         if v is None:
             raise NonUnitError("cannot invert a series that is zero to its order")
-        lead = self.coeff(v)
-        inv_lead = self.ring.invert(lead)
+        inv_lead = invert(self.coeff(v))
         m = self.order - v  # normalized series known through q^m
-        g = [self.ring.one]
+        g = [1]
         base = v - self.min_exp
         for i in range(1, m + 1):
-            c = self.coeffs[base + i] if base + i < len(self.coeffs) else self.ring.zero
+            c = self.coeffs[base + i] if base + i < len(self.coeffs) else 0
             g.append(inv_lead * c)
-        out = kernels.inv_unit(g, m + 1, self.ring.one)
-        out = [inv_lead * c if c else self.ring.zero for c in out]
-        return QSeries(self.ring, -v, out, self.order - 2 * v)
+        out = kernels.inv_unit(g, m + 1, 1)
+        out = [inv_lead * c if c else 0 for c in out]
+        return QSeries(-v, out, self.order - 2 * v)
 
     # -- linear-factor helpers (the builders' workhorses) -------------------
 
@@ -289,14 +275,14 @@ class QSeries:
         if d >= 1 and self.order is not INF:
             hi = min(self.order, self.top + d)
             pad = hi - self.top
-            out = list(self.coeffs) + [self.ring.zero] * max(pad, 0)
+            out = list(self.coeffs) + [0] * max(pad, 0)
             kernels.mul_linear(out, c, d)
-            return QSeries(self.ring, self.min_exp, out, self.order)
+            return QSeries(self.min_exp, out, self.order)
         return self - self.shift(c, d)
 
     def div_one_minus(self, c, d):
         """Divide by (1 - c*q^d) for any integer d, by _one_minus_form."""
-        a, s, c, d = _one_minus_form(self.ring, c, d)
+        a, s, c, d = _one_minus_form(c, d)
         f = self if a is None else self.shift(a, s)
         if d == 0:
             return f
@@ -305,9 +291,9 @@ class QSeries:
         if not f.coeffs:
             return f
         pad = f.order - f.top
-        out = list(f.coeffs) + [f.ring.zero] * max(pad, 0)
+        out = list(f.coeffs) + [0] * max(pad, 0)
         kernels.div_linear(out, c, d)
-        return QSeries(f.ring, f.min_exp, out, f.order)
+        return QSeries(f.min_exp, out, f.order)
 
     # -- restructuring -----------------------------------------------------
 
@@ -319,7 +305,7 @@ class QSeries:
             return self
         order = self.order if self.order is INF else self.order // p
         lo = -((-self.min_exp) // p)  # ceil(min_exp / p)
-        return QSeries(self.ring, lo, self.coeffs[lo * p - self.min_exp::p], order)
+        return QSeries(lo, self.coeffs[lo * p - self.min_exp::p], order)
 
     def dissect(self, p):
         """Components f_0..f_{p-1} with f(q) = sum_i q^i * f_i(q^p);
@@ -333,44 +319,38 @@ class QSeries:
         if p < 1:
             raise ValueError("p must be a positive integer")
         order = self.order if self.order is INF else p * self.order + p - 1
-        out = [self.ring.zero] * ((len(self.coeffs) - 1) * p + 1 if self.coeffs else 0)
+        out = [0] * ((len(self.coeffs) - 1) * p + 1 if self.coeffs else 0)
         out[::p] = self.coeffs
-        return QSeries(self.ring, p * self.min_exp, out, order, _trusted=True)
+        return QSeries(p * self.min_exp, out, order, _trusted=True)
 
     def alternate(self):
         """Substitute q -> -q (negate coefficients at odd exponents)."""
         coeffs = [(-c if (self.min_exp + i) % 2 else c)
                   for i, c in enumerate(self.coeffs)]
-        return QSeries(self.ring, self.min_exp, coeffs, self.order, _trusted=True)
+        return QSeries(self.min_exp, coeffs, self.order, _trusted=True)
 
     # -- z handling ---------------------------------------------------------
 
     def eval_z(self, z0):
-        """Specialize a Zpoly-coefficient series at an exact nonzero
-        rational z0 (an int or a Fraction; TypeError otherwise)."""
-        if self.ring is not ZPOLY:
-            raise RingMismatchError("eval_z requires Zpoly coefficients")
-        return QSeries(QQ, self.min_exp, specialise(self.coeffs, z0), self.order)
+        """Specialize at an exact nonzero rational z0 (an int or a Fraction;
+        TypeError otherwise); a scalar coefficient is its own value."""
+        return QSeries(self.min_exp, specialise(self.coeffs, z0), self.order)
 
     def subs_z_one(self):
-        if self.ring is not ZPOLY:
-            raise RingMismatchError("subs_z_one requires Zpoly coefficients")
-        return QSeries(QQ, self.min_exp, [c.at_one() for c in self.coeffs],
-                       self.order)
+        """z -> 1: a ZPoly becomes the sum of its coefficients, a scalar itself."""
+        return QSeries(self.min_exp, [c.at_one() if type(c) is ZPoly else c
+                                      for c in self.coeffs], self.order)
 
     def dz_at_one(self):
-        """d/dz at z = 1: each coefficient sum c_k z^k becomes sum k*c_k."""
-        if self.ring is not ZPOLY:
-            raise RingMismatchError("dz_at_one requires Zpoly coefficients")
-        return QSeries(QQ, self.min_exp, [c.dz_at_one() for c in self.coeffs],
-                       self.order)
+        """d/dz at z = 1: sum c_k z^k becomes sum k*c_k, a scalar 0."""
+        return QSeries(self.min_exp, [c.dz_at_one() if type(c) is ZPoly else 0
+                                      for c in self.coeffs], self.order)
 
     # -- comparison ---------------------------------------------------------
 
     def first_mismatch(self, other):
         """(certified_order, None) if equal through the certified order,
         else (certified_order, (exponent, self_coeff, other_coeff))."""
-        self._check(other)
         order = min(self.order, other.order)
         lo = min(self.effective_min(), other.effective_min())
         if lo is INF:
@@ -393,10 +373,18 @@ class QSeries:
     # -- output -------------------------------------------------------------
 
     def to_json(self):
+        """Each coefficient as a string, or, when any is a ZPoly, each as
+        a {z-exponent: rational} dict: a scalar c is {"0": c}, zero {}."""
+        coeffs = self.coeffs
+        if any(type(c) is ZPoly for c in coeffs):
+            coeffs = [c if type(c) is ZPoly else ZPoly.const(c) for c in coeffs]
+            coeffs = [{str(k): str(v) for k, v in c.c.items()} for c in coeffs]
+        else:
+            coeffs = [str(c) for c in coeffs]
         return {
             "min_exp": self.min_exp if self.coeffs else 0,
             "order": self.order if self.order is not INF else "exact",
-            "coeffs": [self.ring.to_json(c) for c in self.coeffs],
+            "coeffs": coeffs,
         }
 
     def __str__(self):
@@ -418,29 +406,29 @@ class QSeries:
         return body + tail
 
     def __repr__(self):
-        return f"<QSeries {self.ring} {self}>"
+        return f"<QSeries {self}>"
 
 
-def _one_minus_form(ring, c, d):
+def _one_minus_form(c, d):
     """1/(1 - c*q^d) as a*q^s/(1 - c'*q^d'), returned as (a, s, c', d').
 
     d >= 1 is already of that form, with a = None for "no factor".
     d <= -1 rewrites 1/(1 - u) as -u^-1/(1 - u^-1), so d' = -d >= 1.
     d = 0 gives the constant a = 1/(1 - c) with d' = 0, and PoleError
-    when 1 - c is not a unit of the ring.
+    when 1 - c is not a unit (rings.invert).
     """
     if d > 0:
         return None, 0, c, d
     if d == 0:
         try:
-            return ring.invert(ring.one - c), 0, c, 0
+            return invert(1 - c), 0, c, 0
         except NonUnitError:
-            raise PoleError(f"1 - ({c}) is not a unit in {ring}") from None
-    c = ring.invert(c)
+            raise PoleError(f"1 - ({c}) is not a unit") from None
+    c = invert(c)
     return -c, -d, c, -d
 
 
-def geometric_sum(ring, terms, n):
+def geometric_sum(terms, n):
     """Sum of c*q^e/(1 - r*q^d) over (c, e, r, d) terms, certified through q^n.
 
     Each term, read by _one_minus_form, is written into one dense list
@@ -450,13 +438,13 @@ def geometric_sum(ring, terms, n):
     """
     lo, out = n + 1, []
     for c, e, r, d in terms:
-        a, s, r, d = _one_minus_form(ring, r, d)
+        a, s, r, d = _one_minus_form(r, d)
         if a is not None:
             c, e = a * c, e + s
         if e > n or not c:
             continue
         if e < lo:
-            out[:0] = [ring.zero] * (lo - e)
+            out[:0] = [0] * (lo - e)
             lo = e
         i = e - lo
         if d == 0:
@@ -467,7 +455,7 @@ def geometric_sum(ring, terms, n):
             for k in range(i, len(out), d):
                 out[k] = out[k] + c
                 c = r * c
-    return QSeries(ring, lo, out, n)
+    return QSeries(lo, out, n)
 
 
 def lattice_range(a, b, c, lo=None, hi=None):
@@ -528,12 +516,12 @@ def pochhammer(x: Monomial, step, count, n):
 
     count may be an integer or None for the infinite product.  x needs
     coefficient +1 or -1.  The coefficients are integers for z-free x
-    and Laurent polynomials in z otherwise.
+    and otherwise Laurent polynomials in z, but for the int 1 at q^0.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
     c = x.unit() if x.zdeg == 0 else ZPoly.monomial(x.unit(), x.zdeg)
-    out = QSeries.one(QQ if x.zdeg == 0 else ZPOLY, n)
+    out = QSeries.one(n)
     if count is None:  # the factors 1 - x q^(k*step) with a term through q^n
         count = max(0, (n - x.qdeg) // step + 1)
     for k in range(count):
@@ -559,8 +547,8 @@ def etaq(k, n):
     if k < 1:
         raise ValueError("k must be a positive integer")
     return grown(_eta_cache, k, n, lambda top, _: QSeries.from_terms(
-        QQ, ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
-             for m in lattice_range(3 * k, -k, -2 * top)), top))
+        ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
+         for m in lattice_range(3 * k, -k, -2 * top)), top))
 
 
 _eta_inv_cache = {}
@@ -576,7 +564,7 @@ def _eta_inv_build(k, top, cached):
         return etaq(k, top).invert()
     known = cached.coeffs + [0] * (cached.order + 1 - len(cached.coeffs))
     h = kernels._inv_newton(etaq(k, top).coeffs, top + 1, known)
-    return QSeries(QQ, 0, h, top)
+    return QSeries(0, h, top)
 
 
 def etaq_inv(k, n):
@@ -601,7 +589,7 @@ def eta_quotient(powers, n):
     if any(k < 1 for k, _ in key):
         raise ValueError("eta quotient levels must be positive integers")
     if n < 0:
-        return QSeries.zero(QQ, n)
+        return QSeries.zero(n)
     g = gcd(*(k for k, _ in key))
     if g > 1:
         return eta_quotient({k // g: e for k, e in key}, n // g).inflate(g).truncate(n)
@@ -612,7 +600,7 @@ def _eta_product(key, n):
     if len(key) == 1:  # gcd 1, so J_1^e: binary powering at length n
         e = key[0][1]
         return (etaq(1, n) if e > 0 else etaq_inv(1, n)) ** abs(e)
-    out = QSeries.one(QQ, n)
+    out = QSeries.one(n)
     for k, e in key:
         out = out * eta_quotient({1: e}, n // k).inflate(k)
     return out
@@ -624,7 +612,7 @@ def eta_sum(terms, n):
     Each quotient is built to n - s, so every term is certified through
     exactly q^n.
     """
-    out = QSeries.zero(QQ, n)
+    out = QSeries.zero(n)
     for c, s, powers in terms:
         out = out + eta_quotient(powers, n - s).shift(c, s)
     return out

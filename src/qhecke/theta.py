@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .mock import AppellRhsSpec, appell_rhs
-from .rings import QQ, ZPOLY, ZPoly
+from .rings import ZPoly
 from .series import Monomial, QSeries, eta_quotient, lattice_range, monomial
 
 
@@ -39,11 +39,10 @@ def theta_sum_scaled(x: Monomial, base, n):
     integral one an int (which the kernels multiply as integers)."""
     _z_free(x)
     minus_c = -Fraction(x.coef)  # (-1)^m x^m = (-c)^m q^(dm)
-    f = QSeries.from_terms(
-        QQ, ((base * m * (m - 1) // 2 + x.qdeg * m, minus_c ** m)
-             for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
-    return QSeries(QQ, f.min_exp, [c.numerator if c.denominator == 1 else c
-                                   for c in f.coeffs], f.order, _trusted=True)
+    f = QSeries.from_terms(((base * m * (m - 1) // 2 + x.qdeg * m, minus_c ** m)
+                            for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
+    return QSeries(f.min_exp, [c.numerator if c.denominator == 1 else c
+                               for c in f.coeffs], f.order, _trusted=True)
 
 
 def theta_low(d, base):
@@ -58,22 +57,20 @@ def theta_low(d, base):
 def jtheta(x: Monomial, base, n):
     """j(x; q^base) to order n by the bilateral sum, for x = +-z^k q^d.
 
-    Coefficients are integers for z-free x and Laurent polynomials in z
-    otherwise.
+    Coefficients are integers, and Laurent polynomials in z where a term
+    carries a power of z.
     """
     if base < 1:
         raise ValueError("theta base must be >= 1")
     neg = -x.unit()  # (-1)^m x^m has sign neg^m
     terms = ((neg ** (m % 2), x.zdeg * m, base * m * (m - 1) // 2 + x.qdeg * m)
              for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
-    return _integral(terms, x.zdeg == 0, n)
+    return _integral(terms, n)
 
 
-def _integral(terms, z_free, n):
-    """The series of (coef, zdeg, qdeg) terms: integral when z_free, else Zpoly."""
-    if z_free:
-        return QSeries.from_terms(QQ, ((e, v) for v, _, e in terms), n)
-    return QSeries.from_terms(ZPOLY, ((e, ZPoly.monomial(v, k)) for v, k, e in terms), n)
+def _integral(terms, n):
+    """The series of (coef, zdeg, qdeg) terms, a z-free coef kept an int."""
+    return QSeries.from_terms(((e, ZPoly.monomial(v, k) if k else v) for v, k, e in terms), n)
 
 
 def appell_m(x, base, z, n):
@@ -117,7 +114,7 @@ def f_abc_terms(a, b, c, x: Monomial, y: Monomial, n):
 
 def f_abc(a, b, c, x: Monomial, y: Monomial, n):
     """The indefinite-theta block f_{a,b,c}(x,y,q), exact to order n."""
-    return _integral(f_abc_terms(a, b, c, x, y, n), x.zdeg == y.zdeg == 0, n)
+    return _integral(f_abc_terms(a, b, c, x, y, n), n)
 
 
 def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
@@ -131,7 +128,7 @@ def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
     mbase = a * (b * b - a * c)
 
     def t_sum(a, c, xm, ym, z):
-        out = QSeries.zero(QQ, n)
+        out = QSeries.zero(n)
         for t in range(a):
             pref = (ym.neg() ** t).qshift(c * t * (t - 1) // 2)
             jarg = xm.qshift(b * t)

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhecke.errors import PoleError
 from qhecke.jets import Jet1, jet_of_termsum
-from qhecke.rings import QQ, ZPOLY, ZPoly
+from qhecke.rings import ZPoly
 from qhecke.series import QSeries
 
 # no deadline: the shared test hosts' speed varies too much for one
@@ -24,12 +24,12 @@ rationals = st.one_of(ints, st.fractions(min_value=-3, max_value=3, max_denomina
 
 
 @st.composite
-def series(draw, ring, coeffs, min_order=0):
-    """A finite-order series over ring with coefficients drawn from coeffs."""
+def series(draw, coeffs, min_order=0):
+    """A finite-order series with coefficients drawn from coeffs."""
     min_exp = draw(st.integers(-4, 4))
     cs = draw(st.lists(coeffs, max_size=10))
     order = max(min_exp + len(cs) + draw(st.integers(-2, 5)), min_order)
-    return QSeries.from_coeffs(ring, min_exp, cs, order)
+    return QSeries(min_exp, cs, order)
 
 
 zpolys = st.dictionaries(st.integers(-4, 4), rationals, max_size=4).map(ZPoly)
@@ -42,7 +42,7 @@ def restores(f, c, d):
 
 
 @prop
-@given(f=series(QQ, rationals), c=rationals, d=st.integers(-6, 6))
+@given(f=series(rationals), c=rationals, d=st.integers(-6, 6))
 def test_div_one_minus_over_qq(f, c, d):
     assume(c != 0 or d >= 0)
     if d == 0 and c == 1:
@@ -53,26 +53,27 @@ def test_div_one_minus_over_qq(f, c, d):
 
 
 @prop
-@given(f=series(ZPOLY, zpolys))
+@given(f=series(zpolys))
 def test_jet_of_zpoly_series(f):
     jet = Jet1.of(f)
     assert jet.f0.order == jet.f1.order == f.order
     for e in range(f.min_exp - 1, f.order + 1):
-        p = f.coeff(e)
+        p = f.coeff(e) or ZPoly()  # outside the window it is the scalar 0
         assert jet.f0.coeff(e) == sum(p.c.values())
         assert jet.f1.coeff(e) == sum(k * v for k, v in p.c.items())
 
 
 @prop
-@given(f=series(QQ, rationals))
+@given(f=series(rationals))
 def test_jet_of_z_free_series(f):
     jet = Jet1.of(f)
-    assert jet.f0.ring is QQ and jet.f0.same(f) and jet.f0.order == f.order
+    assert all(type(c) in (int, Fraction) for c in jet.f0.coeffs)
+    assert jet.f0.same(f) and jet.f0.order == f.order
     assert not jet.f1.coeffs and jet.f1.order == f.order
 
 
 @prop
-@given(f=series(ZPOLY, zpolys, min_order=6), c=rationals, k=st.integers(-3, 3),
+@given(f=series(zpolys, min_order=6), c=rationals, k=st.integers(-3, 3),
        d=st.sampled_from([-4, -1, 0, 0, 1, 3]))
 def test_jet_div_one_minus_matches_binomial_inverse(f, c, k, d):
     assume(c != 0 and (d != 0 or c != 1))
@@ -86,7 +87,7 @@ def test_jet_div_one_minus_matches_binomial_inverse(f, c, k, d):
 
 
 def test_jet_div_one_minus_pole():
-    one = Jet1.of(QSeries.one(QQ, 5))
+    one = Jet1.of(QSeries.one(5))
     with pytest.raises(PoleError):
         one.div_one_minus(1, 3, 0)
     # 1/(1 + z^2) at z = 1: value 1/2, derivative -2z/(1 + z^2)^2 = -1/2

@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qhecke import kernels
-from qhecke.rings import QQ, ZPOLY, ZPoly
+from qhecke.rings import ZPoly
 from qhecke.series import INF, QSeries
 
 # no deadline: the shared test hosts' speed varies too much for one
@@ -77,7 +77,7 @@ mixed = st.one_of(st.integers(-7, 7),
 
 @st.composite
 def mixed_lists(draw, max_len=2 * T + 4):
-    """QQ coefficient lists: mostly ints, with a few Fractions among them."""
+    """Rational coefficient lists: mostly ints, with a few Fractions among them."""
     out = draw(st.lists(st.integers(-7, 7), max_size=max_len))
     if out:
         for i in draw(st.lists(st.integers(0, len(out) - 1), max_size=3)):
@@ -87,11 +87,11 @@ def mixed_lists(draw, max_len=2 * T + 4):
 
 @st.composite
 def series(draw, coeff):
-    """A QQ series with coefficients drawn from coeff."""
+    """A series with coefficients drawn from coeff."""
     min_exp = draw(st.integers(-8, 12))
     coeffs = draw(st.lists(coeff, max_size=20))
     order = draw(st.one_of(st.just(INF), st.integers(-10, 30)))
-    return QSeries(QQ, min_exp, coeffs, order)
+    return QSeries(min_exp, coeffs, order)
 
 
 # Primes of 100 to 200 bits, for denominators no witness shares.
@@ -108,7 +108,7 @@ denominators = st.one_of(smooth, st.sampled_from(BIG_PRIMES),
 
 @st.composite
 def rational_lists(draw, max_len=3 * T):
-    """Hard QQ lists: all Fractions, ints among Fractions, or ints with
+    """Hard rational lists: all Fractions, ints among Fractions, or ints with
     one entry over a huge denominator."""
     n = draw(st.one_of(st.integers(0, T - 1), st.integers(T, max_len)))
     num = st.integers(-(1 << 64), 1 << 64)
@@ -133,8 +133,8 @@ zpoly_entries = st.builds(ZPoly, st.dictionaries(st.integers(-2, 2), small, max_
 
 @st.composite
 def ring_lists(draw, entries, max_len=2 * T + 4):
-    """ZPoly lists: all ring entries (zeros among them), or a
-    sparse int list, +-1 included, with a few ring entries beside its ints."""
+    """ZPoly lists: all ZPoly entries (zeros among them), or a sparse
+    int list, +-1 included, with a few ZPoly entries beside its ints."""
     n = draw(st.integers(0, max_len))
     if draw(st.booleans()):
         return draw(st.lists(entries, min_size=n, max_size=n))
@@ -241,7 +241,7 @@ def test_conv_trunc_int_entries_beside_ring_entries():
     # the sparser operand's ints, +-1 and larger, scale ZPoly copies of
     # the denser one
     entry = ZPoly({-1: 2, 1: Fraction(1, 3)})
-    dense = [entry * k + ZPOLY.one for k in range(3 * T)]
+    dense = [entry * k + 1 for k in range(3 * T)]
     sparse = [0] * (2 * T)
     sparse[0], sparse[3], sparse[5], sparse[T] = 1, -1, 7, entry
     for keep in (1, T, 5 * T - 1, 6 * T):
@@ -282,8 +282,9 @@ def test_inv_unit_rational_matches_recurrence(tail, keep):
 @settings(deadline=None, max_examples=60)
 @given(ring_lists(zpoly_entries, max_len=T + 4), st.integers(0, T + 4))
 def test_inv_unit_zpoly_and_gaussian_match_recurrence(tail, keep):
-    g = [ZPOLY.one] + tail
-    assert kernels.inv_unit(g, keep, ZPOLY.one) == naive_inv(g, keep)
+    # the seed 1 is the one of Q[z, 1/z] as well
+    g = [1] + tail
+    assert kernels.inv_unit(g, keep, 1) == naive_inv(g, keep)
 
 
 @prop
@@ -315,10 +316,10 @@ def test_series_add_matches_dict(pair):
 
 def test_series_add_clips_operand_above_the_other_order():
     # q^10 + ... + q^20 lies wholly above the order of 1 + q + q^2 + q^3 + O(q^4)
-    f = QSeries(QQ, 0, [1, 1, 1, 1], 3)
-    g = QSeries(QQ, 10, list(range(1, 12)), INF)
+    f = QSeries(0, [1, 1, 1, 1], 3)
+    g = QSeries(10, list(range(1, 12)), INF)
     for s in (f + g, g + f):
         assert s.order == 3
         assert terms(s) == {0: 1, 1: 1, 2: 1, 3: 1}
-    h = QSeries(QQ, 2, [Fraction(1, 2)] * 12, INF)
+    h = QSeries(2, [Fraction(1, 2)] * 12, INF)
     assert terms(f + h) == {0: 1, 1: 1, 2: Fraction(3, 2), 3: Fraction(3, 2)}

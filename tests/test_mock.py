@@ -12,7 +12,7 @@ from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
                          HeckeRogersSpec, _build_bivariate, _build_eulerian, appell_rhs,
                          c_sum, eulerian, eulerian_residues, F4_series, F8_series,
                          hecke_rogers, humbert_series, kronecker_minus4)
-from qhecke.rings import QQ, ZPOLY, ZPoly
+from qhecke.rings import ZPoly
 from qhecke.series import QSeries, eta_quotient
 
 
@@ -71,12 +71,12 @@ def oracle_eulerian(which, n):
 # -- the QSeries-route oracles -------------------------------------------------
 # Reference builders that share nothing with mock's flat-integer engine:
 # each term is a QSeries times its linear factors by mul_one_minus and
-# div_one_minus, over QQ or ZPOLY.
+# div_one_minus, with rational or Laurent coefficients.
 
 
 def _eulerian_raw(which, n):
-    one = QSeries.one(QQ, n)
-    out = QSeries.zero(QQ, n)
+    one = QSeries.one(n)
+    out = QSeries.zero(n)
     if which == "A":
         term = one.shift(1, 1).div_one_minus(1, 1).div_one_minus(1, 1)
         k = 0
@@ -117,8 +117,8 @@ def _eulerian_raw(which, n):
 
 
 def _f_bivariate(which, n):
-    out = QSeries.zero(ZPOLY, n)
-    term = (QSeries.monomial(ZPOLY, ZPoly.const(1), 1, n)
+    out = QSeries.zero(n)
+    term = (QSeries.monomial(ZPoly.const(1), 1, n)
             .div_one_minus(ZPoly.monomial(1, 1), 1)
             .div_one_minus(ZPoly.monomial(1, -1), 1))
     k = 0
@@ -144,14 +144,28 @@ def engine_and_oracle(which, n):
     return _build_eulerian(which, n), _eulerian_raw(which, n)
 
 
+def is_laurent(series):
+    """Whether any coefficient is a ZPoly; else every one is a rational."""
+    return any(type(c) is ZPoly for c in series.coeffs)
+
+
 def scalar_types(series):
-    return [type(v) for c in series.coeffs
-            for v in (c.coeffs if series.ring is ZPOLY else (c,))]
+    """The type of each rational in the coefficients; in a Laurent series
+    a scalar is read as a constant ZPoly, so a zero holds none."""
+    laurent = is_laurent(series)
+    out = []
+    for c in series.coeffs:
+        if laurent and type(c) is not ZPoly:
+            c = ZPoly.const(c)
+        out += [type(v) for v in (c.coeffs if laurent else (c,))]
+    return out
 
 
 def assert_identical(got, want):
-    """Equal ring, window, order and coefficients, down to int vs Fraction."""
-    assert (got.ring, got.min_exp, got.order) == (want.ring, want.min_exp, want.order)
+    """Equal coefficient kind, window, order and coefficients, down to int
+    vs Fraction."""
+    assert (is_laurent(got), got.min_exp, got.order) == (is_laurent(want), want.min_exp,
+                                                          want.order)
     assert got.coeffs == want.coeffs
     assert scalar_types(got) == scalar_types(want)
 
@@ -173,7 +187,8 @@ def test_majorant_bounds_every_z_coefficient_sum(which, n):
     bound = mock._term_sum(mock._RECIPES[which], n, majorant=True)
     got = _build_bivariate(which, n)
     for m in range(n + 1):
-        assert sum(map(abs, got.coeff(m).coeffs)) <= bound[m], m
+        c = got.coeff(m) or ZPoly()  # below the window it is the scalar 0
+        assert sum(map(abs, c.coeffs)) <= bound[m], m
     # the slot holds the bound with a sign bit to spare
     assert max(bound) < 1 << (mock._slot_bits(which, n) - 1)
 
@@ -224,7 +239,7 @@ def test_residue_cache_grows_to_each_request(monkeypatch, which):
         exact = mock._term_sum(mock._RECIPES[which], n)
         for m in (2, 4, 8):
             got = eulerian_residues(which, n, m)
-            assert got.ring is QQ and got.order == n
+            assert not is_laurent(got) and got.order == n
             assert [got.coeff(e) for e in range(n + 1)] == [c % m for c in exact], (n, m)
             assert mock._residue_cache[(which, m)].order >= n
     assert set(mock._residue_cache) == {(which, m) for m in (2, 4, 8)}

@@ -1,11 +1,11 @@
-"""Coefficient ring elements and ring tags."""
+"""Coefficients: rationals and Laurent polynomials in z."""
 
 from fractions import Fraction
 
 import pytest
 
 from qhecke.errors import NonUnitError
-from qhecke.rings import QQ, ZPOLY, ZPoly
+from qhecke.rings import ZPoly, invert
 
 
 def test_zpoly_ops():
@@ -49,25 +49,39 @@ def test_zpoly_c_is_read_only():
 
 
 def test_ring_invert_rules():
-    assert QQ.invert(2) == Fraction(1, 2)
+    assert invert(2) == Fraction(1, 2)
     for unit in (1, -1, Fraction(1), Fraction(-1)):
-        assert type(QQ.invert(unit)) is int and QQ.invert(unit) == unit
+        assert type(invert(unit)) is int and invert(unit) == unit
     for x, inv in ((Fraction(1, 2), 2), (Fraction(-1, 3), -3), (Fraction(2, 3), Fraction(3, 2))):
-        assert QQ.invert(x) == inv and type(QQ.invert(x)) is type(inv)
-    with pytest.raises(NonUnitError):
-        QQ.invert(0)
-    assert ZPOLY.invert(ZPoly({3: -2})) == ZPoly({-3: Fraction(-1, 2)})
+        assert invert(x) == inv and type(invert(x)) is type(inv)
+    for zero in (0, Fraction(0), ZPoly()):
+        with pytest.raises(NonUnitError):
+            invert(zero)
+    assert invert(ZPoly({3: -2})) == ZPoly({-3: Fraction(-1, 2)})
     for sign in (1, -1):
-        inv = ZPOLY.invert(ZPoly({3: sign}))
+        inv = invert(ZPoly({3: sign}))
         assert inv == ZPoly({-3: sign}) and type(inv.unit_part()[0]) is int
+    # a constant ZPoly inverts to a ZPoly, a scalar to a scalar
+    assert type(invert(ZPoly.const(2))) is ZPoly and invert(ZPoly.const(2)) == Fraction(1, 2)
     with pytest.raises(NonUnitError):
-        ZPOLY.invert(ZPoly({0: 1, 1: -1}))
+        invert(ZPoly({0: 1, 1: -1}))
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0)])
+def test_zpoly_plus_minus_scalar_zero(zero):
+    # series pad with the scalar 0, so 0 + p must give p back unchanged
+    p = ZPoly({-1: 3, 2: Fraction(1, 2)})
+    for got, want in ((zero + p, p), (p + zero, p), (p - zero, p), (zero - p, -p)):
+        assert type(got) is ZPoly and got == want
+        assert (got.lo, got.coeffs) == (want.lo, want.coeffs)
+    assert type(zero + ZPoly()) is ZPoly and not zero + ZPoly()
+    assert (1 + p) - 1 == p and 1 - p == -(p - 1)
 
 
 @pytest.mark.parametrize("n", [40, 130])
 def test_integral_builders_stay_int_typed(n):
-    # an integral series over QQ holds plain ints, the denominator-1 case
-    # that the kernels multiply as integers
+    # an integral series holds plain ints, the denominator-1 case that the
+    # kernels multiply as integers
     from qhecke import classnum, mock, series, theta
 
     eulerian = ("A", "V1", "sigma", "phi_minus")
@@ -76,7 +90,7 @@ def test_integral_builders_stay_int_typed(n):
         "etaq_inv": series.etaq_inv(3, n),
         "eta_quotient": series.eta_quotient({1: 2, 2: -1}, n),
         "eta_quotient gcd 6": series.eta_quotient({6: 2, 12: -1}, n),
-        "unit fraction inverse": series.QSeries(QQ, 0, [Fraction(1, 2)], n).invert(),
+        "unit fraction inverse": series.QSeries(0, [Fraction(1, 2)], n).invert(),
         "genfun_H": classnum.genfun_H(24, 7, n),
         **{f"eulerian {w}": mock.eulerian(w, n) for w in eulerian},
         **{f"eulerian_residues {w}": mock.eulerian_residues(w, n, 4) for w in eulerian},
@@ -90,5 +104,6 @@ def test_integral_builders_stay_int_typed(n):
         "c_sum": mock.c_sum(1, n),
     }
     for name, got in built.items():
-        assert got.ring is QQ and got.order == n, name
+        # every coefficient an int, so in particular none is a ZPoly
+        assert got.order == n, name
         assert got.coeffs and all(type(c) is int for c in got.coeffs), name

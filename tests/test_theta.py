@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qhecke.errors import PoleError
-from qhecke.rings import ZPOLY, ZPoly
+from qhecke.rings import ZPoly
 from qhecke.series import QSeries, etaq, monomial, pochhammer
 from qhecke.theta import (appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4,
                           theta_1_4_parts, theta_low, theta_sum_scaled)
@@ -35,16 +35,8 @@ def test_jtheta_sum_examples():
 def jtheta_product(x, base, n):
     """j(x; q^base) as the triple product (x; q^b)_inf (q^b/x; q^b)_inf (q^b; q^b)_inf."""
     qbase_over_x = monomial(x.coef, -x.zdeg, base - x.qdeg)
-    out = pochhammer(x, base, None, n)
-    out = out * _lift(pochhammer(qbase_over_x, base, None, n), out.ring)
-    return out * _lift(etaq(base, n), out.ring)
-
-
-def _lift(f, ring):
-    """f over ring: a QQ series read as constant Laurent polynomials over ZPOLY."""
-    if f.ring is ring:
-        return f
-    return QSeries(ZPOLY, f.min_exp, [ZPoly.const(c) for c in f.coeffs], f.order)
+    return (pochhammer(x, base, None, n) * pochhammer(qbase_over_x, base, None, n)
+            * etaq(base, n))
 
 
 def test_jtheta_product_matches_sum_everywhere():

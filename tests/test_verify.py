@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from qhecke.registry import get_case, registry, registry_ids
-from qhecke.rings import ZPOLY, ZPoly
+from qhecke.rings import ZPoly
 from qhecke.series import QSeries
 from qhecke.verify import all_passed, run_case, verify
 
@@ -176,10 +176,11 @@ def test_every_builder_certifies_the_order_it_is_asked_for():
 
 def _bump_rhs(case, e, c=1, component=None):
     """The case with c*q^e added to its right-hand side, or to one
-    component of a tuple side; over Zpoly the term is c*z^3*q^e."""
+    component of a tuple side; in a formal_z case the term is c*z^3*q^e."""
+    term = ZPoly.monomial(c, 3) if case.mode == "formal_z" else c
+
     def bump(s):
-        term = ZPoly.monomial(c, 3) if s.ring is ZPOLY else c
-        return s + QSeries.monomial(s.ring, term, e)
+        return s + QSeries.monomial(term, e)
 
     def bumped(rhs):
         if component is None:
@@ -226,13 +227,12 @@ def test_congruence_mismatch_is_reported_in_residues():
     # a mismatch is reported as two elements of Z/mZ, in [0, m), so the
     # report does not depend on which side was built as residues
     from qhecke import classnum, mock
-    from qhecke.rings import QQ
     from qhecke.verify import _compare
 
-    lhs = QSeries(QQ, 0, [0, 5, -3], 2)
-    assert _compare(lhs, QSeries(QQ, 0, [0, 1, 0], 2), 2, modulus=4) == {
+    lhs = QSeries(0, [0, 5, -3], 2)
+    assert _compare(lhs, QSeries(0, [0, 1, 0], 2), 2, modulus=4) == {
         "exp": 2, "lhs": "1", "rhs": "0", "slot": None}
-    assert _compare(lhs, QSeries(QQ, 0, [0, 1, 0], 2), 2) == {
+    assert _compare(lhs, QSeries(0, [0, 1, 0], 2), 2) == {
         "exp": 1, "lhs": "5", "rhs": "1", "slot": None}
 
     case = get_case("cong-hf24-phi-minus")
@@ -254,10 +254,8 @@ def test_congruence_refuses_non_integral_sides():
     # 4: a congruence between them is an error, never a pass
     from fractions import Fraction
 
-    from qhecke.rings import QQ
-
-    half_q = lambda n: QSeries.monomial(QQ, Fraction(1, 2), 1, n)
-    one_q = lambda n: QSeries.monomial(QQ, 1, 1, n)
+    half_q = lambda n: QSeries.monomial(Fraction(1, 2), 1, n)
+    one_q = lambda n: QSeries.monomial(1, 1, n)
     case = replace(get_case("cong-hf8-A"), build_lhs=half_q, build_rhs=half_q)
     assert case.modulus == 4
     report = run_case(case, 10)
@@ -269,7 +267,7 @@ def test_congruence_refuses_non_integral_sides():
     assert report.status == "error"
     assert report.first_mismatch["lhs"] == "integral"
     # a rational coefficient above the order is not compared
-    late = lambda n: one_q(n + 2) + QSeries.monomial(QQ, Fraction(1, 2), n + 1, n + 2)
+    late = lambda n: one_q(n + 2) + QSeries.monomial(Fraction(1, 2), n + 1, n + 2)
     assert run_case(replace(case, build_lhs=late, build_rhs=one_q), 10).status == "pass"
     # without a modulus the same sides are an exact comparison, and pass
     assert run_case(replace(case, modulus=0), 10).status == "pass"
