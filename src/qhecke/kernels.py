@@ -1,21 +1,33 @@
 """Hot kernels for dense truncated series arithmetic.
 
 All functions work on plain lists of coefficients (ints, Fractions and
-ZPolys, mixed freely) and rely only on + - *.  A list of ints and
-Fractions is multiplied as integer numerators over one common denominator, as
-FLINT's fmpq_poly stores it; an int list is the case where that
-denominator is 1.  Long integer lists go through one
-big-integer multiply by Kronecker substitution: each list is packed into
-a single int with one fixed-width slot per coefficient, so CPython's
-Karatsuba does the convolution.  Every other product, on any coefficients,
-adds one scaled copy of one operand per nonzero entry of the sparser
-one.  Every unit is inverted by Newton iteration on those products.
+ZPolys, mixed freely).  A list of ints and Fractions is multiplied as
+integer numerators over one common denominator, as FLINT's fmpq_poly
+stores it; an int list is the case where that denominator is 1.  Long
+integer lists go through one big-integer multiply by Kronecker
+substitution: each list is packed into a single int with one fixed-width
+slot per coefficient, so CPython's Karatsuba does the convolution.  Lists
+of ints and ZPolys with int coefficients (Laurent series in
+Z[z, 1/z][[q]]) are packed one operand at a time: each entry of the one
+with more monomials c z^t q^i becomes one int with z^t in a fixed-width
+slot, and the other adds one shifted, scaled copy of that packed list per
+monomial, a C-level big-int shift and add per entry.  Every other
+product, on any coefficients (a Fraction anywhere), adds one scaled copy
+of one operand per nonzero entry of the sparser one.  Every unit is
+inverted by Newton iteration on those products.  pack_signed writes the
+signed slots of every packed product, and unpack_signed and
+unpack_laurent read them, those of the packed F4/F8 of mock.py too.
 """
 
+import struct
+import sys
+from array import array
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
+
+from .rings import ZPoly, _raw
 
 BACKEND = "python"
 
@@ -58,12 +70,84 @@ def _divide(out, d):
     return res
 
 
-def _pack(a, k):
-    """Nonnegative and negative parts of ``a`` as ints in k-byte slots."""
-    zero = bytes(k)
-    pos = b"".join([x.to_bytes(k, "little") if x > 0 else zero for x in a])
-    neg = b"".join([(-x).to_bytes(k, "little") if x < 0 else zero for x in a])
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+# slot width in bytes -> the memoryview/array format of a native signed
+# int that wide; on a little-endian host these read and write whole slots
+# at C speed, and every other width goes one slot at a time
+_CAST = {k: c for k, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+         if sys.byteorder == "little" and struct.calcsize(c) == k}
+
+
+def _bias(k, n):
+    """2^(8k-1) in each of n k-byte slots."""
+    return int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+
+
+def pack_signed(vals, k):
+    """sum vals[i] * 2^(8k*i) for ints with every |v| < 2^(8k-1).
+
+    Each slot is written in two's complement, as v mod 2^(8k); xor-ing
+    the bias into every slot and subtracting it turns that back into v.
+    """
+    code = _CAST.get(k)
+    if code:
+        data = array(code, vals).tobytes()
+    else:
+        data = b"".join([v.to_bytes(k, "little", signed=True) for v in vals])
+    bias = _bias(k, len(vals))
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _twos(x, k, n):
+    """The n lowest k-byte slots of x in two's complement, as one int >= 0.
+
+    x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1).  The bias
+    makes every slot nonnegative without a carry, and xor-ing it back
+    leaves v_i mod 2^(8k) in slot i.
+    """
+    bias = _bias(k, n)
+    return ((x + bias) & ((1 << 8 * k * n) - 1)) ^ bias
+
+
+def _slots(y, k, n):
+    """The n k-byte two's complement slots of y >= 0 as signed ints."""
+    data = y.to_bytes(k * n, "little")
+    code = _CAST.get(k)
+    if code:
+        return memoryview(data).cast(code).tolist()
+    fb = int.from_bytes
+    return [fb(data[i:i + k], "little", signed=True) for i in range(0, k * n, k)]
+
+
+def unpack_signed(x, k, n):
+    """The n lowest k-byte slots of x as signed ints, lowest first.
+
+    x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1), as a
+    packed product or a packed series is; higher slots are dropped.
+    """
+    return _slots(_twos(x, k, n), k, n)
+
+
+def unpack_laurent(x, k, lo, n):
+    """sum_i v_i z^(lo + i) over the n lowest k-byte slots v_i of x.
+
+    The zero slots at both ends are trimmed from the packed int, by its
+    trailing zero bits and its bit length, before anything is read: the
+    result is a ZPoly window, or the scalar 0.
+    """
+    y = _twos(x, k, n)
+    if not y:
+        return 0
+    w = 8 * k
+    first = ((y & -y).bit_length() - 1) // w
+    y >>= w * first
+    return _raw(lo + first, tuple(_slots(y, k, (y.bit_length() + w - 1) // w)))
+
+
+def _slot_bytes(bits):
+    """Bytes for a slot of at least ``bits`` bits: 1, 2, 4 or 8 when one
+    fits and whole slots can be cast, else the fewest whole bytes."""
+    k = (bits + 7) // 8
+    return next((c for c in _CAST if c >= k), k)
 
 
 def _kron_mul(a, b, n):
@@ -74,22 +158,69 @@ def _kron_mul(a, b, n):
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     k = (bits + 7) // 8
-    return unpack_signed(_pack(a, k) * _pack(b, k), k, n)
+    return unpack_signed(pack_signed(a, k) * pack_signed(b, k), k, n)
 
 
-def unpack_signed(x, k, n):
-    """The n lowest k-byte slots of x as signed ints, lowest first.
+def _integral(a):
+    """Whether every entry of ``a`` is an int or a ZPoly with int coefficients."""
+    types = set(map(type, a))
+    if not types <= {int, ZPoly}:
+        return False
+    return ZPoly not in types or set(map(type, chain.from_iterable(
+        [x.coeffs for x in a if type(x) is ZPoly]))) <= {int}
 
-    x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1), as a
-    packed product or a packed series is; higher slots are dropped.
+
+def _windows(a):
+    """Each entry of ``a`` as (lowest z-exponent, coefficient tuple)."""
+    return [(x.lo, x.coeffs) if type(x) is ZPoly else (0, (x,) if x else ()) for x in a]
+
+
+def _monomials(windows):
+    """The number of nonzero monomials c z^t q^i in a list of windows."""
+    return sum(len(cs) - cs.count(0) for _, cs in windows)
+
+
+def _laurent_mul(a, b, n):
+    """The first n coefficients of a*b for lists of ints and ZPolys with
+    int coefficients, on packed ints.
+
+    The operand with more monomials c z^t q^i is b: each of its entries
+    becomes one int, z^t in k-byte slot t - lb.  Each monomial of a adds
+    one copy of that packed list, shifted by t - la slots and scaled by c,
+    into out[i:].  Every output coefficient is at most max|b| * l1(a), the
+    sum of |c| over a's monomials (the triangle inequality), so a slot of
+    that bit length plus a sign bit holds it.  The output window is
+    z^(la + lb) .. z^(ha + hb), so no shift goes right and no slot carries.
     """
-    # a bias of 0x80.. per slot makes every slot nonnegative and below 2^(8k)
-    slot_bias = bytes(k - 1) + b"\x80"
-    x += int.from_bytes(slot_bias * n, "little")
-    data = (x & ((1 << (8 * k * n)) - 1)).to_bytes(k * n, "little")
-    half = 1 << (8 * k - 1)
-    fb = int.from_bytes
-    return [fb(data[i:i + k], "little") - half for i in range(0, k * n, k)]
+    wa, wb = _windows(a), _windows(b)
+    if _monomials(wb) < _monomials(wa):
+        wa, wb = wb, wa
+    terms = [(i, lo + j, c) for i, (lo, cs) in enumerate(wa) for j, c in enumerate(cs) if c]
+    full = [(lo, cs) for lo, cs in wb if cs]
+    if not terms or not full:
+        return [0] * n
+    top = max([max(max(cs), -min(cs)) for _, cs in full]) * sum([abs(c) for _, _, c in terms])
+    k = _slot_bytes(top.bit_length() + 1)
+    w = 8 * k
+    la = min([t for _, t, _ in terms])
+    ha = max([t for _, t, _ in terms])
+    lb = min([lo for lo, _ in full])
+    hb = max([lo + len(cs) for lo, cs in full]) - 1
+    packed = [pack_signed(cs, k) << w * (lo - lb) if cs else 0 for lo, cs in wb]
+    out = [0] * n
+    for i, t, c in terms:
+        m = min(len(packed), n - i)
+        copy = packed[:m]
+        if t != la:
+            copy = map(lshift, copy, repeat(w * (t - la)))
+        if c == 1:
+            out[i:i + m] = map(add, out[i:i + m], copy)
+        elif c == -1:
+            out[i:i + m] = map(sub, out[i:i + m], copy)
+        else:
+            out[i:i + m] = map(add, out[i:i + m], map(mul, copy, repeat(c)))
+    slots = ha - la + hb - lb + 1
+    return [unpack_laurent(x, k, la + lb, slots) if x else 0 for x in out]
 
 
 def _conv(a, b, keep):
@@ -108,6 +239,8 @@ def _conv(a, b, keep):
     if sb:
         (a, da), (b, db) = sa, sb
         d = da * db
+    elif _integral(a) and _integral(b):
+        return _laurent_mul(a, b, n)
     nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
     if sb and min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
         out = _kron_mul(a, b, n)

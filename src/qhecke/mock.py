@@ -50,7 +50,7 @@ from itertools import chain, repeat
 from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
-from .kernels import unpack_signed
+from .kernels import unpack_laurent
 from .rings import ZPoly
 from .series import (QSeries, appell_range, geom_ratio, geometric_sum, grown,
                      lattice_range)
@@ -204,14 +204,11 @@ def _slot_bits(which, n):
 
 
 def _build_bivariate(which, n):
-    """F4 or F8 through q^n from the packed recurrence, one ZPoly per q^m."""
+    """F4 or F8 through q^n from the packed recurrence, one ZPoly per q^m,
+    read from the 2m + 1 slots of z^-m .. z^m."""
     bits = _slot_bits(which, n)
-    coeffs = []
-    for m, x in enumerate(_term_sum(_RECIPES[which], n, bits)):
-        # the 2m + 1 slots of z^-m .. z^m
-        slots = unpack_signed(x >> bits * (n + 1 - m), bits // 8, 2 * m + 1)
-        coeffs.append(ZPoly(dict(enumerate(slots, -m))))
-    return QSeries(0, coeffs, n)
+    return QSeries(0, [unpack_laurent(x >> bits * (n + 1 - m), bits // 8, -m, 2 * m + 1)
+                       for m, x in enumerate(_term_sum(_RECIPES[which], n, bits))], n)
 
 
 _fz_cache: dict = {}

@@ -357,7 +357,8 @@ def registry():
 
     # -- bivariate z-analogs (formal_z, order 100) ---------------------------
     # each product (x, q^b/x, q^b; q^b)_inf is the theta series j(x; q^b);
-    # it goes first, as the convolution skips the zeros of its first operand
+    # the convolution picks the operand with fewer monomials, here the theta,
+    # and adds one shifted copy of the packed F4/F8 per monomial
     add(IdentityCase(
         "bivar-f8z-hecke", "formal_z",
         lambda n: jtheta(monomial(1, 1, 1), 2, n) * mock.F8_series(n),

@@ -10,10 +10,10 @@ A coefficient carries its own type, and Q is a subring of Q[z, 1/z]:
 
 Zero is ``0`` and one is ``1`` in both.  Everything is exact; no floats
 appear anywhere.  Scalars and ZPolys mix under ``+ - *``, so series
-code and the kernels never ask which kind they hold; ``invert`` and
-``specialise`` dispatch on the coefficient itself.  ``specialise``
-evaluates many Laurent polynomials at one rational z0 with integer
-arithmetic only.
+code never asks which kind it holds; ``invert`` and ``specialise``
+dispatch on the coefficient itself, and the kernels only to pick the
+fastest product.  ``specialise`` evaluates many Laurent polynomials at
+one rational z0 with integer arithmetic only.
 """
 
 from __future__ import annotations

@@ -4,13 +4,19 @@ Every expected value comes from naive oracles in this file (a double loop
 over all index pairs, the schoolbook inverse recurrence, a dict keyed by
 exponent) that share no code with the package.  The int and rational
 lists straddle ``KRONECKER_MIN_NNZ`` so that both the packed and the
-sparse-copy product are exercised; ZPoly lists, alone and with plain
-ints beside their entries, take the sparse-copy product and the Newton
-inverse.
+sparse-copy product are exercised.  ZPoly lists, alone and with plain
+ints beside their entries, take the packed Laurent product when every
+coefficient is an int, with coefficient sizes drawn so that its slots
+come out 1, 2, 4, 8 and more than 8 bytes wide, and the sparse-copy
+product when a Fraction is among them; both feed the Newton inverse.
+Fixed cases put an output coefficient exactly on the slot bound, and the
+shared slot writer and reader are round-tripped at every width up to 9
+bytes, on the cast and the one-slot-at-a-time path.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhecke import kernels
@@ -131,6 +137,22 @@ small = st.one_of(st.integers(-5, 5),
 zpoly_entries = st.builds(ZPoly, st.dictionaries(st.integers(-2, 2), small, max_size=2))
 
 
+def integral_entries(bits):
+    """Entries of Z[z, 1/z]: ZPolys with z-exponents in -40..40, plain ints
+    and both zeros, coefficients up to 2^bits."""
+    coeff = st.integers(-(1 << bits), 1 << bits)
+    return st.one_of(st.builds(ZPoly, st.dictionaries(st.integers(-40, 40), coeff,
+                                                      min_size=1, max_size=3)),
+                     coeff, st.sampled_from([0, ZPoly()]))
+
+
+# coefficient sizes whose products need slots of 1, 2, 4, 8 and more bytes:
+# the slot holds max|b| * l1(a), about twice the bits plus the log of the
+# number of monomials
+entry_kinds = st.sampled_from([zpoly_entries]
+                              + [integral_entries(bits) for bits in (1, 3, 10, 25, 60)])
+
+
 @st.composite
 def ring_lists(draw, entries, max_len=2 * T + 4):
     """ZPoly lists: all ZPoly entries (zeros among them), or a sparse
@@ -228,13 +250,93 @@ def test_conv_trunc_sparse_int_operand_on_either_side(data):
         assert all(type(v) is int for v in out)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.tuples(ring_lists(zpoly_entries), ring_lists(zpoly_entries)), st.data())
-def test_conv_trunc_zpoly_and_gaussian_match_double_loop(pair, data):
-    a, b = pair
+@settings(deadline=None, max_examples=100)
+@given(entry_kinds, st.data())
+def test_conv_trunc_zpoly_and_gaussian_match_double_loop(entries, data):
+    a = data.draw(ring_lists(entries))
+    b = data.draw(ring_lists(entries))
     keep = data.draw(keeps(len(a), len(b)))
     for x, y in ((a, b), (b, a)):
         assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
+
+
+def at_the_bound(cs, big, sign):
+    """(a, b) whose product has sign * big * sum|c| at q^(r-1) z^0, r = len(cs).
+
+    a holds c_j z^(t_j) at q^j; b holds sign*sgn(c_j)*big z^(-t_j) at
+    q^(r-1-j), so every term of that coefficient has the same sign, then
+    denser entries of +-1 at q^r and up, which reach only higher q.
+    """
+    r = len(cs)
+    ts = [3 * j - 5 for j in range(r)]
+    a = [ZPoly({t: c}) for t, c in zip(ts, cs)]
+    b = [ZPoly({-t: sign * (1 if c > 0 else -1) * big}) for t, c in zip(ts, cs)][::-1]
+    b += [ZPoly({t: (-1) ** (t + i) for t in range(-i, i + 3)}) for i in range(r + 2)]
+    return a, b
+
+
+def test_conv_trunc_laurent_packed_slots_at_their_bound():
+    # an output coefficient equal to the slot bound max|b| * l1(a), of
+    # bit length 8k - 1 (the top of a k-byte slot) and 8k (one byte more),
+    # of either sign, at every width up to 9 bytes
+    for k in range(1, 10):
+        for cs, big in (((1,), (1 << 8 * k - 1) - 1),
+                        ((1, -1), (1 << 8 * k - 2) - 1),
+                        ((1, -1), 1 << 8 * k - 2),
+                        ((2, -1, 1), 1 << 8 * k - 3)):
+            for sign in (1, -1):
+                a, b = at_the_bound(cs, big, sign)
+                top = sign * big * sum(map(abs, cs))
+                assert naive_conv(a, b, len(cs))[-1].c[0] == top
+                for x, y in ((a, b), (b, a)):
+                    for keep in (len(cs), len(a) + len(b) - 1):
+                        assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
+
+
+def test_conv_trunc_laurent_packed_signs_and_theta_entries():
+    # every output slot negative, then theta-like entries +-(z^m - z^(1-m))
+    # at q^(m(m-1)/2) against a dense operand with growing coefficients
+    neg = [ZPoly({t: -(t + 4) for t in range(-3, 2)})] * T
+    pos = [ZPoly({t: 3 ** (i + t + 2) for t in range(-2, 3)}) for i in range(2 * T)]
+    theta = [0] * (4 * T)
+    for m in range(1, 10):
+        e = m * (m - 1) // 2
+        if e < len(theta):
+            theta[e] = ZPoly({m: (-1) ** m, 1 - m: -(-1) ** m})
+    dense = [ZPoly({t: (-1) ** (i * t % 2) * 5 ** i for t in range(-i - 1, i + 2)})
+             for i in range(3 * T)]
+    for a, b in ((neg, pos), (theta, dense), (theta, pos)):
+        for keep in (1, T, len(a) + len(b) - 1, len(a) + len(b) + 3):
+            for x, y in ((a, b), (b, a)):
+                assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
+    out = kernels.conv_trunc(neg, pos, T)
+    assert all(v < 0 for p in out for v in p.coeffs if v) and all(out)
+
+
+@pytest.mark.parametrize("cast", [True, False])
+@pytest.mark.parametrize("k", range(1, 10))
+def test_pack_unpack_round_trip(k, cast, monkeypatch):
+    # the slot writer and reader of the packed products and of F4/F8, on
+    # whole-slot casts and, with those switched off as on a big-endian
+    # host, one slot at a time
+    if not cast:
+        monkeypatch.setattr(kernels, "_CAST", {})
+    top = (1 << 8 * k - 1) - 1
+    values = [0, 1, -1, top, -top]
+    for n in (0, 1, 50):
+        for shift in range(len(values)):
+            vals = [values[(i + shift) % len(values)] for i in range(n)]
+            x = kernels.pack_signed(vals, k)
+            assert x == sum(v << 8 * k * i for i, v in enumerate(vals))
+            assert kernels.unpack_signed(x, k, n) == vals
+            # higher slots are dropped
+            assert kernels.unpack_signed(x, k, n // 2) == vals[:n // 2]
+            window = kernels.unpack_laurent(x, k, -7, n)
+            want = {i - 7: v for i, v in enumerate(vals) if v}
+            if want:
+                assert type(window) is ZPoly and window == ZPoly(want)
+            else:
+                assert window == 0 and type(window) is int
 
 
 def test_conv_trunc_int_entries_beside_ring_entries():
@@ -279,11 +381,12 @@ def test_inv_unit_rational_matches_recurrence(tail, keep):
     assert rational(h)
 
 
-@settings(deadline=None, max_examples=60)
-@given(ring_lists(zpoly_entries, max_len=T + 4), st.integers(0, T + 4))
-def test_inv_unit_zpoly_and_gaussian_match_recurrence(tail, keep):
+@settings(deadline=None, max_examples=100)
+@given(entry_kinds, st.data())
+def test_inv_unit_zpoly_and_gaussian_match_recurrence(entries, data):
     # the seed 1 is the one of Q[z, 1/z] as well
-    g = [1] + tail
+    g = [1] + data.draw(ring_lists(entries, max_len=T + 4))
+    keep = data.draw(st.integers(0, T + 4))
     assert kernels.inv_unit(g, keep, 1) == naive_inv(g, keep)
 
 
