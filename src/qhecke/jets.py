@@ -90,10 +90,10 @@ def jet_appell(x, base, w, n):
     """
     w = monomial(*w)
     xw = monomial(*x) * w
-    neg = -w.unit()  # (-w)^r has sign neg^r
+    neg = -w.coef  # (-w)^r has sign neg^r
     total = Jet1.of(QSeries.zero(n))
     for r in appell_range(base, 2 * w.qdeg - base, 0, base, xw.qdeg - base, n):
         numer = Jet1.of(QSeries.monomial(ZPoly.monomial(neg ** (r % 2), w.zdeg * r),
                                          base * r * (r - 1) // 2 + w.qdeg * r, n))
-        total = total + numer.div_one_minus(xw.unit(), xw.zdeg, base * (r - 1) + xw.qdeg)
+        total = total + numer.div_one_minus(xw.coef, xw.zdeg, base * (r - 1) + xw.qdeg)
     return jet_theta(w.coef, w.zdeg, w.qdeg, base, n).invert() * total

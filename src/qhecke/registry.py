@@ -10,6 +10,10 @@ and builds only its own side.  A factor q^d or a factor of valuation
 v < 0 means the factor it multiplies is built to n - d or n - v; there is
 no padding.  Eta sums are data: (c, s, {delta: r}) tuples for eta_sum.
 
+An identity with z in a denominator is certified for every z at once,
+both sides times its theta denominators and the pole factors 1 - c z^k
+of theta.appell_cleared (IDENTITIES.md gives each multiplier).
+
 Modes:
   univariate  -- builders return q-series with scalar coefficients
   formal_z    -- builders return series with Laurent-polynomial coefficients
@@ -29,7 +33,7 @@ from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import ZPoly
 from .series import QSeries, eta_quotient, eta_sum, geom_ratio, lattice_range, monomial
-from .theta import appell_m, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4, theta_sum_scaled
+from .theta import Deferred, appell_cleared, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4
 
 
 @dataclass(frozen=True)
@@ -159,44 +163,75 @@ def _evenodd_cleared_lhs(n):
     return jtheta(monomial(1, 1), 1, n) * inner.scale(2)
 
 
-# Appell-Lerch relation witnesses: (x, z) scaled monomials chosen to avoid poles
-_W_SHIFT = ((monomial(1, 0, 3), monomial(2)), (monomial(-1, 0, 2), monomial(-3)))
-_W_INV = ((monomial(-1, 0, 1), monomial(2)),
-          (monomial(1, 0, 2), monomial(Fraction(3, 2))))
-_W_CHANGE_Z = ((monomial(1, 0, 3), monomial(-1), monomial(2)),
-        (monomial(-1, 0, 2), monomial(3), monomial(Fraction(1, 2))))
-_W_QUARTIC = ((monomial(-1, 0, 1), monomial(3)), (monomial(1, 0, 3), monomial(2)))
+# -- Appell-Lerch relations, each side times the multiplier of IDENTITIES.md -
+# x (and change-z's z-argument u) is a monomial +-q^d, and z is formal
+
+_Z = monomial(1, 1)
+_th = Deferred.theta
+_X_ZSHIFT = (monomial(1, 0, 3), monomial(-1, 0, 2))
+_X_XINVERSE = (monomial(-1, 0, 1), monomial(1, 0, 2))
+# u = -q^e needs x = +q^d: otherwise j(u;q) or j(xu;q) vanishes
+_XU_CHANGE_Z = ((monomial(1, 0, 3), monomial(-1)), (monomial(1, 0, 2), monomial(-1, 0, 1)))
+_X_QUARTIC = (monomial(-1, 0, 1), monomial(1, 0, 3))
 _W_FG = ((monomial(1, 0, 3), monomial(1, 0, 4)), (monomial(-1, 0, 2), monomial(-1, 0, 4)))
 _W_F151 = (monomial(1, 0, 2), monomial(1, 0, 3))
 
 
-def _m(x, z, n, base=1):
-    return appell_m(x, base, z, n)
+def _zshift(x):
+    # m(x,q,z) = m(x,q,qz); P(x,z) and P(x,qz) share their pole factor
+    _, lhs = appell_cleared(x, 1, _Z)
+    _, rhs = appell_cleared(x, 1, _Z.qshift(1))
+    return _th(_Z.qshift(1)) * lhs, _th(_Z) * rhs
 
 
-def _change_z_rhs(n, x, z, w):
-    num = (eta_quotient({1: 3}, n) * theta_sum_scaled(z * w.inv(), 1, n)
-           * theta_sum_scaled(x * w * z, 1, n))
-    den = (theta_sum_scaled(w, 1, n) * theta_sum_scaled(z, 1, n)
-           * theta_sum_scaled(x * w, 1, n) * theta_sum_scaled(x * z, 1, n))
-    return (num * den.invert()).shift(w.coef, w.qdeg)
-
-
-def _quartic_rhs(n, x, z):
-    # middle z-argument reconstructed as z^4 (the printed q^4 makes
-    # j(q^4;q^4) = 0); theta term exactly as displayed
-    w = z ** 4
-    t1 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg + 1), 4, w, n)
-    t2 = appell_m(monomial(-x.coef * x.coef, 0, 2 * x.qdeg - 1), 4, w, n
-                  ).shift(x.coef, x.qdeg - 1)
-    num = (eta_quotient({2: 1, 4: 1}, n)
-           * theta_sum_scaled((x * z * z).neg(), 1, n)
-           * theta_sum_scaled((x * z * z * z).neg(), 1, n))
-    den = (theta_sum_scaled(x * z, 1, n) * theta_sum_scaled(z ** 4, 4, n)
-           * theta_sum_scaled((x * x * z ** 4).neg().qshift(1), 2, n))
+def _xinverse(x):
+    # m(x,q,z) = x^-1 m(x^-1,q,z^-1)
     xi = x.inv()
-    theta_term = (num * den.invert()).shift(xi.coef, xi.qdeg)
-    return t1 - t2 - theta_term
+    p, lhs = appell_cleared(x, 1, _Z)
+    pi, rhs = appell_cleared(xi, 1, _Z.inv())
+    return (_th(_Z.inv()) * lhs).shift(pi, 0), (_th(_Z) * rhs).shift(p * xi.coef, xi.qdeg)
+
+
+def _xshift_up(x):
+    # m(qx,q,z) = 1 - x m(x,q,z)
+    p, lhs = appell_cleared(x.qshift(1), 1, _Z)
+    _, m = appell_cleared(x, 1, _Z)
+    return lhs, _th(_Z).shift(p, 0) - m.shift(x.coef, x.qdeg)
+
+
+def _reflect(x):
+    # m(x,q,z) = x^-1 - x^-1 m(qx,q,z), with x^-1 = x.coef q^-d
+    p, lhs = appell_cleared(x, 1, _Z)
+    _, m = appell_cleared(x.qshift(1), 1, _Z)
+    return lhs, (_th(_Z).shift(p, 0) - m).shift(x.coef, -x.qdeg)
+
+
+def _change_z(xu):
+    # m(x,q,u) - m(x,q,z) = z J1^3 j(u/z;q) j(xuz;q) / (j(u;q) j(z;q) j(xu;q) j(xz;q))
+    x, u = xu
+    pu, mu = appell_cleared(x, 1, u)
+    pz, mz = appell_cleared(x, 1, _Z)
+    lhs = _th(x * u) * (_th(x * _Z) * (_th(_Z) * mu.shift(pz, 0) - _th(u) * mz.shift(pu, 0)))
+    rhs = _th(u * _Z.inv()) * (_th(x * u * _Z) * Deferred.eta({1: 3}))
+    return lhs, rhs.shift(pz * ZPoly.monomial(pu, 1), 0)
+
+
+def _quartic(x):
+    # m(x,q,z) = m(-qx^2,q^4,z^4) - (x/q) m(-x^2/q,q^4,z^4)
+    #            - J2 J4 j(-xz^2;q) j(-xz^3;q) / (x j(xz;q) j(z^4;q^4) j(-qx^2z^4;q^2)),
+    # with z^4 for the printed source's q^4, which makes j(q^4;q^4) = 0;
+    # the base-q^4 terms have odd q-degrees in their denominators, so no poles
+    z4, x2 = _Z ** 4, (x * x).neg()
+    p, lhs = appell_cleared(x, 1, _Z)
+    _, m1 = appell_cleared(x2.qshift(1), 4, z4)
+    _, m2 = appell_cleared(x2.qshift(-1), 4, z4)
+
+    def den(f):  # j(xz;q) j(-qx^2z^4;q^2) f, one sparse factor at a time
+        return _th(x * _Z) * (_th(x2.qshift(1) * z4, 2) * f)
+
+    theta = _th((x * _Z * _Z).neg()) * (_th((x * _Z ** 3).neg()) * Deferred.eta({2: 1, 4: 1}))
+    rhs = _th(_Z) * (den(m1 - m2.shift(x.coef, x.qdeg - 1)) - theta.shift(x.coef, -x.qdeg))
+    return _th(z4, 4) * den(lhs), rhs.shift(p, 0)
 
 
 # -- jet builders -----------------------------------------------------------
@@ -557,52 +592,17 @@ def registry():
         note="z-argument change m(.,q^6,-q^5 z^2) -> m(.,q^6,q^3 z^6) plus theta term"))
 
     # -- Appell-Lerch machinery instances (orders 30-40) ----------------------
-    for i, (x, z) in enumerate(_W_SHIFT, 1):
-        add(IdentityCase(
-            f"mrel-zshift-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: _m(x, z.qshift(1), n), 30,
-            note=f"m(x,q,z) = m(x,q,qz) at x={x.coef}q^{x.qdeg}, z={z.coef}"))
-    for i, (x, z) in enumerate(_W_INV, 1):
-        add(IdentityCase(
-            f"mrel-xinverse-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, xi=x.inv(), z=z: _m(xi, z.inv(), n - xi.qdeg).shift(xi.coef, xi.qdeg),
-            30, note="m(x,q,z) = x^-1 m(x^-1,q,z^-1)"))
-    for i, (x, z) in enumerate(_W_SHIFT, 1):
-        add(IdentityCase(
-            f"mrel-xshift-up-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x.qshift(1), z, n),
-            lambda n, x=x, z=z: QSeries.one(n) - _m(x, z, n).shift(x.coef, x.qdeg),
-            30, note="m(qx,q,z) = 1 - x m(x,q,z)"))
-    for i, (x, z) in enumerate(_W_SHIFT, 1):
-        add(IdentityCase(
-            f"mrel-xshift-down-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: (QSeries.one(n)
-                                 - _m(x.qshift(-1), z, n).shift(x.coef, x.qdeg - 1)),
-            30, note="m(x,q,z) = 1 - q^-1 x m(q^-1 x,q,z)"))
-    for i, (x, z) in enumerate(_W_SHIFT, 1):
-        add(IdentityCase(
-            f"mrel-reflect-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, xi=x.inv(), z=z: (
-                QSeries.monomial(xi.coef, xi.qdeg, n)
-                - _m(x.qshift(1), z, n - xi.qdeg).shift(xi.coef, xi.qdeg)),
-            30, note="m(x,q,z) = x^-1 - x^-1 m(qx,q,z)"))
-    for i, (x, z, w) in enumerate(_W_CHANGE_Z, 1):
-        add(IdentityCase(
-            f"mrel-change-z-w{i}", "univariate",
-            lambda n, x=x, z=z, w=w: _m(x, z, n) - _m(x, w, n),
-            lambda n, x=x, z=z, w=w: _change_z_rhs(n, x, z, w), 30,
-            note="w J1^3 j(z/w;q) j(x w z;q) correction"))
-    for i, (x, z) in enumerate(_W_QUARTIC, 1):
-        add(IdentityCase(
-            f"mrel-quartic-w{i}", "univariate",
-            lambda n, x=x, z=z: _m(x, z, n),
-            lambda n, x=x, z=z: _quartic_rhs(n, x, z), 30,
-            note="base q -> q^4 relation; middle z-argument reconstructed as z^4 "
-                 "(printed form has j(q^4;q^4) = 0 in a denominator)"))
+    # each relation for every z at two points (formal_z, order 30); the
+    # x-shift down at x is the x-shift up at x/q
+    for name, relation, points in (
+            ("zshift", _zshift, _X_ZSHIFT), ("xinverse", _xinverse, _X_XINVERSE),
+            ("xshift-up", _xshift_up, _X_ZSHIFT),
+            ("xshift-down", lambda x: _xshift_up(x.qshift(-1)), _X_ZSHIFT),
+            ("reflect", _reflect, _X_ZSHIFT), ("change-z", _change_z, _XU_CHANGE_Z),
+            ("quartic", _quartic, _X_QUARTIC)):
+        for i, point in enumerate(points, 1):
+            lhs, rhs = relation(point)
+            add(IdentityCase(f"mrel-{name}-w{i}", "formal_z", lhs.build, rhs.build, 30))
     for i, (x, y) in enumerate(_W_FG, 1):
         add(IdentityCase(
             f"mrel-f121-g121-w{i}", "univariate",

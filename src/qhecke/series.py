@@ -23,7 +23,6 @@ along its own stride e, e + d, ... of one dense list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import add
 
@@ -36,38 +35,31 @@ INF = float("inf")
 
 @dataclass(frozen=True)
 class Monomial:
-    """coef * z^zdeg * q^qdeg with a nonzero int or Fraction coef: every
-    theta, Appell-Lerch and f_{a,b,c} argument."""
+    """+-z^zdeg * q^qdeg, coef the int 1 or -1: every theta, Appell-Lerch
+    and f_{a,b,c} argument."""
 
-    coef: int | Fraction
+    coef: int
     zdeg: int = 0
     qdeg: int = 0
 
     def __post_init__(self):
-        if self.coef == 0:
-            raise ValueError("monomial coefficient must be nonzero")
+        if type(self.coef) is not int or self.coef not in (1, -1):
+            raise ValueError(f"monomial coefficient must be the int 1 or -1, got {self.coef!r}")
 
     def __mul__(self, other):
         return Monomial(self.coef * other.coef, self.zdeg + other.zdeg, self.qdeg + other.qdeg)
 
     def inv(self):
-        return Monomial(Fraction(1) / self.coef, -self.zdeg, -self.qdeg)
+        return Monomial(self.coef, -self.zdeg, -self.qdeg)
 
     def __pow__(self, k):
-        # Fraction, as an int to a negative power is a float
-        return Monomial(Fraction(self.coef) ** k, self.zdeg * k, self.qdeg * k)
+        return Monomial(self.coef ** (k % 2), self.zdeg * k, self.qdeg * k)
 
     def neg(self):
         return Monomial(-self.coef, self.zdeg, self.qdeg)
 
     def qshift(self, d):
         return Monomial(self.coef, self.zdeg, self.qdeg + d)
-
-    def unit(self):
-        """coef as the int +1 or -1; ValueError for any other coef."""
-        if self.coef not in (1, -1):
-            raise ValueError(f"monomial coefficient must be +1 or -1, got {self.coef}")
-        return int(self.coef)
 
 
 def monomial(coef=1, zdeg=0, qdeg=0):
@@ -144,9 +136,6 @@ class QSeries:
         if self.coeffs:
             return self.min_exp
         return self.order + 1 if self.order is not INF else INF
-
-    def is_zero_through_order(self):
-        return not self.coeffs
 
     def coeff(self, e):
         if self.order is not INF and e > self.order:
@@ -346,30 +335,6 @@ class QSeries:
         return QSeries(self.min_exp, [c.dz_at_one() if type(c) is ZPoly else 0
                                       for c in self.coeffs], self.order)
 
-    # -- comparison ---------------------------------------------------------
-
-    def first_mismatch(self, other):
-        """(certified_order, None) if equal through the certified order,
-        else (certified_order, (exponent, self_coeff, other_coeff))."""
-        order = min(self.order, other.order)
-        lo = min(self.effective_min(), other.effective_min())
-        if lo is INF:
-            return order, None
-        hi = min(order, max(self.top, other.top))
-        e = lo
-        while e <= hi:
-            a, b = self.coeff(e), other.coeff(e)
-            if a != b:
-                return order, (e, a, b)
-            e += 1
-        return order, None
-
-    def same(self, other, through=None):
-        order, bad = self.first_mismatch(other)
-        if through is not None and order < through:
-            return False
-        return bad is None
-
     # -- output -------------------------------------------------------------
 
     def to_json(self):
@@ -514,13 +479,13 @@ def geom_ratio(a, b):
 def pochhammer(x: Monomial, step, count, n):
     """Truncated q-Pochhammer (x; q^step)_count to order n.
 
-    count may be an integer or None for the infinite product.  x needs
-    coefficient +1 or -1.  The coefficients are integers for z-free x
-    and otherwise Laurent polynomials in z, but for the int 1 at q^0.
+    count may be an integer or None for the infinite product.  The
+    coefficients are integers for z-free x and otherwise Laurent
+    polynomials in z, but for the int 1 at q^0.
     """
     if step < 1:
         raise ValueError("step must be a positive integer")
-    c = x.unit() if x.zdeg == 0 else ZPoly.monomial(x.unit(), x.zdeg)
+    c = x.coef if x.zdeg == 0 else ZPoly.monomial(x.coef, x.zdeg)
     out = QSeries.one(n)
     if count is None:  # the factors 1 - x q^(k*step) with a term through q^n
         count = max(0, (n - x.qdeg) // step + 1)

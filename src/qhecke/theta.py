@@ -4,25 +4,25 @@ j(x;q) follows the triple-product convention
     j(x;q) = (x, q/x, q; q)_inf = sum_{n} (-1)^n q^{n(n-1)/2} x^n,
 m(x,q,z) the bilateral Appell-Lerch sum, and f_{a,b,c} / g_{a,b,c} the
 indefinite-theta blocks they decompose into.  Every argument is one
-series.Monomial c*z^k*q^d: the integral builders (jtheta, f_abc) take
-c = +-1 and any k, the rational ones (theta_sum_scaled, appell_m,
-g_abc, theta_1_4) any nonzero rational c and k = 0.
+series.Monomial +-z^k q^d (z-free for g_abc and theta_1_4).  j and
+f_{a,b,c} have integral Laurent coefficients; appell_m divides by a
+theta function, and appell_cleared multiplies it and the pole factor of
+the numerator's term at q^0 out.
 
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
-the order, and no others.  jtheta is the one term sum of j with a
-z-bearing argument (jets.py takes its image at z = 1).  An Appell-Lerch
-sum is one mock.AppellRhsSpec run by mock.appell_rhs, over
-series.appell_range, with each term over its own denominator summed by
-series.geometric_sum.
+the order, and no others.  jtheta is the one term sum of j (jets.py
+takes its image at z = 1).  An Appell-Lerch sum is one
+mock.AppellRhsSpec run by mock.appell_rhs, over series.appell_range,
+with each term over its own denominator summed by series.geometric_sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
+from .errors import PoleError
 from .mock import AppellRhsSpec, appell_rhs
 from .rings import ZPoly
 from .series import Monomial, QSeries, eta_quotient, lattice_range, monomial
@@ -34,21 +34,10 @@ def _z_free(*xs):
         raise ValueError("z-bearing monomial where a scalar was expected")
 
 
-def theta_sum_scaled(x: Monomial, base, n):
-    """j(c*q^d; q^base) by the bilateral sum, rational coefficients, each
-    integral one an int (which the kernels multiply as integers)."""
-    _z_free(x)
-    minus_c = -Fraction(x.coef)  # (-1)^m x^m = (-c)^m q^(dm)
-    f = QSeries.from_terms(((base * m * (m - 1) // 2 + x.qdeg * m, minus_c ** m)
-                            for m in lattice_range(base, 2 * x.qdeg - base, -2 * n)), n)
-    return QSeries(f.min_exp, [c.numerator if c.denominator == 1 else c
-                               for c in f.coeffs], f.order, _trusted=True)
-
-
 def theta_low(d, base):
-    """Lowest exponent of j(c*q^d; q^base): min over m of base*m(m-1)/2 + d*m.
+    """Lowest exponent of j(+-z^k q^d; q^base): min over m of base*m(m-1)/2 + d*m.
 
-    It is the valuation of j unless j vanishes (c = 1 and base | d).
+    It is the valuation of j unless j vanishes (x = q^d with base | d).
     """
     m = (base - 2 * d) // (2 * base)  # floor of the real minimiser 1/2 - d/base
     return min(base * k * (k - 1) // 2 + d * k for k in (m, m + 1))
@@ -62,30 +51,57 @@ def jtheta(x: Monomial, base, n):
     """
     if base < 1:
         raise ValueError("theta base must be >= 1")
-    neg = -x.unit()  # (-1)^m x^m has sign neg^m
+    neg = -x.coef  # (-1)^m x^m has sign neg^m
     terms = ((neg ** (m % 2), x.zdeg * m, base * m * (m - 1) // 2 + x.qdeg * m)
              for m in lattice_range(base, 2 * x.qdeg - base, -2 * n))
     return _integral(terms, n)
 
 
+theta_sum_scaled = jtheta  # the name perfbench/tracer.py wraps
+
+
+def _coef(v, k):
+    """v z^k as a coefficient, the int v when k = 0."""
+    return ZPoly.monomial(v, k) if k else v
+
+
 def _integral(terms, n):
     """The series of (coef, zdeg, qdeg) terms, a z-free coef kept an int."""
-    return QSeries.from_terms(((e, ZPoly.monomial(v, k) if k else v) for v, k, e in terms), n)
+    return QSeries.from_terms(((e, _coef(v, k)) for v, k, e in terms), n)
+
+
+def _numerator(x, base, w, pole=None, p=1):
+    """p times sum_r (-w)^r q^{base r(r-1)/2} / (1 - x w q^{base(r-1)}), the
+    term r = pole left out: j(w; q^base) m(x, q^base, w) as one Appell-type sum."""
+    xw = x * w
+    return AppellRhsSpec((base, 2 * w.qdeg - base, 0),
+                         lambda r: 0 if r == pole else p * _coef((-w.coef) ** (r % 2), w.zdeg * r),
+                         _coef(xw.coef, xw.zdeg), (base, xw.qdeg - base))
 
 
 def appell_m(x, base, z, n):
-    """Appell-Lerch m(x, q^base, z) to order n, rational coefficients.
+    """Appell-Lerch m(x, q^base, z) to order n: its numerator divided by
+    j(z; q^base), whose lowest coefficient must be a unit."""
+    return appell_rhs(_numerator(x, base, z), n) * jtheta(z, base, n).invert()
 
-    x and z are z-free monomials c*q^d.  The bilateral sum of
-    (-z)^r q^{base r(r-1)/2} over 1 - x z q^{base(r-1)} is one
-    Appell-type sum, divided by j(z; q^base).
+
+def appell_cleared(x: Monomial, base, w: Monomial):
+    """(p, N): N = p j(w; q^base) m(x, q^base, w), unbuilt and integral.
+
+    p = 1 - c z^k when the numerator's term r0 is over 1 - c z^k at q^0,
+    and N is p times the other terms plus that term's numerator; p = 0
+    is a pole of m, PoleError.  With no such term p = 1.
     """
-    _z_free(x, z)
-    xz = x * z
-    minus_cz = -Fraction(z.coef)
-    spec = AppellRhsSpec((base, 2 * z.qdeg - base, 0), lambda r: minus_cz ** r, xz.coef,
-                         (base, xz.qdeg - base))
-    return appell_rhs(spec, n) * theta_sum_scaled(z, base, n).invert()
+    xw = x * w
+    r0, off = divmod(base - xw.qdeg, base)
+    p = 1 if off else 1 - _coef(xw.coef, xw.zdeg)
+    if not p:
+        raise PoleError(f"m(x, q^{base}, w) has a pole: x w = q^{xw.qdeg}")
+    head = QSeries.zero() if off else QSeries.monomial(
+        _coef((-w.coef) ** (r0 % 2), w.zdeg * r0), base * r0 * (r0 - 1) // 2 + w.qdeg * r0)
+    spec = _numerator(x, base, w, None if off else r0, p)
+    # no term starts below its numerator, the theta term of the same r
+    return p, Deferred(theta_low(w.qdeg, base), lambda n: appell_rhs(spec, n) + head)
 
 
 def f_abc_terms(a, b, c, x: Monomial, y: Monomial, n):
@@ -98,7 +114,7 @@ def f_abc_terms(a, b, c, x: Monomial, y: Monomial, n):
     if a <= 0 or c <= 0 or b < 0:
         raise ValueError("f_{a,b,c} needs a > 0, c > 0 and b >= 0")
     xq, yq = x.qdeg, y.qdeg
-    neg_x, neg_y = -x.unit(), -y.unit()  # (-1)^r x^r has sign neg_x^r
+    neg_x, neg_y = -x.coef, -y.coef  # (-1)^r x^r has sign neg_x^r
     # b*r*s >= 0 on both quadrants, so row r holds a term only if
     # a*r(r-1)/2 + xq*r + min_s(c*s(s-1)/2 + yq*s) <= n (doubled below)
     out = []
@@ -136,7 +152,7 @@ def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
                 a * b * (b + 1) // 2 - c * a * (a + 1) // 2 - t * (b * b - a * c))
             m = n - min(pref.qdeg, 0)
             mser = appell_m(marg, mbase, z, m - min(theta_low(jarg.qdeg, a), 0))
-            jfac = theta_sum_scaled(jarg, a, m - min(mser.valuation() or 0, 0))
+            jfac = jtheta(jarg, a, m - min(mser.valuation() or 0, 0))
             out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
         return out
 
@@ -145,7 +161,7 @@ def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
 
 
 @dataclass(frozen=True)
-class _Deferred:
+class Deferred:
     """A series not yet built: build(n) certifies it through q^n, and its
     valuation is at least low (exactly low where it is inverted).
 
@@ -160,35 +176,40 @@ class _Deferred:
 
     def __mul__(self, other):
         a, b = min(self.low, 0), min(other.low, 0)
-        return _Deferred(self.low + other.low, lambda n: self.build(n - b) * other.build(n - a))
+        return Deferred(self.low + other.low, lambda n: self.build(n - b) * other.build(n - a))
 
     def __pow__(self, k):
-        return _Deferred(k * self.low, lambda n: self.build(n - (k - 1) * min(self.low, 0)) ** k)
+        return Deferred(k * self.low, lambda n: self.build(n - (k - 1) * min(self.low, 0)) ** k)
 
     def __add__(self, other):
-        return _Deferred(min(self.low, other.low), lambda n: self.build(n) + other.build(n))
+        return Deferred(min(self.low, other.low), lambda n: self.build(n) + other.build(n))
 
     def __sub__(self, other):
         return self + other.shift(-1, 0)
 
     def shift(self, c, d):
-        return _Deferred(self.low + d, lambda n: self.build(n - d).shift(c, d))
+        return Deferred(self.low + d, lambda n: self.build(n - d).shift(c, d))
 
     def invert(self):
         # 1/f is certified through f.order - 2v, and f must reach q^v
         v = self.low
-        return _Deferred(-v, lambda n: self.build(max(n + 2 * v, v)).invert())
+        return Deferred(-v, lambda n: self.build(max(n + 2 * v, v)).invert())
+
+    @classmethod
+    def theta(cls, x: Monomial, base=1):
+        """j(x; q^base)."""
+        return cls(theta_low(x.qdeg, base), lambda n: jtheta(x, base, n))
+
+    @classmethod
+    def eta(cls, powers):
+        """The eta quotient prod J_k^e over powers {k: e}."""
+        return cls(0, lambda n: eta_quotient(powers, n))
 
 
 def _theta_1_4_deferred(xm: Monomial, ym: Monomial):
     """S1, S2 and the whole theta correction, unbuilt."""
     _z_free(xm, ym)
-
-    def j(mono, base):
-        return _Deferred(theta_low(mono.qdeg, base), lambda n: theta_sum_scaled(mono, base, n))
-
-    def J(powers):
-        return _Deferred(0, lambda n: eta_quotient(powers, n))
+    j, J = Deferred.theta, Deferred.eta
 
     y_over_x = ym * xm.inv()
     xy = xm * ym
@@ -217,12 +238,6 @@ def _theta_1_4_deferred(xm: Monomial, ym: Monomial):
              ).shift(-xy.coef, xy.qdeg + 1)
     return s1, s2, front * (j(monomial(1, 0, 4), 16) * s1
                             - (j(monomial(1, 0, 8), 16) * s2).shift(1, 1))
-
-
-def theta_1_4_parts(x: Monomial, y: Monomial, n):
-    """The two inner sums S1, S2 of the theta correction, as displayed."""
-    s1, s2, _ = _theta_1_4_deferred(x, y)
-    return s1.build(n), s2.build(n)
 
 
 def theta_1_4(x: Monomial, y: Monomial, n):

@@ -10,11 +10,13 @@ of how many worker processes run the builders.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from typing import Optional
 
 from .registry import IdentityCase, cases_by_id, get_case
+from .rings import ZPoly
 
 
 @dataclass
@@ -63,6 +65,22 @@ def _compare(lhs, rhs, order, modulus=0, slot=None):
                 a, b = a % modulus, b % modulus
             return {"exp": e, "lhs": str(a), "rhs": str(b), "slot": slot}
     return None
+
+
+def side_digest(series, order, modulus=0):
+    """sha256 of the JSON list of a side's nonzero terms [e, c] through
+    q^order, c reduced mod a congruence modulus and written as a rational
+    string, or as {z-exponent: rational string} if it holds a power of z."""
+    import hashlib  # here, as it loads OpenSSL: a run of cases never needs it
+    terms = []
+    for e, c in series.truncate(order).nonzero_terms():
+        c = c % modulus if modulus else c
+        if type(c) is ZPoly and c.lo == 0 and len(c.coeffs) == 1:
+            c = c.coeffs[0]
+        if c:
+            terms.append([e, {str(k): str(v) for k, v in c.c.items()}
+                          if type(c) is ZPoly else str(c)])
+    return hashlib.sha256(json.dumps(terms, separators=(",", ":")).encode()).hexdigest()
 
 
 def run_case(case: IdentityCase, order=None):

@@ -16,6 +16,7 @@ from qhecke.jets import Jet1
 from qhecke.rings import ZPoly, specialise
 from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, etaq_inv, geom_ratio,
                            geometric_sum, monomial, pochhammer)
+from qhecke.verify import _compare
 
 
 # -- naive oracle helpers (independent of the package internals) ------------
@@ -84,10 +85,10 @@ def test_monomial_above_its_order_is_zero():
     assert str(m) == "0 + O(q^4)"
     with pytest.raises(NonUnitError):
         m.invert()
-    assert (QSeries.zero(3) + m).is_zero_through_order()
-    assert QSeries.one(-1).is_zero_through_order()
+    assert not (QSeries.zero(3) + m).coeffs
+    assert not QSeries.one(-1).coeffs
     e = eta_quotient({1: 2, 2: -1}, -1)
-    assert e.order == -1 and e.is_zero_through_order()
+    assert e.order == -1 and not e.coeffs
 
 
 def test_monomial_shift():
@@ -149,7 +150,7 @@ def test_rational_series_mix_with_laurent_series(f, g):
     _same_window(g - f, g - lf)
     jet = Jet1.of(f)
     _same_window(jet.f0, f)
-    assert jet.f1.is_zero_through_order() and jet.f1.order == f.order
+    assert not jet.f1.coeffs and jet.f1.order == f.order
 
 
 def test_gapped_laurent_product_reads_its_scalar_zeros():
@@ -188,12 +189,9 @@ def test_ring_axioms_randomized():
             a = rand_series(rng, kind, 30)
             b = rand_series(rng, kind, 30)
             c = rand_series(rng, kind, 30)
-            assert (a + b).same(b + a)
-            assert ((a + b) + c).same(a + (b + c))
-            _, bad = (a * b).first_mismatch(b * a)
-            assert bad is None
-            _, bad = (a * (b + c)).first_mismatch(a * b + a * c)
-            assert bad is None
+            for lhs, rhs in ((a + b, b + a), ((a + b) + c, a + (b + c)), (a * b, b * a),
+                             (a * (b + c), a * b + a * c)):
+                assert _compare(lhs, rhs, min(lhs.order, rhs.order)) is None
 
 
 # -- inversion ---------------------------------------------------------------
@@ -265,8 +263,7 @@ def test_pochhammer_consistency():
     for n in range(21):
         lhs = pochhammer(x, 3, n + 1, 40)
         rhs = pochhammer(x, 3, n, 40).mul_one_minus(-1, 2 + 3 * n)
-        _, bad = lhs.first_mismatch(rhs)
-        assert bad is None
+        assert _compare(lhs, rhs, 40) is None
 
 
 def test_etaq_pins_match_naive_oracle():
@@ -286,7 +283,7 @@ def test_eta_caches_grow_to_each_request(monkeypatch, build, cache, invert, k):
     want = pochhammer(monomial(1, 0, k), k, None, 100)
     want = want.invert() if invert else want
     assert (small.order, large.order) == (10, 100)
-    assert small.same(want.truncate(10)) and large.same(want)
+    assert _compare(small, want, 10) is None and _compare(large, want, 100) is None
 
 
 def test_eta_quotient_is_cached_but_exact():
@@ -438,8 +435,7 @@ def test_eta_sum_certifies_exactly_n(terms, n):
     want = QSeries.zero(n)
     for c, s, powers in terms:
         want = want + eta_quotient(powers, n + 3).shift(c, s)
-    order, bad = got.first_mismatch(want)
-    assert order == n and bad is None
+    assert _compare(got, want, n) is None
 
 
 # -- geometric sums -------------------------------------------------------------
@@ -524,10 +520,9 @@ def test_dissect_reassembles_randomized():
             back = QSeries.zero(f.order)
             for i, comp in enumerate(f.dissect(p)):
                 back = back + comp.inflate(p).shift(1, i)
-            _, bad = back.first_mismatch(f)
-            assert bad is None
-            _, bad = f.sift(p).first_mismatch(f.dissect(p)[0])
-            assert bad is None
+            assert _compare(back, f, min(back.order, f.order)) is None
+            sift, first = f.sift(p), f.dissect(p)[0]
+            assert _compare(sift, first, min(sift.order, first.order)) is None
 
 
 def test_inflate_and_alternate():
@@ -598,13 +593,13 @@ def test_eval_z_rejects_inexact_points(z0):
 # -- comparison and serialization ------------------------------------------------
 
 def test_first_mismatch_reports_certified_order():
+    # the comparison of verify: equal through the order, or certified below it
     f = QSeries(0, [1, 2, 3], 9)
     g = QSeries(0, [1, 2, 3], 5)
-    order, bad = f.first_mismatch(g)
-    assert order == 5 and bad is None
+    assert _compare(f, g, 5) is None
+    assert _compare(f, g, 6)["rhs"] == "certified only to 5"
     h = QSeries(0, [1, 2, 4], 5)
-    order, bad = f.first_mismatch(h)
-    assert bad == (2, 3, 4)
+    assert _compare(f, h, 5) == {"exp": 2, "lhs": "3", "rhs": "4", "slot": None}
 
 
 def test_coeff_beyond_order_raises():

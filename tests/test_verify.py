@@ -191,6 +191,12 @@ def _bump_rhs(case, e, c=1, component=None):
 
 
 @pytest.mark.parametrize("cid, order", [("mrel-xinverse-w1", 30),
+                                        ("mrel-zshift-w2", 30),
+                                        ("mrel-xshift-up-w1", 30),
+                                        ("mrel-xshift-down-w2", 30),
+                                        ("mrel-reflect-w1", 30),
+                                        ("mrel-change-z-w2", 30),
+                                        ("mrel-quartic-w1", 30),
                                         ("dz-theta-quotient-q12-double", 40),
                                         ("numz-f4-appell", 30),
                                         ("numz-f8-appell", 30),
