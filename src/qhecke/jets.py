@@ -5,7 +5,8 @@ q-series: the image of a series in z under z -> 1 + eps, eps^2 = 0.
 Every jet starts as the image of a series (Jet1.of, so theta functions
 come from theta.jtheta), whose z-free coefficients have derivative 0,
 and propagates through ring operations: products use the product rule,
-quotients (u'v - uv')/v^2.  Appell-Lerch sums divide each term by
+quotients (u'v - uv')/v^2, and it shifts like a series, so a
+theta.Deferred carries jets as well.  Appell-Lerch sums divide each term by
 1 - c z^k q^d with two passes of the exact denominator rule
 QSeries.div_one_minus, over the same index range (series.appell_range)
 as every other Appell-type sum.
@@ -43,6 +44,9 @@ class Jet1:
 
     def scale(self, c):
         return Jet1(self.f0.scale(c), self.f1.scale(c))
+
+    def shift(self, c, d):
+        return Jet1(self.f0.shift(c, d), self.f1.shift(c, d))
 
     def __mul__(self, other):
         return Jet1(self.f0 * other.f0,

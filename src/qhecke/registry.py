@@ -5,10 +5,9 @@ mode, two pure builders producing comparable exact values at a given
 order, and a default order.  IDENTITIES.md at the repository root lists
 every case with the statement it checks.
 
-Builder contract: asked for order n, a builder certifies at least q^n
-and builds only its own side.  A factor q^d or a factor of valuation
-v < 0 means the factor it multiplies is built to n - d or n - v; there is
-no padding.  Eta sums are data: (c, s, {delta: r}) tuples for eta_sum.
+A side that combines builders, or needs one at another order, is a
+theta.Deferred expression bound to its build; Deferred states the
+builder contract.  Eta sums are (c, s, {delta: r}) tuples.
 
 An identity with z in a denominator is certified for every z at once,
 both sides times its theta denominators and the pole factors 1 - c z^k
@@ -25,15 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import isqrt
+from operator import attrgetter
 from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import ZPoly
-from .series import QSeries, eta_quotient, eta_sum, geom_ratio, lattice_range, monomial
-from .theta import Deferred, appell_cleared, f_abc, f_abc_terms, g_abc, jtheta, theta_1_4
+from .series import QSeries, eta_quotient, geom_ratio, lattice_range, monomial
+from .theta import (Deferred, _g_abc_deferred, _theta_1_4_deferred, appell_cleared, f_abc,
+                    f_abc_terms, g_abc, theta_low)
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,6 @@ class IdentityCase:
     note: str = ""
 
 
-def _sift_build(series_fn, p):
-    return lambda n: series_fn(p * n).sift(p)
-
-
 # U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3
 U3_J1_CUBED = ((1, 0, {1: 4, 3: -1}), (9, 1, {9: 3, 1: 1, 3: -1}))
 # the target of dz-theta-quotient-q6-sixfold and dz-eta-logderiv-combo
@@ -63,9 +60,18 @@ Z12_PAIR = ((1, 0, {12: 1, 3: 1, 2: 12, 6: -3, 4: -4, 1: -4}),
             (-9, 1, {18: 9, 12: 1, 3: 1, 2: 3, 36: -3, 9: -3, 6: -3, 4: -1, 1: -1}))
 
 
-def _scaled(c, d, terms):
-    """c * q^d times an eta sum."""
-    return tuple((c * a, s + d, powers) for a, s, powers in terms)
+J, E, _th = Deferred.eta, Deferred.eta_sum, Deferred.theta
+_f1 = attrgetter("f1")
+
+
+def _lazy(build):
+    """A builder whose series has no term below q^0, unbuilt."""
+    return Deferred(0, build)
+
+
+def _appell(spec):
+    """The Appell-type sum of a mock.AppellRhsSpec, unbuilt."""
+    return _lazy(partial(mock.appell_rhs, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -118,13 +124,6 @@ def _hf12_rs_form(n):
     return QSeries.from_terms(terms, n)
 
 
-def _hf12_7_hsum(n):
-    # inflate(2) certifies 2k + 1 from order k, so k = n // 2 reaches q^n
-    even = classnum.genfun_H(24, 7, n // 2).inflate(2)
-    odd = classnum.genfun_H(24, 19, (n - 1) // 2).inflate(2).shift(3, 1)
-    return even + odd
-
-
 def _humbert_triple_expansion(n):
     # sum over (m, u, k >= 1) of q^{(k+m)^2 - (k+u)(k+u-1)/2 - (k-u)(k-u-1)/2}
     terms = []
@@ -141,33 +140,32 @@ def _humbert_triple_expansion(n):
     return QSeries.from_terms(terms, n)
 
 
-def _theta_side(n):
+def _theta_side():
     """j(-1;q) j(q;q^2)^2 - 2 j(z;q)/(1 - z), pairing the terms m and 1 - m of j(z;q)."""
-    jj = jtheta(monomial(-1), 1, n) * jtheta(monomial(1, 0, 1), 2, n) ** 2
-    return jj - QSeries.from_terms((
+    pairs = _lazy(lambda n: QSeries.from_terms((
         (m * (m - 1) // 2, (-1) ** m * 2 * geom_ratio(m, 1 - m))
-        for m in lattice_range(1, -1, -2 * n, lo=1)), n)
+        for m in lattice_range(1, -1, -2 * n, lo=1)), n))
+    return _th(monomial(-1)) * _th(monomial(1, 0, 1), 2) ** 2 - pairs
 
 
-def _f8_cleared_lhs(n):
+def _f8_cleared_lhs():
     # j(z;q) (2(1 - z) j(-1;q) F8 + 2z S'), j(z;q) in one product
-    inner = ((jtheta(monomial(-1), 1, n) * mock.F8_series(n)).scale(ZPoly({0: 2, 1: -2}))
-             + mock.appell_rhs(mock.AP_M_F8Z, n).scale(ZPoly.monomial(2, 1)))
-    return jtheta(monomial(1, 1), 1, n) * inner
+    inner = ((_th(monomial(-1)) * _lazy(mock.F8_series)).shift(ZPoly({0: 2, 1: -2}), 0)
+             + _appell(mock.AP_M_F8Z).shift(ZPoly.monomial(2, 1), 0))
+    return _th(monomial(1, 1)) * inner
 
 
-def _evenodd_cleared_lhs(n):
+def _evenodd_cleared_lhs():
     # 2 j(z;q) (S' D - j(-1;q) (A_- - A_+/z)) with D = j(q^2/z^2;q^4)
-    inner = (mock.appell_rhs(mock.AP_M_F8Z, n) * jtheta(monomial(1, -2, 2), 4, n)
-             - jtheta(monomial(-1), 1, n) * mock.appell_rhs(mock.AP_M_SPLIT, n))
-    return jtheta(monomial(1, 1), 1, n) * inner.scale(2)
+    inner = (_appell(mock.AP_M_F8Z) * _th(monomial(1, -2, 2), 4)
+             - _th(monomial(-1)) * _appell(mock.AP_M_SPLIT))
+    return _th(monomial(1, 1)) * inner.shift(2, 0)
 
 
 # -- Appell-Lerch relations, each side times the multiplier of IDENTITIES.md -
 # x (and change-z's z-argument u) is a monomial +-q^d, and z is formal
 
 _Z = monomial(1, 1)
-_th = Deferred.theta
 _X_ZSHIFT = (monomial(1, 0, 3), monomial(-1, 0, 2))
 _X_XINVERSE = (monomial(-1, 0, 1), monomial(1, 0, 2))
 # u = -q^e needs x = +q^d: otherwise j(u;q) or j(xu;q) vanishes
@@ -212,7 +210,7 @@ def _change_z(xu):
     pu, mu = appell_cleared(x, 1, u)
     pz, mz = appell_cleared(x, 1, _Z)
     lhs = _th(x * u) * (_th(x * _Z) * (_th(_Z) * mu.shift(pz, 0) - _th(u) * mz.shift(pu, 0)))
-    rhs = _th(u * _Z.inv()) * (_th(x * u * _Z) * Deferred.eta({1: 3}))
+    rhs = _th(u * _Z.inv()) * (_th(x * u * _Z) * J({1: 3}))
     return lhs, rhs.shift(pz * ZPoly.monomial(pu, 1), 0)
 
 
@@ -229,56 +227,34 @@ def _quartic(x):
     def den(f):  # j(xz;q) j(-qx^2z^4;q^2) f, one sparse factor at a time
         return _th(x * _Z) * (_th(x2.qshift(1) * z4, 2) * f)
 
-    theta = _th((x * _Z * _Z).neg()) * (_th((x * _Z ** 3).neg()) * Deferred.eta({2: 1, 4: 1}))
+    theta = _th((x * _Z * _Z).neg()) * (_th((x * _Z ** 3).neg()) * J({2: 1, 4: 1}))
     rhs = _th(_Z) * (den(m1 - m2.shift(x.coef, x.qdeg - 1)) - theta.shift(x.coef, -x.qdeg))
     return _th(z4, 4) * den(lhs), rhs.shift(p, 0)
 
 
-# -- jet builders -----------------------------------------------------------
+# -- jet builders: each an unbuilt Jet1 ------------------------------------
 
 
-def _jet_m_times_theta_a(n):
-    return (jet_theta(-1, 2, 0, 2, n, zshift=-1)
-            * jet_appell((1, 0, 1), 6, (-1, 2, -1), n)).f1
+def _jt(sign, a, b, base, zshift=0):
+    """Jet of z^zshift j(sign z^a q^b; q^base): a theta leaf."""
+    return Deferred(theta_low(b, base), partial(jet_theta, sign, a, b, base, zshift=zshift))
 
 
-def _jet_m_times_theta_b(n):
-    return (jet_theta(1, 4, 1, 2, n, zshift=-1)
-            * jet_appell((-1, -6, 2), 6, (1, 6, 3), n)).f1
+def _ja(x, base, w):
+    """Jet of m(x, q^base, w), of low 0 as in theta._g_abc_deferred."""
+    return _lazy(partial(jet_appell, x, base, w))
 
 
-def _jet_theta_quotient_sixfold(n):
-    num = jet_theta(1, 4, 1, 2, n) * jet_theta(-1, 4, 4, 6, n) * jet_theta(1, 2, 4, 6, n)
-    den = (jet_theta(-1, 2, 5, 6, n, zshift=1) * jet_theta(1, 6, 3, 6, n)
-           * jet_theta(-1, 0, 5, 6, n) * jet_theta(1, 4, 5, 6, n))
-    return (num / den).f1
-
-
-def _jet_theta_quotient_double(n):
-    # t1 and t6 have valuation -1, so what they multiply is built to m = n + 1
-    m = n + 1
-    t1 = (Jet1.z_power(5) * Jet1.of(eta_sum(((1, -1, {12: 1, 4: 2}),), n))
-          * jet_theta(-1, 4, 1, 12, m)
-          / (Jet1.of(eta_quotient({8: 1, 6: 1}, m)) * jet_theta(-1, 8, 0, 12, m)
-             * jet_theta(-1, 8, 4, 12, m)))
-    t2 = (Jet1.of(eta_quotient({12: 2, 8: 1, 24: -2, 4: -1}, m))
-          * jet_theta(1, 8, 14, 24, m) * jet_theta(1, 8, 14, 24, m))
-    t3 = (Jet1.of(eta_sum(((1, 2, {24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}),), m))
-          * jet_theta(1, 8, 8, 12, m))
-    t4 = (Jet1.z_power(1) * Jet1.of(eta_quotient({12: 3}, m))
-          * jet_theta(1, 4, 1, 2, m) * jet_theta(1, 8, 5, 12, m)
-          / (jet_theta(1, 4, 1, 12, m) * jet_theta(1, 12, 6, 12, m)))
-    t5 = jet_theta(-1, 4, 2, 12, n) / (jet_theta(-1, 8, 4, 12, n)
-                                       * jet_theta(-1, 0, 11, 12, n))
-    t6 = (Jet1.z_power(4) * Jet1.of(QSeries.monomial(1, -1)) * jet_theta(-1, 4, 6, 12, m)
-          / (jet_theta(-1, 8, 0, 12, m) * jet_theta(-1, 0, 5, 12, m)))
-    return (t1 * (t2 - t3) - t4 * (t5 + t6)).f1
-
-
-def _jet_theta_quotient_pair(n):
-    f = ((jet_theta(1, 2, -1, 6, n) * jet_theta(1, 2, 0, 6, n))
-         / (jet_theta(-1, 2, -1, 6, n) * jet_theta(-1, 2, 0, 6, n)))
-    return f.f1
+def _jet_theta_quotient_double():
+    t1 = ((J({12: 1, 4: 2}).map(Jet1.of) * _jt(-1, 4, 1, 12, 5)).shift(1, -1)
+          / (J({8: 1, 6: 1}).map(Jet1.of) * _jt(-1, 8, 0, 12) * _jt(-1, 8, 4, 12)))
+    t2 = J({12: 2, 8: 1, 24: -2, 4: -1}).map(Jet1.of) * _jt(1, 8, 14, 24) * _jt(1, 8, 14, 24)
+    t3 = J({24: 2, 6: 1, 4: 2, 12: -2, 8: -1, 2: -1}).shift(1, 2).map(Jet1.of) * _jt(1, 8, 8, 12)
+    t4 = (J({12: 3}).map(Jet1.of) * _jt(1, 4, 1, 2, 1) * _jt(1, 8, 5, 12)
+          / (_jt(1, 4, 1, 12) * _jt(1, 12, 6, 12)))
+    t5 = _jt(-1, 4, 2, 12) / (_jt(-1, 8, 4, 12) * _jt(-1, 0, 11, 12))
+    t6 = _jt(-1, 4, 6, 12, 4).shift(1, -1) / (_jt(-1, 8, 0, 12) * _jt(-1, 0, 5, 12))
+    return t1 * (t2 - t3) - t4 * (t5 + t6)
 
 
 def _jet_f121_terms(n):
@@ -286,20 +262,6 @@ def _jet_f121_terms(n):
              for c, zd, qd in f_abc_terms(2, 4, 2, monomial(1, 4, 3),
                                           monomial(-1, 2, 4), n)]
     return jet_of_termsum(terms, n)
-
-
-def _jet_f121_decomp_rhs(n):
-    return (jet_theta(-1, 2, 0, 2, n, zshift=-1) * jet_appell((1, 0, 1), 6, (-1, 2, -1), n)
-            - jet_theta(1, 4, 1, 2, n, zshift=-1)
-            * jet_appell((-1, -6, 2), 6, (-1, 2, 5), n))
-
-
-def _jet_m_z_change_rhs(n):
-    corr = (Jet1.of(eta_quotient({6: 3}, n)) * jet_theta(-1, 4, 4, 6, n)
-            * jet_theta(1, 2, 4, 6, n)
-            / (jet_theta(-1, 2, 5, 6, n) * jet_theta(1, 6, 3, 6, n)
-               * jet_theta(-1, 0, 5, 6, n) * jet_theta(1, 4, 5, 6, n)))
-    return jet_appell((-1, -6, 2), 6, (1, 6, 3), n) + corr
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +283,37 @@ def registry():
     # -- univariate Hecke-Rogers identities (order 200) ---------------------
     add(IdentityCase(
         "hecke-hf4", "univariate",
-        lambda n: eta_quotient(J14_over_2, n) * classnum.genfun_F(4, -1, n),
+        (J(J14_over_2) * _lazy(lambda n: classnum.genfun_F(4, -1, n))).build,
         lambda n: mock.hecke_rogers(mock.HR_HF4, n), 200,
         note="J1 J4/J2 * sum F(4n-1) q^n = signed-weight-n indefinite sum"))
     add(IdentityCase(
         "hecke-hf8", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(8, -1, n),
+        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(8, -1, n))).build,
         lambda n: mock.hecke_rogers(mock.HR_HF8, n), 200))
     add(IdentityCase(
         "hecke-hf12", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(12, -1, n),
+        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(12, -1, n))).build,
         lambda n: mock.hecke_rogers(mock.HR_HF12, n), 200))
     add(IdentityCase(
         "hecke-hf24", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(24, -1, n),
+        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(24, -1, n))).build,
         lambda n: mock.hecke_rogers(mock.HR_HF24, n), 200))
     add(IdentityCase(
         "hecke-A", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("A", n),
+        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("A", n))).build,
         lambda n: mock.hecke_rogers(mock.HR_A, n), 200))
     add(IdentityCase(
         "hecke-V1", "univariate",
-        lambda n: eta_quotient(J14_over_2, n) * mock.eulerian("V1", n),
+        (J(J14_over_2) * _lazy(lambda n: mock.eulerian("V1", n))).build,
         lambda n: mock.hecke_rogers(mock.HR_V1, n), 200,
         note="weight is the Kronecker symbol (-4|n)"))
     add(IdentityCase(
         "hecke-sigma", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("sigma", n),
+        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("sigma", n))).build,
         lambda n: mock.hecke_rogers(mock.HR_SIGMA, n), 200))
     add(IdentityCase(
         "hecke-phi-minus", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * mock.eulerian("phi_minus", n),
+        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("phi_minus", n))).build,
         lambda n: mock.hecke_rogers(mock.HR_PHI, n), 200))
     add(IdentityCase(
         "hecke-psi-rhs", "univariate",
@@ -363,31 +325,30 @@ def registry():
     # -- Appell-Lerch corollaries (order 200) -------------------------------
     add(IdentityCase(
         "appell-hf4", "univariate",
-        lambda n: eta_quotient(J12_over_2, n) * classnum.genfun_F(4, -1, n),
+        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(4, -1, n))).build,
         lambda n: mock.appell_rhs(mock.AP_HF4, n), 200))
     add(IdentityCase(
         "appell-hf8", "univariate",
-        lambda n: eta_quotient(J22_over_4, n) * classnum.genfun_F(8, -1, n),
+        (J(J22_over_4) * _lazy(lambda n: classnum.genfun_F(8, -1, n))).build,
         lambda n: mock.appell_rhs(mock.AP_HF8, n), 200))
     add(IdentityCase(
         "appell-A", "univariate",
-        lambda n: eta_quotient(J22_over_4, n) * mock.eulerian("A", n),
+        (J(J22_over_4) * _lazy(lambda n: mock.eulerian("A", n))).build,
         lambda n: mock.appell_rhs(mock.AP_A, n), 200))
     add(IdentityCase(
         "appell-hf12", "univariate",
-        lambda n: eta_quotient(J32_over_6, n) * classnum.genfun_F(12, -1, n),
-        lambda n: (mock.appell_rhs(mock.AP_HF12, n)
-                   + eta_sum(((2, 1, {12: 1, 6: 1, 2: 5, 4: -1, 1: -2}),), n)),
+        (J(J32_over_6) * _lazy(lambda n: classnum.genfun_F(12, -1, n))).build,
+        (_appell(mock.AP_HF12) + J({12: 1, 6: 1, 2: 5, 4: -1, 1: -2}).shift(2, 1)).build,
         200, note="includes the eta correction term 2q J12 J6 J2^5/(J4 J1^2)"))
     add(IdentityCase(
         "appell-sigma", "univariate",
-        lambda n: eta_quotient(J32_over_6, n) * mock.eulerian("sigma", n),
+        (J(J32_over_6) * _lazy(lambda n: mock.eulerian("sigma", n))).build,
         lambda n: mock.appell_rhs(mock.AP_SIGMA, n), 200))
     add(IdentityCase(
         "appell-hf24", "univariate",
-        lambda n: eta_quotient(J62_over_12, n) * classnum.genfun_F(24, -1, n),
-        lambda n: (mock.appell_rhs(mock.AP_HF24_A, n) + mock.appell_rhs(mock.AP_HF24_B, n)
-                   + eta_sum(((2, 1, {12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}),), n)),
+        (J(J62_over_12) * _lazy(lambda n: classnum.genfun_F(24, -1, n))).build,
+        (_appell(mock.AP_HF24_A) + _appell(mock.AP_HF24_B)
+         + J({12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}).shift(2, 1)).build,
         200, note="two bilateral sums plus 2q J12^2 J3^2 J2^6/(J6^2 J4 J1^3)"))
 
     # -- bivariate z-analogs (formal_z, order 100) ---------------------------
@@ -396,21 +357,21 @@ def registry():
     # and adds one shifted copy of the packed F4/F8 per monomial
     add(IdentityCase(
         "bivar-f8z-hecke", "formal_z",
-        lambda n: jtheta(monomial(1, 1, 1), 2, n) * mock.F8_series(n),
+        (_th(monomial(1, 1, 1), 2) * _lazy(mock.F8_series)).build,
         lambda n: mock.hecke_rogers(mock.HR_F8Z, n), 100,
         note="(zq, q/z, q^2; q^2)_inf F8(z,q) against the geom_j-weighted sum"))
     add(IdentityCase(
         "bivar-f4z-hecke", "formal_z",
-        lambda n: jtheta(monomial(-1, 1, 1), 1, n) * mock.F4_series(n).alternate(),
+        (_th(monomial(-1, 1, 1)) * _lazy(mock.F4_series).map(QSeries.alternate)).build,
         lambda n: mock.hecke_rogers(mock.HR_F4Z, n), 100,
         note="(-zq, -1/z, q; q)_inf F4(z,-q) against the geom_n-weighted sum"))
     add(IdentityCase(
         "bivar-f4z-appell", "formal_z",
-        lambda n: jtheta(monomial(1, 1, 1), 2, n) * mock.F4_series(n),
+        (_th(monomial(1, 1, 1), 2) * _lazy(mock.F4_series)).build,
         lambda n: mock.appell_rhs(mock.AP_F4Z, n), 100))
     add(IdentityCase(
         "bivar-f8z-appell", "formal_z",
-        lambda n: jtheta(monomial(1, 2, 2), 4, n) * mock.F8_series(n),
+        (_th(monomial(1, 2, 2), 4) * _lazy(mock.F8_series)).build,
         lambda n: mock.appell_rhs(mock.AP_F8Z, n), 100))
 
     # -- specializations of F4/F8 (order 100) --------------------------------
@@ -454,18 +415,18 @@ def registry():
 
     # -- eta-quotient identities (order 150) ----------------------------------
     add(IdentityCase(
-        "eta-u3-j1cubed", "univariate", lambda n: eta_quotient({1: 3}, 3 * n).sift(3),
-        lambda n: eta_sum(U3_J1_CUBED, n), 150,
+        "eta-u3-j1cubed", "univariate", J({1: 3}).sift(3).build, E(U3_J1_CUBED).build, 150,
         note="U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3"))
     add(IdentityCase(
         "eta-hf12-7-split", "univariate",
-        lambda n: classnum.genfun_F(12, 7, n), _hf12_7_hsum, 150,
+        lambda n: classnum.genfun_F(12, 7, n),
+        (_lazy(lambda n: classnum.genfun_H(24, 7, n)).inflate(2)
+         + _lazy(lambda n: classnum.genfun_H(24, 19, n)).inflate(2).shift(3, 1)).build, 150,
         note="sum F(12n+7) q^n split into H(24n+7) and 3q H(24n+19) parts"))
     add(IdentityCase(
         "eta-hf12-7-pair", "univariate",
         lambda n: classnum.genfun_F(12, 7, n),
-        lambda n: eta_sum(((1, 0, {6: 2, 4: 5, 12: -1, 2: -3}), (3, 1, {12: 3, 4: 1, 2: -1})),
-                          n), 150,
+        E(((1, 0, {6: 2, 4: 5, 12: -1, 2: -3}), (3, 1, {12: 3, 4: 1, 2: -1}))).build, 150,
         note="= J6^2 J4^5/(J12 J2^3) + 3q J12^3 J4/J2"))
     add(IdentityCase(
         "eta-hf12-7-quotient", "univariate",
@@ -479,102 +440,99 @@ def registry():
         note="sum H(24n+7) q^n = J3^2 J2^5/(J6 J1^3)"))
 
     # -- 3-dissections (order 150) --------------------------------------------
-    def _tuple_dissect(series_fn, p):
-        # component i is certified through (order - i) // p
-        return lambda n: tuple(series_fn(p * n + p - 1).dissect(p)[i].truncate(n)
-                               for i in range(p))
-
     add(IdentityCase(
         "dissect-j1j2-3", "univariate",
-        _tuple_dissect(lambda m: eta_quotient(J12_over_2, m), 3),
+        J(J12_over_2).dissect(3).build,
         lambda n: (eta_quotient(J32_over_6, n),
                    -eta_quotient({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
                    QSeries.zero(n)), 150,
         note="3-dissection of J_1^2/J_2"))
     add(IdentityCase(
         "dissect-j2j4-3", "univariate",
-        _tuple_dissect(lambda m: eta_quotient(J22_over_4, m), 3),
+        J(J22_over_4).dissect(3).build,
         lambda n: (eta_quotient(J62_over_12, n),
                    QSeries.zero(n),
                    -eta_quotient({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
         note="3-dissection of J_2^2/J_4"))
     add(IdentityCase(
         "dissect-hf4-3", "univariate",
-        _tuple_dissect(lambda m: classnum.genfun_F(4, -1, m), 3),
+        _lazy(lambda n: classnum.genfun_F(4, -1, n)).dissect(3).build,
         lambda n: (classnum.genfun_F(12, -1, n), classnum.genfun_F(12, 3, n),
                    classnum.genfun_F(12, 7, n)), 150))
     add(IdentityCase(
         "dissect-hf8-3", "univariate",
-        _tuple_dissect(lambda m: classnum.genfun_F(8, -1, m), 3),
+        _lazy(lambda n: classnum.genfun_F(8, -1, n)).dissect(3).build,
         lambda n: (classnum.genfun_F(24, -1, n), classnum.genfun_F(24, 7, n),
                    classnum.genfun_F(24, 15, n)), 150))
     add(IdentityCase(
         "dissect-appell-hf4-3", "univariate",
-        _sift_build(lambda m: mock.appell_rhs(mock.AP_HF4, m), 3),
-        lambda n: mock.appell_rhs(mock.AP_HF12, n), 150,
+        _appell(mock.AP_HF4).sift(3).build, lambda n: mock.appell_rhs(mock.AP_HF12, n), 150,
         note="U_3 of the HF4 Appell sum is the HF12 Appell sum"))
     add(IdentityCase(
         "dissect-appell-hf8-3", "univariate",
-        _sift_build(lambda m: mock.appell_rhs(mock.AP_HF8, m), 3),
-        lambda n: mock.appell_rhs(mock.AP_HF24_A, n) + mock.appell_rhs(mock.AP_HF24_B, n),
-        150, note="U_3 of the HF8 Appell sum is the two-part HF24 Appell sum"))
+        _appell(mock.AP_HF8).sift(3).build,
+        (_appell(mock.AP_HF24_A) + _appell(mock.AP_HF24_B)).build, 150,
+        note="U_3 of the HF8 Appell sum is the two-part HF24 Appell sum"))
 
     # -- derivative lemmas via jets (order 80; two heavier targets at 150) ----
     # d/dz z^zshift j(sign z^a q^b; q^base)|_1 against an eta sum
     half = Fraction(1, 2)
+    m_theta_a = _jt(-1, 2, 0, 2, -1) * _ja((1, 0, 1), 6, (-1, 2, -1))
     for cid, (sign, a, b, base, zshift), rhs, note in (
-            ("dz-j-zq-q2", (1, 1, 1, 2, 0), (), "d/dz j(zq;q^2)|_1 = 0"),
-            ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), (), "d/dz j(-zq;q^2)|_1 = 0"),
-            ("dz-j-mz2-q1", (-1, 2, 0, 1, -1), (), "d/dz (1/z) j(-z^2;q)|_1 = 0"),
-            ("dz-j-z6q-q3", (1, 6, 1, 3, -1), _scaled(-1, 0, U3_J1_CUBED), ""),
-            ("dz-j-mz6q-q3", (-1, 6, 1, 3, -1), ((-1, 0, J15_over_22),), ""),
-            ("dz-j-z4q-q4", (1, 4, 1, 4, -1), ((-1, 0, {2: 9, 4: -3, 1: -3}),), ""),
-            ("dz-j-mz4q-q4", (-1, 4, 1, 4, -1), ((-1, 0, {1: 3}),), ""),
-            ("dz-j-z3q-q6", (1, 3, 1, 6, -1), ((-1, 0, {2: 5, 1: -2}),), ""),
-            ("dz-j-mz3q-q6", (-1, 3, 1, 6, -1), ((-1, 0, {4: 2, 1: 2, 2: -1}),), ""),
+            ("dz-j-zq-q2", (1, 1, 1, 2, 0), E(()), "d/dz j(zq;q^2)|_1 = 0"),
+            ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), E(()), "d/dz j(-zq;q^2)|_1 = 0"),
+            ("dz-j-mz2-q1", (-1, 2, 0, 1, -1), E(()), "d/dz (1/z) j(-z^2;q)|_1 = 0"),
+            ("dz-j-z6q-q3", (1, 6, 1, 3, -1), E(U3_J1_CUBED).shift(-1, 0), ""),
+            ("dz-j-mz6q-q3", (-1, 6, 1, 3, -1), J(J15_over_22).shift(-1, 0), ""),
+            ("dz-j-z4q-q4", (1, 4, 1, 4, -1), J({2: 9, 4: -3, 1: -3}).shift(-1, 0), ""),
+            ("dz-j-mz4q-q4", (-1, 4, 1, 4, -1), J({1: 3}).shift(-1, 0), ""),
+            ("dz-j-z3q-q6", (1, 3, 1, 6, -1), J({2: 5, 1: -2}).shift(-1, 0), ""),
+            ("dz-j-mz3q-q6", (-1, 3, 1, 6, -1), J({4: 2, 1: 2, 2: -1}).shift(-1, 0), ""),
             ("dz-j-mz12q5-q12", (-1, 12, 5, 12, -1),
-             _scaled(-half, 0, U3_J1_CUBED + ((1, 0, J15_over_22),)), ""),
+             E(U3_J1_CUBED + ((1, 0, J15_over_22),)).shift(-half, 0), ""),
             ("dz-j-mz12q-q12", (-1, 12, 1, 12, -5),
-             _scaled(-half, -1, U3_J1_CUBED + ((-1, 0, J15_over_22),)), ""),
+             E(U3_J1_CUBED + ((-1, 0, J15_over_22),)).shift(-half, -1), ""),
             ("dz-j-z12q5-q12", (1, 12, 5, 12, -1),
-             _scaled(-half, 0, Z12_PAIR + ((1, 0, {2: 13, 4: -5, 1: -5}),)), ""),
+             E(Z12_PAIR + ((1, 0, {2: 13, 4: -5, 1: -5}),)).shift(-half, 0), ""),
             ("dz-j-z12q-q12", (1, 12, 1, 12, -5),
-             _scaled(half, -1, Z12_PAIR + ((-1, 0, {2: 13, 4: -5, 1: -5}),)), "")):
-        add(IdentityCase(
-            cid, "jet",
-            lambda n, j=(sign, a, b, base), zshift=zshift: jet_theta(*j, n, zshift=zshift).f1,
-            lambda n, rhs=rhs: eta_sum(rhs, n), 80, note=note))
+             E(Z12_PAIR + ((-1, 0, {2: 13, 4: -5, 1: -5}),)).shift(half, -1), "")):
+        add(IdentityCase(cid, "jet", _jt(sign, a, b, base, zshift).map(_f1).build, rhs.build,
+                         80, note=note))
     add(IdentityCase(
-        "dz-theta-quotient-q6-pair", "jet", _jet_theta_quotient_pair,
+        "dz-theta-quotient-q6-pair", "jet",
+        (_jt(1, 2, -1, 6) * _jt(1, 2, 0, 6)
+         / (_jt(-1, 2, -1, 6) * _jt(-1, 2, 0, 6))).map(_f1).build,
         lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n), 80,
         note="theta-quotient derivative inside the first q^6 lemma"))
     add(IdentityCase(
         "dz-m-appell-q6", "jet",
-        lambda n: jet_appell((1, 0, 1), 6, (-1, 2, -1), n).f1,
+        _ja((1, 0, 1), 6, (-1, 2, -1)).map(_f1).build,
         lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n).scale(-half),
         80, note="d/dz m(q, q^6, -z^2/q)|_1"))
     add(IdentityCase(
-        "dz-m-times-theta-q6-a", "jet", _jet_m_times_theta_a,
+        "dz-m-times-theta-q6-a", "jet", m_theta_a.map(_f1).build,
         lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n), 80))
     add(IdentityCase(
-        "dz-m-times-theta-q6-b", "jet", _jet_m_times_theta_b,
-        lambda n: -(eta_quotient({6: 1, 1: 2, 3: -2, 2: -1}, n)
-                    * mock.appell_rhs(mock.AP_HF12, n)), 80))
+        "dz-m-times-theta-q6-b", "jet",
+        (_jt(1, 4, 1, 2, -1) * _ja((-1, -6, 2), 6, (1, 6, 3))).map(_f1).build,
+        (J({6: 1, 1: 2, 3: -2, 2: -1}) * _appell(mock.AP_HF12)).shift(-1, 0).build, 80))
     add(IdentityCase(
-        "dz-theta-quotient-q6-sixfold", "jet", _jet_theta_quotient_sixfold,
-        lambda n: eta_sum(Q6_SIXFOLD, n), 150))
+        "dz-theta-quotient-q6-sixfold", "jet",
+        (_jt(1, 4, 1, 2) * _jt(-1, 4, 4, 6) * _jt(1, 2, 4, 6)
+         / (_jt(-1, 2, 5, 6, 1) * _jt(1, 6, 3, 6) * _jt(-1, 0, 5, 6) * _jt(1, 4, 5, 6))
+         ).map(_f1).build, E(Q6_SIXFOLD).build, 150))
     add(IdentityCase(
-        "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double,
-        lambda n: eta_sum(((-2, 1, {12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}),), n), 150))
+        "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double().map(_f1).build,
+        J({12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}).shift(-2, 1).build, 150))
     add(IdentityCase(
         "dz-eta-logderiv-combo", "univariate",
-        lambda n: (eta_sum(((Fraction(2, 3), 0, {6: 1, 2: 2, 1: 3, 12: -2, 3: -3}),
-                            (Fraction(-2, 3), 0, {6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}),
-                            (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})), n)
-                   + eta_quotient({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4}, n)
-                   * eta_sum(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})), n)),
-        lambda n: eta_sum(Q6_SIXFOLD, n),
-        150, note="logarithmic-derivative eta combination from the q^6 quotient lemma"))
+        (E(((Fraction(2, 3), 0, {6: 1, 2: 2, 1: 3, 12: -2, 3: -3}),
+            (Fraction(-2, 3), 0, {6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}),
+            (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})))
+         + J({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4})
+         * E(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})))).build,
+        E(Q6_SIXFOLD).build, 150,
+        note="logarithmic-derivative eta combination from the q^6 quotient lemma"))
     add(IdentityCase(
         "dz-f121-hecke", "jet",
         lambda n: _jet_f121_terms(n).f1,
@@ -583,12 +541,15 @@ def registry():
     add(IdentityCase(
         "dz-f121-decomp", "jet",
         lambda n: _jet_f121_terms(n).f1,
-        lambda n: _jet_f121_decomp_rhs(n).f1, 80,
+        (m_theta_a - _jt(1, 4, 1, 2, -1) * _ja((-1, -6, 2), 6, (-1, 2, 5))).map(_f1).build, 80,
         note="the same jet through the theta/Appell-Lerch decomposition"))
     add(IdentityCase(
         "dz-m-z-change", "jet",
-        lambda n: jet_appell((-1, -6, 2), 6, (-1, 2, 5), n).f1,
-        lambda n: _jet_m_z_change_rhs(n).f1, 80,
+        _ja((-1, -6, 2), 6, (-1, 2, 5)).map(_f1).build,
+        (_ja((-1, -6, 2), 6, (1, 6, 3))
+         + J({6: 3}).map(Jet1.of) * _jt(-1, 4, 4, 6) * _jt(1, 2, 4, 6)
+         / (_jt(-1, 2, 5, 6) * _jt(1, 6, 3, 6) * _jt(-1, 0, 5, 6) * _jt(1, 4, 5, 6))
+         ).map(_f1).build, 80,
         note="z-argument change m(.,q^6,-q^5 z^2) -> m(.,q^6,q^3 z^6) plus theta term"))
 
     # -- Appell-Lerch machinery instances (orders 30-40) ----------------------
@@ -613,28 +574,28 @@ def registry():
     add(IdentityCase(
         "mrel-f151-theta14", "univariate",
         lambda n: f_abc(1, 5, 1, *_W_F151, n),
-        lambda n: (g_abc(1, 5, 1, *_W_F151, monomial(1, 0, 1), monomial(1, 0, -1), n)
-                   - theta_1_4(*_W_F151, n)), 40, allow_fail=True,
+        (_g_abc_deferred(1, 5, 1, *_W_F151, monomial(1, 0, 1), monomial(1, 0, -1))
+         - _theta_1_4_deferred(*_W_F151)[2]).build, 40, allow_fail=True,
         note="f_{1,5,1} = g_{1,5,1} - Theta_{1,4} with the correction transcribed "
              "verbatim; the printed formula repeats j(y/x;q^24) in numerator and "
              "denominator and fails at q^0 (the same instance matches with the "
              "correction's sign flipped; reconciliation left to the reader)"))
     add(IdentityCase(
-        "mrel-evenodd", "formal_z", _evenodd_cleared_lhs,
-        lambda n: _theta_side(n) * jtheta(monomial(1, -2, 2), 4, n), 40,
+        "mrel-evenodd", "formal_z", _evenodd_cleared_lhs().build,
+        (_theta_side() * _th(monomial(1, -2, 2), 4)).build, 40,
         note="even/odd split of m(-z,q,-1) into base-q^4 sums plus "
              "j(q;q^2)^2/(2 j(z;q)), times 2 j(z;q) j(-1;q) j(q^2/z^2;q^4)"))
 
     # -- Appell-Lerch bridges for F4/F8, denominators cleared (order 60) ------
     add(IdentityCase(
         "numz-f4-appell", "formal_z",
-        lambda n: (jtheta(monomial(-1, 0, 1), 2, n) * mock.F4_series(n)
-                   ).scale(ZPoly({0: 1, -1: -1})),
+        (_th(monomial(-1, 0, 1), 2) * _lazy(mock.F4_series)
+         ).shift(ZPoly({0: 1, -1: -1}), 0).build,
         lambda n: mock.appell_rhs(mock.AP_M_F4Z, n), 60,
         note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q), times j(-q;q^2)"))
     add(IdentityCase(
-        "numz-f8-appell", "formal_z", _f8_cleared_lhs,
-        lambda n: _theta_side(n).scale(ZPoly.monomial(1, 1)), 60,
+        "numz-f8-appell", "formal_z", _f8_cleared_lhs().build,
+        _theta_side().shift(ZPoly.monomial(1, 1), 0).build, 60,
         note="F8(z,q) = -z/(1-z) (m(-z,q,-1) - j(q;q^2)^2/(2 j(z;q))), "
              "times 2 (1-z) j(z;q) j(-1;q)"))
 
@@ -661,7 +622,7 @@ def registry():
     add(IdentityCase(
         "consecutive-eq-unimodal", "univariate",
         lambda n: combinat.Q_series(n, "formula"),
-        lambda n: combinat.P_series(2 * n, "formula").sift(2), 150,
+        _lazy(lambda n: combinat.P_series(n, "formula")).sift(2).build, 150,
         note="Q(n) = P(2n)"))
     add(IdentityCase(
         "unimodal-methods", "univariate",

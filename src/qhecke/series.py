@@ -569,15 +569,3 @@ def _eta_product(key, n):
     for k, e in key:
         out = out * eta_quotient({1: e}, n // k).inflate(k)
     return out
-
-
-def eta_sum(terms, n):
-    """Sum of c * q^s * prod J_delta^r over (c, s, {delta: r}) terms, to order n.
-
-    Each quotient is built to n - s, so every term is certified through
-    exactly q^n.
-    """
-    out = QSeries.zero(n)
-    for c, s, powers in terms:
-        out = out + eta_quotient(powers, n - s).shift(c, s)
-    return out

@@ -15,11 +15,17 @@ the order, and no others.  jtheta is the one term sum of j (jets.py
 takes its image at z = 1).  An Appell-Lerch sum is one
 mock.AppellRhsSpec run by mock.appell_rhs, over series.appell_range,
 with each term over its own denominator summed by series.geometric_sum.
+
+Deferred is a series, or a jet, not yet built, with a lower bound on its
+valuation.  Its steps are the one place the orders of operands are
+chosen: g_abc, theta_1_4 and every registry side that combines builders
+are Deferred expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .errors import PoleError
@@ -133,50 +139,62 @@ def f_abc(a, b, c, x: Monomial, y: Monomial, n):
     return _integral(f_abc_terms(a, b, c, x, y, n), n)
 
 
-def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
-    """g_{a,b,c}(x,y,q,z1,z0): two t-sums of theta times Appell-Lerch terms.
-
-    The second t-sum is the first with (a, x, z0) and (c, y, z1) swapped.
-    Each factor of a term is built to n minus the other's valuation when
-    that is negative: theta_low gives the theta's, the built series the
-    Appell-Lerch sum's.
+def _g_abc_deferred(a, b, c, x: Monomial, y: Monomial, z1, z0):
+    """g_{a,b,c}(x,y,q,z1,z0), unbuilt: two t-sums of theta times
+    Appell-Lerch terms, the second the first with (a, x, z0) and
+    (c, y, z1) swapped.  An Appell-Lerch factor m(x, q^base, z) has low 0,
+    as its numerator starts no lower than j(z; q^base) (see appell_cleared).
     """
+    _z_free(x, y, z1, z0)
     mbase = a * (b * b - a * c)
 
     def t_sum(a, c, xm, ym, z):
-        out = QSeries.zero(n)
+        out = Deferred(0, QSeries.zero)
         for t in range(a):
             pref = (ym.neg() ** t).qshift(c * t * (t - 1) // 2)
-            jarg = xm.qshift(b * t)
             marg = ((ym.neg() ** a) * (xm.neg() ** (-b))).neg().qshift(
                 a * b * (b + 1) // 2 - c * a * (a + 1) // 2 - t * (b * b - a * c))
-            m = n - min(pref.qdeg, 0)
-            mser = appell_m(marg, mbase, z, m - min(theta_low(jarg.qdeg, a), 0))
-            jfac = jtheta(jarg, a, m - min(mser.valuation() or 0, 0))
-            out = out + (jfac * mser).shift(pref.coef, pref.qdeg)
+            term = (Deferred.theta(xm.qshift(b * t), a)
+                    * Deferred(0, partial(appell_m, marg, mbase, z)))
+            out = out + term.shift(pref.coef, pref.qdeg)
         return out
 
-    _z_free(x, y, z1, z0)
     return t_sum(a, c, x, y, z0) + t_sum(c, a, y, x, z1)
+
+
+def g_abc(a, b, c, x: Monomial, y: Monomial, z1, z0, n):
+    """The indefinite-theta block g_{a,b,c}(x,y,q,z1,z0) to order n."""
+    return _g_abc_deferred(a, b, c, x, y, z1, z0).build(n)
 
 
 @dataclass(frozen=True)
 class Deferred:
-    """A series not yet built: build(n) certifies it through q^n, and its
-    valuation is at least low (exactly low where it is inverted).
+    """A series, or a jets.Jet1, not yet built: build(n) certifies it
+    through q^n, and its valuation is at least low (exactly low where it
+    is inverted).  A leaf is a builder with its low; every step below
+    builds its operands once, to the orders the QSeries operation needs.
 
-    Operands are built to the orders QSeries.__mul__, .shift and .invert
-    need: a factor q^d or of valuation v < 0 means the other is built to
-    n - d or n - v.  A positive valuation is not used to build less, as a
-    factor built below it is zero and __mul__ cannot see where it starts.
+    This is the builder contract of every registry side: asked for order
+    n, a side certifies at least q^n and builds only its own terms, with
+    no padding.  A factor q^d or of valuation v < 0 means the other is
+    built to n - d or n - v; U_p needs its operand to p*n, a p-dissection
+    to p*n + p - 1, and q -> q^p only to n // p.  A positive valuation is
+    not used to build less, as a factor built below it is zero and
+    __mul__ cannot see where it starts.
     """
 
     low: int
-    build: Callable
+    fn: Callable
+
+    def build(self, n):
+        return self.fn(n)
 
     def __mul__(self, other):
         a, b = min(self.low, 0), min(other.low, 0)
         return Deferred(self.low + other.low, lambda n: self.build(n - b) * other.build(n - a))
+
+    def __truediv__(self, other):
+        return self * other.invert()
 
     def __pow__(self, k):
         return Deferred(k * self.low, lambda n: self.build(n - (k - 1) * min(self.low, 0)) ** k)
@@ -195,6 +213,24 @@ class Deferred:
         v = self.low
         return Deferred(-v, lambda n: self.build(max(n + 2 * v, v)).invert())
 
+    def map(self, f):
+        """f of the build, for an f that keeps its order and lowers no
+        valuation: alternate, scale, eval_z, Jet1.of, the jet's f1."""
+        return Deferred(self.low, lambda n: f(self.build(n)))
+
+    def sift(self, p):
+        """U_p: the coefficient of q^n is that of q^(p n)."""
+        return Deferred(-(-self.low // p), lambda n: self.build(p * n).sift(p))
+
+    def dissect(self, p):
+        """The tuple (f_0, ..., f_{p-1}) with f = sum_i q^i f_i(q^p)."""
+        return Deferred(self.low // p, lambda n: tuple(
+            f.truncate(n) for f in self.build(p * n + p - 1).dissect(p)))
+
+    def inflate(self, p):
+        """q -> q^p."""
+        return Deferred(p * self.low, lambda n: self.build(n // p).inflate(p))
+
     @classmethod
     def theta(cls, x: Monomial, base=1):
         """j(x; q^base)."""
@@ -204,6 +240,12 @@ class Deferred:
     def eta(cls, powers):
         """The eta quotient prod J_k^e over powers {k: e}."""
         return cls(0, lambda n: eta_quotient(powers, n))
+
+    @classmethod
+    def eta_sum(cls, terms):
+        """sum c q^s prod J_delta^r over (c, s, {delta: r}) terms."""
+        return sum((cls.eta(powers).shift(c, s) for c, s, powers in terms),
+                   cls(0, QSeries.zero))
 
 
 def _theta_1_4_deferred(xm: Monomial, ym: Monomial):

@@ -6,8 +6,9 @@ carry random coefficients beyond it.  Through the order the first result
 claims, both results must have the same coefficients, and the longer
 inputs must certify at least as far.  A jet is checked the same way, each
 of its two series a truncated pair.  The builders geometric_sum and
-eta_sum take exact terms and an order instead: the same terms summed to
-a longer order must agree with them through the order they claim.
+Deferred.eta_sum take exact terms and an order instead: the same terms
+summed to a longer order must agree with them through the order they
+claim.
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhecke.jets import Jet1
 from qhecke.rings import ZPoly
-from qhecke.series import INF, QSeries, eta_sum, geometric_sum
+from qhecke.series import INF, QSeries, geometric_sum
+from qhecke.theta import Deferred
 
 prop = settings(deadline=None, max_examples=150)
 
@@ -305,6 +307,74 @@ eta_terms = st.lists(st.tuples(st.integers(-6, 6),
        st.integers(1, 8))
 def test_eta_sum_claims_no_more_than_its_terms_know(cs, shifts_powers, n, more):
     terms = [(c, s, powers) for c, (s, powers) in zip(cs, shifts_powers)]
-    got = eta_sum(terms, n)
+    got = Deferred.eta_sum(terms).build(n)
     assert has_kind(got, "rational") and got.order == n
-    assert_agree(got, eta_sum(terms, n + more))
+    assert_agree(got, Deferred.eta_sum(terms).build(n + more))
+
+
+# -- Deferred steps ----------------------------------------------------------
+# A leaf is an exact series with its valuation as low, built by truncation
+# to the order it is asked for.  A step built at n must certify at least
+# q^n, start no lower than its low, and agree through q^n with its build at
+# 2n + 7.
+
+step_prop = settings(deadline=None, max_examples=50)
+step_orders = st.integers(-4, 20)
+
+
+@st.composite
+def leaf(draw, kind):
+    coeff = coeffs_of(kind)
+    lead = z_units if kind == "laurent" else coeff.filter(bool)
+    min_exp = draw(st.integers(-6, 8))
+    f = QSeries(min_exp, [draw(lead)] + draw(st.lists(coeff, max_size=16)), INF)
+    return Deferred(min_exp, f.truncate)
+
+
+def assert_step(step, n):
+    short, deep = step.build(n), step.build(2 * n + 7)
+    if not isinstance(short, tuple):
+        short, deep = (short,), (deep,)
+    assert len(short) == len(deep)
+    for f, g in zip(short, deep):
+        for a, b in ((f.f0, g.f0), (f.f1, g.f1)) if isinstance(f, Jet1) else ((f, g),):
+            assert a.order >= n
+            low = a.valuation()
+            assert low is None or low >= step.low
+            assert_agree(a.truncate(n), b)
+
+
+@step_prop
+@given(all_kinds.flatmap(leaf), st.integers(1, 4), step_orders)
+def test_deferred_sift_builds_what_it_claims(f, p, n):
+    assert_step(f.sift(p), n)
+
+
+@step_prop
+@given(all_kinds.flatmap(leaf), st.integers(1, 4), step_orders)
+def test_deferred_inflate_builds_what_it_claims(f, p, n):
+    assert_step(f.inflate(p), n)
+
+
+@step_prop
+@given(all_kinds.flatmap(leaf), st.integers(1, 4), step_orders)
+def test_deferred_dissect_builds_what_it_claims(f, p, n):
+    assert_step(f.dissect(p), n)
+
+
+MAPS = {"alternate": QSeries.alternate, "scale": lambda f: f.scale(Fraction(-3, 2)),
+        "eval_z": lambda f: f.eval_z(Fraction(2, 3)), "Jet1.of": Jet1.of,
+        "f1": lambda f: Jet1.of(f).f1}
+
+
+@step_prop
+@given(all_kinds.flatmap(leaf), st.sampled_from(sorted(MAPS)), step_orders)
+def test_deferred_map_builds_what_it_claims(f, name, n):
+    assert_step(f.map(MAPS[name]), n)
+
+
+@step_prop
+@given(leaf("laurent"), rationals.filter(bool), st.integers(-6, 6), step_orders)
+def test_deferred_jet_shift_builds_what_it_claims(f, c, d, n):
+    # Deferred.shift of a jet runs Jet1.shift on both of its series
+    assert_step(f.map(Jet1.of).shift(c, d), n)

@@ -14,8 +14,9 @@ from qhecke import kernels, series
 from qhecke.errors import NonUnitError, PoleError
 from qhecke.jets import Jet1
 from qhecke.rings import ZPoly, specialise
-from qhecke.series import (INF, QSeries, eta_quotient, eta_sum, etaq, etaq_inv, geom_ratio,
+from qhecke.series import (INF, QSeries, eta_quotient, etaq, etaq_inv, geom_ratio,
                            geometric_sum, monomial, pochhammer)
+from qhecke.theta import Deferred
 from qhecke.verify import _compare
 
 
@@ -430,7 +431,7 @@ _small = st.integers(-5, 5)
 def test_eta_sum_certifies_exactly_n(terms, n):
     # the terms with s > n (drawn at n <= 2, and in the examples) are
     # built below q^0 and must still come back certified through q^n
-    got = eta_sum(terms, n)
+    got = Deferred.eta_sum(terms).build(n)
     assert got.order == n
     want = QSeries.zero(n)
     for c, s, powers in terms:

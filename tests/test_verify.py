@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,9 +13,11 @@ import pytest
 from qhecke.registry import get_case, registry, registry_ids
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries
+from qhecke.theta import Deferred
 from qhecke.verify import all_passed, run_case, verify
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+IDENTITIES = Path(__file__).resolve().parent.parent / "IDENTITIES.md"
 
 SAMPLE = ["hecke-hf8", "appell-hf4", "dz-j-z6q-q3", "mrel-evenodd",
           "cong-hf8-A", "dissect-j1j2-3", "spec-f4-at-i"]
@@ -30,6 +33,31 @@ def test_registry_well_formed():
     flagged = [c.id for c in cases if c.allow_fail]
     assert flagged == ["mrel-f151-theta14"]
     assert all(c.default_order >= 30 for c in cases)
+
+
+def _documented_ids():
+    """Patterns for the ids in the first column of every "| id | statement |"
+    table of IDENTITIES.md: `a-w1/w2` is a-w1 and a-w2, `a` / `b` is
+    both, and {m} stands for a number."""
+    pats, in_table = [], False
+    for line in IDENTITIES.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| id | statement |"):
+            in_table = True
+        elif not line.startswith("|"):
+            in_table = False
+        elif in_table and not line.startswith("|--"):
+            for name in re.findall(r"`([^`]+)`", line.split(" | ")[0]):
+                stem = name.removesuffix("-w1/w2")
+                for cid in ([stem + "-w1", stem + "-w2"] if stem != name else [name]):
+                    pats.append(re.escape(cid).replace(re.escape("{m}"), r"\d+"))
+    return pats
+
+
+def test_identities_md_and_the_registry_list_the_same_ids():
+    pats, ids = _documented_ids(), registry_ids()
+    assert len(pats) >= 80
+    assert [p for p in pats if not any(re.fullmatch(p, i) for i in ids)] == []
+    assert [i for i in ids if not any(re.fullmatch(p, i) for p in pats)] == []
 
 
 def test_get_case_unknown():
@@ -163,15 +191,26 @@ def _orders(value):
 
 def test_every_builder_certifies_the_order_it_is_asked_for():
     # run_case asks each side for exactly n, so a side that falls short
-    # would turn its case into an error; check every tuple component
-    short = []
+    # would turn its case into an error; check every tuple component.  A
+    # side bound to Deferred.build must also start no lower than its low,
+    # the bound every step that builds it relies on
+    short, below_low, deferred = [], [], set()
     for case in registry():
         for n in (1, 2, 5, 40):
             for side, build in (("lhs", case.build_lhs), ("rhs", case.build_rhs)):
-                got = _orders(build(n))
+                value = build(n)
+                got = _orders(value)
                 if min(got) < n:
                     short.append((case.id, side, n, min(got)))
-    assert not short
+                owner = getattr(build, "__self__", None)
+                if isinstance(owner, Deferred):
+                    deferred.add((case.id, side))
+                    for v in value if isinstance(value, tuple) else (value,):
+                        val = v.valuation()
+                        if val is not None and val < owner.low:
+                            below_low.append((case.id, side, n, val, owner.low))
+    assert not short and not below_low, (short, below_low)
+    assert len(deferred) >= 100
 
 
 def _bump_rhs(case, e, c=1, component=None):
