@@ -13,6 +13,9 @@ An identity with z in a denominator is certified for every z at once,
 both sides times its theta denominators and the pole factors 1 - c z^k
 of theta.appell_cleared (IDENTITIES.md gives each multiplier).
 
+A value at z = 1, -1 or i, or a z-derivative at z = 1, is read off a
+series in z: by subs_z_one or jets.Jet1.of, or by _at_fourth_roots.
+
 Modes:
   univariate  -- builders return q-series with scalar coefficients
   formal_z    -- builders return series with Laurent-polynomial coefficients
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from math import isqrt
-from operator import attrgetter
+from operator import attrgetter, mul
 from typing import Callable
 
 from . import classnum, combinat, mock
@@ -77,18 +80,22 @@ def _appell(spec):
 # ---------------------------------------------------------------------------
 # builders that need more than a lambda
 
-def _at_i(f):
-    """(Re, Im) of a series at z = i, as two rational series.  i^k is 1,
-    i, -1, -i for k = 0, 1, 2, 3 mod 4, so a coefficient sum_k v_k z^k
-    has Re = s_0 - s_2 and Im = s_1 - s_3, with s_r the sum of the v_k
-    with k = r mod 4."""
-    re, im = [], []
+def _at_fourth_roots(f, *parts):
+    """The rational series sum_r c_r s_r for each part (c_0, ..., c_3),
+    with s_r the sum of the v_k with k = r mod 4 in each coefficient
+    sum_k v_k z^k.  i^k is 1, i, -1, -i for k = 0, 1, 2, 3 mod 4, so z = i
+    has Re = s_0 - s_2 and Im = s_1 - s_3, and z = -1 is s_0 - s_1 + s_2 - s_3."""
+    sums = []
     for c in f.coeffs:
         lo, v = (c.lo, c.coeffs) if type(c) is ZPoly else (0, (c,))
-        s = [sum(v[(r - lo) % 4::4]) for r in range(4)]
-        re.append(s[0] - s[2])
-        im.append(s[1] - s[3])
-    return QSeries(f.min_exp, re, f.order), QSeries(f.min_exp, im, f.order)
+        sums.append([sum(v[(r - lo) % 4::4]) for r in range(4)])
+    return tuple(QSeries(f.min_exp, [sum(map(mul, part, s)) for s in sums], f.order)
+                 for part in parts)
+
+
+def _at_i(f):
+    """(Re, Im) of a series at z = i, as two rational series."""
+    return _at_fourth_roots(f, (1, 0, -1, 0), (0, 1, 0, -1))
 
 
 def _psi_rhs_bruteforce(n):
@@ -240,11 +247,6 @@ def _jt(sign, a, b, base, zshift=0):
     return Deferred(theta_low(b, base), partial(jet_theta, sign, a, b, base, zshift=zshift))
 
 
-def _ja(x, base, w):
-    """Jet of m(x, q^base, w), of low 0 as in theta._g_abc_deferred."""
-    return _lazy(partial(jet_appell, x, base, w))
-
-
 def _jet_theta_quotient_double():
     t1 = ((J({12: 1, 4: 2}).map(Jet1.of) * _jt(-1, 4, 1, 12, 5)).shift(1, -1)
           / (J({8: 1, 6: 1}).map(Jet1.of) * _jt(-1, 8, 0, 12) * _jt(-1, 8, 4, 12)))
@@ -377,16 +379,16 @@ def registry():
     # -- specializations of F4/F8 (order 100) --------------------------------
     add(IdentityCase(
         "spec-f8-at-1", "univariate",
-        lambda n: mock.F8_series(n).eval_z(1),
+        lambda n: mock.F8_series(n).subs_z_one(),
         lambda n: classnum.genfun_F(8, -1, n), 100))
     add(IdentityCase(
         "spec-f8-at-m1", "univariate",
-        lambda n: mock.F8_series(n).alternate().eval_z(-1),
+        lambda n: _at_fourth_roots(mock.F8_series(n).alternate(), (1, -1, 1, -1))[0],
         lambda n: -mock.eulerian("A", n), 100,
         note="F8(-1,-q) = -A(q)"))
     add(IdentityCase(
         "spec-f4-at-1", "univariate",
-        lambda n: mock.F4_series(n).eval_z(1),
+        lambda n: mock.F4_series(n).subs_z_one(),
         lambda n: classnum.genfun_F(4, -1, n), 100))
     add(IdentityCase(
         "spec-f4-at-i", "univariate",
@@ -477,7 +479,12 @@ def registry():
     # -- derivative lemmas via jets (order 80; two heavier targets at 150) ----
     # d/dz z^zshift j(sign z^a q^b; q^base)|_1 against an eta sum
     half = Fraction(1, 2)
-    m_theta_a = _jt(-1, 2, 0, 2, -1) * _ja((1, 0, 1), 6, (-1, 2, -1))
+    # jets of m(q, q^6, -z^2/q) and of m(-q^2/z^6, q^6, w) at w = q^3 z^6
+    # and -q^5 z^2, each of low 0 as in theta._g_abc_deferred
+    m_q6 = _lazy(partial(jet_appell, monomial(1, 0, 1), 6, monomial(-1, 2, -1)))
+    m_z6, m_z2 = (_lazy(partial(jet_appell, monomial(-1, -6, 2), 6, w))
+                  for w in (monomial(1, 6, 3), monomial(-1, 2, 5)))
+    m_theta_a = _jt(-1, 2, 0, 2, -1) * m_q6
     for cid, (sign, a, b, base, zshift), rhs, note in (
             ("dz-j-zq-q2", (1, 1, 1, 2, 0), E(()), "d/dz j(zq;q^2)|_1 = 0"),
             ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), E(()), "d/dz j(-zq;q^2)|_1 = 0"),
@@ -505,8 +512,7 @@ def registry():
         lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n), 80,
         note="theta-quotient derivative inside the first q^6 lemma"))
     add(IdentityCase(
-        "dz-m-appell-q6", "jet",
-        _ja((1, 0, 1), 6, (-1, 2, -1)).map(_f1).build,
+        "dz-m-appell-q6", "jet", m_q6.map(_f1).build,
         lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n).scale(-half),
         80, note="d/dz m(q, q^6, -z^2/q)|_1"))
     add(IdentityCase(
@@ -514,7 +520,7 @@ def registry():
         lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n), 80))
     add(IdentityCase(
         "dz-m-times-theta-q6-b", "jet",
-        (_jt(1, 4, 1, 2, -1) * _ja((-1, -6, 2), 6, (1, 6, 3))).map(_f1).build,
+        (_jt(1, 4, 1, 2, -1) * m_z6).map(_f1).build,
         (J({6: 1, 1: 2, 3: -2, 2: -1}) * _appell(mock.AP_HF12)).shift(-1, 0).build, 80))
     add(IdentityCase(
         "dz-theta-quotient-q6-sixfold", "jet",
@@ -541,12 +547,11 @@ def registry():
     add(IdentityCase(
         "dz-f121-decomp", "jet",
         lambda n: _jet_f121_terms(n).f1,
-        (m_theta_a - _jt(1, 4, 1, 2, -1) * _ja((-1, -6, 2), 6, (-1, 2, 5))).map(_f1).build, 80,
+        (m_theta_a - _jt(1, 4, 1, 2, -1) * m_z2).map(_f1).build, 80,
         note="the same jet through the theta/Appell-Lerch decomposition"))
     add(IdentityCase(
-        "dz-m-z-change", "jet",
-        _ja((-1, -6, 2), 6, (-1, 2, 5)).map(_f1).build,
-        (_ja((-1, -6, 2), 6, (1, 6, 3))
+        "dz-m-z-change", "jet", m_z2.map(_f1).build,
+        (m_z6
          + J({6: 3}).map(Jet1.of) * _jt(-1, 4, 4, 6) * _jt(1, 2, 4, 6)
          / (_jt(-1, 2, 5, 6) * _jt(1, 6, 3, 6) * _jt(-1, 0, 5, 6) * _jt(1, 4, 5, 6))
          ).map(_f1).build, 80,

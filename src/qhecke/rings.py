@@ -160,7 +160,7 @@ class ZPoly:
 
     def dz_at_one(self):
         """d/dz at z = 1: sum of k * c_k."""
-        return sum(k * v for k, v in enumerate(self.coeffs, self.lo))
+        return sum(map(mul, self.coeffs, range(self.lo, self.lo + len(self.coeffs))))
 
     def unit_part(self):
         """Return (coef, zdeg) if this is a single nonzero monomial, else None."""

@@ -11,10 +11,10 @@ the numerator's term at q^0 out.
 
 Every bilateral sum is truncated by an exact index range from
 series.lattice_range: the indices whose lowest q-exponent is at most
-the order, and no others.  jtheta is the one term sum of j (jets.py
-takes its image at z = 1).  An Appell-Lerch sum is one
-mock.AppellRhsSpec run by mock.appell_rhs, over series.appell_range,
-with each term over its own denominator summed by series.geometric_sum.
+the order, and no others.  jtheta is the one term sum of j.  An
+Appell-Lerch sum is one mock.AppellRhsSpec run by mock.appell_rhs, over
+series.appell_range, with each term over its own denominator summed by
+series.geometric_sum; jets.py takes images of jtheta and appell_cleared.
 
 Deferred is a series, or a jet, not yet built, with a lower bound on its
 valuation.  Its steps are the one place the orders of operands are
@@ -179,8 +179,8 @@ class Deferred:
     no padding.  A factor q^d or of valuation v < 0 means the other is
     built to n - d or n - v; U_p needs its operand to p*n, a p-dissection
     to p*n + p - 1, and q -> q^p only to n // p.  A positive valuation is
-    not used to build less, as a factor built below it is zero and
-    __mul__ cannot see where it starts.
+    not used to build less, but a factor is built through q^(low - 1) at
+    least, so that its order shows that it has no term below low.
     """
 
     low: int
@@ -189,15 +189,18 @@ class Deferred:
     def build(self, n):
         return self.fn(n)
 
+    def _factor(self, n):
+        return self.build(max(n, self.low - 1))
+
     def __mul__(self, other):
         a, b = min(self.low, 0), min(other.low, 0)
-        return Deferred(self.low + other.low, lambda n: self.build(n - b) * other.build(n - a))
+        return Deferred(self.low + other.low, lambda n: self._factor(n - b) * other._factor(n - a))
 
     def __truediv__(self, other):
         return self * other.invert()
 
     def __pow__(self, k):
-        return Deferred(k * self.low, lambda n: self.build(n - (k - 1) * min(self.low, 0)) ** k)
+        return Deferred(k * self.low, lambda n: self._factor(n - (k - 1) * min(self.low, 0)) ** k)
 
     def __add__(self, other):
         return Deferred(min(self.low, other.low), lambda n: self.build(n) + other.build(n))
@@ -215,7 +218,7 @@ class Deferred:
 
     def map(self, f):
         """f of the build, for an f that keeps its order and lowers no
-        valuation: alternate, scale, eval_z, Jet1.of, the jet's f1."""
+        valuation: alternate, scale, Jet1.of, the jet's f1."""
         return Deferred(self.low, lambda n: f(self.build(n)))
 
     def sift(self, p):

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhecke.errors import NonUnitError
-from qhecke.jets import Jet1, jet_of_termsum, jet_theta
+from qhecke.errors import NonUnitError, PoleError
+from qhecke.jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from qhecke.rings import ZPoly
-from qhecke.series import QSeries, monomial
+from qhecke.series import QSeries, appell_range, monomial
 from qhecke.theta import jtheta
 from qhecke.verify import _compare
 
@@ -22,7 +23,7 @@ def test_constant_jet_has_zero_derivative():
 
 
 def test_z_squared_derivative():
-    z = Jet1.z_power(1)
+    z = jet_of_termsum([(1, 1, 0)], 10)
     z2 = z * z
     assert z2.f0.coeff(0) == 1
     assert z2.f1.coeff(0) == 2
@@ -100,9 +101,74 @@ def test_eval_z_at_one_agrees_with_jet_value():
 
 def test_jet_appell_keeps_terms_past_empty_rows():
     # the same Appell-Lerch sum as the scalar regression, at z = 1
-    from qhecke.jets import jet_appell
-    low = jet_appell((1, 0, -260), 1, (-1, 1, -20), 50)
-    high = jet_appell((1, 0, -260), 1, (-1, 1, -20), 500)
+    x, w = monomial(1, 0, -260), monomial(-1, 1, -20)
+    low = jet_appell(x, 1, w, 50)
+    high = jet_appell(x, 1, w, 500)
     assert high.f0.coeff(260) == 1
     for lo, hi in ((low.f0, high.f0), (low.f1, high.f1)):
         assert _compare(lo, hi, 50) is None
+
+
+# -- the per-term Appell-Lerch jet, as an oracle ------------------------------
+# Each term of the sum is divided by its own 1 - c z^k q^d with the exact
+# jet rule below.  It shares no code with jet_appell's route through
+# theta.appell_cleared, so the two check each other.
+
+
+def div_one_minus(self, c, k, d):
+    """Divide by (1 - c * z^k * q^d) for any integer d.
+
+    With g = f / (1 - c z^k q^d): g0 = f0 / (1 - c q^d) and, from
+    g (1 - c z^k q^d) = f, g1 = (f1 + c k q^d g0) / (1 - c q^d).
+    """
+    g0 = self.f0.div_one_minus(c, d)
+    f1 = self.f1 + g0.shift(c * k, d) if k else self.f1
+    return Jet1(g0, f1.div_one_minus(c, d))
+
+
+def jet_appell_per_term(x, base, w, n):
+    """Jet of the Appell-Lerch sum m(x(z), q^base, w(z)) at z = 1.
+
+    x and w are triples (sign, zdeg, qdeg) describing sign * z^zdeg * q^qdeg;
+    either may depend on z.  Term r is (-w)^r q^{base r(r-1)/2} over
+    1 - x w q^{base(r-1)}, divided out by Jet1.div_one_minus.
+    """
+    w = monomial(*w)
+    xw = monomial(*x) * w
+    neg = -w.coef  # (-w)^r has sign neg^r
+    total = Jet1.of(QSeries.zero(n))
+    for r in appell_range(base, 2 * w.qdeg - base, 0, base, xw.qdeg - base, n):
+        numer = Jet1.of(QSeries.monomial(ZPoly.monomial(neg ** (r % 2), w.zdeg * r),
+                                         base * r * (r - 1) // 2 + w.qdeg * r, n))
+        total = total + div_one_minus(numer, xw.coef, xw.zdeg, base * (r - 1) + xw.qdeg)
+    return jet_theta(w.coef, w.zdeg, w.qdeg, base, n).invert() * total
+
+
+triples = st.tuples(st.sampled_from((1, -1)), st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(triples, st.sampled_from((1, 2, 3, 6)), triples)
+def test_jet_appell_matches_the_per_term_oracle(x, base, w):
+    if w[0] == 1 and w[2] % base == 0:
+        return  # j(w; q^base) vanishes at z = 1
+    xw = monomial(*x) * monomial(*w)
+    for n in (5, 40, 80):
+        if xw.coef == 1 and xw.qdeg % base == 0:
+            # a term is over 1 - z^k q^0, a pole at z = 1 at every order;
+            # the oracle sees it only at orders that reach its numerator
+            with pytest.raises(PoleError):
+                jet_appell(monomial(*x), base, monomial(*w), n)
+            continue
+        got = jet_appell(monomial(*x), base, monomial(*w), n)
+        want = jet_appell_per_term(x, base, w, n)
+        for g, v in ((got.f0, want.f0), (got.f1, want.f1)):
+            assert g.order >= n
+            assert _compare(g, v, min(n, v.order)) is None
+
+
+def test_jet_appell_pole_at_one():
+    # x w = z^3 q^0: the term over 1 - z^3 has a pole at z = 1
+    for base in (1, 2, 6):
+        with pytest.raises(PoleError):
+            jet_appell(monomial(1, 1, 1), base, monomial(1, 2, -1), 20)

@@ -263,15 +263,6 @@ def test_jet_div_claims_no_more_than_its_inputs_know(pair, other):
     assert_jets_agree(j / k, j_long / k_long)
 
 
-@prop
-@given(jet_pair(), st.sampled_from([-1, 0, 1]), st.integers(1, 5), st.integers(-3, 3),
-       st.data())
-def test_jet_div_one_minus_claims_no_more_than_its_input_knows(pair, sign, m, k, data):
-    (j, j_long), d = pair, sign * m
-    c = data.draw(linear_factor("rational", d, divide=True))
-    assert_jets_agree(j.div_one_minus(c, k, d), j_long.div_one_minus(c, k, d))
-
-
 @st.composite
 def geometric_terms(draw, kind):
     """Up to four (c, e, r, d) terms of c q^e/(1 - r q^d) that geometric_sum
@@ -323,10 +314,10 @@ step_orders = st.integers(-4, 20)
 
 
 @st.composite
-def leaf(draw, kind):
+def leaf(draw, kind, lows=st.integers(-6, 8)):
     coeff = coeffs_of(kind)
     lead = z_units if kind == "laurent" else coeff.filter(bool)
-    min_exp = draw(st.integers(-6, 8))
+    min_exp = draw(lows)
     f = QSeries(min_exp, [draw(lead)] + draw(st.lists(coeff, max_size=16)), INF)
     return Deferred(min_exp, f.truncate)
 
@@ -378,3 +369,28 @@ def test_deferred_map_builds_what_it_claims(f, name, n):
 def test_deferred_jet_shift_builds_what_it_claims(f, c, d, n):
     # Deferred.shift of a jet runs Jet1.shift on both of its series
     assert_step(f.map(Jet1.of).shift(c, d), n)
+
+
+# products and powers asked for less than their low still certify what they
+# are asked for: each factor is built far enough to show where it starts
+small_leaf = all_kinds.flatmap(lambda k: leaf(k, st.integers(-3, 3)))
+wide_orders = st.integers(-6, 40)
+
+
+@step_prop
+@given(small_leaf, small_leaf, wide_orders)
+def test_deferred_mul_builds_what_it_claims(f, g, n):
+    assert_step(f * g, n)
+
+
+@step_prop
+@given(small_leaf, st.integers(1, 3), wide_orders)
+def test_deferred_pow_builds_what_it_claims(f, k, n):
+    assert_step(f ** k, n)
+
+
+def test_shifted_product_and_power_certify_their_order():
+    # q^3 (1 * 1) built at 1 builds the product at -2, below both factors' low
+    one = Deferred(0, lambda n: QSeries.one(n))
+    for step in (one * one, one ** 2):
+        assert step.shift(1, 3).build(1).order >= 1

@@ -5,6 +5,8 @@ the caches listed in its ``CACHES``, and fails a traced benchmark run
 when one is gone; ``perfbench/child.py`` prints ``qhecke.kernels.BACKEND``
 and replaces a case's witnesses with ``dataclasses.replace``.  These
 tests make a rename fail here first.  Both files are read, not run.
+A last test reads the package's own modules and fails on an import that
+no longer has a use, as a deletion can leave one behind.
 """
 
 import ast
@@ -15,7 +17,8 @@ from pathlib import Path
 import qhecke
 from qhecke.registry import IdentityCase
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _resolve(obj, dotted):
@@ -82,3 +85,24 @@ def test_benchmark_child_names_resolve():
               and getattr(node.func, "id", None) == "replace" for kw in node.keywords}
     assert "witnesses" in fields
     assert fields <= {f.name for f in dataclasses.fields(IdentityCase)}
+
+
+def test_every_import_in_the_package_is_used():
+    # __init__.py imports to re-export, so it is left out
+    unused = []
+    for path in sorted((ROOT / "src" / "qhecke").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused

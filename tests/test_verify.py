@@ -243,7 +243,11 @@ def _bump_rhs(case, e, c=1, component=None):
                                         ("dissect-j1j2-3", 30),
                                         ("cong-hf24-phi-minus", 40),
                                         ("bivar-f8z-appell", 30),
-                                        ("spec-f4-at-i", 30)])
+                                        ("spec-f4-at-i", 30),
+                                        ("spec-f8-at-m1", 30),
+                                        ("spec-f8-at-1", 30),
+                                        ("dz-m-appell-q6", 40),
+                                        ("dz-m-z-change", 40)])
 def test_negative_controls(cid, order):
     # a term at the lowest exponent, at q^20 or at q^N is caught there, in
     # the slot it was added to (a zero tuple component starts at q^0); one

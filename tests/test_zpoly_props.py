@@ -2,16 +2,17 @@
 
 Every expected value comes from naive dict-based Laurent-polynomial
 arithmetic (exponent -> nonzero coefficient) that shares no code with the
-package, from term-by-term evaluation sum(v * z0**k), and, for the value
-at z = i split into real and imaginary parts, from sum(v * i**k) with i
-as the pair (0, 1) of Fractions.
+package, from term-by-term evaluation sum(v * z0**k) (also of the value at
+z = -1 read by residues mod 4), and, for the value at z = i split into
+real and imaginary parts, from sum(v * i**k) with i as the pair (0, 1) of
+Fractions.
 """
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qhecke.registry import _at_i
+from qhecke.registry import _at_fourth_roots, _at_i
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries
 
@@ -182,3 +183,15 @@ def test_at_i_matches_termwise_sum(polys, min_exp):
     for i, d in enumerate(dicts):
         assert (re.coeff(min_exp + i), im.coeff(min_exp + i)) == naive_at_i(d)
     assert re.coeff(order) == im.coeff(order) == 0
+
+
+@prop
+@given(st.lists(laurent(), min_size=1, max_size=6), st.integers(-5, 3))
+def test_at_minus_one_matches_termwise_sum(polys, min_exp):
+    f, dicts, order = zpoly_series(polys, min_exp)
+    (g,) = _at_fourth_roots(f, (1, -1, 1, -1))
+    assert all(type(c) in (int, Fraction) for c in g.coeffs)
+    assert g.order == order
+    for i, d in enumerate(dicts):
+        assert g.coeff(min_exp + i) == naive_eval(d, -1)
+    assert g.coeff(order) == 0
