@@ -1,19 +1,20 @@
-"""Brute-force enumerators for the two partition-style counting
-functions and their generating functions.
+"""Per-n enumerators for the paper's two combinatorial readings of
+Hurwitz class numbers, and their generating functions; T(k) = k(k+1)/2.
 
-P(n): strongly unimodal compositions with unit steps,
-    x, x+1, ..., y, y-1, ..., z   (1 <= x <= y, 1 <= z <= y),
-    with total y^2 - x(x-1)/2 - z(z-1)/2.
+P(n) = F(4n-1): strongly unimodal compositions with unit steps,
+    x, x+1, ..., y, y-1, ..., z (1 <= x, z <= y).  With a = y - x steps
+    up and b = y - z down there are s = a + b + 1 parts, and
+    n = s*y - T(a) - T(b).
 
-Q(n): partitions into consecutive parts where every part is a singleton
-    except possibly the largest:
-    s, s+1, ..., l, l, ..., l   (1 <= s <= l, k >= 0 extra copies of l),
-    with total l(l+1)/2 - s(s-1)/2 + k*l.
+Q(n) = H(8n-1): partitions low, low+1, ..., high, then extra more
+    copies of high (1 <= low <= high).  With r = high - low + 1 distinct
+    parts and j = r + extra parts in all, n = j*high - T(r - 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import isqrt
 
 from .series import QSeries, geometric_sum, lattice_range
@@ -57,26 +58,28 @@ class ConsecutivePartition:
 
 
 def list_P(n):
-    """All strongly unimodal unit-step compositions of n.
+    """All strongly unimodal unit-step compositions of n, by peak y,
+    then by first part x.
 
-    Peak y has totals y (x = z = y) through y^2 (x = z = 1), so
-    y^2 >= n.  Given y, t = y^2 - x(x-1)/2 - n must equal z(z-1)/2 for
-    some 1 <= z <= y, i.e. lie in [0, y(y-1)/2]; both ends of that
-    x-range are lattice_range ends, and z is solved for exactly.
+    Each (a, b) gives one when y = (n + T(a) + T(b))/s is exact and
+    y > max(a, b).  The least total of (a, b), at y = max(a, b) + 1,
+    rises strictly in b (by a - b while b < a, by 3a + 4 from b = a,
+    then by a + b + 2), so the first b whose least total exceeds n ends
+    the b-loop; at b = 0 it is T(a + 1), which bounds a.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     out = []
-    for y in range(isqrt(n - 1) + 1, n + 1):
-        top = y * y - n
-        # x(x-1)/2 <= top, and x(x-1)/2 < top - y(y-1)/2 leaves z > y
-        xs = lattice_range(1, -1, -2 * top, 1, y)
-        short = lattice_range(1, -1, 2 - 2 * top + y * (y - 1))
-        for x in range(max(xs.start, short.stop), xs.stop):
-            t = top - x * (x - 1) // 2
-            z = (1 + isqrt(1 + 8 * t)) // 2
-            if z * (z - 1) // 2 == t and 1 <= z <= y:
-                out.append(UnimodalComposition(x, y, z))
+    for a in range((isqrt(8 * n + 1) - 1) // 2):  # T(a + 1) <= n
+        ta = a * (a + 1) // 2
+        for b in count():
+            s, t = a + b + 1, n + ta + b * (b + 1) // 2
+            if s * (max(a, b) + 1) > t:
+                break
+            y, rem = divmod(t, s)
+            if not rem:  # y > max(a, b), as n reaches the least total
+                out.append(UnimodalComposition(y - a, y, y - b))
+    out.sort(key=lambda c: (c.peak, c.first))
     return out
 
 
@@ -85,18 +88,25 @@ def count_P(n):
 
 
 def list_Q(n):
-    """All consecutive-part partitions of n, singletons except the largest."""
+    """All consecutive-part partitions of n, singletons except the
+    largest, by largest part, then by smallest part descending.
+
+    They are the divisor pairs (high, j) of m = n + T(r - 1) with
+    high, j >= r, found by trial division up to isqrt(m).  One needs
+    m >= r^2, i.e. n >= T(r), which bounds r.
+    """
     if n < 1:
         raise ValueError("n must be a positive integer")
     out = []
-    for high in range(1, n + 1):
-        base_high = high * (high + 1) // 2
-        for low in range(high, 0, -1):  # base grows as low shrinks
-            base = base_high - low * (low - 1) // 2
-            if base > n:
-                break
-            if (n - base) % high == 0:
-                out.append(ConsecutivePartition(low, high, (n - base) // high))
+    for r in range(1, (isqrt(8 * n + 1) + 1) // 2):  # T(r) <= n
+        m = n + r * (r - 1) // 2
+        for d in range(r, isqrt(m) + 1):
+            e, rem = divmod(m, d)
+            if not rem:
+                out.append(ConsecutivePartition(d - r + 1, d, e - r))
+                if e != d:
+                    out.append(ConsecutivePartition(e - r + 1, e, d - r))
+    out.sort(key=lambda p: (p.high, -p.low))
     return out
 
 

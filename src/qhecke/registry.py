@@ -637,7 +637,8 @@ def registry():
     add(IdentityCase(
         "consecutive-methods", "univariate",
         lambda n: combinat.Q_series(n, "direct"),
-        lambda n: combinat.Q_series(n, "formula"), 200))
+        lambda n: combinat.Q_series(n, "formula"), 200,
+        note="per-n enumeration against the (l,m) 1/(1-q^l) double-sum formula"))
 
     # -- misc structural checks ------------------------------------------------
     add(IdentityCase(

@@ -34,10 +34,11 @@ def oracle_P(n):
 
 
 def scan_P(n):
-    """(x, y, z) for every composition of n, by scanning every peak
-    y <= n and every x from 1 until y^2 - x(x-1)/2 falls below n, with
-    z solved from what is left (no lattice_range)."""
-    hits = set()
+    """(x, y, z) for every composition of n, by peak y then first part
+    x, by scanning every peak y <= n and every x from 1 until
+    y^2 - x(x-1)/2 falls below n, with z solved from what is left
+    (no lattice_range, no (a, b) parametrization)."""
+    hits = []
     for y in range(1, n + 1):
         for x in range(1, y + 1):
             t = y * y - x * (x - 1) // 2 - n
@@ -45,7 +46,20 @@ def scan_P(n):
                 break
             z = (1 + isqrt(1 + 8 * t)) // 2
             if z * (z - 1) // 2 == t and 1 <= z <= y:
-                hits.add((x, y, z))
+                hits.append((x, y, z))
+    return hits
+
+
+def scan_Q(n):
+    """(low, high, extra) for every partition of n, by largest part then
+    smallest part descending, by trying every pair 1 <= low <= high <= n
+    (no divisor pairs)."""
+    hits = []
+    for high in range(1, n + 1):
+        for low in range(high, 0, -1):
+            base = high * (high + 1) // 2 - low * (low - 1) // 2
+            if base <= n and (n - base) % high == 0:
+                hits.append((low, high, (n - base) // high))
     return hits
 
 
@@ -92,9 +106,43 @@ def test_listings_match_oracles_exactly():
 @pytest.mark.parametrize("ns", [range(1, 201), (500, 997, 1024)])
 def test_list_P_matches_full_scan(ns):
     for n in ns:
-        got = [(c.first, c.peak, c.last) for c in list_P(n)]
-        assert len(got) == len(set(got)), n
-        assert set(got) == scan_P(n), n
+        assert [(c.first, c.peak, c.last) for c in list_P(n)] == scan_P(n), n
+
+
+@pytest.mark.parametrize("ns", [range(1, 201), (500, 997, 1024)])
+def test_list_Q_matches_full_scan(ns):
+    for n in ns:
+        assert [(p.low, p.high, p.extra) for p in list_Q(n)] == scan_Q(n), n
+
+
+def test_list_P_stopping_rules():
+    # the least total of a steps up and b down, over peaks y > max(a, b),
+    # is at y = max(a, b) + 1 and rises strictly in b: list_P's b-loop
+    # breaks at the first b whose least total exceeds n; at b = 0 it is
+    # T(a + 1), bounding a
+    def least(a, b):
+        m = max(a, b) + 1
+        totals = [UnimodalComposition(y - a, y, y - b).total()
+                  for y in range(m, m + 4)]
+        assert totals == sorted(totals)
+        return totals[0]
+
+    for a in range(61):
+        assert least(a, 0) == (a + 1) * (a + 2) // 2
+        for b in range(61):
+            assert least(a, b) < least(a, b + 1), (a, b)
+
+
+def test_list_Q_stopping_rule():
+    # the least total of r distinct parts, over largest parts and extra
+    # copies, is T(r) (high = r, extra = 0), and it rises strictly in r:
+    # list_Q's r-loop runs exactly over the r with T(r) <= n
+    def least(r):
+        return min(ConsecutivePartition(high - r + 1, high, extra).total()
+                   for high in range(r, r + 4) for extra in range(4))
+
+    for r in range(1, 61):
+        assert least(r) == r * (r + 1) // 2 < least(r + 1), r
 
 
 def test_P_pins():
