@@ -6,7 +6,7 @@ class QheckeError(Exception):
 
 
 class NonUnitError(QheckeError):
-    """A coefficient is not invertible: zero, or not a unit monomial of Q[z, 1/z]."""
+    """A coefficient is not invertible: zero, or not a unit +-z^k of Z[z, 1/z]."""
 
 
 class PoleError(QheckeError):

@@ -1,29 +1,29 @@
 """Hot kernels for dense truncated series arithmetic.
 
-All functions work on plain lists of coefficients (ints, Fractions and
-ZPolys, mixed freely).  A list of ints and Fractions is multiplied as
-integer numerators over one common denominator, as FLINT's fmpq_poly
-stores it; an int list is the case where that denominator is 1.  Long
-integer lists go through one big-integer multiply by Kronecker
-substitution: each list is packed into a single int with one fixed-width
-slot per coefficient, so CPython's Karatsuba does the convolution.  Lists
-of ints and ZPolys with int coefficients (Laurent series in
-Z[z, 1/z][[q]]) are packed one operand at a time: each entry of the one
-with more monomials c z^t q^i becomes one int with z^t in a fixed-width
-slot, and the other adds one shifted, scaled copy of that packed list per
-monomial, a C-level big-int shift and add per entry.  Every other
-product, on any coefficients (a Fraction anywhere), adds one scaled copy
-of one operand per nonzero entry of the sparser one.  Every unit is
-inverted by Newton iteration on those products.  pack_signed writes the
-signed slots of every packed product, and unpack_signed and
-unpack_laurent read them, those of the packed F4/F8 of mock.py too.
+All functions work on plain lists of coefficients: ints and Fractions,
+or ints and ZPolys (Laurent series in Z[z, 1/z][[q]]).  A list of ints
+and Fractions is multiplied as integer numerators over one common
+denominator, as FLINT's fmpq_poly stores it; an int list is the case
+where that denominator is 1.  Long integer lists go through one big-integer
+multiply by Kronecker substitution: each list is packed into a single int
+with one fixed-width slot per coefficient, so CPython's Karatsuba does
+the convolution; short or sparse ones add one scaled copy of one operand
+per nonzero entry of the sparser one.  Lists holding a ZPoly are packed
+one operand at a time: each entry of the one with more monomials
+c z^t q^i becomes one int with z^t in a fixed-width slot, and the other
+adds one shifted, scaled copy of that packed list per monomial, a
+C-level big-int shift and add per entry.  A Fraction has no product with
+a ZPoly there: such a pair raises TypeError.  Every unit is inverted by
+Newton iteration on those products.  pack_signed writes the signed slots
+of every packed product, and unpack_signed and unpack_laurent read them,
+those of the packed F4/F8 of mock.py too.
 """
 
 import struct
 import sys
 from array import array
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, lshift, mul, sub
 
@@ -41,18 +41,12 @@ BACKEND = "python"
 KRONECKER_MIN_NNZ = 16
 
 
-_RATIONAL = {int, Fraction}
+def _over_ints(a, types):
+    """``a``, whose entries are of ``types``, ints and Fractions, as
+    integers over one denominator: (ints, d), ints[i] = a[i]*d.
 
-
-def _over_ints(a):
-    """``a`` as integers over one denominator: (ints, d), ints[i] = a[i]*d.
-
-    d is the lcm of the denominators.  None when ``a`` holds anything but
-    ints and Fractions.
+    d is the lcm of the denominators.
     """
-    types = set(map(type, a))
-    if not types <= _RATIONAL:
-        return None
     if Fraction not in types:
         return a, 1
     d = lcm(*[x.denominator for x in a])
@@ -161,15 +155,6 @@ def _kron_mul(a, b, n):
     return unpack_signed(pack_signed(a, k) * pack_signed(b, k), k, n)
 
 
-def _integral(a):
-    """Whether every entry of ``a`` is an int or a ZPoly with int coefficients."""
-    types = set(map(type, a))
-    if not types <= {int, ZPoly}:
-        return False
-    return ZPoly not in types or set(map(type, chain.from_iterable(
-        [x.coeffs for x in a if type(x) is ZPoly]))) <= {int}
-
-
 def _windows(a):
     """Each entry of ``a`` as (lowest z-exponent, coefficient tuple)."""
     return [(x.lo, x.coeffs) if type(x) is ZPoly else (0, (x,) if x else ()) for x in a]
@@ -181,8 +166,8 @@ def _monomials(windows):
 
 
 def _laurent_mul(a, b, n):
-    """The first n coefficients of a*b for lists of ints and ZPolys with
-    int coefficients, on packed ints.
+    """The first n coefficients of a*b for lists of ints and ZPolys, on
+    packed ints.
 
     The operand with more monomials c z^t q^i is b: each of its entries
     becomes one int, z^t in k-byte slot t - lb.  Each monomial of a adds
@@ -233,25 +218,24 @@ def _conv(a, b, keep):
     n = min(keep, la + lb - 1) if la and lb else 0
     if n <= 0:
         return []
-    a, b, d = a[:n], b[:n], 1
-    sa = _over_ints(a)
-    sb = sa and _over_ints(b)
-    if sb:
-        (a, da), (b, db) = sa, sb
-        d = da * db
-    elif _integral(a) and _integral(b):
+    a, b = a[:n], b[:n]
+    ta, tb = set(map(type, a)), set(map(type, b))
+    if ZPoly in ta or ZPoly in tb:
+        if Fraction in ta or Fraction in tb:
+            raise TypeError("a Fraction has no product with a ZPoly in Z[z, 1/z][[q]]")
         return _laurent_mul(a, b, n)
+    (a, da), (b, db) = _over_ints(a, ta), _over_ints(b, tb)
     nnz_a, nnz_b = len(a) - a.count(0), len(b) - b.count(0)
-    if sb and min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
+    if min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
         out = _kron_mul(a, b, n)
     else:
         out = _sparse_mul(a, b, n) if nnz_a <= nnz_b else _sparse_mul(b, a, n)
-    return _divide(out, d)
+    return _divide(out, da * db)
 
 
 def _sparse_mul(a, b, n):
-    """The first n coefficients of a*b, one scaled copy of b added per
-    nonzero entry of a (the sparser operand)."""
+    """The first n coefficients of a*b for int lists, one scaled copy of
+    b added per nonzero entry of a (the sparser operand)."""
     out = [0] * n
     for i, ai in enumerate(a[:n]):
         if not ai:
@@ -296,7 +280,7 @@ def inv_unit(g, keep, one):
     """Inverse of a series with g[0] == one, to keep coefficients.
 
     ``one`` seeds the Newton iteration.  Every caller passes 1, which is
-    the one of Q and of Q[z, 1/z] alike.
+    the one of Q and of Z[z, 1/z] alike.
     """
     if keep <= 0:
         return [0] * keep

@@ -1,45 +1,47 @@
 """Exact coefficients for q-series.
 
-A coefficient carries its own type, and Q is a subring of Q[z, 1/z]:
+A coefficient carries its own type, and Z is a subring of both Q and
+Z[z, 1/z]:
 
 * a scalar is a rational, a ``fractions.Fraction`` with integers kept as
   plain ``int``s: an integral series is the denominator-1 case
-* a ``ZPoly`` is a Laurent polynomial in z with rational coefficients,
-  a dense window: its lowest z-exponent plus a tuple of coefficients
-  trimmed to nonzero ends
+* a ``ZPoly`` is a Laurent polynomial in z with int coefficients, an
+  element of Z[z, 1/z], as a dense window: its lowest z-exponent plus a
+  tuple of coefficients trimmed to nonzero ends
 
 Zero is ``0`` and one is ``1`` in both.  Everything is exact; no floats
-appear anywhere.  Scalars and ZPolys mix under ``+ - *``, so series
-code never asks which kind it holds; ``invert`` and ``specialise``
-dispatch on the coefficient itself, and the kernels only to pick the
-fastest product.  ``specialise`` evaluates many Laurent polynomials at
-one rational z0 with integer arithmetic only.
+appear anywhere.  Ints and ZPolys mix under ``+ - *``, so series code
+never asks which kind it holds; a Fraction never enters a ZPoly, and
+each operation that would put one there raises TypeError.  ``invert``
+and ``specialise`` dispatch on the coefficient itself, and the kernels
+only to pick the product.  ``specialise`` evaluates many Laurent
+polynomials at one rational z0 with integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import NonUnitError
 
 _new = object.__new__
-_SCALARS = (int, Fraction)
+_SCALARS = int
 
 
 class ZPoly:
-    """Laurent polynomial in z with rational coefficients, as a dense window.
+    """Laurent polynomial in z with int coefficients, as a dense window.
 
     ``lo`` is the lowest z-exponent and ``coeffs`` an immutable tuple of
-    ints or Fractions, the coefficients of z^lo, z^(lo+1), ...  Both ends
+    ints, the coefficients of z^lo, z^(lo+1), ...  Both ends
     of the window are nonzero (interior zeros are stored); the zero
     polynomial is ``lo = 0, coeffs = ()``.  A sum is one aligned map over
     two windows, and a product with a monomial only moves ``lo`` (sharing
     the tuple when the coefficient is 1).  ``ZPoly({k: v})`` builds from a
     dict and drops zero values; ``.c`` is a read-only dict view of the
-    nonzero terms.
+    nonzero terms.  The constructors refuse a coefficient that is not an
+    int with TypeError, and a scalar ``+ - *`` takes only an int.
     """
 
     __slots__ = ("lo", "coeffs")
@@ -50,18 +52,18 @@ class ZPoly:
             lo = min(coeffs)
             dense = [0] * (max(coeffs) - lo + 1)
             for k, v in coeffs.items():
-                dense[k - lo] = v
+                dense[k - lo] = _int(v)
             window = tuple(dense)
         p = _window(lo, window)
         self.lo, self.coeffs = p.lo, p.coeffs
 
     @classmethod
     def const(cls, v):
-        return _window(0, (v,))
+        return _window(0, (_int(v),))
 
     @classmethod
     def monomial(cls, v, k):
-        return _window(k, (v,))
+        return _window(k, (_int(v),))
 
     @property
     def c(self):
@@ -162,12 +164,6 @@ class ZPoly:
         """d/dz at z = 1: sum of k * c_k."""
         return sum(map(mul, self.coeffs, range(self.lo, self.lo + len(self.coeffs))))
 
-    def unit_part(self):
-        """Return (coef, zdeg) if this is a single nonzero monomial, else None."""
-        if len(self.coeffs) == 1:
-            return self.coeffs[0], self.lo
-        return None
-
     def __repr__(self):
         return f"ZPoly({dict(self.c)!r})"
 
@@ -186,6 +182,13 @@ class ZPoly:
                 zs = "z" if k == 1 else f"z^{k}"
                 parts.append(zs if v == 1 else f"-{zs}" if v == -1 else f"{vs}*{zs}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _int(v):
+    """v, when it is an int: a ZPoly coefficient lies in Z."""
+    if not isinstance(v, int):
+        raise TypeError(f"a ZPoly coefficient must be an int, got {type(v).__name__}")
+    return v
 
 
 def _raw(lo, coeffs):
@@ -224,52 +227,47 @@ def _aligned(p, q, op):
 
 
 def specialise(polys, z0):
-    """Values of the Laurent polynomials ``polys`` at an exact nonzero z0.
+    """Values of the entries of ``polys`` at an exact nonzero z0: a
+    scalar entry is its own value.
 
     z0 must be an int or a Fraction: a float would be read as its binary
     expansion, so anything else raises TypeError.  With z0 = a/d and L
     the widest window, t[j] = a^j * d^(L-1-j) is tabulated once.
-    z^lo * sum_j v_j z^j, its coefficients cleared to integers over a
-    common denominator c, is then z0^lo * (sum_j v_j t[j]) / (c * d^(L-1)):
-    an integer dot product per part and one Fraction per part, with
-    z0^lo cached per lo.  Entries that are not ZPolys are rational
-    constants.
+    z^lo * sum_j v_j z^j is then z0^lo * (sum_j v_j t[j]) / d^(L-1): an
+    integer dot product and one Fraction per ZPoly, with z0^lo cached
+    per lo.
     """
     if not isinstance(z0, (int, Fraction)):
         raise TypeError(f"z0 must be an int or a Fraction, got {type(z0).__name__}")
     if z0 == 0:
         raise ZeroDivisionError("cannot evaluate Laurent polynomial at z=0")
     a, d = z0.numerator, z0.denominator
-    polys = [p if type(p) is ZPoly else ZPoly.const(p) for p in polys]
-    span = max([len(p.coeffs) for p in polys] + [1])
+    span = max([len(p.coeffs) for p in polys if type(p) is ZPoly] + [1])
     t = [d ** (span - 1)]
     for _ in range(span - 1):  # exact: t[j] still holds the factor d^(L-1-j)
         t.append(t[-1] * a // d)
     lo_pows = {}
     out = []
     for p in polys:
-        v = p.coeffs
-        c = lcm(*[x.denominator for x in v])
-        if c != 1:
-            v = [x.numerator * (c // x.denominator) for x in v]
+        if type(p) is not ZPoly:
+            out.append(p)
+            continue
         zlo = lo_pows.get(p.lo)
         if zlo is None:  # z0^lo as num/den: (a/d)^lo, or (d/a)^-lo
             num, den = (a, d) if p.lo >= 0 else (d, a)
             zlo = lo_pows[p.lo] = (num ** abs(p.lo), den ** abs(p.lo) * t[0])
         num, den = zlo
-        out.append(Fraction(sum(map(mul, v, t)) * num, den * c))
+        out.append(Fraction(sum(map(mul, p.coeffs, t)) * num, den))
     return out
 
 
 def invert(x):
-    """1/x for a nonzero rational, or for a unit monomial c*z^k of Q[z, 1/z];
+    """1/x for a nonzero rational, or for a unit +-z^k of Z[z, 1/z];
     NonUnitError for anything else.  An integral inverse is an int."""
     if type(x) is ZPoly:
-        unit = x.unit_part()
-        if unit is None:
-            raise NonUnitError(f"{x} is not a unit monomial in Q[z, 1/z]")
-        v, k = unit
-        return _raw(-k, (invert(v),))
+        if len(x.coeffs) != 1 or x.coeffs[0] not in (1, -1):
+            raise NonUnitError(f"{x} is not a unit of Z[z, 1/z]")
+        return _raw(-x.lo, x.coeffs)
     if x == 1 or x == -1:
         return int(x)
     if x == 0:

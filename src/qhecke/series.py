@@ -5,8 +5,9 @@ with a certification order: every coefficient of q^e with e <= order is
 known exactly (coefficients outside the stored window but below the
 order are exactly zero).  order = INF marks a series known in full
 (e.g. a Laurent polynomial).  Each coefficient is a rational or a
-Laurent polynomial in z (see rings.py), and one series may hold both:
-Q is a subring of Q[z, 1/z].
+Laurent polynomial in Z[z, 1/z] (see rings.py), and one series may
+hold ints beside ZPolys: Z is a subring of Z[z, 1/z].  An operation
+that would put a Fraction into a ZPoly raises TypeError.
 
 Every operation propagates the tightest provable order, so negative
 exponents and monomial shifts never silently lose validity.
@@ -188,7 +189,8 @@ class QSeries:
         return self + (-other)
 
     def scale(self, c):
-        """Multiply by a coefficient: a rational or a ZPoly."""
+        """Multiply by a coefficient: a rational, or an int or a ZPoly for a
+        series in Z[z, 1/z] (a Fraction times a ZPoly raises TypeError)."""
         if c == 0:
             return QSeries.zero(self.order)
         return QSeries(self.min_exp, [c * x for x in self.coeffs], self.order)
@@ -404,10 +406,10 @@ def geometric_sum(terms, n):
     lo, out = n + 1, []
     for c, e, r, d in terms:
         a, s, r, d = _one_minus_form(r, d)
+        if e + s > n or not c:
+            continue
         if a is not None:
             c, e = a * c, e + s
-        if e > n or not c:
-            continue
         if e < lo:
             out[:0] = [0] * (lo - e)
             lo = e

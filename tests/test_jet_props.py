@@ -31,7 +31,7 @@ def series(draw, coeffs, min_order=0):
     return QSeries(min_exp, cs, order)
 
 
-zpolys = st.dictionaries(st.integers(-4, 4), rationals, max_size=4).map(ZPoly)
+zpolys = st.dictionaries(st.integers(-4, 4), ints, max_size=4).map(ZPoly)
 
 
 def restores(f, c, d):

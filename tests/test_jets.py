@@ -1,7 +1,6 @@
 """First-order jet arithmetic at z = 1."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -5,10 +5,10 @@ over all index pairs, the schoolbook inverse recurrence, a dict keyed by
 exponent) that share no code with the package.  The int and rational
 lists straddle ``KRONECKER_MIN_NNZ`` so that both the packed and the
 sparse-copy product are exercised.  ZPoly lists, alone and with plain
-ints beside their entries, take the packed Laurent product when every
-coefficient is an int, with coefficient sizes drawn so that its slots
-come out 1, 2, 4, 8 and more than 8 bytes wide, and the sparse-copy
-product when a Fraction is among them; both feed the Newton inverse.
+ints beside their entries, take the packed Laurent product, with
+coefficient sizes drawn so that its slots come out 1, 2, 4, 8 and more
+than 8 bytes wide, and feed the Newton inverse; a Fraction beside a
+ZPoly is refused.
 Fixed cases put an output coefficient exactly on the slot bound, and the
 shared slot writer and reader are round-tripped at every width up to 9
 bytes, on the cast and the one-slot-at-a-time path.
@@ -132,9 +132,8 @@ def rational_lists(draw, max_len=3 * T):
     return draw(st.lists(st.one_of(num, frac), min_size=n, max_size=n))
 
 
-small = st.one_of(st.integers(-5, 5),
-                  st.fractions(min_value=-3, max_value=3, max_denominator=7))
-zpoly_entries = st.builds(ZPoly, st.dictionaries(st.integers(-2, 2), small, max_size=2))
+zpoly_entries = st.builds(ZPoly, st.dictionaries(st.integers(-2, 2), st.integers(-5, 5),
+                                                  max_size=2))
 
 
 def integral_entries(bits):
@@ -342,13 +341,23 @@ def test_pack_unpack_round_trip(k, cast, monkeypatch):
 def test_conv_trunc_int_entries_beside_ring_entries():
     # the sparser operand's ints, +-1 and larger, scale ZPoly copies of
     # the denser one
-    entry = ZPoly({-1: 2, 1: Fraction(1, 3)})
+    entry = ZPoly({-1: 2, 1: 3})
     dense = [entry * k + 1 for k in range(3 * T)]
     sparse = [0] * (2 * T)
     sparse[0], sparse[3], sparse[5], sparse[T] = 1, -1, 7, entry
     for keep in (1, T, 5 * T - 1, 6 * T):
         for x, y in ((sparse, dense), (dense, sparse)):
             assert kernels.conv_trunc(x, y, keep) == naive_conv(x, y, keep)
+
+
+def test_conv_trunc_refuses_a_fraction_beside_a_zpoly():
+    # Z[z, 1/z] holds no 1/2: a Fraction against a ZPoly, in either list
+    # or beside it in one list, is refused rather than multiplied
+    z, half = ZPoly({1: 1}), Fraction(1, 2)
+    for a, b in (([half], [z]), ([z], [half]), ([1, half], [0, z]), ([z, half], [1])):
+        for keep in (2, 5):
+            with pytest.raises(TypeError):
+                kernels.conv_trunc(a, b, keep)
 
 
 # -- inv_unit --------------------------------------------------------------------
@@ -384,7 +393,7 @@ def test_inv_unit_rational_matches_recurrence(tail, keep):
 @settings(deadline=None, max_examples=100)
 @given(entry_kinds, st.data())
 def test_inv_unit_zpoly_and_gaussian_match_recurrence(entries, data):
-    # the seed 1 is the one of Q[z, 1/z] as well
+    # the seed 1 is the one of Z[z, 1/z] as well
     g = [1] + data.draw(ring_lists(entries, max_len=T + 4))
     keep = data.draw(st.integers(0, T + 4))
     assert kernels.inv_unit(g, keep, 1) == naive_inv(g, keep)

@@ -1,15 +1,14 @@
 """Eulerian series, bivariate F4/F8, and the generic sum evaluators."""
 
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhecke import mock
 from qhecke.errors import NonConvergentError
-from qhecke.mock import (AP_HF4, HR_A, HR_F8Z, HR_HF8, AppellRhsSpec,
-                         HeckeRogersSpec, _build_bivariate, _build_eulerian, appell_rhs,
+from qhecke.mock import (HR_F8Z, HR_HF8, AppellRhsSpec, HeckeRogersSpec,
+                         _build_bivariate, _build_eulerian, appell_rhs,
                          c_sum, eulerian, eulerian_residues, F4_series, F8_series,
                          hecke_rogers, humbert_series, kronecker_minus4)
 from qhecke.rings import ZPoly

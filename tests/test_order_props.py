@@ -22,16 +22,16 @@ from qhecke.theta import Deferred
 
 prop = settings(deadline=None, max_examples=150)
 
-# coefficient kinds: rationals, or Laurent polynomials in z
+# coefficient kinds: rationals, or Laurent polynomials in Z[z, 1/z]
 all_kinds = st.sampled_from(["rational", "laurent"])
 
-rationals = st.one_of(st.integers(-3, 3),
-                      st.fractions(min_value=-4, max_value=4, max_denominator=50))
+ints = st.integers(-3, 3)
+rationals = st.one_of(ints, st.fractions(min_value=-4, max_value=4, max_denominator=50))
 
 
 def coeffs_of(kind):
     if kind == "laurent":
-        return st.dictionaries(st.integers(-3, 3), rationals, max_size=3).map(ZPoly)
+        return st.dictionaries(st.integers(-3, 3), ints, max_size=3).map(ZPoly)
     return rationals
 
 
@@ -67,10 +67,11 @@ def truncated_pair(draw, kind, unit=False):
 
 def has_kind(series, kind):
     """Every coefficient an int or a Fraction (rational), or every
-    nonzero one a ZPoly (laurent: a gap may hold the scalar 0)."""
+    nonzero one a ZPoly of ints (laurent: a gap may hold the scalar 0)."""
     if kind == "rational":
         return all(type(c) in (int, Fraction) for c in series.coeffs)
-    return all(type(c) is ZPoly for c in series.coeffs if c)
+    return all(type(c) is ZPoly and all(type(v) is int for v in c.coeffs)
+               for c in series.coeffs if c)
 
 
 def assert_agree(r, longer):
@@ -126,9 +127,10 @@ def test_sub_claims_no_more_than_its_inputs_know(pairs):
 def linear_factor(kind, d, divide):
     """c for a factor 1 - c*q^d; when dividing, one that div_one_minus
     accepts: c a unit for d < 0, and 1 - c a unit for d = 0.  For Laurent
-    coefficients c is +-z^k, and 1 - c is a unit only for c = -1."""
+    coefficients c is +-z^k, and for d = 0 it is 1 - (+-z^k), as the
+    units of Z[z, 1/z] are the +-z^k."""
     if kind == "laurent":
-        return st.just(ZPoly.const(-1)) if divide and d == 0 else z_units
+        return z_units.map(lambda u: 1 - u) if divide and d == 0 else z_units
     if not divide or d > 0:
         return coeffs_of(kind)
     if d < 0:
@@ -267,7 +269,8 @@ def test_jet_div_claims_no_more_than_its_inputs_know(pair, other):
 def geometric_terms(draw, kind):
     """Up to four (c, e, r, d) terms of c q^e/(1 - r q^d) that geometric_sum
     accepts: r as linear_factor draws it for d < 0, d = 0 and d > 0, so
-    rational r with rational c and r = +-z^k with Laurent c."""
+    rational r with rational c, and r = +-z^k, or 1 - (+-z^k) at d = 0,
+    with Laurent c."""
     terms = []
     for _ in range(draw(st.integers(0, 4))):
         d = draw(st.integers(-4, 4))
@@ -353,7 +356,12 @@ def test_deferred_dissect_builds_what_it_claims(f, p, n):
     assert_step(f.dissect(p), n)
 
 
-MAPS = {"alternate": QSeries.alternate, "scale": lambda f: f.scale(Fraction(-3, 2)),
+def scale(f):
+    # a ZPoly refuses a Fraction, so a Laurent series is scaled by an int
+    return f.scale(-3 if any(type(c) is ZPoly for c in f.coeffs) else Fraction(-3, 2))
+
+
+MAPS = {"alternate": QSeries.alternate, "scale": scale,
         "eval_z": lambda f: f.eval_z(Fraction(2, 3)), "Jet1.of": Jet1.of,
         "f1": lambda f: Jet1.of(f).f1}
 
@@ -373,18 +381,23 @@ def test_deferred_jet_shift_builds_what_it_claims(f, c, d, n):
 
 # products and powers asked for less than their low still certify what they
 # are asked for: each factor is built far enough to show where it starts
-small_leaf = all_kinds.flatmap(lambda k: leaf(k, st.integers(-3, 3)))
+def small_leaf(kind):
+    return leaf(kind, st.integers(-3, 3))
+
+
 wide_orders = st.integers(-6, 40)
 
 
 @step_prop
-@given(small_leaf, small_leaf, wide_orders)
-def test_deferred_mul_builds_what_it_claims(f, g, n):
+@given(all_kinds.flatmap(lambda k: st.tuples(small_leaf(k), small_leaf(k))), wide_orders)
+def test_deferred_mul_builds_what_it_claims(fg, n):
+    # both factors of one kind: a Fraction has no product with a ZPoly
+    f, g = fg
     assert_step(f * g, n)
 
 
 @step_prop
-@given(small_leaf, st.integers(1, 3), wide_orders)
+@given(all_kinds.flatmap(small_leaf), st.integers(1, 3), wide_orders)
 def test_deferred_pow_builds_what_it_claims(f, k, n):
     assert_step(f ** k, n)
 

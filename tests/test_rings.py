@@ -1,11 +1,12 @@
-"""Coefficients: rationals and Laurent polynomials in z."""
+"""Coefficients: rationals and Laurent polynomials in Z[z, 1/z]."""
 
 from fractions import Fraction
 
 import pytest
 
-from qhecke.errors import NonUnitError
-from qhecke.rings import ZPoly, invert
+from qhecke.errors import NonUnitError, PoleError
+from qhecke.rings import ZPoly, invert, specialise
+from qhecke.series import QSeries, geometric_sum
 
 
 def test_zpoly_ops():
@@ -16,8 +17,6 @@ def test_zpoly_ops():
     assert p.eval(2) == Fraction(5, 2)
     assert p.at_one() == 2
     assert (p - p) == 0 and not (p - p)
-    assert ZPoly({2: 3}).unit_part() == (3, 2)
-    assert p.unit_part() is None
 
 
 def test_zpoly_never_stores_zeros():
@@ -27,7 +26,7 @@ def test_zpoly_never_stores_zeros():
 
 
 def test_zpoly_zero_values_normalise():
-    for zero in (ZPoly({0: 0}), ZPoly({-2: 0, 5: Fraction(0)}), ZPoly.monomial(0, 4)):
+    for zero in (ZPoly({0: 0}), ZPoly({-2: 0, 5: 0}), ZPoly.monomial(0, 4)):
         assert not zero
         assert zero == 0 and zero == ZPoly()
         assert hash(zero) == hash(0)
@@ -37,8 +36,7 @@ def test_zpoly_zero_values_normalise():
 def test_zpoly_hash_agrees_with_eq():
     assert hash(ZPoly.const(3)) == hash(3)
     assert {ZPoly.const(3): "x"}.get(3) == "x"
-    assert hash(ZPoly.const(Fraction(1, 2))) == hash(Fraction(1, 2))
-    assert hash(ZPoly({-1: 2, 1: Fraction(4, 2)})) == hash(ZPoly({-1: Fraction(2), 1: 2}))
+    assert hash(ZPoly({-1: 2, 1: 2})) == hash(ZPoly.monomial(2, 1) + ZPoly.monomial(2, -1))
 
 
 def test_zpoly_c_is_read_only():
@@ -57,25 +55,62 @@ def test_ring_invert_rules():
     for zero in (0, Fraction(0), ZPoly()):
         with pytest.raises(NonUnitError):
             invert(zero)
-    assert invert(ZPoly({3: -2})) == ZPoly({-3: Fraction(-1, 2)})
     for sign in (1, -1):
         inv = invert(ZPoly({3: sign}))
-        assert inv == ZPoly({-3: sign}) and type(inv.unit_part()[0]) is int
+        assert inv == ZPoly({-3: sign}) and type(inv.coeffs[0]) is int
     # a constant ZPoly inverts to a ZPoly, a scalar to a scalar
-    assert type(invert(ZPoly.const(2))) is ZPoly and invert(ZPoly.const(2)) == Fraction(1, 2)
-    with pytest.raises(NonUnitError):
-        invert(ZPoly({0: 1, 1: -1}))
+    assert type(invert(ZPoly.const(-1))) is ZPoly and invert(ZPoly.const(-1)) == -1
+    # the units of Z[z, 1/z] are the +-z^k: 2, 2z and -2z^3 are not
+    for x in (ZPoly({0: 1, 1: -1}), ZPoly.const(2), ZPoly.monomial(2, 1), ZPoly({3: -2})):
+        with pytest.raises(NonUnitError):
+            invert(x)
 
 
-@pytest.mark.parametrize("zero", [0, Fraction(0)])
+@pytest.mark.parametrize("zero", [0])
 def test_zpoly_plus_minus_scalar_zero(zero):
     # series pad with the scalar 0, so 0 + p must give p back unchanged
-    p = ZPoly({-1: 3, 2: Fraction(1, 2)})
+    p = ZPoly({-1: 3, 2: 5})
     for got, want in ((zero + p, p), (p + zero, p), (p - zero, p), (zero - p, -p)):
         assert type(got) is ZPoly and got == want
         assert (got.lo, got.coeffs) == (want.lo, want.coeffs)
     assert type(zero + ZPoly()) is ZPoly and not zero + ZPoly()
     assert (1 + p) - 1 == p and 1 - p == -(p - 1)
+
+
+def test_zpoly_refuses_a_fraction():
+    # a ZPoly lies in Z[z, 1/z]: every way of putting a Fraction into one
+    # raises TypeError, Fraction(0) and Fraction(2) included
+    half = Fraction(1, 2)
+    for build in (lambda: ZPoly({0: half}), lambda: ZPoly({-1: 1, 3: Fraction(2)}),
+                  lambda: ZPoly.const(half), lambda: ZPoly.monomial(half, 3)):
+        with pytest.raises(TypeError):
+            build()
+    p = ZPoly({-1: 3, 2: 5})
+    for op in (lambda: p + half, lambda: half + p, lambda: p - half, lambda: half - p,
+               lambda: p * half, lambda: half * p, lambda: p + Fraction(0)):
+        with pytest.raises(TypeError):
+            op()
+    f = QSeries(0, [p, 0, 1], 5)
+    with pytest.raises(TypeError):
+        f.scale(Fraction(-3, 2))
+    # c/(1 - r) at d = 0 with r = -1 would be c/2
+    with pytest.raises(TypeError):
+        geometric_sum(iter([(p, 0, -1, 0)]), 5)
+    # with r = z instead it is c/(1 - z), which no Laurent polynomial is
+    with pytest.raises(PoleError):
+        geometric_sum(iter([(p, 0, ZPoly.monomial(1, 1), 0)]), 5)
+
+
+def test_eval_z_passes_scalars_through():
+    # a scalar entry is its own value at any z0, with its type kept
+    z0 = Fraction(2, 3)
+    f = QSeries(-1, [Fraction(1, 2), 0, 3, Fraction(-5, 4)], 4)
+    got = f.eval_z(z0)
+    assert (got.min_exp, got.order, got.coeffs) == (-1, 4, f.coeffs)
+    assert [type(c) for c in got.coeffs] == [Fraction, int, int, Fraction]
+    # beside a ZPoly: 3z + 5z^-2 at 2/3 is 2 + 45/4
+    half = Fraction(1, 2)
+    assert specialise([half, 7, ZPoly({1: 3, -2: 5})], z0) == [half, 7, Fraction(53, 4)]
 
 
 @pytest.mark.parametrize("n", [40, 130])

@@ -117,10 +117,9 @@ def test_constructor_does_not_alias_the_input_list():
     assert as_dict(g) == {0: 1, 1: 2}
 
 
-_rational_coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+_int_coeffs = st.integers(-4, 4)
 _laurent_coeffs = st.one_of(
-    _rational_coeffs,
-    st.builds(ZPoly, st.dictionaries(st.integers(-3, 3), _rational_coeffs, max_size=3)))
+    _int_coeffs, st.builds(ZPoly, st.dictionaries(st.integers(-3, 3), _int_coeffs, max_size=3)))
 
 
 @st.composite
@@ -140,9 +139,9 @@ def _same_window(got, want):
 
 
 @settings(deadline=None, max_examples=150)
-@given(_finite_series(_rational_coeffs), _finite_series(_laurent_coeffs))
+@given(_finite_series(_int_coeffs), _finite_series(_laurent_coeffs))
 def test_rational_series_mix_with_laurent_series(f, g):
-    # Q is a subring of Q[z, 1/z]: a rational series meets a Laurent one
+    # Z is a subring of Z[z, 1/z]: an integral series meets a Laurent one
     # as the series of constant Laurent polynomials it equals
     lf = _lifted(f)
     _same_window(f * g, lf * g)
@@ -480,8 +479,10 @@ def test_geometric_sum_matches_div_one_minus(case):
     terms, n = case
     try:
         want = _div_one_minus_route(terms, n)
-    except PoleError:
-        with pytest.raises(PoleError):
+    except (PoleError, TypeError) as exc:
+        # a pole, or a Laurent c/(1 - r) = c/2 at d = 0 that Z[z, 1/z]
+        # does not hold: both routes refuse it alike
+        with pytest.raises(type(exc)):
             geometric_sum(iter(terms), n)
         return
     got = geometric_sum(iter(terms), n)
@@ -583,7 +584,7 @@ def test_eval_z_rejects_inexact_points(z0):
     # Fractions are exact points
     from qhecke.mock import F4_series
 
-    p = ZPoly({-1: 1, 2: Fraction(1, 3)})
+    p = ZPoly({-1: 1, 2: 3})
     for evaluate in (lambda: specialise([p], z0), lambda: specialise([], z0),
                      lambda: p.eval(z0), lambda: F4_series(5).eval_z(z0),
                      lambda: QSeries.zero(5).eval_z(z0)):
@@ -615,11 +616,11 @@ def test_json_shapes():
     js = f.to_json()
     assert js["min_exp"] == -1 and js["order"] == 4
     assert js["coeffs"] == ["1/2", "0", "3"]
-    h = QSeries.from_terms([(1, ZPoly({-1: 1, 2: Fraction(2, 3)}))], 2)
-    assert h.to_json()["coeffs"][0] == {"-1": "1", "2": "2/3"}
+    h = QSeries.from_terms([(1, ZPoly({-1: 1, 2: 5}))], 2)
+    assert h.to_json()["coeffs"][0] == {"-1": "1", "2": "5"}
     # beside a ZPoly, a scalar c is its z^0 term and zero is empty
-    m = QSeries(0, [ZPoly({1: 2}), 0, Fraction(-1, 2), ZPoly()], 5)
-    assert m.to_json()["coeffs"] == [{"1": "2"}, {}, {"0": "-1/2"}]
+    m = QSeries(0, [ZPoly({1: 2}), 0, -3, ZPoly()], 5)
+    assert m.to_json()["coeffs"] == [{"1": "2"}, {}, {"0": "-3"}]
 
 
 def test_pochhammer_step_must_be_positive():

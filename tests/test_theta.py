@@ -6,7 +6,7 @@ import pytest
 
 from qhecke.errors import NonUnitError, PoleError
 from qhecke.rings import ZPoly
-from qhecke.series import QSeries, etaq, monomial, pochhammer
+from qhecke.series import etaq, monomial, pochhammer
 from qhecke.theta import (_theta_1_4_deferred, appell_cleared, appell_m, f_abc, f_abc_terms,
                           g_abc, jtheta, theta_1_4, theta_low, theta_sum_scaled)
 from qhecke.verify import _compare

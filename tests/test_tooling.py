@@ -5,8 +5,9 @@ the caches listed in its ``CACHES``, and fails a traced benchmark run
 when one is gone; ``perfbench/child.py`` prints ``qhecke.kernels.BACKEND``
 and replaces a case's witnesses with ``dataclasses.replace``.  These
 tests make a rename fail here first.  Both files are read, not run.
-A last test reads the package's own modules and fails on an import that
-no longer has a use, as a deletion can leave one behind.
+A last test reads the package's own modules and the test files and
+fails on an import that no longer has a use, as a deletion can leave one
+behind.
 """
 
 import ast
@@ -90,7 +91,8 @@ def test_benchmark_child_names_resolve():
 def test_every_import_in_the_package_is_used():
     # __init__.py imports to re-export, so it is left out
     unused = []
-    for path in sorted((ROOT / "src" / "qhecke").glob("*.py")):
+    paths = sorted((ROOT / "src" / "qhecke").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    for path in paths:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
