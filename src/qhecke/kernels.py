@@ -16,7 +16,11 @@ C-level big-int shift and add per entry.  A Fraction has no product with
 a ZPoly there: such a pair raises TypeError.  Every unit is inverted by
 Newton iteration on those products.  pack_signed writes the signed slots
 of every packed product, and unpack_signed and unpack_laurent read them,
-those of the packed F4/F8 of mock.py too.
+those of the packed F4/F8 of mock.py and of the packed rows of
+series.geometric_sum too.  Every slot width below 8 bytes is written and
+read at C speed: 1, 2, 4 and 8 bytes by native casts, and 3, 5, 6 and 7
+through the next castable width by strided byte copies; a wider slot,
+or any slot on a big-endian host, goes one at a time.
 """
 
 import struct
@@ -66,9 +70,20 @@ def _divide(out, d):
 
 # slot width in bytes -> the memoryview/array format of a native signed
 # int that wide; on a little-endian host these read and write whole slots
-# at C speed, and every other width goes one slot at a time
+# at C speed.  A narrower width goes through the next of them (_wider),
+# and a width above 8 bytes, or any width on a big-endian host, one slot
+# at a time.
 _CAST = {k: c for k, c in ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
          if sys.byteorder == "little" and struct.calcsize(c) == k}
+
+# byte -> 0xff when its top bit is set, else 0: the sign extension of a
+# slot whose highest byte it is
+_SIGN = bytes(128) + b"\xff" * 128
+
+
+def _wider(k):
+    """The narrowest castable slot width above k bytes, or None."""
+    return next((c for c in _CAST if c > k), None)
 
 
 def _bias(k, n):
@@ -79,12 +94,24 @@ def _bias(k, n):
 def pack_signed(vals, k):
     """sum vals[i] * 2^(8k*i) for ints with every |v| < 2^(8k-1).
 
-    Each slot is written in two's complement, as v mod 2^(8k); xor-ing
-    the bias into every slot and subtracting it turns that back into v.
+    It packs the operands of the int and Laurent products here and the
+    numerators of series.geometric_sum's packed rows.  Each slot is
+    written in two's complement, as v mod 2^(8k); xor-ing the bias into
+    every slot and subtracting it turns that back into v.  Every width
+    below 8 bytes runs at C speed: one with no native cast is written at
+    the next castable width w and cut down to its k low bytes by k
+    strided slice copies, as v mod 2^(8k) is the low k bytes of
+    v mod 2^(8w).
     """
     code = _CAST.get(k)
+    wide = None if code else _wider(k)
     if code:
         data = array(code, vals).tobytes()
+    elif wide:
+        src = array(_CAST[wide], vals).tobytes()
+        data = bytearray(k * len(vals))
+        for j in range(k):
+            data[j::k] = src[j::wide]
     else:
         data = b"".join([v.to_bytes(k, "little", signed=True) for v in vals])
     bias = _bias(k, len(vals))
@@ -103,11 +130,26 @@ def _twos(x, k, n):
 
 
 def _slots(y, k, n):
-    """The n k-byte two's complement slots of y >= 0 as signed ints."""
+    """The n k-byte two's complement slots of y >= 0 as signed ints.
+
+    A width below 8 bytes with no native cast is widened to the next
+    castable width w: k strided slice copies move the bytes, and the
+    top byte of each slot, mapped through one translate table, fills
+    the w - k bytes above it with its sign.
+    """
     data = y.to_bytes(k * n, "little")
     code = _CAST.get(k)
     if code:
         return memoryview(data).cast(code).tolist()
+    wide = _wider(k)
+    if wide:
+        out = bytearray(wide * n)
+        for j in range(k):
+            out[j::wide] = data[j::k]
+        sign = data[k - 1::k].translate(_SIGN)
+        for j in range(k, wide):
+            out[j::wide] = sign
+        return memoryview(out).cast(_CAST[wide]).tolist()
     fb = int.from_bytes
     return [fb(data[i:i + k], "little", signed=True) for i in range(0, k * n, k)]
 

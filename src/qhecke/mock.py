@@ -40,7 +40,8 @@ Appell-type sums, the Appell-Lerch sums of theta.appell_m included,
 run over series.appell_range, the k whose lowest exponent is at most
 the order, and Humbert's double sum over exactly the (m, u) whose
 exponent is; each term over its own 1 - r q^(dk+e) goes into
-series.geometric_sum, exact for any degree.
+series.geometric_sum, exact for any degree, which keeps a sum with a
+ZPoly in it, as every Appell-Lerch sum in z is, on packed ints.
 """
 
 from __future__ import annotations

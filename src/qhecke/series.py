@@ -15,10 +15,14 @@ exponents and monomial shifts never silently lose validity.
 One rule reads every linear denominator 1 - c*q^d: for d >= 1 it
 expands geometrically, for d <= -1 it rewrites 1/(1 - u) as
 -u^-1/(1 - u^-1), and for d = 0 it scales by 1/(1 - c), raising
-PoleError when 1 - c is not a unit.  div_one_minus applies it to a
-whole series; geometric_sum, used by every Appell- and Lambert-type
-sum, applies it term by term and writes each term c*q^e/(1 - r*q^d)
-along its own stride e, e + d, ... of one dense list.
+PoleError when 1 - c is not a unit; c = 0 is the factor 1 for every d.
+div_one_minus applies it to a whole series; geometric_sum, used by
+every Appell- and Lambert-type sum, applies it term by term and writes
+each term c*q^e/(1 - r*q^d) along its own stride e, e + d, ... of one
+dense list.  A sum with a ZPoly in it, every z-analogue's Appell-Lerch
+sum among them, keeps that list on packed ints: each q-coefficient is
+one int with z^t in a fixed-width slot, a stride step is one shift and
+one big-int add, and each coefficient is read back once.
 """
 
 from __future__ import annotations
@@ -382,8 +386,11 @@ def _one_minus_form(c, d):
     d >= 1 is already of that form, with a = None for "no factor".
     d <= -1 rewrites 1/(1 - u) as -u^-1/(1 - u^-1), so d' = -d >= 1.
     d = 0 gives the constant a = 1/(1 - c) with d' = 0, and PoleError
-    when 1 - c is not a unit (rings.invert).
+    when 1 - c is not a unit (rings.invert).  c = 0 is the factor 1 for
+    every d: no factor, with d' = 0.
     """
+    if not c:
+        return None, 0, c, 0
     if d > 0:
         return None, 0, c, d
     if d == 0:
@@ -398,21 +405,27 @@ def _one_minus_form(c, d):
 def geometric_sum(terms, n):
     """Sum of c*q^e/(1 - r*q^d) over (c, e, r, d) terms, certified through q^n.
 
-    Each term, read by _one_minus_form, is written into one dense list
-    along its own stride: c*r^j at e + j*d for every such exponent up to
-    n, so it costs (n - e)/d updates.  Terms are consumed as they come;
-    the list grows leftwards when a lower exponent appears.
+    Each term is first read by _one_minus_form, in the order the terms
+    come, so a pole raises PoleError whether or not its term reaches
+    q^n.  A term that does is written into one dense list along its own
+    stride: c*r^j at e + j*d for every such exponent up to n, so it costs
+    (n - e)/d updates.  When any of those terms holds a ZPoly, in c or in
+    a ratio r at d >= 1, the whole sum is taken by _packed_sum instead.
     """
-    lo, out = n + 1, []
+    landing, packed = [], False
     for c, e, r, d in terms:
         a, s, r, d = _one_minus_form(r, d)
         if e + s > n or not c:
             continue
         if a is not None:
             c, e = a * c, e + s
-        if e < lo:
-            out[:0] = [0] * (lo - e)
-            lo = e
+        landing.append((c, e, r, d))
+        packed = packed or type(c) is ZPoly or (d > 0 and type(r) is ZPoly)
+    lo = min([e for _, e, _, _ in landing], default=n + 1)
+    if packed:
+        return QSeries(lo, _packed_sum(landing, lo, n), n)
+    out = [0] * (n + 1 - lo)
+    for c, e, r, d in landing:
         i = e - lo
         if d == 0:
             out[i] = out[i] + c
@@ -423,6 +436,48 @@ def geometric_sum(terms, n):
                 out[k] = out[k] + c
                 c = r * c
     return QSeries(lo, out, n)
+
+
+def _packed_sum(terms, lo, n):
+    """The coefficients of q^lo..q^n of a sum of c*q^e/(1 - r*q^d) terms,
+    with c an int or a ZPoly and r = s*z^k, on packed ints.
+
+    The terms are _one_minus_form's, with e in [lo, n] and d >= 0.  A
+    term c*z^t writes c*s^j*z^(t + kj) at q^(e + jd) for j = 0..J,
+    J = (n - e)/d (J = 0 at d = 0), so one z-window L..H holds every
+    term's window swept by k*J.  An output coefficient takes at most one
+    copy of each term, so it is at most the sum over terms of
+    max|c| * |s|^J, and a slot of that bit length plus a sign bit holds
+    it.  Each c is packed once; step j adds it times s^j, shifted by
+    t + kj - L >= 0 slots, into its row with one big-int add, and each
+    row is read once by kernels.unpack_laurent.
+
+    A Fraction c, or a ratio at d >= 1 that is not a monomial s*z^k,
+    raises TypeError.
+    """
+    steps = []
+    for c, e, r, d in terms:
+        t, cs = (c.lo, c.coeffs) if type(c) is ZPoly else (0, (c,))
+        s, k, j = 1, 0, 0  # d = 0: c alone at q^e
+        if d:
+            s, k = (r.coeffs[0], r.lo) if type(r) is ZPoly and len(r.coeffs) == 1 else (r, 0)
+            j = (n - e) // d
+        if type(c) not in (int, ZPoly) or type(s) is not int:
+            raise TypeError(f"({c})/(1 - ({r})*q^{d}) is not a term of Z[z, 1/z][[q]]"
+                            " with a ratio s*z^k")
+        steps.append((cs, t, e - lo, d or 1, s, k, j))
+    low = min([t + min(k * j, 0) for _, t, _, _, _, k, j in steps])
+    high = max([t + len(cs) - 1 + max(k * j, 0) for cs, t, _, _, _, k, j in steps])
+    top = sum([max(map(abs, cs)) * abs(s) ** j for cs, _, _, _, s, _, j in steps])
+    size = kernels._slot_bytes(top.bit_length() + 1)
+    w = 8 * size
+    out = [0] * (n + 1 - lo)
+    for cs, t, i, d, s, k, j in steps:
+        x = kernels.pack_signed(cs, size)
+        base, stride = w * (t - low), w * k
+        row = slice(i, i + d * j + 1, d)
+        out[row] = map(add, out[row], [x * s ** m << base + stride * m for m in range(j + 1)])
+    return [kernels.unpack_laurent(x, size, low, high - low + 1) if x else 0 for x in out]
 
 
 def lattice_range(a, b, c, lo=None, hi=None):

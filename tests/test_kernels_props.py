@@ -10,8 +10,8 @@ coefficient sizes drawn so that its slots come out 1, 2, 4, 8 and more
 than 8 bytes wide, and feed the Newton inverse; a Fraction beside a
 ZPoly is refused.
 Fixed cases put an output coefficient exactly on the slot bound, and the
-shared slot writer and reader are round-tripped at every width up to 9
-bytes, on the cast and the one-slot-at-a-time path.
+shared slot writer and reader are round-tripped at every width up to 17
+bytes, on the native casts, through a wider cast, and one slot at a time.
 """
 
 from fractions import Fraction
@@ -312,14 +312,16 @@ def test_conv_trunc_laurent_packed_signs_and_theta_entries():
     assert all(v < 0 for p in out for v in p.coeffs if v) and all(out)
 
 
-@pytest.mark.parametrize("cast", [True, False])
-@pytest.mark.parametrize("k", range(1, 10))
+# True: the host's casts; False: none, as on a big-endian host, so that
+# every width goes one slot at a time; b-q: only the 1- and 8-byte ones,
+# so that every width from 2 to 7 bytes is widened from and cut to 8
+@pytest.mark.parametrize("cast", [True, False, {1: "b", 8: "q"}], ids=["True", "False", "b-q"])
+@pytest.mark.parametrize("k", range(1, 18))
 def test_pack_unpack_round_trip(k, cast, monkeypatch):
-    # the slot writer and reader of the packed products and of F4/F8, on
-    # whole-slot casts and, with those switched off as on a big-endian
-    # host, one slot at a time
-    if not cast:
-        monkeypatch.setattr(kernels, "_CAST", {})
+    # the slot writer and reader of the packed products, of F4/F8 and of
+    # the packed rows of geometric_sum
+    if cast is not True:
+        monkeypatch.setattr(kernels, "_CAST", cast or {})
     top = (1 << 8 * k - 1) - 1
     values = [0, 1, -1, top, -top]
     for n in (0, 1, 50):

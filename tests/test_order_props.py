@@ -126,16 +126,16 @@ def test_sub_claims_no_more_than_its_inputs_know(pairs):
 
 def linear_factor(kind, d, divide):
     """c for a factor 1 - c*q^d; when dividing, one that div_one_minus
-    accepts: c a unit for d < 0, and 1 - c a unit for d = 0.  For Laurent
-    coefficients c is +-z^k, and for d = 0 it is 1 - (+-z^k), as the
-    units of Z[z, 1/z] are the +-z^k."""
+    accepts: c a unit or 0 for d < 0, and 1 - c a unit for d = 0.  For
+    Laurent coefficients c is +-z^k, or 0 for d < 0, and for d = 0 it is
+    1 - (+-z^k), as the units of Z[z, 1/z] are the +-z^k."""
     if kind == "laurent":
+        if divide and d < 0:
+            return st.one_of(z_units, st.just(ZPoly()))
         return z_units.map(lambda u: 1 - u) if divide and d == 0 else z_units
-    if not divide or d > 0:
-        return coeffs_of(kind)
-    if d < 0:
-        return coeffs_of(kind).filter(bool)
-    return coeffs_of(kind).filter(lambda c: c != 1)
+    if divide and d == 0:
+        return coeffs_of(kind).filter(lambda c: c != 1)
+    return coeffs_of(kind)
 
 
 def linear_case(divide):

@@ -499,6 +499,98 @@ def test_geometric_sum_pole_at_r_one_d_zero(one):
         geometric_sum(iter([(one, 9, 1, 0)]), 5)
 
 
+# z-bearing sums take the packed route: numerators of up to 70 bits, so
+# that its slots come out 1, 2, 4, 8 and more than 8 bytes wide, and
+# ratios s*z^k with |s| <= 2, whose powers widen them further
+_ratios = st.one_of(st.sampled_from([1, -1, 2, -2]),
+                    st.builds(ZPoly.monomial, st.sampled_from([1, -1, 2, -2]),
+                              st.integers(-3, 3)))
+
+
+@st.composite
+def _packed_case(draw):
+    bits = draw(st.one_of(st.integers(0, 70), st.integers(60, 70)))
+    big = st.integers(-(1 << bits), 1 << bits)
+    laurent = st.builds(ZPoly, st.dictionaries(st.integers(-3, 3), big, max_size=3))
+    n = draw(st.integers(-3, 24))
+    # an int ratio +-2 at d < 0, and an int c over 1 - r at d = 0 with
+    # r = -1 or -2, give a rational numerator, which no z-bearing sum
+    # holds (see the test below)
+    term = st.tuples(st.one_of(big, laurent), st.integers(-10, n + 3), _ratios,
+                     st.integers(-5, 5)).filter(lambda t: type(t[2]) is not int or not (
+                         t[3] < 0 and abs(t[2]) == 2 or t[3] == 0 and t[2] < 0
+                         and type(t[0]) is int))
+    terms = draw(st.lists(term, max_size=6))
+    # one Laurent term that lands makes the sum z-bearing
+    landing = (draw(laurent.filter(bool)), draw(st.integers(-10, n)), draw(_ratios),
+               draw(st.integers(1, 5)))
+    terms.insert(draw(st.integers(0, len(terms))), landing)
+    return terms, n
+
+
+@settings(deadline=None, max_examples=200)
+@given(_packed_case())
+@example(([(ZPoly({-3: 1 << 70, 3: -(1 << 70)}), -10, ZPoly.monomial(-2, -3), 1),
+           (5, 0, -2, 3), (ZPoly({1: 1}), 3, ZPoly.monomial(1, 2), -2), (1, 30, 1, 1)], 24))
+def test_packed_geometric_sum_matches_div_one_minus(case):
+    terms, n = case
+    try:
+        want = _div_one_minus_route(terms, n)
+    except (NonUnitError, PoleError, TypeError) as exc:
+        # a ratio 2z^k at d < 0, a pole at d = 0, or a Laurent c/2 at d = 0
+        with pytest.raises(type(exc)):
+            geometric_sum(iter(terms), n)
+        return
+    got = geometric_sum(iter(terms), n)
+    assert (got.min_exp, got.order, got.coeffs) == (want.min_exp, want.order, want.coeffs)
+    assert all(type(c) in (int, ZPoly) for c in got.coeffs)
+
+
+@pytest.mark.parametrize("bits, size", [(5, 1), (14, 2), (30, 4), (62, 8), (70, 9)])
+def test_packed_geometric_sum_slot_widths(bits, size, monkeypatch):
+    # one term's rows need bits + 1 bits: 1, 2, 4 and 8 bytes go through
+    # native casts, 9 bytes one slot at a time
+    seen = set()
+    unpack = kernels.unpack_laurent
+
+    def spy(x, k, lo, n):
+        seen.add(k)
+        return unpack(x, k, lo, n)
+
+    monkeypatch.setattr(kernels, "unpack_laurent", spy)
+    top = (1 << bits) - 1
+    terms = [(ZPoly({-1: top, 2: -top}), 0, ZPoly.monomial(-1, 1), 1)]
+    got = geometric_sum(iter(terms), 12)
+    assert seen == {size}
+    assert got.coeffs == _div_one_minus_route(terms, 12).coeffs
+
+
+def test_geometric_sum_refuses_a_ratio_that_is_not_a_monomial():
+    # d >= 1 moves a ZPoly ratio by z^k slots; 1 + z is no such ratio
+    with pytest.raises(TypeError):
+        geometric_sum(iter([(1, 0, ZPoly({0: 1, 1: 1}), 1)]), 5)
+    with pytest.raises(TypeError):
+        geometric_sum(iter([(ZPoly({2: 3}), 0, ZPoly({0: 1, 1: 1}), 2)]), 5)
+
+
+def test_z_bearing_geometric_sum_refuses_a_fraction():
+    # 1/(1 + q^0) = 1/2 beside a power of z
+    with pytest.raises(TypeError):
+        geometric_sum(iter([(1, 0, -1, 0), (ZPoly({1: 1}), 1, 1, 1)]), 5)
+    # a scalar sum keeps its rationals
+    assert geometric_sum(iter([(1, 0, -1, 0)]), 5).coeffs == [Fraction(1, 2)]
+
+
+@pytest.mark.parametrize("d", [-3, -1, 0, 2])
+def test_one_minus_zero_is_the_factor_one(d):
+    f = QSeries(0, [1, 2, 3], 5)
+    assert f.div_one_minus(0, d) is f
+    assert f.mul_one_minus(0, d) is f
+    for zero in (0, ZPoly()):
+        got = geometric_sum(iter([(7, 2, zero, d), (ZPoly({1: 1}), 0, zero, d)]), 5)
+        assert (got.min_exp, got.coeffs) == (0, [ZPoly({1: 1}), 0, 7])
+
+
 # -- restructuring ------------------------------------------------------------
 
 def test_u_p_examples():
