@@ -14,13 +14,15 @@ c z^t q^i becomes one int with z^t in a fixed-width slot, and the other
 adds one shifted, scaled copy of that packed list per monomial, a
 C-level big-int shift and add per entry.  A Fraction has no product with
 a ZPoly there: such a pair raises TypeError.  Every unit is inverted by
-Newton iteration on those products.  pack_signed writes the signed slots
-of every packed product, and unpack_signed and unpack_laurent read them,
-those of the packed F4/F8 of mock.py and of the packed rows of
-series.geometric_sum too.  Every slot width below 8 bytes is written and
-read at C speed: 1, 2, 4 and 8 bytes by native casts, and 3, 5, 6 and 7
-through the next castable width by strided byte copies; a wider slot,
-or any slot on a big-endian host, goes one at a time.
+Newton iteration on those products.  This module owns the packed
+format, each int v_i in k-byte two's complement slot i: _slot_bytes is
+the one width rule (the fewest whole bytes), pack_signed the one writer,
+unpack_signed reads an int product and unpack_rows every packed Laurent
+row, those of the products here, of series.geometric_sum's packed sums
+(_packed_sum) and of mock.py's F4/F8.  Every width below 8 bytes is
+written and read at C speed: 1, 2, 4 and 8 bytes by native casts, and
+3, 5, 6 and 7 through the next castable width by strided byte copies; a
+wider slot, or any slot on a big-endian host, goes one at a time.
 """
 
 import struct
@@ -95,7 +97,7 @@ def pack_signed(vals, k):
     """sum vals[i] * 2^(8k*i) for ints with every |v| < 2^(8k-1).
 
     It packs the operands of the int and Laurent products here and the
-    numerators of series.geometric_sum's packed rows.  Each slot is
+    numerators of _packed_sum's rows.  Each slot is
     written in two's complement, as v mod 2^(8k); xor-ing the bias into
     every slot and subtracting it turns that back into v.  Every width
     below 8 bytes runs at C speed: one with no native cast is written at
@@ -118,15 +120,16 @@ def pack_signed(vals, k):
     return (int.from_bytes(data, "little") ^ bias) - bias
 
 
-def _twos(x, k, n):
-    """The n lowest k-byte slots of x in two's complement, as one int >= 0.
+def _twos(rows, k, n):
+    """The n lowest k-byte slots of each row in two's complement, as ints >= 0.
 
-    x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1).  The bias
-    makes every slot nonnegative without a carry, and xor-ing it back
-    leaves v_i mod 2^(8k) in slot i.
+    A row is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1).  The
+    bias, built once per list, makes every slot nonnegative without a
+    carry, and xor-ing it back leaves v_i mod 2^(8k) in slot i.
     """
     bias = _bias(k, n)
-    return ((x + bias) & ((1 << 8 * k * n) - 1)) ^ bias
+    mask = (1 << 8 * k * n) - 1
+    return [((x + bias) & mask) ^ bias if x else 0 for x in rows]
 
 
 def _slots(y, k, n):
@@ -158,32 +161,33 @@ def unpack_signed(x, k, n):
     """The n lowest k-byte slots of x as signed ints, lowest first.
 
     x is a sum of v_i * 2^(8k*i) with every |v_i| < 2^(8k-1), as a
-    packed product or a packed series is; higher slots are dropped.
+    packed product is; higher slots are dropped.
     """
-    return _slots(_twos(x, k, n), k, n)
+    return _slots(_twos([x], k, n)[0], k, n)
 
 
-def unpack_laurent(x, k, lo, n):
-    """sum_i v_i z^(lo + i) over the n lowest k-byte slots v_i of x.
+def unpack_rows(rows, k, lo, n):
+    """Each packed row as sum_i v_i z^(lo + i) over its n lowest k-byte
+    slots v_i: the one reader of every packed Laurent row, those of the
+    products here, of mock's F4/F8 and of _packed_sum.
 
-    The zero slots at both ends are trimmed from the packed int, by its
-    trailing zero bits and its bit length, before anything is read: the
-    result is a ZPoly window, or the scalar 0.
+    The zero slots at both ends of a row are trimmed, by its trailing
+    zero bits and its bit length, before anything is read: a row comes
+    back as a ZPoly window, or as the scalar 0.
     """
-    y = _twos(x, k, n)
-    if not y:
-        return 0
     w = 8 * k
-    first = ((y & -y).bit_length() - 1) // w
-    y >>= w * first
-    return _raw(lo + first, tuple(_slots(y, k, (y.bit_length() + w - 1) // w)))
+
+    def window(y):
+        first = ((y & -y).bit_length() - 1) // w
+        y >>= w * first
+        return _raw(lo + first, tuple(_slots(y, k, (y.bit_length() + w - 1) // w)))
+    return [window(y) if y else 0 for y in _twos(rows, k, n)]
 
 
 def _slot_bytes(bits):
-    """Bytes for a slot of at least ``bits`` bits: 1, 2, 4 or 8 when one
-    fits and whole slots can be cast, else the fewest whole bytes."""
-    k = (bits + 7) // 8
-    return next((c for c in _CAST if c >= k), k)
+    """The fewest whole bytes holding ``bits`` bits: the one slot width
+    of every packed product and row."""
+    return (bits + 7) // 8
 
 
 def _kron_mul(a, b, n):
@@ -193,7 +197,7 @@ def _kron_mul(a, b, n):
     """
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
-    k = (bits + 7) // 8
+    k = _slot_bytes(bits)
     return unpack_signed(pack_signed(a, k) * pack_signed(b, k), k, n)
 
 
@@ -246,8 +250,48 @@ def _laurent_mul(a, b, n):
             out[i:i + m] = map(sub, out[i:i + m], copy)
         else:
             out[i:i + m] = map(add, out[i:i + m], map(mul, copy, repeat(c)))
-    slots = ha - la + hb - lb + 1
-    return [unpack_laurent(x, k, la + lb, slots) if x else 0 for x in out]
+    return unpack_rows(out, k, la + lb, ha - la + hb - lb + 1)
+
+
+def _packed_sum(terms, lo, n):
+    """The coefficients of q^lo..q^n of a sum of c*q^e/(1 - r*q^d) terms,
+    with c an int or a ZPoly and r = s*z^k, on packed ints.
+
+    The terms are series._one_minus_form's, with e in [lo, n] and d >= 0.
+    A term c*z^t writes c*s^j*z^(t + kj) at q^(e + jd) for j = 0..J,
+    J = (n - e)/d (J = 0 at d = 0), so one z-window L..H holds every
+    term's window swept by k*J.  An output coefficient takes at most one
+    copy of each term, so it is at most the sum over terms of
+    max|c| * |s|^J, and a slot of that bit length plus a sign bit holds
+    it.  Each c is packed once; step j adds it times s^j, shifted by
+    t + kj - L >= 0 slots, into its row with one big-int add.
+
+    A Fraction c, or a ratio at d >= 1 that is not a monomial s*z^k,
+    raises TypeError.
+    """
+    steps = []
+    for c, e, r, d in terms:
+        t, cs = (c.lo, c.coeffs) if type(c) is ZPoly else (0, (c,))
+        s, k, j = 1, 0, 0  # d = 0: c alone at q^e
+        if d:
+            s, k = (r.coeffs[0], r.lo) if type(r) is ZPoly and len(r.coeffs) == 1 else (r, 0)
+            j = (n - e) // d
+        if type(c) not in (int, ZPoly) or type(s) is not int:
+            raise TypeError(f"({c})/(1 - ({r})*q^{d}) is not a term of Z[z, 1/z][[q]]"
+                            " with a ratio s*z^k")
+        steps.append((cs, t, e - lo, d or 1, s, k, j))
+    low = min([t + min(k * j, 0) for _, t, _, _, _, k, j in steps])
+    high = max([t + len(cs) - 1 + max(k * j, 0) for cs, t, _, _, _, k, j in steps])
+    top = sum([max(map(abs, cs)) * abs(s) ** j for cs, _, _, _, s, _, j in steps])
+    size = _slot_bytes(top.bit_length() + 1)
+    w = 8 * size
+    out = [0] * (n + 1 - lo)
+    for cs, t, i, d, s, k, j in steps:
+        x = pack_signed(cs, size)
+        base, stride = w * (t - low), w * k
+        row = slice(i, i + d * j + 1, d)
+        out[row] = map(add, out[row], [x * s ** m << base + stride * m for m in range(j + 1)])
+    return unpack_rows(out, size, low, high - low + 1)
 
 
 def _conv(a, b, keep):

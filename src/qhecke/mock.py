@@ -20,7 +20,8 @@ sum_a c_a B^(a + n + 1) with B = 2^bits (Kronecker substitution), so
 Each step is a ring map, so only the final unpack needs every
 |c_a| < B/2.  The width comes from a majorant: the same engine at
 B = 1 with every sign made + gives at q^m a bound on sum_a |c_a|, and
-bits is that bound's bit length plus a sign bit, in whole bytes.
+kernels._slot_bytes turns its bit length plus a sign bit into whole
+bytes; kernels.unpack_rows reads every row in one call.
 
 The congruence cases need the Eulerian series only modulo m = 2^k.
 Their residue form reads the same recipes and keeps a whole term in one
@@ -51,7 +52,7 @@ from itertools import chain, repeat
 from operator import add, lshift, rshift, sub
 from typing import Callable, Optional
 
-from .kernels import unpack_laurent
+from .kernels import _slot_bytes, unpack_rows
 from .rings import ZPoly
 from .series import (QSeries, appell_range, geom_ratio, geometric_sum, grown,
                      lattice_range)
@@ -197,19 +198,12 @@ def eulerian_residues(which, n, m):
                  lambda top, _: QSeries(0, _residue_sum(_RECIPES[which], top, m), top))
 
 
-def _slot_bits(which, n):
-    """Slot width for F4/F8 through q^n: whole bytes holding every
-    coefficient with a sign bit, by the majorant."""
-    top = max(_term_sum(_RECIPES[which], n, majorant=True))
-    return 8 * ((top.bit_length() + 8) // 8)
-
-
 def _build_bivariate(which, n):
     """F4 or F8 through q^n from the packed recurrence, one ZPoly per q^m,
-    read from the 2m + 1 slots of z^-m .. z^m."""
-    bits = _slot_bits(which, n)
-    return QSeries(0, [unpack_laurent(x >> bits * (n + 1 - m), bits // 8, -m, 2 * m + 1)
-                       for m, x in enumerate(_term_sum(_RECIPES[which], n, bits))], n)
+    all rows read at once from the slots of z^-(n+1) .. z^(n+1)."""
+    recipe = _RECIPES[which]
+    k = _slot_bytes(max(_term_sum(recipe, n, majorant=True)).bit_length() + 1)
+    return QSeries(0, unpack_rows(_term_sum(recipe, n, 8 * k), k, -n - 1, 2 * n + 3), n)
 
 
 _fz_cache: dict = {}

@@ -20,9 +20,10 @@ div_one_minus applies it to a whole series; geometric_sum, used by
 every Appell- and Lambert-type sum, applies it term by term and writes
 each term c*q^e/(1 - r*q^d) along its own stride e, e + d, ... of one
 dense list.  A sum with a ZPoly in it, every z-analogue's Appell-Lerch
-sum among them, keeps that list on packed ints: each q-coefficient is
-one int with z^t in a fixed-width slot, a stride step is one shift and
-one big-int add, and each coefficient is read back once.
+sum among them, keeps that list on packed ints (kernels._packed_sum, in
+the packed row format kernels owns): each q-coefficient is one int with
+z^t in a fixed-width slot, and a stride step is one shift and one
+big-int add.
 """
 
 from __future__ import annotations
@@ -410,7 +411,8 @@ def geometric_sum(terms, n):
     q^n.  A term that does is written into one dense list along its own
     stride: c*r^j at e + j*d for every such exponent up to n, so it costs
     (n - e)/d updates.  When any of those terms holds a ZPoly, in c or in
-    a ratio r at d >= 1, the whole sum is taken by _packed_sum instead.
+    a ratio r at d >= 1, the whole sum is taken by kernels._packed_sum
+    instead.
     """
     landing, packed = [], False
     for c, e, r, d in terms:
@@ -423,7 +425,7 @@ def geometric_sum(terms, n):
         packed = packed or type(c) is ZPoly or (d > 0 and type(r) is ZPoly)
     lo = min([e for _, e, _, _ in landing], default=n + 1)
     if packed:
-        return QSeries(lo, _packed_sum(landing, lo, n), n)
+        return QSeries(lo, kernels._packed_sum(landing, lo, n), n)
     out = [0] * (n + 1 - lo)
     for c, e, r, d in landing:
         i = e - lo
@@ -436,48 +438,6 @@ def geometric_sum(terms, n):
                 out[k] = out[k] + c
                 c = r * c
     return QSeries(lo, out, n)
-
-
-def _packed_sum(terms, lo, n):
-    """The coefficients of q^lo..q^n of a sum of c*q^e/(1 - r*q^d) terms,
-    with c an int or a ZPoly and r = s*z^k, on packed ints.
-
-    The terms are _one_minus_form's, with e in [lo, n] and d >= 0.  A
-    term c*z^t writes c*s^j*z^(t + kj) at q^(e + jd) for j = 0..J,
-    J = (n - e)/d (J = 0 at d = 0), so one z-window L..H holds every
-    term's window swept by k*J.  An output coefficient takes at most one
-    copy of each term, so it is at most the sum over terms of
-    max|c| * |s|^J, and a slot of that bit length plus a sign bit holds
-    it.  Each c is packed once; step j adds it times s^j, shifted by
-    t + kj - L >= 0 slots, into its row with one big-int add, and each
-    row is read once by kernels.unpack_laurent.
-
-    A Fraction c, or a ratio at d >= 1 that is not a monomial s*z^k,
-    raises TypeError.
-    """
-    steps = []
-    for c, e, r, d in terms:
-        t, cs = (c.lo, c.coeffs) if type(c) is ZPoly else (0, (c,))
-        s, k, j = 1, 0, 0  # d = 0: c alone at q^e
-        if d:
-            s, k = (r.coeffs[0], r.lo) if type(r) is ZPoly and len(r.coeffs) == 1 else (r, 0)
-            j = (n - e) // d
-        if type(c) not in (int, ZPoly) or type(s) is not int:
-            raise TypeError(f"({c})/(1 - ({r})*q^{d}) is not a term of Z[z, 1/z][[q]]"
-                            " with a ratio s*z^k")
-        steps.append((cs, t, e - lo, d or 1, s, k, j))
-    low = min([t + min(k * j, 0) for _, t, _, _, _, k, j in steps])
-    high = max([t + len(cs) - 1 + max(k * j, 0) for cs, t, _, _, _, k, j in steps])
-    top = sum([max(map(abs, cs)) * abs(s) ** j for cs, _, _, _, s, _, j in steps])
-    size = kernels._slot_bytes(top.bit_length() + 1)
-    w = 8 * size
-    out = [0] * (n + 1 - lo)
-    for cs, t, i, d, s, k, j in steps:
-        x = kernels.pack_signed(cs, size)
-        base, stride = w * (t - low), w * k
-        row = slice(i, i + d * j + 1, d)
-        out[row] = map(add, out[row], [x * s ** m << base + stride * m for m in range(j + 1)])
-    return [kernels.unpack_laurent(x, size, low, high - low + 1) if x else 0 for x in out]
 
 
 def lattice_range(a, b, c, lo=None, hi=None):

@@ -318,12 +318,13 @@ def test_conv_trunc_laurent_packed_signs_and_theta_entries():
 @pytest.mark.parametrize("cast", [True, False, {1: "b", 8: "q"}], ids=["True", "False", "b-q"])
 @pytest.mark.parametrize("k", range(1, 18))
 def test_pack_unpack_round_trip(k, cast, monkeypatch):
-    # the slot writer and reader of the packed products, of F4/F8 and of
+    # the slot writer and readers of the packed products, of F4/F8 and of
     # the packed rows of geometric_sum
     if cast is not True:
         monkeypatch.setattr(kernels, "_CAST", cast or {})
     top = (1 << 8 * k - 1) - 1
     values = [0, 1, -1, top, -top]
+    lists, rows = [], []
     for n in (0, 1, 50):
         for shift in range(len(values)):
             vals = [values[(i + shift) % len(values)] for i in range(n)]
@@ -332,12 +333,18 @@ def test_pack_unpack_round_trip(k, cast, monkeypatch):
             assert kernels.unpack_signed(x, k, n) == vals
             # higher slots are dropped
             assert kernels.unpack_signed(x, k, n // 2) == vals[:n // 2]
-            window = kernels.unpack_laurent(x, k, -7, n)
-            want = {i - 7: v for i, v in enumerate(vals) if v}
-            if want:
-                assert type(window) is ZPoly and window == ZPoly(want)
-            else:
-                assert window == 0 and type(window) is int
+            lists.append(vals)
+            rows.append(x)
+    # every list of this width, its zero rows (n = 0, and [0] at n = 1)
+    # included, read in one call over the 50 slots of the longest
+    windows = kernels.unpack_rows(rows, k, -7, 50)
+    assert len(windows) == len(lists)
+    for vals, window in zip(lists, windows):
+        want = {i - 7: v for i, v in enumerate(vals) if v}
+        if want:
+            assert type(window) is ZPoly and window == ZPoly(want)
+        else:
+            assert window == 0 and type(window) is int
 
 
 def test_conv_trunc_int_entries_beside_ring_entries():

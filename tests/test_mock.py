@@ -7,13 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from qhecke import mock
 from qhecke.errors import NonConvergentError
+from qhecke.kernels import _slot_bytes
 from qhecke.mock import (HR_F8Z, HR_HF8, AppellRhsSpec, HeckeRogersSpec,
                          _build_bivariate, _build_eulerian, appell_rhs,
                          c_sum, eulerian, eulerian_residues, F4_series, F8_series,
                          hecke_rogers, humbert_series, kronecker_minus4)
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries, eta_quotient
-from qhecke.verify import _compare
+from qhecke.registry import get_case
+from qhecke.verify import _compare, run_case
 
 
 def ONE(n, j):
@@ -182,15 +184,31 @@ def test_engine_matches_qseries_route_at_every_order(which, n):
     assert_identical(*engine_and_oracle(which, n))
 
 
+@pytest.fixture
+def row_widths(monkeypatch):
+    """The slot width of every mock.unpack_rows call, in call order."""
+    widths = []
+    unpack = mock.unpack_rows
+
+    def spy(rows, k, lo, slots):
+        widths.append(k)
+        return unpack(rows, k, lo, slots)
+
+    monkeypatch.setattr(mock, "unpack_rows", spy)
+    return widths
+
+
 @pytest.mark.parametrize("which,n", [("F4", 100), ("F4", 200), ("F8", 100), ("F8", 200)])
-def test_majorant_bounds_every_z_coefficient_sum(which, n):
+def test_majorant_bounds_every_z_coefficient_sum(which, n, row_widths):
     bound = mock._term_sum(mock._RECIPES[which], n, majorant=True)
     got = _build_bivariate(which, n)
     for m in range(n + 1):
         c = got.coeff(m) or ZPoly()  # below the window it is the scalar 0
         assert sum(map(abs, c.coeffs)) <= bound[m], m
-    # the slot holds the bound with a sign bit to spare
-    assert max(bound) < 1 << (mock._slot_bits(which, n) - 1)
+    # the kernels slot the rows are read in holds the bound with a sign
+    # bit to spare, in the fewest whole bytes
+    assert row_widths == [_slot_bytes(max(bound).bit_length() + 1)]
+    assert max(bound) < 1 << (8 * row_widths[0] - 1)
 
 
 def test_eulerian_heads_match_definition_oracle():
@@ -274,6 +292,23 @@ def test_bivariate_leading_terms():
     assert f8.coeff(2) == ZPoly({1: 1, -1: 1})
     f4 = F4_series(8)
     assert f4.coeff(1) == ZPoly.const(1)
+
+
+def test_bivariate_slots_wider_than_eight_bytes(monkeypatch, row_widths):
+    # at q^400 F4's slots are 11 bytes, read one slot at a time: its
+    # specialisations at z = 1 and z = i still certify, and every row is
+    # palindromic in z, as F4(z, q) = F4(1/z, q)
+    monkeypatch.setattr(mock, "_fz_cache", {})
+    for cid in ("spec-f4-at-1", "spec-f4-at-i"):
+        report = run_case(get_case(cid), 400)
+        assert (report.status, report.certified_order) == ("pass", 400), cid
+    assert row_widths == [11]
+    f4 = F4_series(400)
+    assert f4.order == 400
+    for m in range(401):
+        c = f4.coeff(m) or ZPoly()
+        row = {c.lo + i: v for i, v in enumerate(c.coeffs)}
+        assert row == {-a: v for a, v in row.items()}, m
 
 
 def test_hecke_rogers_shapes():

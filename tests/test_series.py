@@ -546,18 +546,20 @@ def test_packed_geometric_sum_matches_div_one_minus(case):
     assert all(type(c) in (int, ZPoly) for c in got.coeffs)
 
 
-@pytest.mark.parametrize("bits, size", [(5, 1), (14, 2), (30, 4), (62, 8), (70, 9)])
+@pytest.mark.parametrize("bits, size", [(5, 1), (14, 2), (20, 3), (30, 4), (36, 5),
+                                        (44, 6), (52, 7), (62, 8), (70, 9)])
 def test_packed_geometric_sum_slot_widths(bits, size, monkeypatch):
-    # one term's rows need bits + 1 bits: 1, 2, 4 and 8 bytes go through
-    # native casts, 9 bytes one slot at a time
+    # one term's rows need bits + 1 bits, in the fewest whole bytes: 1, 2,
+    # 4 and 8 go through native casts, 3, 5, 6 and 7 through the next
+    # castable width, 9 one slot at a time
     seen = set()
-    unpack = kernels.unpack_laurent
+    unpack = kernels.unpack_rows
 
-    def spy(x, k, lo, n):
+    def spy(rows, k, lo, n):
         seen.add(k)
-        return unpack(x, k, lo, n)
+        return unpack(rows, k, lo, n)
 
-    monkeypatch.setattr(kernels, "unpack_laurent", spy)
+    monkeypatch.setattr(kernels, "unpack_rows", spy)
     top = (1 << bits) - 1
     terms = [(ZPoly({-1: top, 2: -top}), 0, ZPoly.monomial(-1, 1), 1)]
     got = geometric_sum(iter(terms), 12)
