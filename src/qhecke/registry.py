@@ -1,13 +1,15 @@
 """The identity registry.
 
 Every verified identity is an IdentityCase: a stable id, a verification
-mode, two pure builders producing comparable exact values at a given
-order, and a default order.  IDENTITIES.md at the repository root lists
-every case with the statement it checks.
+mode, its two sides and a default order.  IDENTITIES.md at the
+repository root lists every case with the statement it checks.
 
-A side that combines builders, or needs one at another order, is a
-theta.Deferred expression bound to its build; Deferred states the
-builder contract.  Eta sums are (c, s, {delta: r}) tuples.
+Every side is a theta.Deferred expression, which states the builder
+contract.  A leaf is one builder with its arguments bound by _leaf, and
+a lower bound on its valuation that follows from the sum it builds.
+Leaves are made when registry() runs, never at import, so that they
+call whatever the builder modules hold then.  Eta sums are
+(c, s, {delta: r}) tuples.
 
 An identity with z in a denominator is certified for every z at once,
 both sides times its theta denominators and the pole factors 1 - c z^k
@@ -17,9 +19,9 @@ A value at z = 1, -1 or i, or a z-derivative at z = 1, is read off a
 series in z: by subs_z_one or jets.Jet1.of, or by _at_fourth_roots.
 
 Modes:
-  univariate  -- builders return q-series with scalar coefficients
-  formal_z    -- builders return series with Laurent-polynomial coefficients
-  jet         -- builders return the z-derivative at z=1 (and its target)
+  univariate  -- sides are q-series with scalar coefficients
+  formal_z    -- sides are series with Laurent-polynomial coefficients
+  jet         -- sides are the z-derivative at z=1 (and its target)
   congruence  -- integer series compared modulo a fixed modulus
 """
 
@@ -30,22 +32,22 @@ from fractions import Fraction
 from functools import cache, partial
 from math import isqrt
 from operator import attrgetter, mul
-from typing import Callable
 
 from . import classnum, combinat, mock
 from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
 from .rings import ZPoly
-from .series import QSeries, eta_quotient, geom_ratio, lattice_range, monomial
+from .series import QSeries, geom_ratio, lattice_range, monomial
 from .theta import (Deferred, _g_abc_deferred, _theta_1_4_deferred, appell_cleared, f_abc,
-                    f_abc_terms, g_abc, theta_low)
+                    f_abc_terms, theta_low)
 
 
 @dataclass(frozen=True)
 class IdentityCase:
+    """lhs = rhs through q^order, each side a theta.Deferred."""
     id: str
     mode: str
-    build_lhs: Callable
-    build_rhs: Callable
+    lhs: Deferred
+    rhs: Deferred
     default_order: int
     allow_fail: bool = False
     witnesses: tuple = ()  # set by no case; perfbench/child.py still replaces it
@@ -67,18 +69,24 @@ J, E, _th = Deferred.eta, Deferred.eta_sum, Deferred.theta
 _f1 = attrgetter("f1")
 
 
-def _lazy(build):
-    """A builder whose series has no term below q^0, unbuilt."""
-    return Deferred(0, build)
+def _leaf(build, *args, low=0, **kw):
+    """build(*args, n, **kw), unbuilt, with no term below q^low."""
+    return Deferred(low, partial(build, *args, **kw))
 
 
-def _appell(spec):
-    """The Appell-type sum of a mock.AppellRhsSpec, unbuilt."""
-    return _lazy(partial(mock.appell_rhs, spec))
+def _parts(*sides):
+    """The tuple of the sides' builds, unbuilt: a dissection's components."""
+    return Deferred(min(s.low for s in sides), lambda n: tuple(s.build(n) for s in sides))
+
+
+def _f_abc(a, b, c, x, y):
+    """f_{a,b,c}(x,y,q), unbuilt.  b r s >= 0 on both quadrants, so no
+    term lies below the lowest of j(x;q^a) plus the lowest of j(y;q^c)."""
+    return _leaf(f_abc, a, b, c, x, y, low=theta_low(x.qdeg, a) + theta_low(y.qdeg, c))
 
 
 # ---------------------------------------------------------------------------
-# builders that need more than a lambda
+# builders and maps written here
 
 def _at_fourth_roots(f, *parts):
     """The rational series sum_r c_r s_r for each part (c_0, ..., c_3),
@@ -96,6 +104,11 @@ def _at_fourth_roots(f, *parts):
 def _at_i(f):
     """(Re, Im) of a series at z = i, as two rational series."""
     return _at_fourth_roots(f, (1, 0, -1, 0), (0, 1, 0, -1))
+
+
+def _at_m1(f):
+    """A series at z = -1, as a rational series."""
+    return _at_fourth_roots(f, (1, -1, 1, -1))[0]
 
 
 def _psi_rhs_bruteforce(n):
@@ -147,25 +160,28 @@ def _humbert_triple_expansion(n):
     return QSeries.from_terms(terms, n)
 
 
+def _theta_pairs(n):
+    """2 j(z;q)/(1 - z), pairing the terms m and 1 - m of j(z;q)."""
+    return QSeries.from_terms(((m * (m - 1) // 2, (-1) ** m * 2 * geom_ratio(m, 1 - m))
+                               for m in lattice_range(1, -1, -2 * n, lo=1)), n)
+
+
 def _theta_side():
-    """j(-1;q) j(q;q^2)^2 - 2 j(z;q)/(1 - z), pairing the terms m and 1 - m of j(z;q)."""
-    pairs = _lazy(lambda n: QSeries.from_terms((
-        (m * (m - 1) // 2, (-1) ** m * 2 * geom_ratio(m, 1 - m))
-        for m in lattice_range(1, -1, -2 * n, lo=1)), n))
-    return _th(monomial(-1)) * _th(monomial(1, 0, 1), 2) ** 2 - pairs
+    """j(-1;q) j(q;q^2)^2 - 2 j(z;q)/(1 - z)."""
+    return _th(monomial(-1)) * _th(monomial(1, 0, 1), 2) ** 2 - _leaf(_theta_pairs)
 
 
 def _f8_cleared_lhs():
     # j(z;q) (2(1 - z) j(-1;q) F8 + 2z S'), j(z;q) in one product
-    inner = ((_th(monomial(-1)) * _lazy(mock.F8_series)).shift(ZPoly({0: 2, 1: -2}), 0)
-             + _appell(mock.AP_M_F8Z).shift(ZPoly.monomial(2, 1), 0))
+    inner = ((_th(monomial(-1)) * _leaf(mock.F8_series)).shift(ZPoly({0: 2, 1: -2}), 0)
+             + _leaf(mock.appell_rhs, mock.AP_M_F8Z).shift(ZPoly.monomial(2, 1), 0))
     return _th(monomial(1, 1)) * inner
 
 
 def _evenodd_cleared_lhs():
     # 2 j(z;q) (S' D - j(-1;q) (A_- - A_+/z)) with D = j(q^2/z^2;q^4)
-    inner = (_appell(mock.AP_M_F8Z) * _th(monomial(1, -2, 2), 4)
-             - _th(monomial(-1)) * _appell(mock.AP_M_SPLIT))
+    inner = (_leaf(mock.appell_rhs, mock.AP_M_F8Z) * _th(monomial(1, -2, 2), 4)
+             - _th(monomial(-1)) * _leaf(mock.appell_rhs, mock.AP_M_SPLIT))
     return _th(monomial(1, 1)) * inner.shift(2, 0)
 
 
@@ -259,11 +275,16 @@ def _jet_theta_quotient_double():
     return t1 * (t2 - t3) - t4 * (t5 + t6)
 
 
-def _jet_f121_terms(n):
-    terms = [(c, zd + 3, qd + 1)
-             for c, zd, qd in f_abc_terms(2, 4, 2, monomial(1, 4, 3),
-                                          monomial(-1, 2, 4), n)]
+def _jet_f121_terms(x, y, n):
+    terms = [(c, zd + 3, qd + 1) for c, zd, qd in f_abc_terms(2, 4, 2, x, y, n)]
     return jet_of_termsum(terms, n)
+
+
+def _jet_f121():
+    """d/dz of q z^3 f_{2,4,2}(q^3 z^4, -q^4 z^2, q) at z = 1, unbuilt,
+    no lower than q times the f_abc leaf."""
+    x, y = monomial(1, 4, 3), monomial(-1, 2, 4)
+    return _leaf(_jet_f121_terms, x, y, low=_f_abc(2, 4, 2, x, y).low + 1).map(_f1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,199 +302,130 @@ def registry():
     J32_over_6 = {3: 2, 6: -1}
     J62_over_12 = {6: 2, 12: -1}
     J15_over_22 = {1: 5, 2: -2}
+    # leaves of the most used builders, power series in q and so of low 0:
+    # a Hecke-Rogers region is a cone on which the exponent is positive
+    F, H = partial(_leaf, classnum.genfun_F), partial(_leaf, classnum.genfun_H)
+    hr, ap = partial(_leaf, mock.hecke_rogers), partial(_leaf, mock.appell_rhs)
+    eul = partial(_leaf, mock.eulerian)
+    zero = E(())
 
     # -- univariate Hecke-Rogers identities (order 200) ---------------------
+    for cid, lhs, spec, note in (
+            ("hecke-hf4", J(J14_over_2) * F(4, -1), mock.HR_HF4,
+             "J1 J4/J2 * sum F(4n-1) q^n = signed-weight-n indefinite sum"),
+            ("hecke-hf8", J(J12_over_2) * F(8, -1), mock.HR_HF8, ""),
+            ("hecke-hf12", J(J12_over_2) * F(12, -1), mock.HR_HF12, ""),
+            ("hecke-hf24", J(J12_over_2) * F(24, -1), mock.HR_HF24, ""),
+            ("hecke-A", J(J12_over_2) * eul("A"), mock.HR_A, ""),
+            ("hecke-V1", J(J14_over_2) * eul("V1"), mock.HR_V1,
+             "weight is the Kronecker symbol (-4|n)"),
+            ("hecke-sigma", J(J12_over_2) * eul("sigma"), mock.HR_SIGMA, ""),
+            ("hecke-phi-minus", J(J12_over_2) * eul("phi_minus"), mock.HR_PHI, "")):
+        add(IdentityCase(cid, "univariate", lhs, hr(spec), 200, note=note))
     add(IdentityCase(
-        "hecke-hf4", "univariate",
-        (J(J14_over_2) * _lazy(lambda n: classnum.genfun_F(4, -1, n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_HF4, n), 200,
-        note="J1 J4/J2 * sum F(4n-1) q^n = signed-weight-n indefinite sum"))
-    add(IdentityCase(
-        "hecke-hf8", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(8, -1, n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_HF8, n), 200))
-    add(IdentityCase(
-        "hecke-hf12", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(12, -1, n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_HF12, n), 200))
-    add(IdentityCase(
-        "hecke-hf24", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(24, -1, n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_HF24, n), 200))
-    add(IdentityCase(
-        "hecke-A", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("A", n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_A, n), 200))
-    add(IdentityCase(
-        "hecke-V1", "univariate",
-        (J(J14_over_2) * _lazy(lambda n: mock.eulerian("V1", n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_V1, n), 200,
-        note="weight is the Kronecker symbol (-4|n)"))
-    add(IdentityCase(
-        "hecke-sigma", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("sigma", n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_SIGMA, n), 200))
-    add(IdentityCase(
-        "hecke-phi-minus", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: mock.eulerian("phi_minus", n))).build,
-        lambda n: mock.hecke_rogers(mock.HR_PHI, n), 200))
-    add(IdentityCase(
-        "hecke-psi-rhs", "univariate",
-        lambda n: mock.hecke_rogers(mock.HR_PSI, n),
-        _psi_rhs_bruteforce, 200,
+        "hecke-psi-rhs", "univariate", hr(mock.HR_PSI), _leaf(_psi_rhs_bruteforce), 200,
         note="shell-scan evaluator against an independent double loop; "
              "no Eulerian left-hand side exists for this sum"))
 
     # -- Appell-Lerch corollaries (order 200) -------------------------------
+    add(IdentityCase("appell-hf4", "univariate", J(J12_over_2) * F(4, -1), ap(mock.AP_HF4), 200))
+    add(IdentityCase("appell-hf8", "univariate", J(J22_over_4) * F(8, -1), ap(mock.AP_HF8), 200))
+    add(IdentityCase("appell-A", "univariate", J(J22_over_4) * eul("A"), ap(mock.AP_A), 200))
     add(IdentityCase(
-        "appell-hf4", "univariate",
-        (J(J12_over_2) * _lazy(lambda n: classnum.genfun_F(4, -1, n))).build,
-        lambda n: mock.appell_rhs(mock.AP_HF4, n), 200))
-    add(IdentityCase(
-        "appell-hf8", "univariate",
-        (J(J22_over_4) * _lazy(lambda n: classnum.genfun_F(8, -1, n))).build,
-        lambda n: mock.appell_rhs(mock.AP_HF8, n), 200))
-    add(IdentityCase(
-        "appell-A", "univariate",
-        (J(J22_over_4) * _lazy(lambda n: mock.eulerian("A", n))).build,
-        lambda n: mock.appell_rhs(mock.AP_A, n), 200))
-    add(IdentityCase(
-        "appell-hf12", "univariate",
-        (J(J32_over_6) * _lazy(lambda n: classnum.genfun_F(12, -1, n))).build,
-        (_appell(mock.AP_HF12) + J({12: 1, 6: 1, 2: 5, 4: -1, 1: -2}).shift(2, 1)).build,
+        "appell-hf12", "univariate", J(J32_over_6) * F(12, -1),
+        ap(mock.AP_HF12) + J({12: 1, 6: 1, 2: 5, 4: -1, 1: -2}).shift(2, 1),
         200, note="includes the eta correction term 2q J12 J6 J2^5/(J4 J1^2)"))
     add(IdentityCase(
-        "appell-sigma", "univariate",
-        (J(J32_over_6) * _lazy(lambda n: mock.eulerian("sigma", n))).build,
-        lambda n: mock.appell_rhs(mock.AP_SIGMA, n), 200))
+        "appell-sigma", "univariate", J(J32_over_6) * eul("sigma"), ap(mock.AP_SIGMA), 200))
     add(IdentityCase(
-        "appell-hf24", "univariate",
-        (J(J62_over_12) * _lazy(lambda n: classnum.genfun_F(24, -1, n))).build,
-        (_appell(mock.AP_HF24_A) + _appell(mock.AP_HF24_B)
-         + J({12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}).shift(2, 1)).build,
+        "appell-hf24", "univariate", J(J62_over_12) * F(24, -1),
+        (ap(mock.AP_HF24_A) + ap(mock.AP_HF24_B)
+         + J({12: 2, 3: 2, 2: 6, 6: -2, 4: -1, 1: -3}).shift(2, 1)),
         200, note="two bilateral sums plus 2q J12^2 J3^2 J2^6/(J6^2 J4 J1^3)"))
 
     # -- bivariate z-analogs (formal_z, order 100) ---------------------------
     # each product (x, q^b/x, q^b; q^b)_inf is the theta series j(x; q^b);
     # the convolution picks the operand with fewer monomials, here the theta,
     # and adds one shifted copy of the packed F4/F8 per monomial
+    f4, f8 = _leaf(mock.F4_series), _leaf(mock.F8_series)
     add(IdentityCase(
-        "bivar-f8z-hecke", "formal_z",
-        (_th(monomial(1, 1, 1), 2) * _lazy(mock.F8_series)).build,
-        lambda n: mock.hecke_rogers(mock.HR_F8Z, n), 100,
+        "bivar-f8z-hecke", "formal_z", _th(monomial(1, 1, 1), 2) * f8, hr(mock.HR_F8Z), 100,
         note="(zq, q/z, q^2; q^2)_inf F8(z,q) against the geom_j-weighted sum"))
     add(IdentityCase(
         "bivar-f4z-hecke", "formal_z",
-        (_th(monomial(-1, 1, 1)) * _lazy(mock.F4_series).map(QSeries.alternate)).build,
-        lambda n: mock.hecke_rogers(mock.HR_F4Z, n), 100,
+        _th(monomial(-1, 1, 1)) * f4.map(QSeries.alternate), hr(mock.HR_F4Z), 100,
         note="(-zq, -1/z, q; q)_inf F4(z,-q) against the geom_n-weighted sum"))
     add(IdentityCase(
-        "bivar-f4z-appell", "formal_z",
-        (_th(monomial(1, 1, 1), 2) * _lazy(mock.F4_series)).build,
-        lambda n: mock.appell_rhs(mock.AP_F4Z, n), 100))
+        "bivar-f4z-appell", "formal_z", _th(monomial(1, 1, 1), 2) * f4, ap(mock.AP_F4Z), 100))
     add(IdentityCase(
-        "bivar-f8z-appell", "formal_z",
-        (_th(monomial(1, 2, 2), 4) * _lazy(mock.F8_series)).build,
-        lambda n: mock.appell_rhs(mock.AP_F8Z, n), 100))
+        "bivar-f8z-appell", "formal_z", _th(monomial(1, 2, 2), 4) * f8, ap(mock.AP_F8Z), 100))
 
     # -- specializations of F4/F8 (order 100) --------------------------------
+    add(IdentityCase("spec-f8-at-1", "univariate", f8.map(QSeries.subs_z_one), F(8, -1), 100))
     add(IdentityCase(
-        "spec-f8-at-1", "univariate",
-        lambda n: mock.F8_series(n).subs_z_one(),
-        lambda n: classnum.genfun_F(8, -1, n), 100))
+        "spec-f8-at-m1", "univariate", f8.map(QSeries.alternate).map(_at_m1),
+        eul("A").shift(-1, 0), 100, note="F8(-1,-q) = -A(q)"))
+    add(IdentityCase("spec-f4-at-1", "univariate", f4.map(QSeries.subs_z_one), F(4, -1), 100))
     add(IdentityCase(
-        "spec-f8-at-m1", "univariate",
-        lambda n: _at_fourth_roots(mock.F8_series(n).alternate(), (1, -1, 1, -1))[0],
-        lambda n: -mock.eulerian("A", n), 100,
-        note="F8(-1,-q) = -A(q)"))
-    add(IdentityCase(
-        "spec-f4-at-1", "univariate",
-        lambda n: mock.F4_series(n).subs_z_one(),
-        lambda n: classnum.genfun_F(4, -1, n), 100))
-    add(IdentityCase(
-        "spec-f4-at-i", "univariate",
-        lambda n: _at_i(mock.F4_series(n).alternate()),
-        lambda n: (-mock.eulerian("V1", n), QSeries.zero(n)), 100,
+        "spec-f4-at-i", "univariate", f4.map(QSeries.alternate).map(_at_i),
+        _parts(eul("V1").shift(-1, 0), zero), 100,
         note="F4(i,-q) = -V1(q), as (Re, Im) = (-V1, 0)"))
 
     # -- congruences mod 4 (order 300) ---------------------------------------
+    res = partial(_leaf, mock.eulerian_residues, m=4)
     add(IdentityCase(
-        "cong-hf8-A", "congruence",
-        lambda n: classnum.genfun_F(8, -1, n),
-        lambda n: -mock.eulerian_residues("A", n, 4).alternate(), 300, modulus=4))
+        "cong-hf8-A", "congruence", F(8, -1), res("A").map(QSeries.alternate).shift(-1, 0),
+        300, modulus=4))
     add(IdentityCase(
-        "cong-hf12-sigma", "congruence",
-        lambda n: classnum.genfun_F(12, -1, n),
-        lambda n: -mock.eulerian_residues("sigma", n, 4), 300, modulus=4))
+        "cong-hf12-sigma", "congruence", F(12, -1), res("sigma").shift(-1, 0), 300, modulus=4))
     add(IdentityCase(
-        "cong-hf24-phi-minus", "congruence",
-        lambda n: classnum.genfun_F(24, -1, n),
-        lambda n: -mock.eulerian_residues("phi_minus", n, 4), 300, modulus=4))
+        "cong-hf24-phi-minus", "congruence", F(24, -1), res("phi_minus").shift(-1, 0), 300,
+        modulus=4))
     add(IdentityCase(
-        "cong-A-hurwitz", "congruence",
-        lambda n: mock.eulerian_residues("A", n, 4),
-        lambda n: -classnum.genfun_H(8, -1, n).alternate(), 300, modulus=4,
-        note="coefficients of A against (-1)^(n+1) H(8n-1)"))
+        "cong-A-hurwitz", "congruence", res("A"), H(8, -1).map(QSeries.alternate).shift(-1, 0),
+        300, modulus=4, note="coefficients of A against (-1)^(n+1) H(8n-1)"))
 
     # -- eta-quotient identities (order 150) ----------------------------------
     add(IdentityCase(
-        "eta-u3-j1cubed", "univariate", J({1: 3}).sift(3).build, E(U3_J1_CUBED).build, 150,
+        "eta-u3-j1cubed", "univariate", J({1: 3}).sift(3), E(U3_J1_CUBED), 150,
         note="U_3(J_1^3) = J_1^4/J_3 + 9q J_9^3 J_1/J_3"))
     add(IdentityCase(
-        "eta-hf12-7-split", "univariate",
-        lambda n: classnum.genfun_F(12, 7, n),
-        (_lazy(lambda n: classnum.genfun_H(24, 7, n)).inflate(2)
-         + _lazy(lambda n: classnum.genfun_H(24, 19, n)).inflate(2).shift(3, 1)).build, 150,
+        "eta-hf12-7-split", "univariate", F(12, 7),
+        H(24, 7).inflate(2) + H(24, 19).inflate(2).shift(3, 1), 150,
         note="sum F(12n+7) q^n split into H(24n+7) and 3q H(24n+19) parts"))
     add(IdentityCase(
-        "eta-hf12-7-pair", "univariate",
-        lambda n: classnum.genfun_F(12, 7, n),
-        E(((1, 0, {6: 2, 4: 5, 12: -1, 2: -3}), (3, 1, {12: 3, 4: 1, 2: -1}))).build, 150,
+        "eta-hf12-7-pair", "univariate", F(12, 7),
+        E(((1, 0, {6: 2, 4: 5, 12: -1, 2: -3}), (3, 1, {12: 3, 4: 1, 2: -1}))), 150,
         note="= J6^2 J4^5/(J12 J2^3) + 3q J12^3 J4/J2"))
     add(IdentityCase(
-        "eta-hf12-7-quotient", "univariate",
-        lambda n: classnum.genfun_F(12, 7, n),
-        lambda n: eta_quotient({12: 1, 3: 1, 2: 6, 6: -1, 4: -1, 1: -3}, n), 150,
+        "eta-hf12-7-quotient", "univariate", F(12, 7),
+        J({12: 1, 3: 1, 2: 6, 6: -1, 4: -1, 1: -3}), 150,
         note="= J12 J3 J2^6/(J6 J4 J1^3)"))
     add(IdentityCase(
-        "eta-hf24-7", "univariate",
-        lambda n: classnum.genfun_F(24, 7, n),
-        lambda n: eta_quotient({3: 2, 2: 5, 6: -1, 1: -3}, n), 150,
+        "eta-hf24-7", "univariate", F(24, 7), J({3: 2, 2: 5, 6: -1, 1: -3}), 150,
         note="sum H(24n+7) q^n = J3^2 J2^5/(J6 J1^3)"))
 
     # -- 3-dissections (order 150) --------------------------------------------
     add(IdentityCase(
-        "dissect-j1j2-3", "univariate",
-        J(J12_over_2).dissect(3).build,
-        lambda n: (eta_quotient(J32_over_6, n),
-                   -eta_quotient({6: 2, 1: 1, 3: -1, 2: -1}, n).scale(2),
-                   QSeries.zero(n)), 150,
+        "dissect-j1j2-3", "univariate", J(J12_over_2).dissect(3),
+        _parts(J(J32_over_6), J({6: 2, 1: 1, 3: -1, 2: -1}).shift(-2, 0), zero), 150,
         note="3-dissection of J_1^2/J_2"))
     add(IdentityCase(
-        "dissect-j2j4-3", "univariate",
-        J(J22_over_4).dissect(3).build,
-        lambda n: (eta_quotient(J62_over_12, n),
-                   QSeries.zero(n),
-                   -eta_quotient({12: 2, 2: 1, 6: -1, 4: -1}, n).scale(2)), 150,
+        "dissect-j2j4-3", "univariate", J(J22_over_4).dissect(3),
+        _parts(J(J62_over_12), zero, J({12: 2, 2: 1, 6: -1, 4: -1}).shift(-2, 0)), 150,
         note="3-dissection of J_2^2/J_4"))
     add(IdentityCase(
-        "dissect-hf4-3", "univariate",
-        _lazy(lambda n: classnum.genfun_F(4, -1, n)).dissect(3).build,
-        lambda n: (classnum.genfun_F(12, -1, n), classnum.genfun_F(12, 3, n),
-                   classnum.genfun_F(12, 7, n)), 150))
+        "dissect-hf4-3", "univariate", F(4, -1).dissect(3),
+        _parts(F(12, -1), F(12, 3), F(12, 7)), 150))
     add(IdentityCase(
-        "dissect-hf8-3", "univariate",
-        _lazy(lambda n: classnum.genfun_F(8, -1, n)).dissect(3).build,
-        lambda n: (classnum.genfun_F(24, -1, n), classnum.genfun_F(24, 7, n),
-                   classnum.genfun_F(24, 15, n)), 150))
+        "dissect-hf8-3", "univariate", F(8, -1).dissect(3),
+        _parts(F(24, -1), F(24, 7), F(24, 15)), 150))
     add(IdentityCase(
-        "dissect-appell-hf4-3", "univariate",
-        _appell(mock.AP_HF4).sift(3).build, lambda n: mock.appell_rhs(mock.AP_HF12, n), 150,
+        "dissect-appell-hf4-3", "univariate", ap(mock.AP_HF4).sift(3), ap(mock.AP_HF12), 150,
         note="U_3 of the HF4 Appell sum is the HF12 Appell sum"))
     add(IdentityCase(
-        "dissect-appell-hf8-3", "univariate",
-        _appell(mock.AP_HF8).sift(3).build,
-        (_appell(mock.AP_HF24_A) + _appell(mock.AP_HF24_B)).build, 150,
+        "dissect-appell-hf8-3", "univariate", ap(mock.AP_HF8).sift(3),
+        ap(mock.AP_HF24_A) + ap(mock.AP_HF24_B), 150,
         note="U_3 of the HF8 Appell sum is the two-part HF24 Appell sum"))
 
     # -- derivative lemmas via jets (order 80; two heavier targets at 150) ----
@@ -481,14 +433,14 @@ def registry():
     half = Fraction(1, 2)
     # jets of m(q, q^6, -z^2/q) and of m(-q^2/z^6, q^6, w) at w = q^3 z^6
     # and -q^5 z^2, each of low 0 as in theta._g_abc_deferred
-    m_q6 = _lazy(partial(jet_appell, monomial(1, 0, 1), 6, monomial(-1, 2, -1)))
-    m_z6, m_z2 = (_lazy(partial(jet_appell, monomial(-1, -6, 2), 6, w))
+    m_q6 = _leaf(jet_appell, monomial(1, 0, 1), 6, monomial(-1, 2, -1))
+    m_z6, m_z2 = (_leaf(jet_appell, monomial(-1, -6, 2), 6, w)
                   for w in (monomial(1, 6, 3), monomial(-1, 2, 5)))
     m_theta_a = _jt(-1, 2, 0, 2, -1) * m_q6
     for cid, (sign, a, b, base, zshift), rhs, note in (
-            ("dz-j-zq-q2", (1, 1, 1, 2, 0), E(()), "d/dz j(zq;q^2)|_1 = 0"),
-            ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), E(()), "d/dz j(-zq;q^2)|_1 = 0"),
-            ("dz-j-mz2-q1", (-1, 2, 0, 1, -1), E(()), "d/dz (1/z) j(-z^2;q)|_1 = 0"),
+            ("dz-j-zq-q2", (1, 1, 1, 2, 0), zero, "d/dz j(zq;q^2)|_1 = 0"),
+            ("dz-j-mzq-q2", (-1, 1, 1, 2, 0), zero, "d/dz j(-zq;q^2)|_1 = 0"),
+            ("dz-j-mz2-q1", (-1, 2, 0, 1, -1), zero, "d/dz (1/z) j(-z^2;q)|_1 = 0"),
             ("dz-j-z6q-q3", (1, 6, 1, 3, -1), E(U3_J1_CUBED).shift(-1, 0), ""),
             ("dz-j-mz6q-q3", (-1, 6, 1, 3, -1), J(J15_over_22).shift(-1, 0), ""),
             ("dz-j-z4q-q4", (1, 4, 1, 4, -1), J({2: 9, 4: -3, 1: -3}).shift(-1, 0), ""),
@@ -503,58 +455,52 @@ def registry():
              E(Z12_PAIR + ((1, 0, {2: 13, 4: -5, 1: -5}),)).shift(-half, 0), ""),
             ("dz-j-z12q-q12", (1, 12, 1, 12, -5),
              E(Z12_PAIR + ((-1, 0, {2: 13, 4: -5, 1: -5}),)).shift(half, -1), "")):
-        add(IdentityCase(cid, "jet", _jt(sign, a, b, base, zshift).map(_f1).build, rhs.build,
-                         80, note=note))
+        add(IdentityCase(cid, "jet", _jt(sign, a, b, base, zshift).map(_f1), rhs, 80, note=note))
     add(IdentityCase(
         "dz-theta-quotient-q6-pair", "jet",
-        (_jt(1, 2, -1, 6) * _jt(1, 2, 0, 6)
-         / (_jt(-1, 2, -1, 6) * _jt(-1, 2, 0, 6))).map(_f1).build,
-        lambda n: eta_quotient({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}, n), 80,
+        (_jt(1, 2, -1, 6) * _jt(1, 2, 0, 6) / (_jt(-1, 2, -1, 6) * _jt(-1, 2, 0, 6))).map(_f1),
+        J({6: 7, 4: 1, 1: 2, 12: -3, 3: -2, 2: -3}), 80,
         note="theta-quotient derivative inside the first q^6 lemma"))
     add(IdentityCase(
-        "dz-m-appell-q6", "jet", m_q6.map(_f1).build,
-        lambda n: eta_quotient({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}, n).scale(-half),
+        "dz-m-appell-q6", "jet", m_q6.map(_f1),
+        J({6: 12, 4: 2, 1: 3, 12: -6, 3: -3, 2: -5}).shift(-half, 0),
         80, note="d/dz m(q, q^6, -z^2/q)|_1"))
     add(IdentityCase(
-        "dz-m-times-theta-q6-a", "jet", m_theta_a.map(_f1).build,
-        lambda n: -eta_quotient({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}, n), 80))
+        "dz-m-times-theta-q6-a", "jet", m_theta_a.map(_f1),
+        J({6: 12, 4: 4, 1: 3, 12: -6, 3: -3, 2: -6}).shift(-1, 0), 80))
     add(IdentityCase(
-        "dz-m-times-theta-q6-b", "jet",
-        (_jt(1, 4, 1, 2, -1) * m_z6).map(_f1).build,
-        (J({6: 1, 1: 2, 3: -2, 2: -1}) * _appell(mock.AP_HF12)).shift(-1, 0).build, 80))
+        "dz-m-times-theta-q6-b", "jet", (_jt(1, 4, 1, 2, -1) * m_z6).map(_f1),
+        (J({6: 1, 1: 2, 3: -2, 2: -1}) * ap(mock.AP_HF12)).shift(-1, 0), 80))
     add(IdentityCase(
         "dz-theta-quotient-q6-sixfold", "jet",
         (_jt(1, 4, 1, 2) * _jt(-1, 4, 4, 6) * _jt(1, 2, 4, 6)
          / (_jt(-1, 2, 5, 6, 1) * _jt(1, 6, 3, 6) * _jt(-1, 0, 5, 6) * _jt(1, 4, 5, 6))
-         ).map(_f1).build, E(Q6_SIXFOLD).build, 150))
+         ).map(_f1), E(Q6_SIXFOLD), 150))
     add(IdentityCase(
-        "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double().map(_f1).build,
-        J({12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}).shift(-2, 1).build, 150))
+        "dz-theta-quotient-q12-double", "jet", _jet_theta_quotient_double().map(_f1),
+        J({12: 3, 3: 2, 2: 5, 6: -4, 4: -1, 1: -1}).shift(-2, 1), 150))
     add(IdentityCase(
         "dz-eta-logderiv-combo", "univariate",
         (E(((Fraction(2, 3), 0, {6: 1, 2: 2, 1: 3, 12: -2, 3: -3}),
             (Fraction(-2, 3), 0, {6: 4, 4: 6, 1: 6, 12: -4, 3: -4, 2: -7}),
             (Fraction(-4, 3), 0, {6: 1, 4: 3, 2: 2, 12: -3, 3: -2})))
          + J({6: 3, 4: 3, 1: 3, 12: -3, 3: -3, 2: -4})
-         * E(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})))).build,
-        E(Q6_SIXFOLD).build, 150,
+         * E(((Fraction(1, 3), 0, {2: 3, 6: -1}), (3, 2, {18: 3, 6: -1})))),
+        E(Q6_SIXFOLD), 150,
         note="logarithmic-derivative eta combination from the q^6 quotient lemma"))
     add(IdentityCase(
-        "dz-f121-hecke", "jet",
-        lambda n: _jet_f121_terms(n).f1,
-        lambda n: mock.hecke_rogers(mock.HR_HF12, n), 80,
+        "dz-f121-hecke", "jet", _jet_f121(), hr(mock.HR_HF12), 80,
         note="d/dz (q z^3 f_{1,2,1}(q^3 z^4, -q^4 z^2, q^2))|_1 is the HF12 sum"))
     add(IdentityCase(
-        "dz-f121-decomp", "jet",
-        lambda n: _jet_f121_terms(n).f1,
-        (m_theta_a - _jt(1, 4, 1, 2, -1) * m_z2).map(_f1).build, 80,
+        "dz-f121-decomp", "jet", _jet_f121(),
+        (m_theta_a - _jt(1, 4, 1, 2, -1) * m_z2).map(_f1), 80,
         note="the same jet through the theta/Appell-Lerch decomposition"))
     add(IdentityCase(
-        "dz-m-z-change", "jet", m_z2.map(_f1).build,
+        "dz-m-z-change", "jet", m_z2.map(_f1),
         (m_z6
          + J({6: 3}).map(Jet1.of) * _jt(-1, 4, 4, 6) * _jt(1, 2, 4, 6)
          / (_jt(-1, 2, 5, 6) * _jt(1, 6, 3, 6) * _jt(-1, 0, 5, 6) * _jt(1, 4, 5, 6))
-         ).map(_f1).build, 80,
+         ).map(_f1), 80,
         note="z-argument change m(.,q^6,-q^5 z^2) -> m(.,q^6,q^3 z^6) plus theta term"))
 
     # -- Appell-Lerch machinery instances (orders 30-40) ----------------------
@@ -567,90 +513,74 @@ def registry():
             ("reflect", _reflect, _X_ZSHIFT), ("change-z", _change_z, _XU_CHANGE_Z),
             ("quartic", _quartic, _X_QUARTIC)):
         for i, point in enumerate(points, 1):
-            lhs, rhs = relation(point)
-            add(IdentityCase(f"mrel-{name}-w{i}", "formal_z", lhs.build, rhs.build, 30))
+            add(IdentityCase(f"mrel-{name}-w{i}", "formal_z", *relation(point), 30))
     for i, (x, y) in enumerate(_W_FG, 1):
+        z1 = y * x.inv()
         add(IdentityCase(
-            f"mrel-f121-g121-w{i}", "univariate",
-            lambda n, x=x, y=y: f_abc(1, 2, 1, x, y, n),
-            lambda n, x=x, y=y, z1=y * x.inv(): (
-                g_abc(1, 2, 1, x, y, z1, z1.inv(), n)), 40,
+            f"mrel-f121-g121-w{i}", "univariate", _f_abc(1, 2, 1, x, y),
+            _g_abc_deferred(1, 2, 1, x, y, z1, z1.inv()), 40,
             note="f_{1,2,1}(x,y,q) = g_{1,2,1}(x,y,q,y/x,x/y)"))
     add(IdentityCase(
-        "mrel-f151-theta14", "univariate",
-        lambda n: f_abc(1, 5, 1, *_W_F151, n),
+        "mrel-f151-theta14", "univariate", _f_abc(1, 5, 1, *_W_F151),
         (_g_abc_deferred(1, 5, 1, *_W_F151, monomial(1, 0, 1), monomial(1, 0, -1))
-         - _theta_1_4_deferred(*_W_F151)[2]).build, 40, allow_fail=True,
+         - _theta_1_4_deferred(*_W_F151)[2]), 40, allow_fail=True,
         note="f_{1,5,1} = g_{1,5,1} - Theta_{1,4} with the correction transcribed "
              "verbatim; the printed formula repeats j(y/x;q^24) in numerator and "
              "denominator and fails at q^0 (the same instance matches with the "
              "correction's sign flipped; reconciliation left to the reader)"))
     add(IdentityCase(
-        "mrel-evenodd", "formal_z", _evenodd_cleared_lhs().build,
-        (_theta_side() * _th(monomial(1, -2, 2), 4)).build, 40,
+        "mrel-evenodd", "formal_z", _evenodd_cleared_lhs(),
+        _theta_side() * _th(monomial(1, -2, 2), 4), 40,
         note="even/odd split of m(-z,q,-1) into base-q^4 sums plus "
              "j(q;q^2)^2/(2 j(z;q)), times 2 j(z;q) j(-1;q) j(q^2/z^2;q^4)"))
 
     # -- Appell-Lerch bridges for F4/F8, denominators cleared (order 60) ------
     add(IdentityCase(
         "numz-f4-appell", "formal_z",
-        (_th(monomial(-1, 0, 1), 2) * _lazy(mock.F4_series)
-         ).shift(ZPoly({0: 1, -1: -1}), 0).build,
-        lambda n: mock.appell_rhs(mock.AP_M_F4Z, n), 60,
+        (_th(monomial(-1, 0, 1), 2) * f4).shift(ZPoly({0: 1, -1: -1}), 0),
+        ap(mock.AP_M_F4Z), 60,
         note="(1 - 1/z) F4(z,q) = m(-z, q^2, -q), times j(-q;q^2)"))
     add(IdentityCase(
-        "numz-f8-appell", "formal_z", _f8_cleared_lhs().build,
-        _theta_side().shift(ZPoly.monomial(1, 1), 0).build, 60,
+        "numz-f8-appell", "formal_z", _f8_cleared_lhs(),
+        _theta_side().shift(ZPoly.monomial(1, 1), 0), 60,
         note="F8(z,q) = -z/(1-z) (m(-z,q,-1) - j(q;q^2)^2/(2 j(z;q))), "
              "times 2 (1-z) j(z;q) j(-1;q)"))
 
     # -- Humbert's formula and the combinatorial theorems ----------------------
+    humbert = _leaf(mock.humbert_series)
+    p_formula = _leaf(combinat.P_series, method="formula")
+    q_formula = _leaf(combinat.Q_series, method="formula")
     add(IdentityCase(
-        "humbert-hf4", "univariate", mock.humbert_series,
-        lambda n: classnum.genfun_F(4, -1, n), 200,
+        "humbert-hf4", "univariate", humbert, F(4, -1), 200,
         note="double sum q^{(m+1)^2-u^2}/(1-q^{2m+1}) generates F(4n-1)"))
     add(IdentityCase(
-        "humbert-telescope", "univariate", _humbert_triple_expansion,
-        mock.humbert_series, 60,
+        "humbert-telescope", "univariate", _leaf(_humbert_triple_expansion), humbert, 60,
         note="termwise geometric expansion of the double sum lands on the "
              "unimodal (y,x,z) triple sum"))
     add(IdentityCase(
-        "unimodal-eq-hf4", "univariate",
-        lambda n: combinat.P_series(n, "formula"),
-        lambda n: classnum.genfun_F(4, -1, n), 300,
+        "unimodal-eq-hf4", "univariate", p_formula, F(4, -1), 300,
         note="P(n) = F(4n-1): enumeration against reduced-form class numbers"))
     add(IdentityCase(
-        "consecutive-eq-hf8", "univariate",
-        lambda n: combinat.Q_series(n, "formula"),
-        lambda n: classnum.genfun_H(8, -1, n), 300,
-        note="Q(n) = H(8n-1)"))
+        "consecutive-eq-hf8", "univariate", q_formula, H(8, -1), 300, note="Q(n) = H(8n-1)"))
     add(IdentityCase(
-        "consecutive-eq-unimodal", "univariate",
-        lambda n: combinat.Q_series(n, "formula"),
-        _lazy(lambda n: combinat.P_series(n, "formula")).sift(2).build, 150,
+        "consecutive-eq-unimodal", "univariate", q_formula, p_formula.sift(2), 150,
         note="Q(n) = P(2n)"))
     add(IdentityCase(
-        "unimodal-methods", "univariate",
-        lambda n: combinat.P_series(n, "direct"),
-        lambda n: combinat.P_series(n, "formula"), 200,
-        note="per-n enumeration against the (y,x,z) triple-sum formula"))
+        "unimodal-methods", "univariate", _leaf(combinat.P_series, method="direct"),
+        p_formula, 200, note="per-n enumeration against the (y,x,z) triple-sum formula"))
     add(IdentityCase(
-        "consecutive-methods", "univariate",
-        lambda n: combinat.Q_series(n, "direct"),
-        lambda n: combinat.Q_series(n, "formula"), 200,
+        "consecutive-methods", "univariate", _leaf(combinat.Q_series, method="direct"),
+        q_formula, 200,
         note="per-n enumeration against the (l,m) 1/(1-q^l) double-sum formula"))
 
     # -- misc structural checks ------------------------------------------------
     add(IdentityCase(
-        "eq-hf12-rs-form", "univariate", _hf12_rs_form,
-        lambda n: mock.hecke_rogers(mock.HR_HF12, n), 150,
+        "eq-hf12-rs-form", "univariate", _leaf(_hf12_rs_form), hr(mock.HR_HF12), 150,
         note="(r,s)-quadrant form of the HF12 sum (includes the sg(r) factor "
              "omitted in the displayed version)"))
     for m in (0, 1, 2, 3, 7, 10):
         add(IdentityCase(
-            f"theta-row-constant-{m}", "univariate",
-            lambda n, m=m: mock.c_sum(m, n),
-            lambda n: eta_quotient({2: 2, 1: -1}, n), 60,
+            f"theta-row-constant-{m}", "univariate", _leaf(mock.c_sum, m), J({2: 2, 1: -1}), 60,
             note="C_m = sum_k q^{(2k-m)(2k+1-m)/2} is independent of m"))
 
     return cases

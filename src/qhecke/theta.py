@@ -18,8 +18,8 @@ series.geometric_sum; jets.py takes images of jtheta and appell_cleared.
 
 Deferred is a series, or a jet, not yet built, with a lower bound on its
 valuation.  Its steps are the one place the orders of operands are
-chosen: g_abc, theta_1_4 and every registry side that combines builders
-are Deferred expressions.
+chosen: g_abc, theta_1_4 and every registry side are Deferred
+expressions.
 """
 
 from __future__ import annotations
@@ -174,13 +174,14 @@ class Deferred:
     is inverted).  A leaf is a builder with its low; every step below
     builds its operands once, to the orders the QSeries operation needs.
 
-    This is the builder contract of every registry side: asked for order
-    n, a side certifies at least q^n and builds only its own terms, with
-    no padding.  A factor q^d or of valuation v < 0 means the other is
-    built to n - d or n - v; U_p needs its operand to p*n, a p-dissection
-    to p*n + p - 1, and q -> q^p only to n // p.  A positive valuation is
-    not used to build less, but a factor is built through q^(low - 1) at
-    least, so that its order shows that it has no term below low.
+    This is the builder contract of every registry side, each a
+    Deferred: asked for order n, a side certifies at least q^n, starts no
+    lower than its low and builds only its own terms, with no padding.  A
+    factor q^d or of valuation v < 0 means the other is built to n - d or
+    n - v; U_p needs its operand to p*n, a p-dissection to p*n + p - 1,
+    and q -> q^p only to n // p.  A positive valuation is not used to
+    build less, but a factor is built through q^(low - 1) at least, so
+    that its order shows that it has no term below low.
     """
 
     low: int

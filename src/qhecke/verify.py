@@ -1,6 +1,6 @@
 """Verification driver: runs registry cases and collects reports.
 
-A case passes when its two builders, each asked once for exactly the
+A case passes when its two sides, each built once to exactly the
 requested order, agree coefficientwise through it (for congruence cases,
 modulo the case modulus); a side certified below the order, or a
 congruence side with a non-integral coefficient, is an error.
@@ -89,8 +89,8 @@ def run_case(case: IdentityCase, order=None):
     t0 = time.perf_counter()
     try:
         mismatch = None
-        lhs = case.build_lhs(n)
-        rhs = case.build_rhs(n)
+        lhs = case.lhs.build(n)
+        rhs = case.rhs.build(n)
         if isinstance(lhs, tuple) or isinstance(rhs, tuple):
             widths = [len(x) if isinstance(x, tuple) else None for x in (lhs, rhs)]
             if widths[0] != widths[1]:

@@ -21,7 +21,7 @@ ORDERS = {"default": None, "order 120": 120}
 
 def _slots(case, n):
     """(slot name, lhs, rhs) of the case built at order n."""
-    lhs, rhs = case.build_lhs(n), case.build_rhs(n)
+    lhs, rhs = case.lhs.build(n), case.rhs.build(n)
     if isinstance(lhs, tuple):
         return [(f"{case.id}[{i}]", a, b) for i, (a, b) in enumerate(zip(lhs, rhs))]
     return [(case.id, lhs, rhs)]
@@ -55,12 +55,12 @@ def test_every_side_is_a_prefix_of_its_deeper_build():
     bad = []
     for case in registry():
         for n in (5, 40):
-            for side, build in (("lhs", case.build_lhs), ("rhs", case.build_rhs)):
-                short, deep = build(n), build(2 * n + 7)
+            for name, side in (("lhs", case.lhs), ("rhs", case.rhs)):
+                short, deep = side.build(n), side.build(2 * n + 7)
                 pairs = zip(short, deep) if isinstance(short, tuple) else [(short, deep)]
                 for i, (a, b) in enumerate(pairs):
                     if _compare(a, b.truncate(n), n) is not None:
-                        bad.append((case.id, side, n, i))
+                        bad.append((case.id, name, n, i))
     assert not bad
 
 

@@ -206,15 +206,14 @@ def test_cleared_sides_at_a_witness_are_the_printed_pieces(cid, z0):
     # each side on its own, so a wrong term is caught on the side it is in
     case = get_case(cid)
     want = cleared_from_printed(cid, ORDER, z0)
-    for build, expected in zip((case.build_lhs, case.build_rhs), want):
-        assert _compare(build(ORDER).eval_z(z0), expected, ORDER) is None, (cid, z0)
+    for side, expected in zip((case.lhs, case.rhs), want):
+        assert _compare(side.build(ORDER).eval_z(z0), expected, ORDER) is None, (cid, z0)
 
 
 @pytest.mark.parametrize("cid", CLEARED)
 def test_cleared_sides_hold_int_laurent_coefficients(cid):
     case = get_case(cid)
-    for build in (case.build_lhs, case.build_rhs):
-        side = build(ORDER)
+    for side in (case.lhs.build(ORDER), case.rhs.build(ORDER)):
         # every nonzero coefficient a ZPoly: a gap holds the scalar 0
         assert side.order == ORDER and all(type(c) is ZPoly for c in side.coeffs if c)
         assert all(type(v) is int for c in side.coeffs if c for v in c.coeffs)
@@ -297,8 +296,7 @@ def test_cleared_relation_sides_are_the_multiplier_times_the_printed_pieces(rel,
     point = CLEARED_POINTS[rel, i]
     z0 = point[-1].coef
     mult, pieces = multiplier(rel, ORDER + 12, *point), printed_mrel(rel, ORDER + 12, *point)
-    for build, piece in zip((case.build_lhs, case.build_rhs), pieces):
-        side = build(ORDER)
+    for side, piece in zip((case.lhs.build(ORDER), case.rhs.build(ORDER)), pieces):
         assert all(type(v) is int for c in side.coeffs
                    for v in (c.coeffs if type(c) is ZPoly else (c,)))
         assert _compare(side.eval_z(z0), mult * piece, ORDER) is None, (rel, i)

@@ -101,7 +101,7 @@ def test_verify_rejects_an_empty_selection():
 def test_tuple_case_with_missing_component_is_an_error():
     # zip would drop the third component and pass vacuously
     case = get_case("dissect-j1j2-3")
-    short = replace(case, build_rhs=lambda n: case.build_rhs(n)[:2])
+    short = replace(case, rhs=case.rhs.map(lambda parts: parts[:2]))
     report = run_case(short, 30)
     assert report.status == "error" and report.certified_order == 0
     assert "3 components" in report.first_mismatch["lhs"]
@@ -185,32 +185,46 @@ def test_report_json_schema():
     assert js["status"] == "pass" and js["first_mismatch"] is None
 
 
-def _orders(value):
-    return [v.order for v in value] if isinstance(value, tuple) else [value.order]
-
-
 def test_every_builder_certifies_the_order_it_is_asked_for():
     # run_case asks each side for exactly n, so a side that falls short
-    # would turn its case into an error; check every tuple component.  A
-    # side bound to Deferred.build must also start no lower than its low,
-    # the bound every step that builds it relies on
-    short, below_low, deferred = [], [], set()
+    # would turn its case into an error; check every tuple component.
+    # Every side must also start no lower than its low, the bound every
+    # step that builds it relies on
+    short, below_low = [], []
     for case in registry():
-        for n in (1, 2, 5, 40):
-            for side, build in (("lhs", case.build_lhs), ("rhs", case.build_rhs)):
-                value = build(n)
-                got = _orders(value)
-                if min(got) < n:
-                    short.append((case.id, side, n, min(got)))
-                owner = getattr(build, "__self__", None)
-                if isinstance(owner, Deferred):
-                    deferred.add((case.id, side))
-                    for v in value if isinstance(value, tuple) else (value,):
-                        val = v.valuation()
-                        if val is not None and val < owner.low:
-                            below_low.append((case.id, side, n, val, owner.low))
+        for name, side in (("lhs", case.lhs), ("rhs", case.rhs)):
+            assert isinstance(side, Deferred), (case.id, name)
+            for n in (1, 2, 5, 40):
+                value = side.build(n)
+                for v in value if isinstance(value, tuple) else (value,):
+                    if v.order < n:
+                        short.append((case.id, name, n, v.order))
+                    val = v.valuation()
+                    if val is not None and val < side.low:
+                        below_low.append((case.id, name, n, val, side.low))
     assert not short and not below_low, (short, below_low)
-    assert len(deferred) >= 100
+
+
+def test_registry_binds_its_builders_when_it_runs(monkeypatch):
+    # perfbench/tracer.py rebinds module attributes before it builds the
+    # registry, so a leaf must take its builder when registry() runs: one
+    # bound at import would keep the unwrapped function
+    from qhecke import mock
+    from qhecke.registry import cases_by_id
+
+    calls, original = [], mock.hecke_rogers
+
+    def counting(spec, n):
+        calls.append(spec)
+        return original(spec, n)
+
+    monkeypatch.setattr(mock, "hecke_rogers", counting)
+    cases_by_id.cache_clear()
+    try:
+        assert run_case(get_case("hecke-hf4"), 10).status == "pass"
+    finally:
+        cases_by_id.cache_clear()
+    assert calls == [mock.HR_HF4]
 
 
 def _bump_rhs(case, e, c=1, component=None):
@@ -226,7 +240,7 @@ def _bump_rhs(case, e, c=1, component=None):
             return bump(rhs)
         return tuple(bump(s) if i == component else s for i, s in enumerate(rhs))
 
-    return replace(case, build_rhs=lambda n: bumped(case.build_rhs(n)))
+    return replace(case, rhs=case.rhs.map(bumped))
 
 
 @pytest.mark.parametrize("cid, order", [("mrel-xinverse-w1", 30),
@@ -254,7 +268,7 @@ def test_negative_controls(cid, order):
     # at q^(N+1) lies beyond the certificate and must not be.  A congruence
     # case passes a term that is a multiple of its modulus.
     case = get_case(cid)
-    rhs = case.build_rhs(order)
+    rhs = case.rhs.build(order)
     if isinstance(rhs, tuple):
         slots = [(i, f"component {i}", side) for i, side in enumerate(rhs)]
     else:
@@ -285,7 +299,7 @@ def test_congruence_mismatch_is_reported_in_residues():
         "exp": 1, "lhs": "5", "rhs": "1", "slot": None}
 
     case = get_case("cong-hf24-phi-minus")
-    exact = replace(case, build_rhs=lambda n: -mock.eulerian("phi_minus", n))
+    exact = replace(case, rhs=Deferred(0, lambda n: -mock.eulerian("phi_minus", n)))
     order = 40
     for e in (1, 17, order):
         reports = [run_case(_bump_rhs(c, e, 1), order).to_json() for c in (case, exact)]
@@ -303,20 +317,21 @@ def test_congruence_refuses_non_integral_sides():
     # 4: a congruence between them is an error, never a pass
     from fractions import Fraction
 
-    half_q = lambda n: QSeries.monomial(Fraction(1, 2), 1, n)
-    one_q = lambda n: QSeries.monomial(1, 1, n)
-    case = replace(get_case("cong-hf8-A"), build_lhs=half_q, build_rhs=half_q)
+    half_q = Deferred(1, lambda n: QSeries.monomial(Fraction(1, 2), 1, n))
+    one_q = Deferred(1, lambda n: QSeries.monomial(1, 1, n))
+    case = replace(get_case("cong-hf8-A"), lhs=half_q, rhs=half_q)
     assert case.modulus == 4
     report = run_case(case, 10)
     assert report.status == "error" and report.certified_order == 0
     assert report.to_json()["first_mismatch"] == {
         "exp": None, "lhs": "non-integral coefficient 1/2 at q^1",
         "rhs": "non-integral coefficient 1/2 at q^1"}
-    report = run_case(replace(case, build_lhs=one_q), 10)
+    report = run_case(replace(case, lhs=one_q), 10)
     assert report.status == "error"
     assert report.first_mismatch["lhs"] == "integral"
     # a rational coefficient above the order is not compared
-    late = lambda n: one_q(n + 2) + QSeries.monomial(Fraction(1, 2), n + 1, n + 2)
-    assert run_case(replace(case, build_lhs=late, build_rhs=one_q), 10).status == "pass"
+    late = Deferred(1, lambda n: (one_q.build(n + 2)
+                                  + QSeries.monomial(Fraction(1, 2), n + 1, n + 2)))
+    assert run_case(replace(case, lhs=late, rhs=one_q), 10).status == "pass"
     # without a modulus the same sides are an exact comparison, and pass
     assert run_case(replace(case, modulus=0), 10).status == "pass"
