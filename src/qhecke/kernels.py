@@ -7,14 +7,15 @@ denominator, as FLINT's fmpq_poly stores it; an int list is the case
 where that denominator is 1.  Long integer lists go through one big-integer
 multiply by Kronecker substitution: each list is packed into a single int
 with one fixed-width slot per coefficient, so CPython's Karatsuba does
-the convolution; short or sparse ones add one scaled copy of one operand
-per nonzero entry of the sparser one.  Lists holding a ZPoly are packed
-one operand at a time: each entry of the one with more monomials
-c z^t q^i becomes one int with z^t in a fixed-width slot, and the other
-adds one shifted, scaled copy of that packed list per monomial, a
-C-level big-int shift and add per entry.  A Fraction has no product with
-a ZPoly there: such a pair raises TypeError.  Every unit is inverted by
-Newton iteration on those products.  This module owns the packed
+the convolution.  Lists holding a ZPoly are packed one operand at a
+time: each entry of the one with more monomials c z^t q^i becomes one
+int with z^t in a fixed-width slot.  One loop, _sparse_mul, serves short
+or sparse int lists and those packed rows alike: it adds one scaled copy
+of one operand per nonzero entry of the other, shifted by whole slots
+for a monomial's z^t, a C-level big-int shift and add per entry.  A
+Fraction has no product with a ZPoly there: such a pair raises
+TypeError.  Every unit is inverted by Newton iteration on those
+products.  This module owns the packed
 format, each int v_i in k-byte two's complement slot i: _slot_bytes is
 the one width rule (the fewest whole bytes), pack_signed the one writer,
 unpack_signed reads an int product and unpack_rows every packed Laurent
@@ -218,10 +219,11 @@ def _laurent_mul(a, b, n):
     The operand with more monomials c z^t q^i is b: each of its entries
     becomes one int, z^t in k-byte slot t - lb.  Each monomial of a adds
     one copy of that packed list, shifted by t - la slots and scaled by c,
-    into out[i:].  Every output coefficient is at most max|b| * l1(a), the
-    sum of |c| over a's monomials (the triangle inequality), so a slot of
-    that bit length plus a sign bit holds it.  The output window is
-    z^(la + lb) .. z^(ha + hb), so no shift goes right and no slot carries.
+    into out[i:] (one _sparse_mul term).  Every output coefficient is at
+    most max|b| * l1(a), the sum of |c| over a's monomials (the triangle
+    inequality), so a slot of that bit length plus a sign bit holds it.
+    The output window is z^(la + lb) .. z^(ha + hb), so no shift goes
+    right and no slot carries.
     """
     wa, wb = _windows(a), _windows(b)
     if _monomials(wb) < _monomials(wa):
@@ -238,18 +240,7 @@ def _laurent_mul(a, b, n):
     lb = min([lo for lo, _ in full])
     hb = max([lo + len(cs) for lo, cs in full]) - 1
     packed = [pack_signed(cs, k) << w * (lo - lb) if cs else 0 for lo, cs in wb]
-    out = [0] * n
-    for i, t, c in terms:
-        m = min(len(packed), n - i)
-        copy = packed[:m]
-        if t != la:
-            copy = map(lshift, copy, repeat(w * (t - la)))
-        if c == 1:
-            out[i:i + m] = map(add, out[i:i + m], copy)
-        elif c == -1:
-            out[i:i + m] = map(sub, out[i:i + m], copy)
-        else:
-            out[i:i + m] = map(add, out[i:i + m], map(mul, copy, repeat(c)))
+    out = _sparse_mul([(i, w * (t - la), c) for i, t, c in terms], packed, n)
     return unpack_rows(out, k, la + lb, ha - la + hb - lb + 1)
 
 
@@ -315,24 +306,28 @@ def _conv(a, b, keep):
     if min(nnz_a, nnz_b) >= KRONECKER_MIN_NNZ:
         out = _kron_mul(a, b, n)
     else:
-        out = _sparse_mul(a, b, n) if nnz_a <= nnz_b else _sparse_mul(b, a, n)
+        if nnz_b < nnz_a:
+            a, b = b, a
+        out = _sparse_mul([(i, 0, c) for i, c in enumerate(a) if c], b, n)
     return _divide(out, da * db)
 
 
-def _sparse_mul(a, b, n):
-    """The first n coefficients of a*b for int lists, one scaled copy of
-    b added per nonzero entry of a (the sparser operand)."""
+def _sparse_mul(terms, b, n):
+    """The first n entries of the sum over (i, s, c) terms, i < n, of
+    c * (b << s) added into out[i:]: the one add loop of the int products,
+    with s = 0, and of _laurent_mul, whose s shifts packed rows by slots."""
     out = [0] * n
-    for i, ai in enumerate(a[:n]):
-        if not ai:
-            continue
+    for i, s, c in terms:
         m = min(len(b), n - i)
-        if ai == 1:
-            out[i:i + m] = map(add, out[i:i + m], b[:m])
-        elif ai == -1:
-            out[i:i + m] = map(sub, out[i:i + m], b[:m])
+        copy = b[:m]
+        if s:
+            copy = map(lshift, copy, repeat(s))
+        if c == 1:
+            out[i:i + m] = map(add, out[i:i + m], copy)
+        elif c == -1:
+            out[i:i + m] = map(sub, out[i:i + m], copy)
         else:
-            out[i:i + m] = map(add, out[i:i + m], map(mul, repeat(ai, m), b[:m]))
+            out[i:i + m] = map(add, out[i:i + m], map(mul, copy, repeat(c)))
     return out
 
 

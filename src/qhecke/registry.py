@@ -194,7 +194,7 @@ _X_XINVERSE = (monomial(-1, 0, 1), monomial(1, 0, 2))
 # u = -q^e needs x = +q^d: otherwise j(u;q) or j(xu;q) vanishes
 _XU_CHANGE_Z = ((monomial(1, 0, 3), monomial(-1)), (monomial(1, 0, 2), monomial(-1, 0, 1)))
 _X_QUARTIC = (monomial(-1, 0, 1), monomial(1, 0, 3))
-_W_FG = ((monomial(1, 0, 3), monomial(1, 0, 4)), (monomial(-1, 0, 2), monomial(-1, 0, 4)))
+_W_FG = ((monomial(1, 0, 3), monomial(-1, 0, 4)), (monomial(-1, 0, 2), monomial(-1, 0, 4)))
 _W_F151 = (monomial(1, 0, 2), monomial(1, 0, 3))
 
 

@@ -13,15 +13,15 @@ Zero is ``0`` and one is ``1`` in both.  Everything is exact; no floats
 appear anywhere.  Ints and ZPolys mix under ``+ - *``, so series code
 never asks which kind it holds; a Fraction never enters a ZPoly, and
 each operation that would put one there raises TypeError.  ``invert``
-and ``specialise`` dispatch on the coefficient itself, and the kernels
-only to pick the product.  ``specialise`` evaluates many Laurent
-polynomials at one rational z0 with integer arithmetic only.
+dispatches on the coefficient itself, and the kernels only to pick the
+product.  ``ZPoly.eval`` takes the value at an exact nonzero rational
+z0 by Horner's rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul
 from types import MappingProxyType
 
 from .errors import NonUnitError
@@ -100,7 +100,7 @@ class ZPoly:
             return self
         if not self.coeffs:
             return other
-        return _aligned(self, other, add)
+        return _aligned(self, other)
 
     __radd__ = __add__
 
@@ -108,17 +108,9 @@ class ZPoly:
         return _raw(self.lo, tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        if type(other) is not ZPoly:
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            if not other:
-                return self
-            other = ZPoly.const(other)
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return -other
-        return _aligned(self, other, sub)
+        if type(other) is not ZPoly and not isinstance(other, _SCALARS):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return -self + other  # 0 - p takes __add__'s scalar-zero path
@@ -153,8 +145,13 @@ class ZPoly:
         return _raw(self.lo + k, tuple([v * x for x in self.coeffs]))
 
     def eval(self, z0):
-        """Evaluate at an exact nonzero rational point (an int or a Fraction)."""
-        return specialise([self], z0)[0]
+        """The value at an exact nonzero rational z0 (see _point), a
+        Fraction: Horner's rule on the window, times z0^lo."""
+        z0 = _point(z0)
+        v = 0
+        for x in reversed(self.coeffs):
+            v = v * z0 + x
+        return v * z0 ** self.lo
 
     def at_one(self):
         """Substitution z -> 1 (sum of coefficients)."""
@@ -214,8 +211,8 @@ def _window(lo, coeffs):
     return _raw(lo + a, coeffs[a:b]) if a < b else _ZERO
 
 
-def _aligned(p, q, op):
-    """op over the coefficients of z^k in two nonzero ZPolys, for every k."""
+def _aligned(p, q):
+    """The sum of two nonzero ZPolys, one add per z-exponent of both windows."""
     a, b = p.coeffs, q.coeffs
     lo = min(p.lo, q.lo)
     hi = max(p.lo + len(a), q.lo + len(b))
@@ -223,42 +220,21 @@ def _aligned(p, q, op):
         a = (0,) * (p.lo - lo) + a + (0,) * (hi - p.lo - len(a))
     if q.lo != lo or len(b) != hi - lo:
         b = (0,) * (q.lo - lo) + b + (0,) * (hi - q.lo - len(b))
-    return _window(lo, tuple(map(op, a, b)))
+    return _window(lo, tuple(map(add, a, b)))
 
 
-def specialise(polys, z0):
-    """Values of the entries of ``polys`` at an exact nonzero z0: a
-    scalar entry is its own value.
+def _point(z0):
+    """z0 as a Fraction, when it is an exact nonzero rational point.
 
     z0 must be an int or a Fraction: a float would be read as its binary
-    expansion, so anything else raises TypeError.  With z0 = a/d and L
-    the widest window, t[j] = a^j * d^(L-1-j) is tabulated once.
-    z^lo * sum_j v_j z^j is then z0^lo * (sum_j v_j t[j]) / d^(L-1): an
-    integer dot product and one Fraction per ZPoly, with z0^lo cached
-    per lo.
+    expansion, so anything else raises TypeError, and 0 raises
+    ZeroDivisionError, as z^-1 has no value there.
     """
     if not isinstance(z0, (int, Fraction)):
         raise TypeError(f"z0 must be an int or a Fraction, got {type(z0).__name__}")
     if z0 == 0:
         raise ZeroDivisionError("cannot evaluate Laurent polynomial at z=0")
-    a, d = z0.numerator, z0.denominator
-    span = max([len(p.coeffs) for p in polys if type(p) is ZPoly] + [1])
-    t = [d ** (span - 1)]
-    for _ in range(span - 1):  # exact: t[j] still holds the factor d^(L-1-j)
-        t.append(t[-1] * a // d)
-    lo_pows = {}
-    out = []
-    for p in polys:
-        if type(p) is not ZPoly:
-            out.append(p)
-            continue
-        zlo = lo_pows.get(p.lo)
-        if zlo is None:  # z0^lo as num/den: (a/d)^lo, or (d/a)^-lo
-            num, den = (a, d) if p.lo >= 0 else (d, a)
-            zlo = lo_pows[p.lo] = (num ** abs(p.lo), den ** abs(p.lo) * t[0])
-        num, den = zlo
-        out.append(Fraction(sum(map(mul, p.coeffs, t)) * num, den))
-    return out
+    return Fraction(z0)
 
 
 def invert(x):

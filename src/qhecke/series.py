@@ -34,7 +34,7 @@ from operator import add
 
 from . import kernels
 from .errors import NonConvergentError, NonUnitError, PoleError
-from .rings import ZPoly, invert, specialise
+from .rings import ZPoly, _point, invert
 
 INF = float("inf")
 
@@ -330,7 +330,9 @@ class QSeries:
     def eval_z(self, z0):
         """Specialize at an exact nonzero rational z0 (an int or a Fraction;
         TypeError otherwise); a scalar coefficient is its own value."""
-        return QSeries(self.min_exp, specialise(self.coeffs, z0), self.order)
+        z0 = _point(z0)
+        return QSeries(self.min_exp, [c.eval(z0) if type(c) is ZPoly else c
+                                      for c in self.coeffs], self.order)
 
     def subs_z_one(self):
         """z -> 1: a ZPoly becomes the sum of its coefficients, a scalar itself."""

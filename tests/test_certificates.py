@@ -49,6 +49,16 @@ def test_certificates_match_the_golden_digests():
         assert not changed, (label, changed)
 
 
+def test_only_the_zero_statements_compare_zero_with_zero():
+    # a slot whose two sides are both zero certifies nothing unless its
+    # statement is "= 0"; equality, not a subset, keeps the list current
+    zero = {slot for case in registry()
+            for slot, lhs, rhs in _slots(case, case.default_order)
+            if not lhs.coeffs and not rhs.coeffs}
+    assert zero == {"spec-f4-at-i[1]", "dissect-j1j2-3[2]", "dissect-j2j4-3[1]",
+                    "dz-j-zq-q2", "dz-j-mzq-q2", "dz-j-mz2-q1"}
+
+
 def test_every_side_is_a_prefix_of_its_deeper_build():
     # a builder whose cutoff drops a term near q^n fails this even when
     # both sides share that builder

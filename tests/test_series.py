@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from qhecke import kernels, series
 from qhecke.errors import NonUnitError, PoleError
 from qhecke.jets import Jet1
-from qhecke.rings import ZPoly, specialise
+from qhecke.rings import ZPoly
 from qhecke.series import (INF, QSeries, eta_quotient, etaq, etaq_inv, geom_ratio,
                            geometric_sum, monomial, pochhammer)
 from qhecke.theta import Deferred
@@ -679,8 +679,7 @@ def test_eval_z_rejects_inexact_points(z0):
     from qhecke.mock import F4_series
 
     p = ZPoly({-1: 1, 2: 3})
-    for evaluate in (lambda: specialise([p], z0), lambda: specialise([], z0),
-                     lambda: p.eval(z0), lambda: F4_series(5).eval_z(z0),
+    for evaluate in (lambda: p.eval(z0), lambda: F4_series(5).eval_z(z0),
                      lambda: QSeries.zero(5).eval_z(z0)):
         with pytest.raises(TypeError):
             evaluate()
