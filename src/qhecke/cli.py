@@ -10,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from . import __version__
@@ -24,35 +23,6 @@ from .verify import all_passed, verify
 
 _MOCK_NAMES = {"A": "A", "V1": "V1", "sigma": "sigma", "phi-": "phi_minus",
                "phi_minus": "phi_minus"}
-
-
-_CONFIG_KEYS = ("default_order", "jobs")
-
-
-def _load_config(path):
-    """TOML-like key=value file; '#' starts a comment.
-
-    An unreadable file or a key other than _CONFIG_KEYS raises
-    ValueError, which exits 2.
-    """
-    conf = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"expected one of {', '.join(_CONFIG_KEYS)}")
-        conf[key] = value
-    return conf
 
 
 def _build_family(family, order):
@@ -109,22 +79,15 @@ def _print_reports(reports, fmt):
 
 
 def _cmd_verify(args):
-    conf = {}
-    config_path = args.config or ("qhecke.conf" if os.path.exists("qhecke.conf") else None)
-    if config_path:
-        conf = _load_config(config_path)
-    order = args.order
-    if order is None and args.scale is None and "default_order" in conf:
-        order = int(conf["default_order"])
-    jobs = args.jobs if args.jobs is not None else int(conf.get("jobs", 1))
     ids = args.id or None
     try:
-        reports = verify(ids, order, jobs, args.scale)
+        reports = verify(ids, args.order, args.jobs, args.scale)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     _print_reports(reports, args.format)
     return 0 if all_passed(reports) else 1
+
 
 def _cmd_ids(args):
     for case in registry():
@@ -185,9 +148,8 @@ def build_parser():
     depth.add_argument("--order", type=int, help="override the per-case default order")
     depth.add_argument("--scale", type=int, metavar="K",
                        help="run each case at K times its own default order")
-    p.add_argument("--jobs", type=int, help="parallel worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-    p.add_argument("--config", help="key=value config file (default_order, jobs)")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("ids", help="list registry case ids")

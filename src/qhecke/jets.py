@@ -4,8 +4,8 @@ A Jet1 carries (f(1,q), d/dz f(z,q)|_{z=1}) as a pair of rational
 q-series: the image (Jet1.of) of a series in z under z -> 1 + eps,
 eps^2 = 0.  Every jet starts as the image of a series the package
 builds: a theta function from theta.jtheta, an Appell-Lerch sum from
-theta.appell_cleared.  Jets propagate through ring operations (the
-product rule, and (u'v - uv')/v^2 for quotients) and shift like a
+theta.appell_cleared.  Jets propagate through sums, products (the
+product rule) and inverses ((1/v)' = -v'/v^2), and shift like a
 series, so a theta.Deferred carries jets as well.
 """
 
@@ -32,12 +32,6 @@ class Jet1:
     def __add__(self, other):
         return Jet1(self.f0 + other.f0, self.f1 + other.f1)
 
-    def __sub__(self, other):
-        return Jet1(self.f0 - other.f0, self.f1 - other.f1)
-
-    def scale(self, c):
-        return Jet1(self.f0.scale(c), self.f1.scale(c))
-
     def shift(self, c, d):
         return Jet1(self.f0.shift(c, d), self.f1.shift(c, d))
 
@@ -48,9 +42,6 @@ class Jet1:
     def invert(self):
         inv0 = self.f0.invert()
         return Jet1(inv0, -(self.f1 * inv0 * inv0))
-
-    def __truediv__(self, other):
-        return self * other.invert()
 
 
 def jet_of_termsum(terms, n):

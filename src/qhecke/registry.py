@@ -34,11 +34,11 @@ from math import isqrt
 from operator import attrgetter, mul
 
 from . import classnum, combinat, mock
-from .jets import Jet1, jet_appell, jet_of_termsum, jet_theta
+from .jets import Jet1, jet_appell, jet_theta
 from .rings import ZPoly
 from .series import QSeries, geom_ratio, lattice_range, monomial
 from .theta import (Deferred, _g_abc_deferred, _theta_1_4_deferred, appell_cleared, f_abc,
-                    f_abc_terms, theta_low)
+                    theta_low)
 
 
 @dataclass(frozen=True)
@@ -275,16 +275,10 @@ def _jet_theta_quotient_double():
     return t1 * (t2 - t3) - t4 * (t5 + t6)
 
 
-def _jet_f121_terms(x, y, n):
-    terms = [(c, zd + 3, qd + 1) for c, zd, qd in f_abc_terms(2, 4, 2, x, y, n)]
-    return jet_of_termsum(terms, n)
-
-
 def _jet_f121():
-    """d/dz of q z^3 f_{2,4,2}(q^3 z^4, -q^4 z^2, q) at z = 1, unbuilt,
-    no lower than q times the f_abc leaf."""
-    x, y = monomial(1, 4, 3), monomial(-1, 2, 4)
-    return _leaf(_jet_f121_terms, x, y, low=_f_abc(2, 4, 2, x, y).low + 1).map(_f1)
+    """d/dz of q z^3 f_{2,4,2}(q^3 z^4, -q^4 z^2, q) at z = 1, unbuilt."""
+    f242 = _f_abc(2, 4, 2, monomial(1, 4, 3), monomial(-1, 2, 4))
+    return f242.shift(ZPoly.monomial(1, 3), 1).map(Jet1.of).map(_f1)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_criterion_08_derivative_lemmas():
            "dz-m-times-theta-q6-a", "dz-m-times-theta-q6-b", "dz-theta-quotient-q6-sixfold",
            "dz-theta-quotient-q12-double"]
     _run_all(ids, order=80)
-    _announce(8, "twelve theta-derivative lemmas plus the four composite "
+    _announce(8, "thirteen theta-derivative lemmas plus the four composite "
                  "lemmas via jets at order 80", t0)
 
 

@@ -2,8 +2,9 @@
 
 import json
 import os
+import shlex
 
-from qhecke.cli import main
+from qhecke.cli import build_parser, main
 from qhecke.registry import get_case
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -82,28 +83,20 @@ def test_verify_unknown_id(capsys):
     assert code == 2 and "unknown identity" in err
 
 
-def test_verify_rejects_vacuous_order_and_jobs(capsys, tmp_path):
+def test_verify_rejects_vacuous_order_and_jobs(capsys):
     for flag, value in (("--order", "-3"), ("--order", "0"), ("--jobs", "0"),
                         ("--jobs", "-2"), ("--scale", "0"), ("--scale", "-2")):
         code, out, err = run(capsys, "verify", "--id", "hecke-hf4", flag, value)
         assert code == 2 and out == ""
         assert f"{flag[2:]} must be at least 1, got {value}" in err
-    for line in ("default_order = 0", "jobs = 0"):
-        conf = tmp_path / "qhecke.conf"
-        conf.write_text(line + "\n")
-        code, out, err = run(capsys, "verify", "--id", "hecke-hf4", "--config", str(conf))
-        assert code == 2 and out == "" and "must be at least 1" in err
 
 
-def test_verify_scale_multiplies_each_default_order(capsys, tmp_path):
+def test_verify_scale_multiplies_each_default_order(capsys):
     ids = ("hecke-sigma", "cong-hf8-A", "eta-u3-j1cubed")  # registry order
     argv = ["verify", "--scale", "3", "--format", "json"]
     for cid in ids:
         argv += ["--id", cid]
-    # --scale wins over a config file's default order, as --order does
-    conf = tmp_path / "qhecke.conf"
-    conf.write_text("default_order = 42\n")
-    code, out, _ = run(capsys, *argv, "--config", str(conf))
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     reports = json.loads(out)
     assert [r["id"] for r in reports] == list(ids)
@@ -127,37 +120,28 @@ def test_verify_allow_fail_exit_zero(capsys):
     assert "allow-fail" in out
 
 
-def test_config_file_sets_order(capsys, tmp_path, monkeypatch):
-    conf = tmp_path / "qhecke.conf"
-    conf.write_text("default_order = 42  # comment\njobs = 1\n")
-    code, out, _ = run(capsys, "verify", "--id", "hecke-A",
-                       "--config", str(conf))
-    assert code == 0 and "    42" in out
-    # CLI flag wins over the config value
-    code, out, _ = run(capsys, "verify", "--id", "hecke-A",
-                       "--config", str(conf), "--order", "35")
-    assert code == 0 and "    35" in out
+def test_verify_ignores_a_config_file_in_the_working_directory(capsys, tmp_path,
+                                                              monkeypatch):
+    # the command line is the whole run: no file beside it chooses an order
+    (tmp_path / "qhecke.conf").write_text("default_order = 5\njobs = 0\n")
+    monkeypatch.chdir(tmp_path)
+    ids = ("hecke-A", "appell-hf4")  # registry order
+    code, out, _ = run(capsys, "verify", "--format", "json", "--id", ids[0], "--id", ids[1])
+    assert code == 0
+    reports = json.loads(out)
+    assert [r["id"] for r in reports] == list(ids)
+    for r in reports:
+        assert r["status"] == "pass"
+        assert r["certified_order"] == get_case(r["id"]).default_order
 
 
-def test_missing_config_file_exits_two(capsys, tmp_path):
-    missing = tmp_path / "missing.conf"
-    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(missing))
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "cannot read config file" in err
-
-
-def test_config_path_that_is_a_directory_exits_two(capsys, tmp_path):
-    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(tmp_path))
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "cannot read config file" in err
-
-
-def test_unknown_config_key_exits_two(capsys, tmp_path):
-    conf = tmp_path / "qhecke.conf"
-    conf.write_text("jobs = 1\ndefault_ordr = 400\n")
-    code, out, err = run(capsys, "verify", "--id", "hecke-A", "--config", str(conf))
-    assert code == 2 and out == ""
-    assert err.count("\n") == 1 and ":2: unknown key 'default_ordr'" in err
+def test_verify_has_no_config_option(capsys):
+    try:
+        code = run(capsys, "verify", "--id", "hecke-A", "--config", "x")[0]
+    except SystemExit as exc:  # argparse rejects the option itself
+        code = exc.code
+    assert code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_oeis_command(capsys):
@@ -215,3 +199,19 @@ def test_series_negative_slope_exits_zero(capsys, monkeypatch):
         monkeypatch.setattr(classnum, "_table_cache", [])
         code, out, _ = run(capsys, "series", "--family", family, "--order", order)
         assert code == 0 and out.strip() == want
+
+
+def test_readme_commands_parse():
+    # every qhecke line the README shows is one the parser accepts
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    lines = [line.split("#", 1)[0].strip() for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("qhecke ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            raise AssertionError(f"README shows an unparsable command: qhecke {shlex.join(argv)}")

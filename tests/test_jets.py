@@ -16,9 +16,6 @@ from qhecke.verify import _compare
 def test_constant_jet_has_zero_derivative():
     c = Jet1.of(QSeries(0, [3, 1], 10))
     assert not c.f1.coeffs
-    u = jet_of_termsum([(1, 2, 0), (1, -1, 1)], 10)
-    scaled = u.scale(5)
-    assert _compare(scaled.f1, u.f1.scale(5), 10) is None
 
 
 def test_z_squared_derivative():
@@ -63,7 +60,7 @@ def test_product_rule_against_expanded_termsum():
 def test_quotient_rule():
     u = jet_of_termsum([(1, 1, 0), (2, 0, 1)], 20)  # z + 2q
     v = jet_of_termsum([(1, 0, 0), (1, 2, 1)], 20)  # 1 + z^2 q
-    w = (u / v) * v
+    w = u * v.invert() * v
     for lhs, rhs in ((w.f0, u.f0), (w.f1, u.f1)):
         assert _compare(lhs, rhs, 20) is None
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qhecke.errors import NonConvergentError, PoleError
 from qhecke.mock import AppellRhsSpec, HeckeRogersSpec, appell_rhs, hecke_rogers
 from qhecke.series import QSeries, lattice_range, monomial
-from qhecke.theta import appell_m, theta_sum_scaled
+from qhecke.theta import appell_m, jtheta
 from qhecke.verify import _compare
 
 # no deadline: the shared test hosts' speed varies too much for one
@@ -113,7 +113,7 @@ def brute_theta(coef, d, base, n):
 @prop
 @given(units, st.integers(-40, 40), st.integers(1, 5), st.integers(-5, 60))
 def test_theta_sum_scaled_matches_box(coef, d, base, n):
-    got = theta_sum_scaled(monomial(coef, 0, d), base, n)
+    got = jtheta(monomial(coef, 0, d), base, n)
     assert got.order == n
     assert dict(got.nonzero_terms()) == brute_theta(coef, d, base, n)
 

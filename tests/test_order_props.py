@@ -262,7 +262,7 @@ def test_jet_mul_claims_no_more_than_its_inputs_know(pair, other):
 @given(jet_pair(), jet_pair(unit=True))
 def test_jet_div_claims_no_more_than_its_inputs_know(pair, other):
     (j, j_long), (k, k_long) = pair, other
-    assert_jets_agree(j / k, j_long / k_long)
+    assert_jets_agree(j * k.invert(), j_long * k_long.invert())
 
 
 @st.composite

@@ -133,8 +133,8 @@ def test_integral_builders_stay_int_typed(n):
         **{f"eulerian_residues {w}": mock.eulerian_residues(w, n, 4) for w in eulerian},
         "genfun_F": classnum.genfun_F(24, -1, n),
         "jtheta": theta.jtheta(series.monomial(-1, 0, 1), 2, n),
-        "theta_sum_scaled j(-1;q)": theta.theta_sum_scaled(series.monomial(-1), 1, n),
-        "theta_sum_scaled j(q;q^2)": theta.theta_sum_scaled(series.monomial(1, 0, 1), 2, n),
+        "jtheta j(-1;q)": theta.jtheta(series.monomial(-1), 1, n),
+        "jtheta j(q;q^2)": theta.jtheta(series.monomial(1, 0, 1), 2, n),
         "hecke_rogers": mock.hecke_rogers(mock.HR_HF8, n),
         "appell_rhs": mock.appell_rhs(mock.AP_HF8, n),
         "humbert_series": mock.humbert_series(n),

@@ -8,7 +8,7 @@ from qhecke.errors import NonUnitError, PoleError
 from qhecke.rings import ZPoly
 from qhecke.series import etaq, monomial, pochhammer
 from qhecke.theta import (_theta_1_4_deferred, appell_cleared, appell_m, f_abc, f_abc_terms,
-                          g_abc, jtheta, theta_1_4, theta_low, theta_sum_scaled)
+                          g_abc, jtheta, theta_1_4, theta_low)
 from qhecke.verify import _compare
 
 # every theta argument shape the registry builders touch
@@ -53,8 +53,8 @@ def test_jtheta_product_matches_sum_everywhere():
 def test_jtheta_x_to_q_over_x_symmetry():
     # j(x;q) = j(q/x;q) at monomial arguments
     for coef, d, base in ((1, 1, 3), (-1, 2, 5), (1, 3, 4), (-1, 1, 1)):
-        a = theta_sum_scaled(monomial(coef, 0, d), base, 40)
-        b = theta_sum_scaled(monomial(coef, 0, base - d), base, 40)
+        a = jtheta(monomial(coef, 0, d), base, 40)
+        b = jtheta(monomial(coef, 0, base - d), base, 40)
         assert _compare(a, b, 40) is None
 
 
@@ -142,7 +142,7 @@ def test_theta_low_is_the_lowest_exponent_of_the_sum():
     for d in range(-30, 31):
         for base in (1, 2, 3, 12, 24):
             # x = -q^d: every term is +1, so no two cancel
-            s = theta_sum_scaled(monomial(-1, 0, d), base, 40)
+            s = jtheta(monomial(-1, 0, d), base, 40)
             assert theta_low(d, base) == s.valuation()
 
 
