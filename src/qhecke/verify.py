@@ -5,17 +5,20 @@ requested order, agree coefficientwise through it (for congruence cases,
 modulo the case modulus); a side certified below the order, or a
 congruence side with a non-integral coefficient, is an error.
 Reports are deterministic and ordered by registry position regardless
-of how many worker processes run the builders.
+of how many processes run the builders.  With jobs above 1 the process
+forks (POSIX only) and is itself one of the workers; each process builds
+its own caches.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .registry import IdentityCase, cases_by_id, get_case
+from .registry import IdentityCase, cases_by_id
 from .rings import ZPoly
 
 
@@ -116,16 +119,56 @@ def run_case(case: IdentityCase, order=None):
                                   ms, case.allow_fail, case.note)
 
 
-def _run_by_id(args):
-    case_id, order = args
-    return run_case(get_case(case_id), order)
+def _forked(cases, orders, workers):
+    """Reports of the cases, run by this process and workers - 1 forked
+    children.  Each process takes case indices, one 4-byte record at a
+    time, from a pipe filled before the first fork, and calls run_case; a
+    child pickles its reports into its own pipe and leaves by os._exit."""
+    import pickle  # here, so that a sequential run loads neither
+    import select
+    queue = b"".join(i.to_bytes(4, "little") for i in range(len(cases)))
+    if len(queue) > select.PIPE_BUF:  # so that the write below, before any fork, cannot block
+        raise RuntimeError(f"{len(cases)} cases overflow the {select.PIPE_BUF}-byte case queue")
+    rq, wq = os.pipe()
+    os.write(wq, queue)
+    os.close(wq)
 
+    def drain():
+        done = {}
+        while rec := os.read(rq, 4):
+            if len(rec) != 4:
+                raise RuntimeError(f"read {len(rec)} bytes of a 4-byte case record")
+            i = int.from_bytes(rec, "little")
+            done[i] = run_case(cases[i], orders[i])
+        return done
 
-def _pool(workers):
-    """A process pool of that many workers.  Imported here, so that a
-    sequential run never loads multiprocessing."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(max_workers=workers)
+    results, pids = [], []
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            results.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                if (pid := os.fork()) == 0:  # child: skip teardown and the parent's buffers
+                    try:
+                        pickle.dump(drain(), out)
+                        out.flush()
+                        os._exit(0)
+                    finally:  # reached only if the child raised
+                        os._exit(1)
+            pids.append(pid)
+        done = drain()
+        for fh in results:
+            if blob := fh.read():  # empty if the child died
+                done.update(pickle.loads(blob))
+    finally:
+        os.close(rq)
+        for fh in results:
+            fh.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes) or len(done) != len(cases):
+        raise RuntimeError(f"worker exit codes {codes}; {len(cases) - len(done)} "
+                           f"of {len(cases)} cases have no report")
+    return [done[i] for i in range(len(cases))]
 
 
 def verify(ids=None, order=None, jobs=1, scale=None):
@@ -146,6 +189,8 @@ def verify(ids=None, order=None, jobs=1, scale=None):
             raise ValueError(f"scale must be at least 1, got {scale}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError("jobs above 1 needs os.fork, which this platform lacks")
     by_id = cases_by_id()
     cases = list(by_id.values())
     if ids is not None:
@@ -158,13 +203,8 @@ def verify(ids=None, order=None, jobs=1, scale=None):
         raise ValueError("no cases selected: nothing to certify")
     orders = [order if scale is None else scale * c.default_order for c in cases]
     if jobs > 1:
-        # a forking pool starts all its workers at once, so start no
-        # more than there are cases
-        with _pool(min(jobs, len(cases))) as pool:
-            reports = list(pool.map(_run_by_id, [(c.id, n) for c, n in zip(cases, orders)]))
-    else:
-        reports = [run_case(c, n) for c, n in zip(cases, orders)]
-    return reports
+        return _forked(cases, orders, min(jobs, len(cases)))
+    return [run_case(c, n) for c, n in zip(cases, orders)]
 
 
 def all_passed(reports):

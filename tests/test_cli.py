@@ -91,6 +91,12 @@ def test_verify_rejects_vacuous_order_and_jobs(capsys):
         assert f"{flag[2:]} must be at least 1, got {value}" in err
 
 
+def test_verify_jobs_without_fork_exits_two(capsys, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    code, out, err = run(capsys, "verify", "--id", "hecke-hf4", "--jobs", "2")
+    assert code == 2 and out == "" and "os.fork" in err
+
+
 def test_verify_scale_multiplies_each_default_order(capsys):
     ids = ("hecke-sigma", "cong-hf8-A", "eta-u3-j1cubed")  # registry order
     argv = ["verify", "--scale", "3", "--format", "json"]

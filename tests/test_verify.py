@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -80,9 +80,10 @@ def test_verify_rejects_order_with_scale():
 
 
 def test_import_loads_no_process_pool():
-    # a sequential run needs no multiprocessing, so importing the package
-    # and building the registry must not load it
+    # importing the package, building the registry and a forked run all
+    # go without multiprocessing
     code = ("import sys, qhecke; from qhecke.registry import registry; registry(); "
+            "qhecke.verify(['hecke-hf4', 'humbert-hf4'], order=10, jobs=2); "
             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
             "if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
@@ -133,39 +134,77 @@ def test_order_monotonicity():
         assert big.status == small.status == "pass"
 
 
+def _minus_ms(reports):
+    return [{k: v for k, v in asdict(r).items() if k != "ms"} for r in reports]
+
+
 def test_parallel_matches_sequential():
-    seq = verify(SAMPLE, order=36, jobs=1)
-    par = verify(SAMPLE, order=36, jobs=2)
-    assert [(r.id, r.status, r.certified_order) for r in seq] == \
-        [(r.id, r.status, r.certified_order) for r in par]
+    # the allow-fail case brings a first_mismatch and a note, the dissect
+    # cases a tuple side
+    ids = SAMPLE + ["mrel-f151-theta14", "dissect-j2j4-3"]
+    seq = _minus_ms(verify(ids, order=36, jobs=1))
+    assert [r["id"] for r in seq] == [c for c in registry_ids() if c in set(ids)]
+    assert any(r["first_mismatch"] and r["allow_fail"] and r["note"] for r in seq)
+    for jobs in (2, 3):
+        assert _minus_ms(verify(ids, order=36, jobs=jobs)) == seq
 
 
-def test_pool_starts_no_more_workers_than_cases(monkeypatch):
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_count_is_workers_minus_one(monkeypatch):
+    # the parent runs cases too, and there are never more workers than cases
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    for ids, jobs, expected in ((["hecke-sigma", "humbert-hf4"], 4, 1),
+                                (SAMPLE[:3], 3, 2), (["hecke-sigma"], 2, 0)):
+        forks.clear()
+        reports = verify(ids, order=10, jobs=jobs)
+        assert len(forks) == expected
+        assert [r.id for r in reports] == [c for c in registry_ids() if c in set(ids)]
+        assert all_passed(reports)
+        _assert_no_children()
+
+
+def test_a_child_that_dies_makes_verify_raise(monkeypatch):
     # the package exports a function named verify, so fetch the module itself
     verify_mod = importlib.import_module("qhecke.verify")
-    sizes = []
+    parent, real_run, real_fork = os.getpid(), verify_mod.run_case, os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def run_case(case, order=None):
+        if case.id == "humbert-hf4" and os.getpid() != parent:
+            os._exit(3)
+        return real_run(case, order)
 
-        def __enter__(self):
-            return self
+    def fork():
+        # the parent waits, without reaping, for the child to exit, so the
+        # child takes every case and dies after running the first
+        pid = real_fork()
+        if pid:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(verify_mod, "run_case", run_case)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(RuntimeError, match=r"exit codes \[3\]; 2 of 2 cases have no report"):
+        verify(["hecke-sigma", "humbert-hf4"], order=10, jobs=2)
+    _assert_no_children()
 
-        def map(self, fn, items):
-            return [run_case(get_case(case_id), order) for case_id, order in items]
 
-    monkeypatch.setattr(verify_mod, "_pool", RecordingPool)
-    two = ["hecke-sigma", "humbert-hf4"]
-    reports = verify(two, order=10, jobs=4)
-    assert [r.id for r in reports] == [c for c in registry_ids() if c in set(two)]
-    verify(SAMPLE, order=10, jobs=2)
-    assert sizes == [2, 2]
-    verify(SAMPLE[:3], order=10, jobs=3)
-    assert sizes == [2, 2, 3]
+def test_jobs_above_one_needs_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        verify(["hecke-hf4"], jobs=2)
+    assert verify(["hecke-hf4"], order=10, jobs=1)[0].status == "pass"
 
 
 def test_expected_fail_case_is_isolated():
