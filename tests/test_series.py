@@ -6,6 +6,7 @@ dict-based polynomial arithmetic that shares no code with the package.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,25 +391,77 @@ def test_empty_eta_quotient_is_one(powers):
     assert (got.min_exp, got.coeffs, got.order) == (0, [1], 20)
 
 
-def test_only_the_j1_inverse_runs_newton(monkeypatch):
-    # every 1/J_k and every quotient with a denominator is an inflated
-    # power of 1/J_1, whose Newton iteration runs once per growth
-    seen = []
-    newton = kernels._inv_newton
+def test_eta_quotient_products_stay_as_wide_as_the_quotient(monkeypatch):
+    # appell-hf24's quotient has 7-bit coefficients through q^800, where
+    # J_1^-3 has 164-bit ones: solved from its logarithmic derivative, it
+    # multiplies nothing wider than itself and never inverts by Newton
+    widths, newton = [], []
 
-    def spy(g, keep, known):
-        seen.append(g[:6])
-        return newton(g, keep, known)
+    def conv(a, b, keep):
+        widths.append(max((abs(c).bit_length() for c in a + b), default=0))
+        return real_conv(a, b, keep)
 
-    monkeypatch.setattr(kernels, "_inv_newton", spy)
-    monkeypatch.setattr(series, "_eta_inv_cache", {})
-    monkeypatch.setattr(series, "_eta_quotient_cache", {})
-    for n in (40, 100, 300):
-        for k in (1, 2, 3, 5, 12):
-            etaq_inv(k, n)
-        eta_quotient({2: -2, 4: 1}, n)
-        eta_quotient({1: 1, 3: -3, 6: -1}, n)
-    assert seen == [[1, -1, -1, 0, 0, 1]] * 3
+    def inv_newton(g, keep, known):
+        newton.append(keep)
+        return real_newton(g, keep, known)
+
+    real_conv, real_newton = kernels._conv, kernels._inv_newton
+    monkeypatch.setattr(kernels, "_conv", conv)
+    monkeypatch.setattr(kernels, "_inv_newton", inv_newton)
+    for cache in ("_eta_cache", "_eta_inv_cache", "_eta_quotient_cache"):
+        monkeypatch.setattr(series, cache, {})
+    got = eta_quotient({1: -3, 2: 6, 3: 2, 4: -1, 6: -2, 12: 2}, 800)
+    assert got.order == 800 and max(map(abs, got.coeffs)).bit_length() == 7
+    assert widths and not newton
+    assert max(widths) <= 32
+
+
+def eta_by_powers(key, n):
+    """An eta quotient as eta_quotient built a key of gcd 1 before it was
+    solved from its logarithmic derivative: J_1^e by binary powering of
+    J_1 or of its Newton inverse, and a longer key as the product of the
+    inflated powers J_1^e(q^k).  Its only change is that the inner
+    J_1^e comes from this oracle rather than from the cache."""
+    if len(key) == 1:  # gcd 1, so J_1^e: binary powering at length n
+        e = key[0][1]
+        return (etaq(1, n) if e > 0 else etaq_inv(1, n)) ** abs(e)
+    out = QSeries.one(n)
+    for k, e in key:
+        out = out * eta_by_powers(((1, e),), n // k).inflate(k)
+    return out
+
+
+_REGISTRY_LEVELS = (1, 2, 3, 4, 6, 9, 12, 18, 36)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.dictionaries(st.sampled_from(_REGISTRY_LEVELS), st.integers(-13, 13), max_size=9),
+       st.integers(0, 300))
+@example({1: -3, 2: 6, 3: 2, 4: -1, 6: -2, 12: 2}, 300)
+@example({1: -13}, 300)
+@example({1: 13, 36: -13}, 300)
+@example({4: -5}, 300)
+def test_eta_quotient_matches_the_powering_route(powers, n):
+    # the oracle takes a key of gcd 1, reduced and inflated as eta_quotient does
+    key = tuple(sorted((k, e) for k, e in powers.items() if e))
+    g = gcd(*(k for k, _ in key)) or 1
+    series._eta_quotient_cache.clear()
+    got = eta_quotient(powers, n)
+    want = eta_by_powers(tuple((k // g, e) for k, e in key), n // g).inflate(g).truncate(n)
+    assert (got.min_exp, got.coeffs, got.order) == (want.min_exp, want.coeffs, n)
+    assert all(type(c) is int for c in got.coeffs)
+
+
+@pytest.mark.parametrize("j", [1, series.ETA_BLOCK + 6])
+def test_log_derivative_solve_refuses_a_fraction(j):
+    # b = q^j is the logarithmic derivative of exp(q^j / j), whose q^j
+    # coefficient 1/j is no integer (for j = 1, that of q^2 is 1/2), in a
+    # row-by-row range and after a split: the solver raises rather than
+    # return a floor
+    b = [0] * (3 * series.ETA_BLOCK)
+    b[j] = 1
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        series._from_log_derivative(b)
 
 
 _DELTAS = (1, 2, 3, 4, 6, 12)
