@@ -188,10 +188,7 @@ def main(argv=None):
     except BFileError as exc:
         print(f"b-file error: {exc}", file=sys.stderr)
         return 2
-    except QheckeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (QheckeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -336,16 +336,17 @@ def conv_trunc(a, b, keep):
     return _conv(a, b, keep)
 
 
-def _inv_newton(g, keep, known):
-    """Inverse of a list with g[0] == 1, by Newton iteration.
+def inv_unit(g, keep, one):
+    """Inverse of a series with g[0] == one, to keep coefficients, by
+    Newton iteration from h = [one].
 
     Each step doubles the known prefix m of h = 1/g: with
     e = g*h - 1 = O(q^m), the update h - h*e is exact to q^(2m).
-    ``known``, a list holding the first len(known) >= 1 coefficients of
-    1/g, is extended in place from there.
+    Every caller passes one = 1, the one of Q and of Z[z, 1/z] alike.
     """
-    h = known
-    m = len(h)
+    if keep <= 0:
+        return [0] * keep
+    h, m = [one], 1
     while m < keep:
         m2 = min(2 * m, keep)
         e = _conv(g[:m2], h, m2)[m:]
@@ -355,17 +356,6 @@ def _inv_newton(g, keep, known):
         h.extend([0] * (m2 - len(h)))
         m = m2
     return h
-
-
-def inv_unit(g, keep, one):
-    """Inverse of a series with g[0] == one, to keep coefficients.
-
-    ``one`` seeds the Newton iteration.  Every caller passes 1, which is
-    the one of Q and of Z[z, 1/z] alike.
-    """
-    if keep <= 0:
-        return [0] * keep
-    return _inv_newton(g, keep, [one])
 
 
 def mul_linear(f, c, d):

@@ -144,7 +144,7 @@ def _build_eulerian(which, n):
 
 def eulerian(which, n):
     """One of the Eulerian series A, V1, sigma, phi_minus to order n."""
-    return grown(_euler_cache, which, n, lambda m, _: _build_eulerian(which, m))
+    return grown(_euler_cache, which, n, lambda m: _build_eulerian(which, m))
 
 
 def _residue_sum(recipe, n, m):
@@ -195,7 +195,7 @@ def eulerian_residues(which, n, m):
     if which not in _RECIPES:
         raise ValueError(f"unknown Eulerian series {which!r}")
     return grown(_residue_cache, (which, m), n,
-                 lambda top, _: QSeries(0, _residue_sum(_RECIPES[which], top, m), top))
+                 lambda top: QSeries(0, _residue_sum(_RECIPES[which], top, m), top))
 
 
 def _build_bivariate(which, n):
@@ -211,12 +211,12 @@ _fz_cache: dict = {}
 
 def F8_series(n):
     """F8(z,q) = sum (-1)^k (q;q^2)_k q^{(k+1)^2} / (zq, q/z; q^2)_{k+1}."""
-    return grown(_fz_cache, "F8", n, lambda m, _: _build_bivariate("F8", m))
+    return grown(_fz_cache, "F8", n, lambda m: _build_bivariate("F8", m))
 
 
 def F4_series(n):
     """F4(z,q) = sum (-1)^k (q;-q)_{2k} q^{k+1} / (zq, q/z; q^2)_{k+1}."""
-    return grown(_fz_cache, "F4", n, lambda m, _: _build_bivariate("F4", m))
+    return grown(_fz_cache, "F4", n, lambda m: _build_bivariate("F4", m))
 
 
 # ---------------------------------------------------------------------------

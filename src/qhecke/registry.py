@@ -297,7 +297,8 @@ def registry():
     J62_over_12 = {6: 2, 12: -1}
     J15_over_22 = {1: 5, 2: -2}
     # leaves of the most used builders, power series in q and so of low 0:
-    # a Hecke-Rogers region is a cone on which the exponent is positive
+    # a Hecke-Rogers region is a cone on which the exponent is >= 0, as
+    # tests/test_mock.py proves from each HR_* spec's shell ends
     F, H = partial(_leaf, classnum.genfun_F), partial(_leaf, classnum.genfun_H)
     hr, ap = partial(_leaf, mock.hecke_rogers), partial(_leaf, mock.appell_rhs)
     eul = partial(_leaf, mock.eulerian)
@@ -584,11 +585,3 @@ def registry():
 def cases_by_id():
     """Every case by id, in registry order, built once per process."""
     return {c.id: c for c in registry()}
-
-
-def registry_ids():
-    return list(cases_by_id())
-
-
-def get_case(case_id):
-    return cases_by_id()[case_id]

@@ -515,12 +515,11 @@ def pochhammer(x: Monomial, step, count, n):
 
 
 def grown(cache, key, n, build):
-    """cache[key] to order n, first rebuilt as build(max(n, 64), cached)
-    when it is missing or certifies less than q^n; cached is the entry
-    being replaced (None when there is none), which build may extend."""
+    """cache[key] to order n, first rebuilt as build(max(n, 64)) when it
+    is missing or certifies less than q^n."""
     cached = cache.get(key)
     if cached is None or cached.order < n:
-        cache[key] = cached = build(max(n, 64), cached)
+        cache[key] = cached = build(max(n, 64))
     return cached.truncate(n)
 
 
@@ -531,7 +530,7 @@ def etaq(k, n):
     """(q^k; q^k)_infinity to order n, integral, by Euler's pentagonal theorem."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    return grown(_eta_cache, k, n, lambda top, _: QSeries.from_terms(
+    return grown(_eta_cache, k, n, lambda top: QSeries.from_terms(
         ((k * m * (3 * m - 1) // 2, -1 if m % 2 else 1)
          for m in lattice_range(3 * k, -k, -2 * top)), top))
 
@@ -539,23 +538,11 @@ def etaq(k, n):
 _eta_inv_cache = {}
 
 
-def _eta_inv_build(k, top, cached):
-    """1/(q^k; q^k)_infinity to order top.  Only k = 1 runs Newton
-    iteration, resumed from the cached inverse, whose trimmed window is
-    padded back to its order; k > 1 inflates the k = 1 inverse."""
-    if k > 1:
-        return etaq_inv(1, top // k).inflate(k).truncate(top)
-    if cached is None:
-        return etaq(k, top).invert()
-    known = cached.coeffs + [0] * (cached.order + 1 - len(cached.coeffs))
-    h = kernels._inv_newton(etaq(k, top).coeffs, top + 1, known)
-    return QSeries(0, h, top)
-
-
 def etaq_inv(k, n):
-    """1/(q^k; q^k)_infinity to order n.  The registry builds the same
-    series as eta_quotient({k: -1}, n), which runs no Newton iteration."""
-    return grown(_eta_inv_cache, k, n, lambda top, cached: _eta_inv_build(k, top, cached))
+    """1/(q^k; q^k)_infinity to order n, the inverse of etaq(k, ...).  The
+    registry builds the same series as eta_quotient({k: -1}, n), which
+    runs no Newton iteration."""
+    return grown(_eta_inv_cache, k, n, lambda top: etaq(k, top).invert())
 
 
 _eta_quotient_cache = {}
@@ -581,7 +568,7 @@ def eta_quotient(powers, n):
     g = gcd(*(k for k, _ in key))
     if g > 1:
         return eta_quotient({k // g: e for k, e in key}, n // g).inflate(g).truncate(n)
-    return grown(_eta_quotient_cache, key, n, lambda top, _: QSeries(
+    return grown(_eta_quotient_cache, key, n, lambda top: QSeries(
         0, _from_log_derivative(_eta_log_derivative(key, top)), top))
 
 

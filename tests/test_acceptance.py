@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from qhecke.classnum import hurwitz12, hurwitz12_table
 from qhecke.oeis import oeis_compare
-from qhecke.registry import get_case
+from qhecke.registry import cases_by_id
 from qhecke.verify import all_passed, run_case, verify
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -127,7 +127,7 @@ def test_criterion_10_appell_machinery():
     reports = verify(["mrel-f121-g121-w1", "mrel-f121-g121-w2"], order=40)
     assert all(r.status == "pass" for r in reports)
     # the Theta_{1,4}-dependent case runs in allow-fail mode; archive it
-    archived = run_case(get_case("mrel-f151-theta14"), 40)
+    archived = run_case(cases_by_id()["mrel-f151-theta14"], 40)
     assert archived.allow_fail
     print("  archived allow-fail report:",
           json.dumps(archived.to_json(), sort_keys=True))
@@ -161,8 +161,7 @@ def test_criterion_13_full_suite_runtime():
     single = time.perf_counter() - t0
     assert all_passed(reports)
     assert len(reports) >= 40
-    from qhecke.registry import registry_ids
-    assert [r.id for r in reports] == registry_ids()  # complete, once each
+    assert [r.id for r in reports] == list(cases_by_id())  # complete, once each
     assert single < 600.0
     t1 = time.perf_counter()
     parallel = verify(jobs=4)

@@ -20,7 +20,7 @@ import pytest
 
 from qhecke import mock
 from qhecke.mock import AppellRhsSpec, appell_rhs
-from qhecke.registry import get_case
+from qhecke.registry import cases_by_id
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries, eta_quotient, lattice_range
 from qhecke.verify import _compare
@@ -204,7 +204,7 @@ def test_printed_statement_holds_at_its_witnesses(cid, z0):
 @pytest.mark.parametrize("cid, z0", WITNESS_POINTS)
 def test_cleared_sides_at_a_witness_are_the_printed_pieces(cid, z0):
     # each side on its own, so a wrong term is caught on the side it is in
-    case = get_case(cid)
+    case = cases_by_id()[cid]
     want = cleared_from_printed(cid, ORDER, z0)
     for side, expected in zip((case.lhs, case.rhs), want):
         assert _compare(side.build(ORDER).eval_z(z0), expected, ORDER) is None, (cid, z0)
@@ -212,7 +212,7 @@ def test_cleared_sides_at_a_witness_are_the_printed_pieces(cid, z0):
 
 @pytest.mark.parametrize("cid", CLEARED)
 def test_cleared_sides_hold_int_laurent_coefficients(cid):
-    case = get_case(cid)
+    case = cases_by_id()[cid]
     for side in (case.lhs.build(ORDER), case.rhs.build(ORDER)):
         # every nonzero coefficient a ZPoly: a gap holds the scalar 0
         assert side.order == ORDER and all(type(c) is ZPoly for c in side.coeffs if c)
@@ -292,7 +292,7 @@ def test_printed_relation_holds_at_its_witnesses(rel, point):
 @pytest.mark.parametrize("rel, i", sorted(CLEARED_POINTS))
 def test_cleared_relation_sides_are_the_multiplier_times_the_printed_pieces(rel, i):
     # the printed pieces are built deeper, as some start below q^0
-    case = get_case(f"mrel-{rel}-w{i}")
+    case = cases_by_id()[f"mrel-{rel}-w{i}"]
     point = CLEARED_POINTS[rel, i]
     z0 = point[-1].coef
     mult, pieces = multiplier(rel, ORDER + 12, *point), printed_mrel(rel, ORDER + 12, *point)

@@ -5,7 +5,7 @@ import os
 import shlex
 
 from qhecke.cli import build_parser, main
-from qhecke.registry import get_case
+from qhecke.registry import cases_by_id
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -108,7 +108,7 @@ def test_verify_scale_multiplies_each_default_order(capsys):
     assert [r["id"] for r in reports] == list(ids)
     for r in reports:
         assert r["status"] == "pass"
-        assert r["certified_order"] == 3 * get_case(r["id"]).default_order
+        assert r["certified_order"] == 3 * cases_by_id()[r["id"]].default_order
 
 
 def test_verify_scale_with_order_exits_two(capsys):
@@ -138,7 +138,7 @@ def test_verify_ignores_a_config_file_in_the_working_directory(capsys, tmp_path,
     assert [r["id"] for r in reports] == list(ids)
     for r in reports:
         assert r["status"] == "pass"
-        assert r["certified_order"] == get_case(r["id"]).default_order
+        assert r["certified_order"] == cases_by_id()[r["id"]].default_order
 
 
 def test_verify_has_no_config_option(capsys):

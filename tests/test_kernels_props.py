@@ -408,16 +408,6 @@ def test_inv_unit_zpoly_and_gaussian_match_recurrence(entries, data):
     assert kernels.inv_unit(g, keep, 1) == naive_inv(g, keep)
 
 
-@prop
-@given(st.data())
-def test_inv_newton_resumes_from_a_known_prefix(data):
-    g = [1] + data.draw(st.one_of(int_lists(), mixed_lists()))
-    keep = data.draw(st.integers(1, 4 * T))
-    m = data.draw(st.integers(1, keep))
-    known = naive_inv(g, m)
-    assert kernels._inv_newton(g, keep, known) == naive_inv(g, keep)
-
-
 # -- QSeries.__add__ ---------------------------------------------------------------
 
 @prop

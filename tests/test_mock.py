@@ -14,7 +14,7 @@ from qhecke.mock import (HR_F8Z, HR_HF8, AppellRhsSpec, HeckeRogersSpec,
                          hecke_rogers, humbert_series, kronecker_minus4)
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries, eta_quotient
-from qhecke.registry import get_case
+from qhecke.registry import cases_by_id
 from qhecke.verify import _compare, run_case
 
 
@@ -300,7 +300,7 @@ def test_bivariate_slots_wider_than_eight_bytes(monkeypatch, row_widths):
     # palindromic in z, as F4(z, q) = F4(1/z, q)
     monkeypatch.setattr(mock, "_fz_cache", {})
     for cid in ("spec-f4-at-1", "spec-f4-at-i"):
-        report = run_case(get_case(cid), 400)
+        report = run_case(cases_by_id()[cid], 400)
         assert (report.status, report.certified_order) == ("pass", 400), cid
     assert row_widths == [11]
     f4 = F4_series(400)
@@ -360,6 +360,28 @@ def test_hecke_rogers_linear_end_converges():
             if e <= 20:
                 want[e] = want.get(e, 0) + 1
     assert dict(hecke_rogers(spec, 20).nonzero_terms()) == want
+
+
+@pytest.mark.parametrize("name", sorted(n for n in vars(mock) if n.startswith("HR_")))
+def test_hecke_rogers_exponents_are_bounded_below_by_zero(name):
+    # the registry gives every Hecke-Rogers leaf low 0.  Proof: with a
+    # j^2 coefficient c <= 0 the exponent is concave in j, so on shell
+    # n = sgn*t it is least at an end j = j0 + j1*t of the j-range.  There
+    # the doubled exponent is alpha t^2 + beta t + gamma with alpha > 0,
+    # so its value and slope at t = 1 being >= 0 bound it below by 0 for
+    # every t >= 1
+    spec = getattr(mock, name)
+    a, b, c, d, e, f = spec.quad2
+    assert c <= 0
+    for sgn in ((1,) if spec.region == "pos" else (1, -1)):
+        for j0, j1 in mock._JENDS[spec.region]:
+            alpha = a + sgn * b * j1 + c * j1 * j1
+            beta = sgn * (b * j0 + d) + 2 * c * j0 * j1 + e * j1
+            gamma = c * j0 * j0 + e * j0 + f
+            for t in (1, 2, 3):  # the quadratic is the spec's exponent
+                assert alpha * t * t + beta * t + gamma == 2 * spec.exponent(sgn * t, j0 + j1 * t)
+            assert alpha > 0
+            assert alpha + beta + gamma >= 0 and 2 * alpha + beta >= 0
 
 
 def test_hecke_rogers_spec_validation():

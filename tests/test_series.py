@@ -16,7 +16,7 @@ from qhecke.errors import NonUnitError, PoleError
 from qhecke.jets import Jet1
 from qhecke.rings import ZPoly
 from qhecke.series import (INF, QSeries, eta_quotient, etaq, etaq_inv, geom_ratio,
-                           geometric_sum, monomial, pochhammer)
+                           geometric_sum, grown, monomial, pochhammer)
 from qhecke.theta import Deferred
 from qhecke.verify import _compare
 
@@ -287,6 +287,21 @@ def test_eta_caches_grow_to_each_request(monkeypatch, build, cache, invert, k):
     assert _compare(small, want, 10) is None and _compare(large, want, 100) is None
 
 
+def test_grown_builds_at_max_n_64_only_when_the_entry_falls_short():
+    cache, tops = {}, []
+
+    def build(top):
+        tops.append(top)
+        return QSeries.one(top)
+
+    assert grown(cache, "k", 10, build).order == 10
+    entry = cache["k"]
+    assert grown(cache, "k", 64, build).order == 64 and cache["k"] is entry
+    assert grown(cache, "k", 100, build).order == 100 and cache["k"] is not entry
+    assert grown(cache, "k", 80, build).order == 80
+    assert tops == [64, 100]
+
+
 def test_eta_quotient_is_cached_but_exact():
     a = eta_quotient({1: 2, 2: -1}, 25)
     b = naive_mul(naive_eta(1, 25), naive_eta(1, 25))
@@ -297,9 +312,7 @@ def test_eta_quotient_is_cached_but_exact():
 
 @pytest.mark.parametrize("k, first, second", [(1, 70, 150), (3, 71, 200), (7, 64, 65),
                                                (2, 130, 131)])
-def test_eta_inverse_resumes_from_the_cached_one(monkeypatch, k, first, second):
-    # k = 3 at order 71 and k = 7 at 64 leave trailing zeros the cached
-    # window trims, which the resumed Newton iteration must pad back
+def test_a_grown_eta_inverse_equals_a_fresh_one(monkeypatch, k, first, second):
     monkeypatch.setattr(series, "_eta_inv_cache", {})
     etaq_inv(k, first)
     entry = series._eta_inv_cache[k]
@@ -401,13 +414,13 @@ def test_eta_quotient_products_stay_as_wide_as_the_quotient(monkeypatch):
         widths.append(max((abs(c).bit_length() for c in a + b), default=0))
         return real_conv(a, b, keep)
 
-    def inv_newton(g, keep, known):
+    def inv_unit(g, keep, one):
         newton.append(keep)
-        return real_newton(g, keep, known)
+        return real_inv(g, keep, one)
 
-    real_conv, real_newton = kernels._conv, kernels._inv_newton
+    real_conv, real_inv = kernels._conv, kernels.inv_unit
     monkeypatch.setattr(kernels, "_conv", conv)
-    monkeypatch.setattr(kernels, "_inv_newton", inv_newton)
+    monkeypatch.setattr(kernels, "inv_unit", inv_unit)
     for cache in ("_eta_cache", "_eta_inv_cache", "_eta_quotient_cache"):
         monkeypatch.setattr(series, cache, {})
     got = eta_quotient({1: -3, 2: 6, 3: 2, 4: -1, 6: -2, 12: 2}, 800)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qhecke.registry import get_case, registry, registry_ids
+from qhecke.registry import cases_by_id, registry
 from qhecke.rings import ZPoly
 from qhecke.series import QSeries
 from qhecke.theta import Deferred
@@ -54,15 +54,13 @@ def _documented_ids():
 
 
 def test_identities_md_and_the_registry_list_the_same_ids():
-    pats, ids = _documented_ids(), registry_ids()
+    pats, ids = _documented_ids(), list(cases_by_id())
     assert len(pats) >= 80
     assert [p for p in pats if not any(re.fullmatch(p, i) for i in ids)] == []
     assert [i for i in ids if not any(re.fullmatch(p, i) for p in pats)] == []
 
 
-def test_get_case_unknown():
-    with pytest.raises(KeyError):
-        get_case("no-such-id")
+def test_verify_unknown_id_raises_key_error():
     with pytest.raises(KeyError):
         verify(["no-such-id"])
 
@@ -101,7 +99,7 @@ def test_verify_rejects_an_empty_selection():
 
 def test_tuple_case_with_missing_component_is_an_error():
     # zip would drop the third component and pass vacuously
-    case = get_case("dissect-j1j2-3")
+    case = cases_by_id()["dissect-j1j2-3"]
     short = replace(case, rhs=case.rhs.map(lambda parts: parts[:2]))
     report = run_case(short, 30)
     assert report.status == "error" and report.certified_order == 0
@@ -111,7 +109,7 @@ def test_tuple_case_with_missing_component_is_an_error():
 
 def test_sample_cases_pass_and_certify_requested_order():
     for cid in SAMPLE:
-        case = get_case(cid)
+        case = cases_by_id()[cid]
         report = run_case(case, 40)
         assert report.status == "pass", (cid, report.first_mismatch)
         assert report.certified_order == 40
@@ -123,14 +121,14 @@ def test_determinism_two_runs_identical():
     assert [(r.id, r.status, r.certified_order, r.first_mismatch) for r in r1] == \
         [(r.id, r.status, r.certified_order, r.first_mismatch) for r in r2]
     # reports come back in registry order regardless of request order
-    assert [r.id for r in r1] == [c for c in registry_ids() if c in set(SAMPLE)]
+    assert [r.id for r in r1] == [c for c in cases_by_id() if c in set(SAMPLE)]
 
 
 def test_order_monotonicity():
     # a case passing at order N passes at every smaller order
     for cid in ("hecke-sigma", "humbert-hf4"):
-        big = run_case(get_case(cid), 80)
-        small = run_case(get_case(cid), 37)
+        big = run_case(cases_by_id()[cid], 80)
+        small = run_case(cases_by_id()[cid], 37)
         assert big.status == small.status == "pass"
 
 
@@ -143,7 +141,7 @@ def test_parallel_matches_sequential():
     # cases a tuple side
     ids = SAMPLE + ["mrel-f151-theta14", "dissect-j2j4-3"]
     seq = _minus_ms(verify(ids, order=36, jobs=1))
-    assert [r["id"] for r in seq] == [c for c in registry_ids() if c in set(ids)]
+    assert [r["id"] for r in seq] == [c for c in cases_by_id() if c in set(ids)]
     assert any(r["first_mismatch"] and r["allow_fail"] and r["note"] for r in seq)
     for jobs in (2, 3):
         assert _minus_ms(verify(ids, order=36, jobs=jobs)) == seq
@@ -170,7 +168,7 @@ def test_fork_count_is_workers_minus_one(monkeypatch):
         forks.clear()
         reports = verify(ids, order=10, jobs=jobs)
         assert len(forks) == expected
-        assert [r.id for r in reports] == [c for c in registry_ids() if c in set(ids)]
+        assert [r.id for r in reports] == [c for c in cases_by_id() if c in set(ids)]
         assert all_passed(reports)
         _assert_no_children()
 
@@ -218,7 +216,7 @@ def test_expected_fail_case_is_isolated():
 
 
 def test_report_json_schema():
-    report = run_case(get_case("appell-sigma"), 40)
+    report = run_case(cases_by_id()["appell-sigma"], 40)
     js = report.to_json()
     assert set(js) == {"id", "status", "certified_order", "first_mismatch", "ms"}
     assert js["status"] == "pass" and js["first_mismatch"] is None
@@ -249,7 +247,6 @@ def test_registry_binds_its_builders_when_it_runs(monkeypatch):
     # registry, so a leaf must take its builder when registry() runs: one
     # bound at import would keep the unwrapped function
     from qhecke import mock
-    from qhecke.registry import cases_by_id
 
     calls, original = [], mock.hecke_rogers
 
@@ -260,7 +257,7 @@ def test_registry_binds_its_builders_when_it_runs(monkeypatch):
     monkeypatch.setattr(mock, "hecke_rogers", counting)
     cases_by_id.cache_clear()
     try:
-        assert run_case(get_case("hecke-hf4"), 10).status == "pass"
+        assert run_case(cases_by_id()["hecke-hf4"], 10).status == "pass"
     finally:
         cases_by_id.cache_clear()
     assert calls == [mock.HR_HF4]
@@ -306,7 +303,7 @@ def test_negative_controls(cid, order):
     # the slot it was added to (a zero tuple component starts at q^0); one
     # at q^(N+1) lies beyond the certificate and must not be.  A congruence
     # case passes a term that is a multiple of its modulus.
-    case = get_case(cid)
+    case = cases_by_id()[cid]
     rhs = case.rhs.build(order)
     if isinstance(rhs, tuple):
         slots = [(i, f"component {i}", side) for i, side in enumerate(rhs)]
@@ -337,7 +334,7 @@ def test_congruence_mismatch_is_reported_in_residues():
     assert _compare(lhs, QSeries(0, [0, 1, 0], 2), 2) == {
         "exp": 1, "lhs": "5", "rhs": "1", "slot": None}
 
-    case = get_case("cong-hf24-phi-minus")
+    case = cases_by_id()["cong-hf24-phi-minus"]
     exact = replace(case, rhs=Deferred(0, lambda n: -mock.eulerian("phi_minus", n)))
     order = 40
     for e in (1, 17, order):
@@ -358,7 +355,7 @@ def test_congruence_refuses_non_integral_sides():
 
     half_q = Deferred(1, lambda n: QSeries.monomial(Fraction(1, 2), 1, n))
     one_q = Deferred(1, lambda n: QSeries.monomial(1, 1, n))
-    case = replace(get_case("cong-hf8-A"), lhs=half_q, rhs=half_q)
+    case = replace(cases_by_id()["cong-hf8-A"], lhs=half_q, rhs=half_q)
     assert case.modulus == 4
     report = run_case(case, 10)
     assert report.status == "error" and report.certified_order == 0
